@@ -190,6 +190,29 @@ def quotient_basis(a):
     return qbasis, coords
 
 
+def suffix_spanners(vectors):
+    """Indices j, in decreasing order, of the vectors not in the span of
+    the vectors after them.
+
+    For every m, the vectors at the returned indices >= m span all the
+    vectors at indices >= m.  At most len(vectors[0]) indices; the scan
+    stops once that many are found.
+    """
+    echelon = []  # (pivot, row); each row is zero at the pivots before it
+    out = []
+    for j in range(len(vectors) - 1, -1, -1):
+        v = vectors[j]
+        for p, w in echelon:
+            if v[p]:
+                v = [w[p] * x - v[p] * y for x, y in zip(v, w)]
+        if any(v):
+            echelon.append((next(t for t, x in enumerate(v) if x), v))
+            out.append(j)
+            if len(out) == len(v):
+                break
+    return out
+
+
 def symmetric_invariants(entries):
     """(rank, signature) of an integer symmetric matrix.
 

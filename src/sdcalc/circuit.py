@@ -22,6 +22,7 @@ from typing import Optional
 from .homology import (
     genus_of,
     is_primitive,
+    mat_pow,
     matvec,
     pairing,
     scale,
@@ -157,23 +158,38 @@ def switch(d, k: int = 1):
     and renormalizes signs; negative k applies the inverse.  The switch
     matrix itself is unchanged.  Accepts a Circuit or a Diagram and
     returns the same kind.
+
+    The closing sign e = <mu g_c, g_1> is the same after every switch, so
+    c forward switches of a normalized circuit give e^(c-1) mu g_i in
+    every slot, and c backward ones e mu^-1 g_i.  With |k| = q c + r,
+    1 <= r <= c, this takes r single switches (the first normalizes the
+    input) and then applies mu^(+-q) by squaring: O(c + log|k|) matrix
+    work, not O(|k| c).
     """
     circ = _as_circuit(d)
     mu = d.switch_matrix if isinstance(d, Diagram) else None
     if not circ.closed:
         raise ValueError("switch needs a closed circuit")
     cur = list(circ.curves)
-    if k >= 0:
-        for _ in range(k):
+    mu_inv = None if mu is None or k >= 0 else sp_inv(mu)
+    q = r = 0
+    if k:
+        q, r = divmod(abs(k) - 1, len(cur))
+        r += 1  # |k| = q c + r with 1 <= r <= c
+    for _ in range(r):
+        if k > 0:
             last = cur[-1] if mu is None else matvec(mu, cur[-1])
             cur = [last] + cur[:-1]
-            cur = list(normalize(cur, True, mu).curves)
-    else:
-        mu_inv = None if mu is None else sp_inv(mu)
-        for _ in range(-k):
+        else:
             first = cur[0] if mu_inv is None else matvec(mu_inv, cur[0])
             cur = cur[1:] + [first]
-            cur = list(normalize(cur, True, mu).curves)
+        cur = list(normalize(cur, True, mu).curves)
+    if q:
+        last = cur[-1] if mu is None else matvec(mu, cur[-1])
+        e = pairing(last, cur[0])
+        sign = e ** (q * (len(cur) - 1) if k > 0 else q)
+        m = None if mu is None else mat_pow(mu if k > 0 else mu_inv, q)
+        cur = [scale(sign, v if m is None else matvec(m, v)) for v in cur]
     out = normalize(cur, True, mu)
     if isinstance(d, Diagram):
         return Diagram(out, mu)

@@ -161,22 +161,27 @@ def _parse_json(text):
         closed = data.get("closed", False)
     except KeyError as exc:
         raise ParseError("missing key %s" % exc) from exc
-    if not isinstance(genus, int) or genus < 1:
+    if not _is_json_int(genus) or genus < 1:
         raise ParseError("genus must be a positive integer")
     if not isinstance(curves, list) or not curves:
         raise ParseError("curves must be a nonempty list")
     for i, v in enumerate(curves, start=1):
-        if not isinstance(v, list) or not all(isinstance(t, int) for t in v):
+        if not isinstance(v, list) or not all(_is_json_int(t) for t in v):
             raise ParseError("curve %d: must be a list of integers" % i)
     if not isinstance(closed, bool):
         raise ParseError("closed must be a boolean")
     rows = data.get("switch")
     if rows is not None:
         if not isinstance(rows, list) or not all(
-            isinstance(r, list) and all(isinstance(t, int) for t in r) for r in rows
+            isinstance(r, list) and all(_is_json_int(t) for t in r) for r in rows
         ):
             raise ParseError("switch must be a matrix of integers")
     return genus, [tuple(v) for v in curves], closed, rows
+
+
+def _is_json_int(t):
+    # JSON true/false load as bool, which is a subclass of int
+    return isinstance(t, int) and not isinstance(t, bool)
 
 
 def _is_int(s):
@@ -631,8 +636,11 @@ def run(argv) -> int:
     else:
         payload = "\n".join(text_lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            return fail(2, "cannot write %s: %s" % (args.out, exc.strerror))
     else:
         out = sys.stdout
         if args.format == "text" and _color_enabled(out):

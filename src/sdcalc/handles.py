@@ -12,17 +12,21 @@ curve j exactly when i < j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import mul
 from typing import Optional
 
-from ._intlinalg import symmetric_invariants
+from ._intlinalg import suffix_spanners, symmetric_invariants
 from .circuit import _as_circuit
-from .homology import pairing, twist_apply
+from .homology import twist_apply
 
 
 @dataclass(frozen=True)
 class LinkingMatrix:
     entries: tuple  # symmetric, size c x c
+    # the circuit's curves, when built by linking_matrix; lets
+    # form_invariants use the matrix's rank-g structure
+    curves: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -59,53 +63,132 @@ def fiber_framing(v) -> int:
     return sum(v[i] * v[i + 1] for i in range(0, len(v), 2))
 
 
-def _bsym(x, y):
-    # the symmetric companion of the pairing; same parity as <x,y>
-    return sum(x[i] * y[i + 1] + y[i] * x[i + 1] for i in range(0, len(x), 2))
-
-
 def linking(x, i, y, j) -> int:
     """Linking number of curve x at attachment slot i with y at slot j.
 
-    Half the signed pairing plus half the symmetric form; the two halves
-    always have equal parity, so the result is an integer.  Symmetric
-    under swapping (x,i) with (y,j).
+    Closed form: the b-coordinates of the curve attached first dotted
+    with the a-coordinates of the other, sum_t n_{bt}(first) n_{at}(second).
+    Symmetric under swapping (x,i) with (y,j).
     """
     if i == j:
         raise ValueError("linking needs distinct attachment slots")
-    sgn = 1 if i > j else -1
-    num = sgn * pairing(x, y) + _bsym(x, y)
-    assert num % 2 == 0, "parity mismatch in linking number"
-    return num // 2
+    if len(x) != len(y):
+        raise ValueError("genus mismatch: %d vs %d" % (len(x), len(y)))
+    if i > j:
+        x, y = y, x
+    return sum(x[t + 1] * y[t] for t in range(0, len(x), 2))
 
 
 def linking_matrix(c) -> LinkingMatrix:
-    """Symmetric matrix with framings on the diagonal, linking numbers off it."""
-    circ = _as_circuit(c)
-    cs = circ.curves
+    """Symmetric matrix with framings on the diagonal, linking numbers off it.
+
+    With A and B the c x g matrices of a- and b-coordinates of the
+    curves, entry (i, j) is B_i . A_j for i < j and B_j . A_i below the
+    diagonal, so the off-diagonal part has rank at most g.  The matrix
+    keeps the curves so that form_invariants can use this structure.
+    """
+    cs = _as_circuit(c).curves
     n = len(cs)
+    cols = list(zip(*cs))  # cols[2t]: a_t-coordinates, cols[2t + 1]: b_t-coordinates
     rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(fiber_framing(cs[i]))
-            else:
-                row.append(linking(cs[i], i + 1, cs[j], j + 1))
-        rows.append(tuple(row))
-    return LinkingMatrix(tuple(rows))
+    for i, v in enumerate(cs):
+        left = [0] * i
+        right = [0] * (n - i - 1)
+        for t in range(0, len(v), 2):
+            left = [s + v[t] * x for s, x in zip(left, cols[t + 1])]
+            right = [s + v[t + 1] * x for s, x in zip(right, cols[t][i + 1:])]
+        rows.append(tuple(left + [fiber_framing(v)] + right))
+    return LinkingMatrix(tuple(rows), cs)
 
 
 def form_invariants(m) -> FormInvariants:
     """Rank, signature and parity of a symmetric integer matrix.
 
-    Exact congruence diagonalization (fraction-free); parity is Even iff
-    every diagonal entry of the input is even.
+    A LinkingMatrix that carries its curves goes through a Schur sweep
+    in O(c g^2) (see _sweep_invariants); any other matrix through exact
+    fraction-free congruence diagonalization in O(c^3).  Parity is Even
+    iff every diagonal entry of the input is even.
     """
     entries = m.entries if isinstance(m, LinkingMatrix) else tuple(tuple(r) for r in m)
-    rank, sig = symmetric_invariants(entries)
+    if isinstance(m, LinkingMatrix) and m.curves is not None:
+        rank, sig = _sweep_invariants(m.curves)
+    else:
+        rank, sig = symmetric_invariants(entries)
     parity = "Even" if all(entries[i][i] % 2 == 0 for i in range(len(entries))) else "Odd"
     return FormInvariants(rank=rank, signature=sig, parity=parity)
+
+
+def _dot(x, y):
+    return sum(map(mul, x, y))
+
+
+def _sweep_invariants(curves):
+    """(rank, signature) of the linking matrix of curves.
+
+    With a_i and b_i the a- and b-coordinates of curve i, the matrix is
+    L_ij = b_min(i,j) . a_max(i,j).  Eliminating the rows in order keeps
+    that shape: the Schur complement after the first k rows is
+    b~_min . a_max  with  b~_i = b_i - M a_i  for one symmetric g x g
+    rational M.  So each row costs O(g^2), O(c g^2) in all:
+
+    * p = b~_k . a_k != 0: a 1x1 pivot p, then M += b~ b~^T / p;
+    * p = 0, s = b~_k . a_{k+1} != 0: the 2x2 pivot P = [[0, s], [s, t]]
+      has one positive and one negative eigenvalue, then M += W P^-1 W^T
+      with W = [b~_k, b~_{k+1}];
+    * the rest of row k is zero too: row k adds nothing, drop it;
+    * otherwise the remaining Schur block goes to symmetric_invariants,
+      which is cubic in the size of that block.
+
+    M is kept fraction-free as num / d, with d > 0 the absolute
+    determinant of the pivots taken so far.  d M is then an adjugate
+    expression in integer matrices, so num is integral and every
+    division below is exact; so is u_i = d b~_i.
+    """
+    a = [v[0::2] for v in curves]
+    b = [v[1::2] for v in curves]
+    c = len(a)
+    g = len(a[0]) if c else 0
+    num = [[0] * g for _ in range(g)]
+    d = 1
+    rank = sig = 0
+    spanners = suffix_spanners(a)  # the a_j with these j >= m span all a_j with j >= m
+    span_g = range(g)
+
+    def reduced(i):
+        return [d * bt - _dot(row, a[i]) for bt, row in zip(b[i], num)]
+
+    k = 0
+    while k < c:
+        u = reduced(k)
+        p = _dot(u, a[k])  # d times the pivot
+        if p:
+            sp = 1 if p > 0 else -1
+            rank += 1
+            sig += sp
+            num = [[sp * (p * num[x][y] + u[x] * u[y]) // d for y in span_g] for x in span_g]
+            d = abs(p)
+            k += 1
+            continue
+        s = _dot(u, a[k + 1]) if k + 1 < c else 0
+        if s:
+            w = reduced(k + 1)
+            t = _dot(w, a[k + 1])
+            rank += 2
+            num = [[(s * s * num[x][y] - t * u[x] * u[y] + s * (u[x] * w[y] + w[x] * u[y]))
+                     // (d * d) for y in span_g] for x in span_g]
+            d = s * s // d
+            k += 2
+            continue
+        if not any(_dot(u, a[j]) for j in spanners if j > k + 1):
+            k += 1
+            continue
+        # the block from row k on, scaled by d: u_min . a_max
+        rest = [reduced(i) for i in range(k, c)]
+        m = c - k
+        block = [[_dot(rest[min(i, j)], a[k + max(i, j)]) for j in range(m)] for i in range(m)]
+        r2, s2 = symmetric_invariants(block)
+        return rank + r2, sig + s2
+    return rank, sig
 
 
 def euler_characteristics(c, closed=None):

@@ -106,6 +106,18 @@ def matmul(a, b):
     return tuple(tuple(sum(ra[t] * cb[t] for t in range(n)) for cb in bt) for ra in a)
 
 
+def mat_pow(m, q):
+    """m to the power q >= 0, by repeated squaring."""
+    out = ident(len(m))
+    while q:
+        if q & 1:
+            out = matmul(out, m)
+        q >>= 1
+        if q:
+            m = matmul(m, m)
+    return out
+
+
 def transpose(m):
     return tuple(zip(*m))
 

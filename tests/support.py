@@ -51,3 +51,13 @@ def rand_closed(rng, genus, length, lim=3) -> Circuit:
             continue
         return normalize(list(chain.curves) + [last], True)
     raise AssertionError("could not close a circuit (genus %d, length %d)" % (genus, length))
+
+
+def linking_by_halves(x, i, y, j):
+    """Reference linking number: half the signed pairing plus half its
+    symmetric companion; the two halves always have equal parity."""
+    sgn = 1 if i > j else -1
+    bsym = sum(x[t] * y[t + 1] + y[t] * x[t + 1] for t in range(0, len(x), 2))
+    num = sgn * pairing(x, y) + bsym
+    assert num % 2 == 0, "parity mismatch in linking number"
+    return num // 2

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,10 +14,12 @@ from sdcalc.circuit import (
     switch,
     validate,
 )
-from sdcalc.homology import canon_sign, matvec, pairing, twist_matrix
+from sdcalc.cli import parse
+from sdcalc.homology import canon_sign, matvec, pairing, sp_inv, twist_matrix
 
 from support import rand_closed
 
+DATA = Path(__file__).parent / "data"
 TRI = normalize([(1, 0), (1, -1), (0, 1)], True)
 AB = normalize([(1, 0), (0, 1)], True)
 
@@ -144,6 +147,34 @@ def test_switch_twisted_full_cycle_applies_mu_once():
     expect = normalize([matvec(mu, v) for v in TRI], True, mu)
     for u, v in zip(out.circuit.curves, expect.curves):
         assert canon_sign(u) == canon_sign(v)
+
+
+def _switch_by_steps(d, k):
+    # reference: one switch at a time, O(|k| c)
+    mu = d.switch_matrix
+    cur = list(d.circuit.curves)
+    for _ in range(abs(k)):
+        if k > 0:
+            cur = [cur[-1] if mu is None else matvec(mu, cur[-1])] + cur[:-1]
+        else:
+            cur = cur[1:] + [cur[0] if mu is None else matvec(sp_inv(mu), cur[0])]
+        cur = list(normalize(cur, True, mu).curves)
+    return Diagram(normalize(cur, True, mu), mu)
+
+
+def test_switch_matches_step_loop():
+    rng = random.Random(11)
+    diagrams = [parse((DATA / name).read_bytes())
+                for name in ("two.sd", "blowup3.sd", "twisted.sd", "genus2.sd")]
+    diagrams += [Diagram(TRI, twist_matrix((0, 1), -2)),
+                 # not normalized: the first single switch normalizes it
+                 Diagram(Circuit(((1, 0), (-1, 1), (0, 1)), True))]
+    for _ in range(12):
+        diagrams.append(Diagram(rand_closed(rng, rng.randint(1, 3), rng.randint(2, 6))))
+    for d in diagrams:
+        c = d.circuit.length
+        for k in range(-3 * c, 3 * c + 1):
+            assert switch(d, k) == _switch_by_steps(d, k), (d, k)
 
 
 def test_switch_requires_closed():

@@ -96,6 +96,17 @@ def test_parse_json_type_checks():
         cli.parse('{"genus": 1, "closed": true}')
 
 
+@pytest.mark.parametrize("text,match", [
+    ('{"genus": true, "curves": [[true, false], [0, 1]], "closed": true}', "genus"),
+    ('{"genus": 1, "curves": [[true, false], [0, 1]], "closed": true}', "curve 1"),
+    ('{"genus": 1, "curves": [[1, 0], [0, 1]], "closed": true,'
+     ' "switch": [[true, 0], [0, 1]]}', "switch"),
+])
+def test_parse_json_rejects_booleans_as_integers(text, match):
+    with pytest.raises(cli.ParseError, match=match):
+        cli.parse(text)
+
+
 def test_emit_roundtrips():
     d = cli.parse(Path(TWISTED).read_bytes())
     again = cli.parse(cli.emit_sd(d))
@@ -232,6 +243,11 @@ def test_switch_command(capsys):
     code, payload, _ = run_json(capsys, "switch", TRI, "--k", "1")
     assert code == 0
     assert payload["curves"] == [[0, -1], [1, 0], [-1, 1]]
+    # 10**8 = 1 mod 3 and the circuit is untwisted: one switch, done
+    # by a bounded number of steps rather than 10**8 of them
+    code, far, _ = run_json(capsys, "switch", TRI, "--k", "100000000")
+    assert code == 0
+    assert far == payload
 
 
 def test_double_command(capsys):
@@ -315,6 +331,15 @@ def test_out_flag_writes_file(capsys, tmp_path):
     payload = json.loads(target.read_text())
     jsonschema.validate(payload, SCHEMA)
     assert payload["command"] == "info"
+
+
+def test_out_into_missing_directory_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "info", TRI, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: cannot write")
+    assert not target.exists()
 
 
 def test_json_output_is_deterministic(capsys):

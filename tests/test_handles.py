@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdcalc.circuit import normalize, switch
+import sdcalc.handles
+from sdcalc._intlinalg import suffix_spanners, symmetric_invariants
+from sdcalc.circuit import Circuit, generate_trace, normalize, switch
 from sdcalc.handles import (
     KirbyData,
+    LinkingMatrix,
     emit_kirby,
     euler_characteristics,
     fiber_framing,
@@ -19,7 +23,7 @@ from sdcalc.handles import (
 from sdcalc.homology import add, pairing, scale
 from sdcalc.subst import apply_blowup, apply_stabilization
 
-from support import rand_closed
+from support import linking_by_halves, rand_closed
 
 TRI = normalize([(1, 0), (1, -1), (0, 1)], True)
 AB = normalize([(1, 0), (0, 1)], True)
@@ -44,9 +48,44 @@ def test_linking_is_integer_and_antisymmetric_in_order():
         assert v == linking(y, 2, x, 1)  # symmetric as a matrix entry
 
 
+def test_linking_matches_half_pairing_formula():
+    rng = random.Random(3)
+    for _ in range(300):
+        g = rng.randint(1, 4)
+        x = tuple(rng.randint(-5, 5) for _ in range(2 * g))
+        y = tuple(rng.randint(-5, 5) for _ in range(2 * g))
+        i, j = rng.sample(range(1, 9), 2)
+        assert linking(x, i, y, j) == linking_by_halves(x, i, y, j)
+
+
+def test_linking_matrix_matches_half_pairing_formula():
+    rng = random.Random(4)
+    circuits = [rand_closed(rng, rng.randint(1, 3), rng.randint(2, 7)) for _ in range(40)]
+    circuits += generate_trace(4, 12)[3]
+    for c in circuits:
+        cs = c.curves
+        expect = tuple(
+            tuple(fiber_framing(x) if i == j else linking_by_halves(x, i, y, j)
+                  for j, y in enumerate(cs))
+            for i, x in enumerate(cs)
+        )
+        assert linking_matrix(c).entries == expect
+
+
 def test_linking_requires_distinct_positions():
     with pytest.raises(ValueError):
         linking((1, 0), 1, (0, 1), 1)
+    with pytest.raises(ValueError):
+        linking((1, 0), 1, (0, 1, 0, 0), 2)
+
+
+def test_linking_matrix_carries_curves_outside_equality():
+    m = linking_matrix(TRI)
+    assert m.curves == TRI.curves
+    assert m == LinkingMatrix(m.entries)
+    assert repr(m) == repr(LinkingMatrix(m.entries))
+    with pytest.raises(ValueError, match="zero class"):
+        linking_matrix(Circuit(((1, 0), (0, 0)), False))
 
 
 def test_linking_matrix_of_triangle():
@@ -124,6 +163,77 @@ def test_form_invariants_match_rational_reference(seed, n):
     inv = form_invariants(rows)
     assert (inv.rank, inv.signature) == _reference_invariants(rows)
     assert inv.parity == ("Even" if all(rows[i][i] % 2 == 0 for i in range(n)) else "Odd")
+
+
+def _sweep_and_bareiss(curves):
+    lm = linking_matrix(Circuit(tuple(curves), False))
+    swept = form_invariants(lm)
+    plain = form_invariants(lm.entries)
+    assert swept == plain
+    return (swept.rank, swept.signature), lm.entries
+
+
+@st.composite
+def sparse_curves(draw):
+    g = draw(st.integers(1, 5))
+    entry = st.sampled_from((0, 0, 0, 0, 0, 0, 1, -1, 2, -2))
+    curve = st.tuples(*[entry] * (2 * g)).filter(any)
+    return draw(st.lists(curve, min_size=1, max_size=8))
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_curves())
+def test_sweep_matches_bareiss_and_rational_reference(curves):
+    inv, entries = _sweep_and_bareiss(curves)
+    assert inv == symmetric_invariants(entries) == _reference_invariants(entries)
+
+
+# (name, curves, rank, signature, whether the Bareiss fallback runs);
+# the first row of each example takes the named path
+SWEEP_PATHS = [
+    ("1x1 pivot", [(1, 1), (1, 0), (2, 1)], 3, 1, False),
+    ("2x2 pivot", [(0, 1), (1, 0)], 2, 0, False),
+    ("zero row", [(1, 0), (1, 1)], 1, 1, False),
+    ("fallback", [(0, 1), (0, 1), (1, 0)], 2, 0, True),
+    ("fallback after pivots", [(1, 1), (0, 1), (0, 1), (1, 0)], 3, 1, True),
+]
+
+
+@pytest.mark.parametrize("name,curves,rank,sig,falls_back", SWEEP_PATHS,
+                         ids=[p[0] for p in SWEEP_PATHS])
+def test_sweep_paths(monkeypatch, name, curves, rank, sig, falls_back):
+    calls = []
+
+    def counting(entries):
+        calls.append(len(entries))
+        return symmetric_invariants(entries)
+
+    monkeypatch.setattr(sdcalc.handles, "symmetric_invariants", counting)
+    inv, entries = _sweep_and_bareiss(curves)
+    calls.pop()  # the plain matrix's own Bareiss run
+    assert inv == (rank, sig) == _reference_invariants(entries)
+    assert bool(calls) == falls_back
+
+
+def test_suffix_spanners_span_every_suffix():
+    def rank(vs):
+        return symmetric_invariants([[sum(map(mul, x, y)) for y in vs] for x in vs])[0]
+
+    rng = random.Random(6)
+    for _ in range(300):
+        g = rng.randint(1, 4)
+        vs = [tuple(rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(g))
+              for _ in range(rng.randint(1, 8))]
+        idx = suffix_spanners(vs)
+        assert len(idx) <= g and idx == sorted(idx, reverse=True)
+        for m in range(len(vs)):
+            assert rank([vs[j] for j in idx if j >= m]) == rank(vs[m:])
+
+
+def test_sweep_matches_bareiss_on_generated_histories():
+    for seed in range(8):
+        for state in generate_trace(seed, 30)[3]:
+            _sweep_and_bareiss(state.curves)
 
 
 def test_interior_blowup_adds_rank_one_block():

@@ -14,6 +14,7 @@ from sdcalc.homology import (
     is_primitive,
     is_symplectic,
     jmat,
+    mat_pow,
     matmul,
     matvec,
     pairing,
@@ -130,6 +131,14 @@ def test_sp_inv():
     assert matmul(m, sp_inv(m)) == ident(2)
     m = word_matrix([((1, 0, 1, 0), 2), ((0, 1, 0, 0), -1)], 2)
     assert matmul(sp_inv(m), m) == ident(4)
+
+
+def test_mat_pow_matches_repeated_product():
+    m = matmul(twist_matrix((1, 2, 0, 1), 1), twist_matrix((0, 1, 1, 0), -1))
+    prod = ident(4)
+    for q in range(10):
+        assert mat_pow(m, q) == prod
+        prod = matmul(prod, m)
 
 
 def test_jmat_squares_to_minus_identity():
