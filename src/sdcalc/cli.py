@@ -55,6 +55,7 @@ from .subst import apply_blowup, apply_stabilization, detect, hayano_surgery
 
 BANNER = ("homological shadow only: genus >= 2 results are necessary "
           "conditions, not certificates")
+CLIP = 40  # longest piece of the input that an error message echoes
 
 
 class ParseError(Exception):
@@ -78,7 +79,11 @@ def parse(text, format=None) -> Diagram:
     ones.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError("not UTF-8: byte 0x%02x at offset %d"
+                             % (exc.object[exc.start], exc.start)) from None
     if format is None:
         stripped = text.lstrip()
         format = "json" if stripped.startswith("{") else "sd"
@@ -121,25 +126,21 @@ def _parse_sd(text):
         parts = line.split()
         key, args = parts[0], parts[1:]
         if key == "genus":
-            if len(args) != 1 or not _is_int(args[0]):
+            if len(args) != 1:
                 raise ParseError("genus needs one integer", line=lineno)
-            genus = int(args[0])
+            (genus,) = _sd_ints(args, lineno, "genus needs one integer")
             if genus < 1:
                 raise ParseError("genus must be >= 1", line=lineno)
         elif key == "curve":
-            if not args or not all(_is_int(a) for a in args):
-                raise ParseError("curve needs integer coefficients", line=lineno)
-            curves.append(tuple(int(a) for a in args))
+            curves.append(_sd_ints(args, lineno, "curve needs integer coefficients"))
         elif key == "closed":
             if len(args) != 1 or args[0] not in ("true", "false"):
                 raise ParseError("closed needs true or false", line=lineno)
             closed = args[0] == "true"
         elif key == "switchrow":
-            if not args or not all(_is_int(a) for a in args):
-                raise ParseError("switchrow needs integer entries", line=lineno)
-            rows.append(tuple(int(a) for a in args))
+            rows.append(_sd_ints(args, lineno, "switchrow needs integer entries"))
         else:
-            raise ParseError("unknown directive %r" % key, line=lineno,
+            raise ParseError("unknown directive %r" % _clip(key), line=lineno,
                              col=raw_line.index(parts[0]) + 1)
     if genus is None:
         raise ParseError("missing genus line")
@@ -148,11 +149,22 @@ def _parse_sd(text):
     return genus, curves, closed if closed is not None else False, rows or None
 
 
+def _sd_ints(args, lineno, message):
+    if not args or not all(_is_int(a) for a in args):
+        raise ParseError(message, line=lineno)
+    try:
+        return tuple(int(a) for a in args)
+    except ValueError:
+        raise _too_long(line=lineno) from None
+
+
 def _parse_json(text):
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, col=exc.colno) from exc
+    except ValueError:
+        raise _too_long() from None
     if not isinstance(data, dict):
         raise ParseError("top level must be an object")
     try:
@@ -186,6 +198,15 @@ def _is_json_int(t):
 
 def _is_int(s):
     return re.fullmatch(r"[+-]?\d+", s) is not None
+
+
+def _too_long(**where):
+    # int() refuses strings of more than sys.get_int_max_str_digits() digits
+    return ParseError("integer longer than %d digits" % sys.get_int_max_str_digits(), **where)
+
+
+def _clip(s):
+    return s if len(s) <= CLIP else s[:CLIP] + "..."
 
 
 # ---------------------------------------------------------------- emission
@@ -426,7 +447,7 @@ def _cmd_substitute(args):
 def _parse_vector(s):
     parts = [p for p in re.split(r"[,\s]+", s.strip()) if p]
     if not parts or not all(_is_int(p) for p in parts):
-        raise UsageError("expected a comma-separated integer vector, got %r" % s)
+        raise UsageError("expected a comma-separated integer vector, got %r" % _clip(s))
     return tuple(int(p) for p in parts)
 
 

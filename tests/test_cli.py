@@ -388,3 +388,47 @@ def test_color_toggle(monkeypatch):
 def test_all_reports_satisfy_schema(capsys, path, command):
     code, _, _ = run_json(capsys, command, path)
     assert code == 0
+
+
+# ------------------------------------------------------------- robustness
+
+BIG = "9" * 5000  # more digits than int() converts by default
+
+
+@pytest.mark.parametrize("text,line", [
+    ("genus %s\ncurve 1 0\n" % BIG, 1),
+    ("genus 1\ncurve 1 0\ncurve %s 1\nclosed false\n" % BIG, 3),
+    ("genus 1\ncurve 1 0\ncurve 0 1\nclosed true\nswitchrow %s 0\nswitchrow 0 1\n" % BIG, 5),
+    ('{"genus": 1, "curves": [[%s, 1], [0, 1]], "closed": true}' % BIG, None),
+], ids=["sd_genus", "sd_curve", "sd_switchrow", "json"])
+def test_overlong_integer_is_parse_error(capsys, monkeypatch, text, line):
+    with pytest.raises(cli.ParseError, match="integer longer than") as ei:
+        cli.parse(text)
+    assert ei.value.line == line
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
+    code, out, err = run(capsys, "info", "-")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "integer longer than" in err and len(err) < 200
+
+
+def test_non_utf8_input_is_parse_error(capsys, tmp_path):
+    p = tmp_path / "bad.sd"
+    p.write_bytes(b"genus 1\ncurve 1 0\xff\ncurve 0 1\nclosed true\n")
+    with pytest.raises(cli.ParseError, match="offset 17"):
+        cli.parse(p.read_bytes())
+    code, out, err = run(capsys, "info", str(p))
+    assert code == 1 and out == ""
+    assert err == "error: not UTF-8: byte 0xff at offset 17\n"
+
+
+def test_unknown_directive_message_is_bounded(capsys, tmp_path):
+    p = tmp_path / "long.sd"
+    p.write_text("genus 1\n" + "x" * 200_000 + "\n")
+    code, out, err = run(capsys, "validate", str(p))
+    assert code == 1 and err == ""
+    assert out.count("\n") == 1 and len(out) < 200
+    assert out.startswith("invalid: line 2, col 1: unknown directive 'xxx")
+    assert out.endswith("...'\n")
+    code, _, err = run(capsys, "substitute", TWO, "--op", "hayano", "--pos", "1",
+                       "--k", "0", "--dual", "y" * 200_000)
+    assert code == 2 and len(err) < 200
