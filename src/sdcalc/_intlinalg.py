@@ -1,6 +1,6 @@
 """Integer linear algebra helpers: column reduction with tracked
-unimodular transforms, integer linear solving, lattice quotients, and
-fraction-free symmetric congruence.
+unimodular transforms, lattice quotients, and fraction-free symmetric
+congruence.
 
 Everything is exact over Z.  These are internal tools; the public API
 lives in the topical modules.
@@ -56,46 +56,18 @@ def colreduce(rows):
             jmin = min(nz, key=lambda j: abs(H[row][j]))
             if jmin != col:
                 colop_swap(col, jmin)
-            if all(H[row][j] % H[row][col] == 0 for j in nz):
-                for j in range(col, n):
-                    if j != col and H[row][j] != 0:
-                        colop_add(col, j, -(H[row][j] // H[row][col]))
-                break
+            done = all(H[row][j] % H[row][col] == 0 for j in nz)
             for j in range(col, n):
                 if j != col and H[row][j] != 0:
                     colop_add(col, j, -(H[row][j] // H[row][col]))
+            if done:
+                break
         if H[row][col] != 0:
             if H[row][col] < 0:
                 colop_neg(col)
             col += 1
         row += 1
     return H, U, Ui
-
-
-def solve_int(rows, b):
-    """One integer solution of A x = b plus a kernel basis, or (None, None).
-
-    Works by forward substitution on the column echelon form: with
-    A U = H echelon, solve H y = b, then x = U y; the trailing columns
-    of U span the kernel lattice.
-    """
-    m = len(rows)
-    n = len(rows[0])
-    H, U, _ = colreduce(rows)
-    y = [0] * n
-    used = 0
-    for row in range(m):
-        val = b[row] - sum(H[row][j] * y[j] for j in range(used))
-        if used < n and H[row][used] != 0:
-            if val % H[row][used] != 0:
-                return None, None
-            y[used] = val // H[row][used]
-            used += 1
-        elif val != 0:
-            return None, None
-    x = tuple(sum(U[i][j] * y[j] for j in range(n)) for i in range(n))
-    kernel = [tuple(U[i][j] for i in range(n)) for j in range(used, n)]
-    return x, kernel
 
 
 def pairing_functional(x):
@@ -123,56 +95,14 @@ def quotient_basis(a):
     # write a in U-coordinates; it lies in the kernel part (columns 1..n-1)
     w = [sum(Ui[i][j] * a[j] for j in range(n)) for i in range(n)]
     assert w[0] == 0, "base class not in its own perp"
-    wk = w[1:]
     m = n - 1
+    # second reduction: w[1:] V = (1, 0, ..., 0), so P = V^T maps it to e_1
+    h, V, Vinv = colreduce([w[1:]])
+    assert h[0][0] == 1, "completion failed"
 
-    # row-reduce wk to e1, tracking P (ops) and Pi = P^{-1}
-    col = list(wk)
-    P = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    Pi = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def rowop_add(src, dst, c):
-        col[dst] += c * col[src]
-        for t in range(m):
-            P[dst][t] += c * P[src][t]
-        for t in range(m):
-            Pi[t][src] -= c * Pi[t][dst]
-
-    def rowop_swap(i, j):
-        col[i], col[j] = col[j], col[i]
-        P[i], P[j] = P[j], P[i]
-        for t in range(m):
-            Pi[t][i], Pi[t][j] = Pi[t][j], Pi[t][i]
-
-    def rowop_neg(i):
-        col[i] = -col[i]
-        for t in range(m):
-            P[i][t] = -P[i][t]
-        for t in range(m):
-            Pi[t][i] = -Pi[t][i]
-
-    while True:
-        nz = [i for i in range(m) if col[i] != 0]
-        if nz == [0]:
-            break
-        imin = min(nz, key=lambda i: abs(col[i]))
-        if imin != 0:
-            rowop_swap(0, imin)
-        changed = False
-        for i in range(1, m):
-            if col[i] != 0:
-                rowop_add(0, i, -(col[i] // col[0]))
-                changed = True
-        if not changed and all(col[i] == 0 for i in range(1, m)):
-            break
-    if col[0] < 0:
-        rowop_neg(0)
-    assert col[0] == 1 and all(c == 0 for c in col[1:]), "completion failed"
-
-    # kernel lattice basis K = U[:, 1:]; quotient basis = columns 1.. of K Pi
-    # (column 0 of K Pi is a itself)
-    K = [[U[i][1 + j] for j in range(m)] for i in range(n)]
-    KP = [[sum(K[i][t] * Pi[t][j] for t in range(m)) for j in range(m)] for i in range(n)]
+    # kernel lattice basis K = U[:, 1:]; quotient basis = columns 1.. of K P^-1
+    # with P^-1 = Vinv^T (column 0 of K P^-1 is a itself)
+    KP = [[sum(U[i][1 + t] * Vinv[j][t] for t in range(m)) for j in range(m)] for i in range(n)]
     first = tuple(KP[i][0] for i in range(n))
     assert first == tuple(a), "completion lost the base class"
     qbasis = [tuple(KP[i][j] for i in range(n)) for j in range(1, m)]
@@ -183,9 +113,7 @@ def quotient_basis(a):
         w = [sum(Ui[i][j] * x[j] for j in range(n)) for i in range(n)]
         if w[0] != 0:
             raise ValueError("class %r does not pair to zero with %r" % (x, a))
-        wk = w[1:]
-        cc = [sum(P[i][t] * wk[t] for t in range(m)) for i in range(m)]
-        return tuple(cc[1:])
+        return tuple(sum(V[t][i] * w[1 + t] for t in range(m)) for i in range(1, m))
 
     return qbasis, coords
 

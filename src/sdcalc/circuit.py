@@ -50,6 +50,18 @@ class Circuit:
             raise ValueError("open circuit has no closing sign")
         return pairing(self.curves[-1], self.curves[0])
 
+    def extended(self, k: int) -> tuple:
+        """The curves followed by eps g_1, ..., eps g_k.
+
+        This is the seam rule: past g_c a closed untwisted circuit goes
+        on with its first curves signed by eps, so entry j + c - 1
+        (0-based) continues the circuit cyclically.  Twisted diagrams
+        close through their switch matrix instead and never read these
+        entries.
+        """
+        e = self.eps
+        return self.curves + tuple(scale(e, v) for v in self.curves[:k])
+
     def __iter__(self):
         return iter(self.curves)
 
@@ -75,8 +87,27 @@ class ValidationReport:
     failures: tuple = field(default_factory=tuple)  # (1-based index, reason)
 
 
-def _as_circuit(obj) -> Circuit:
-    return obj.circuit if isinstance(obj, Diagram) else obj
+class CurveError(ValueError):
+    """A malformed circuit; curve is the 1-based index of the first
+    offending curve, 0 when no single curve is at fault."""
+
+    def __init__(self, message, curve=0):
+        super().__init__(message)
+        self.curve = curve
+
+
+def _unpack(d):
+    """(circuit, switch matrix or None) of a Circuit or a Diagram."""
+    return (d.circuit, d.switch_matrix) if isinstance(d, Diagram) else (d, None)
+
+
+def _repack(d, circ):
+    """circ as the same kind as d, keeping d's switch matrix."""
+    return Diagram(circ, d.switch_matrix) if isinstance(d, Diagram) else circ
+
+
+def _as_circuit(d) -> Circuit:
+    return _unpack(d)[0]
 
 
 def normalize(raw, closed: bool, switch_matrix=None) -> Circuit:
@@ -84,22 +115,23 @@ def normalize(raw, closed: bool, switch_matrix=None) -> Circuit:
 
     Keeps the first class's sign and flips each successor whose pairing
     with its predecessor is -1.  The underlying unoriented sequence is
-    unchanged.  Raises ValueError if any adjacent pairing is not +-1,
-    any entry is non-primitive, genera disagree, or a closed circuit's
-    final pairing is not +-1.  A twisted diagram closes through its
-    switch matrix: pass it so the closing check reads <mu g_c, g_1>.
+    unchanged.  Raises CurveError (a ValueError naming the curve) if any
+    adjacent pairing is not +-1, any entry is non-primitive, genera
+    disagree, or a closed circuit's final pairing is not +-1.  A twisted
+    diagram closes through its switch matrix: pass it so the closing
+    check reads <mu g_c, g_1>.
     """
     raw = [tuple(v) for v in raw]
     if not raw:
-        raise ValueError("empty circuit")
+        raise CurveError("empty circuit")
     if closed and len(raw) < 2:
-        raise ValueError("closed circuit needs at least 2 curves")
+        raise CurveError("closed circuit needs at least 2 curves")
     g = genus_of(raw[0])
-    for i, v in enumerate(raw):
+    for i, v in enumerate(raw, start=1):
         if genus_of(v) != g:
-            raise ValueError("curve %d: genus mismatch" % (i + 1,))
+            raise CurveError("curve %d: genus mismatch" % i, i)
         if not is_primitive(v):
-            raise ValueError("curve %d: not primitive" % (i + 1,))
+            raise CurveError("curve %d: not primitive" % i, i)
     out = [raw[0]]
     for i, v in enumerate(raw[1:], start=2):
         p = pairing(out[-1], v)
@@ -108,12 +140,12 @@ def normalize(raw, closed: bool, switch_matrix=None) -> Circuit:
         elif p == -1:
             out.append(scale(-1, v))
         else:
-            raise ValueError("curves %d,%d: adjacent pairing %d, need +-1" % (i - 1, i, p))
+            raise CurveError("curves %d,%d: adjacent pairing %d, need +-1" % (i - 1, i, p), i - 1)
     if closed:
         last = out[-1] if switch_matrix is None else matvec(switch_matrix, out[-1])
         e = pairing(last, out[0])
         if abs(e) != 1:
-            raise ValueError("closing pairing %d, need +-1 for a closed circuit" % e)
+            raise CurveError("closing pairing %d, need +-1 for a closed circuit" % e)
     return Circuit(tuple(out), closed)
 
 
@@ -124,8 +156,7 @@ def validate(d) -> ValidationReport:
     determines the curves.  Higher genus reports "HomologicalOnly" --
     every check is then a necessary condition, not a certificate.
     """
-    circ = _as_circuit(d)
-    mu = d.switch_matrix if isinstance(d, Diagram) else None
+    circ, mu = _unpack(d)
     failures = []
     curves = circ.curves
     c = len(curves)
@@ -166,8 +197,7 @@ def switch(d, k: int = 1):
     input) and then applies mu^(+-q) by squaring: O(c + log|k|) matrix
     work, not O(|k| c).
     """
-    circ = _as_circuit(d)
-    mu = d.switch_matrix if isinstance(d, Diagram) else None
+    circ, mu = _unpack(d)
     if not circ.closed:
         raise ValueError("switch needs a closed circuit")
     cur = list(circ.curves)
@@ -190,10 +220,7 @@ def switch(d, k: int = 1):
         sign = e ** (q * (len(cur) - 1) if k > 0 else q)
         m = None if mu is None else mat_pow(mu if k > 0 else mu_inv, q)
         cur = [scale(sign, v if m is None else matvec(m, v)) for v in cur]
-    out = normalize(cur, True, mu)
-    if isinstance(d, Diagram):
-        return Diagram(out, mu)
-    return out
+    return _repack(d, normalize(cur, True, mu))
 
 
 def rotate_to_front(circ: Circuit, j: int) -> Circuit:

@@ -37,6 +37,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .circuit import Diagram, double, generate, normalize, switch, validate
@@ -59,10 +60,14 @@ CLIP = 40  # longest piece of the input that an error message echoes
 
 
 class ParseError(Exception):
-    def __init__(self, message, line=None, col=None):
+    """Invalid input; curve is the 1-based index of the offending curve,
+    0 when the error is not about one curve."""
+
+    def __init__(self, message, line=None, col=None, curve=0):
         self.message = message
         self.line = line
         self.col = col
+        self.curve = curve
         where = ""
         if line is not None:
             where = "line %d" % line + (", col %d" % col if col is not None else "") + ": "
@@ -97,7 +102,7 @@ def parse(text, format=None) -> Diagram:
     for i, v in enumerate(curves, start=1):
         if len(v) != 2 * genus:
             raise ParseError("curve %d: expected %d coefficients, got %d"
-                             % (i, 2 * genus, len(v)))
+                             % (i, 2 * genus, len(v)), curve=i)
     mu = None
     if rows is not None:
         if len(rows) != 2 * genus or any(len(r) != 2 * genus for r in rows):
@@ -110,7 +115,7 @@ def parse(text, format=None) -> Diagram:
     try:
         circ = normalize(curves, closed, mu)
     except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+        raise ParseError(str(exc), curve=getattr(exc, "curve", 0)) from exc
     return Diagram(circ, mu)
 
 
@@ -179,7 +184,7 @@ def _parse_json(text):
         raise ParseError("curves must be a nonempty list")
     for i, v in enumerate(curves, start=1):
         if not isinstance(v, list) or not all(_is_json_int(t) for t in v):
-            raise ParseError("curve %d: must be a list of integers" % i)
+            raise ParseError("curve %d: must be a list of integers" % i, curve=i)
     if not isinstance(closed, bool):
         raise ParseError("closed must be a boolean")
     rows = data.get("switch")
@@ -212,13 +217,9 @@ def _clip(s):
 # ---------------------------------------------------------------- emission
 
 def diagram_dict(d: Diagram, **extra) -> dict:
-    out = {
-        "genus": d.circuit.genus,
-        "curves": [list(v) for v in d.circuit.curves],
-        "closed": d.circuit.closed,
-    }
+    out = {"genus": d.circuit.genus, "curves": d.circuit.curves, "closed": d.circuit.closed}
     if d.switch_matrix is not None:
-        out["switch"] = [list(r) for r in d.switch_matrix]
+        out["switch"] = d.switch_matrix
     out.update(extra)
     return out
 
@@ -246,11 +247,31 @@ def _color_enabled(stream):
     return hasattr(stream, "isatty") and stream.isatty()
 
 
-def _banner_lines(g):
-    return ["note: " + BANNER] if g >= 2 else []
+def _matrix_lines(m):
+    return ["  " + " ".join("%3d" % t for t in r) for r in m]
+
+
+def _counts(f):
+    return {"l": f.l, "m": f.m, "n": f.n}
+
+
+def _forms_report(forms, counts):
+    """The canonical forms in report order, and their "forms" and "counts" entries."""
+    forms = sorted(forms, key=lambda f: (f.s2xs2, f.cp2, f.cp2bar))
+    return forms, {"forms": [dict(asdict(f), pretty=f.pretty()) for f in forms],
+                   "counts": _counts(counts)}
+
+
+def _framed(v, f):
+    return {"class": v, "framing": f}
 
 
 # ------------------------------------------------------------- subcommands
+#
+# A subcommand returns (report, text lines, exit code, homological).  The
+# driver adds "command" and "homological_only" to the report, and the
+# notice line to the text when homological is true; homological is None
+# for the commands that emit a bare diagram.
 
 def _load(path, needs_closed=False, allow_twisted=True):
     if path == "-":
@@ -277,30 +298,12 @@ def _cmd_validate(args):
     try:
         d = _load(args.file)
     except ParseError as exc:
-        failures = [[_failure_index(exc.message), str(exc)]]
-        report = {"command": "validate", "ok": False, "exactness": None,
-                  "failures": failures, "homological_only": False}
-        text = ["invalid: %s" % exc]
-        return report, text, 1
+        report = {"ok": False, "exactness": None, "failures": [[exc.curve, str(exc)]]}
+        return report, ["invalid: %s" % exc], 1, False
     rep = validate(d)
-    g = d.circuit.genus
-    report = {
-        "command": "validate",
-        "ok": rep.ok,
-        "exactness": rep.exactness,
-        "failures": [[i, reason] for i, reason in rep.failures],
-        "homological_only": g >= 2,
-    }
-    text = _banner_lines(g)
-    text.append("ok (%s)" % rep.exactness if rep.ok else "invalid (%s)" % rep.exactness)
-    for i, reason in rep.failures:
-        text.append("  curve %d: %s" % (i, reason))
-    return report, text, 0 if rep.ok else 1
-
-
-def _failure_index(message):
-    m = re.search(r"curves? (\d+)", message)
-    return int(m.group(1)) if m else 0
+    text = ["%s (%s)" % ("ok" if rep.ok else "invalid", rep.exactness)]
+    text += ["  curve %d: %s" % f for f in rep.failures]
+    return asdict(rep), text, 0 if rep.ok else 1, d.circuit.genus >= 2
 
 
 def _cmd_info(args):
@@ -310,137 +313,84 @@ def _cmd_info(args):
     lm = linking_matrix(circ)
     inv = form_invariants(lm)
     chi_z, chi_x = euler_characteristics(circ)
+    exactness = "Exact" if g == 1 else "HomologicalOnly"
+    framings = [fiber_framing(v) for v in circ.curves]
     report = {
-        "command": "info",
         "genus": g,
         "length": circ.length,
         "closed": circ.closed,
         "twisted": d.switch_matrix is not None,
-        "exactness": "Exact" if g == 1 else "HomologicalOnly",
-        "homological_only": g >= 2,
-        "framings": [fiber_framing(v) for v in circ.curves],
-        "linking_matrix": [list(r) for r in lm.entries],
-        "form_invariants": {
-            "rank": inv.rank,
-            "signature": inv.signature,
-            "parity": inv.parity,
-            # whether this equals the closed total space's signature is
-            # only verified for genus 1
-            "signature_conjectural": g >= 2,
-        },
+        "exactness": exactness,
+        "framings": framings,
+        "linking_matrix": lm.entries,
+        # whether this equals the closed total space's signature is
+        # only verified for genus 1
+        "form_invariants": dict(asdict(inv), signature_conjectural=g >= 2),
         "euler": {"disk_piece": chi_z, "total_space": chi_x},
     }
-    text = _banner_lines(g)
-    text.append("genus %d, length %d, %s, %s" % (
-        g, circ.length, "closed" if circ.closed else "open", report["exactness"]))
-    text.append("framings: %s" % (report["framings"],))
+    text = ["genus %d, length %d, %s, %s" % (
+        g, circ.length, "closed" if circ.closed else "open", exactness)]
+    text.append("framings: %s" % (framings,))
     text.append("linking matrix:")
-    for r in lm.entries:
-        text.append("  " + " ".join("%3d" % t for t in r))
+    text += _matrix_lines(lm.entries)
     text.append("form: rank %d, signature %d, parity %s%s" % (
         inv.rank, inv.signature, inv.parity,
         " (signature conjectural at this genus)" if g >= 2 else ""))
     text.append("euler: disk piece %d, total space %s" % (chi_z, chi_x))
-    return report, text, 0
+    return report, text, 0, g >= 2
 
 
 def _cmd_classify(args):
-    d = _load(args.file)
-    try:
-        cl = classify(d)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    forms = sorted(cl.canonical_forms, key=lambda f: (f.s2xs2, f.cp2, f.cp2bar))
-    report = {
-        "command": "classify",
-        "forms": [
-            {"s2xs2": f.s2xs2, "cp2": f.cp2, "cp2bar": f.cp2bar, "pretty": f.pretty()}
-            for f in forms
-        ],
-        "counts": {"l": cl.counts.l, "m": cl.counts.m, "n": cl.counts.n},
-        "trace": [
-            {
-                "step": step,
-                "kind": det.kind,
-                "position": det.position,
-                "exponent": det.exponent,
-                "k": det.k,
-                "summand": det.summand,
-                "delta": {"l": delta.l, "m": delta.m, "n": delta.n},
-            }
-            for step, det, delta in cl.reduction_trace
-        ],
-        "homological_only": False,
-    }
+    cl = classify(_load(args.file))
+    forms, report = _forms_report(cl.canonical_forms, cl.counts)
+    report["trace"] = [
+        {"step": step, "kind": det.kind, "position": det.position, "exponent": det.exponent,
+         "k": det.k, "summand": det.summand, "delta": _counts(delta)}
+        for step, det, delta in cl.reduction_trace
+    ]
     text = ["canonical form%s:" % ("s" if len(forms) > 1 else "")]
-    for f in forms:
-        text.append("  " + f.pretty())
+    text += ["  " + f.pretty() for f in forms]
     if cl.reduction_trace:
         text.append("reduction:")
         for step, det, delta in cl.reduction_trace:
             param = det.exponent if det.kind == "BlowUp" else det.k
             text.append("  %2d. %s at %d (param %s) -> %s"
                         % (step, det.kind, det.position, param, det.summand))
-    return report, text, 0
+    return report, text, 0, False  # classify only accepts genus 1
+
+
+def _detection_line(t):
+    if t.kind == "BlowUp":
+        return "  BlowUp at %d: exponent %+d, summand %s" % (t.position, t.exponent, t.summand)
+    if t.kind == "Stabilization":
+        return "  Stabilization at %d: k = %d, summand %s" % (t.position, t.k, t.summand)
+    return "  HayanoPattern at %d: dual %s, k = 0" % (t.position, list(t.dual))
 
 
 def _cmd_detect(args):
     d = _load(args.file, needs_closed=True)
     dets = detect(d)
-    g = d.circuit.genus
-    report = {
-        "command": "detect",
-        "homological_only": g >= 2,
-        "detections": [
-            {
-                "kind": t.kind,
-                "position": t.position,
-                "exponent": t.exponent,
-                "k": t.k,
-                "dual": list(t.dual) if t.dual is not None else None,
-                "summand": t.summand,
-                "homological_only": t.homological_only,
-            }
-            for t in dets
-        ],
-    }
-    text = _banner_lines(g)
-    if not dets:
-        text.append("no substitution patterns")
-    for t in dets:
-        if t.kind == "BlowUp":
-            text.append("  BlowUp at %d: exponent %+d, summand %s"
-                        % (t.position, t.exponent, t.summand))
-        elif t.kind == "Stabilization":
-            text.append("  Stabilization at %d: k = %d, summand %s"
-                        % (t.position, t.k, t.summand))
-        else:
-            text.append("  HayanoPattern at %d: dual %s, k = 0"
-                        % (t.position, list(t.dual)))
-    return report, text, 0
+    text = [_detection_line(t) for t in dets] or ["no substitution patterns"]
+    return {"detections": [asdict(t) for t in dets]}, text, 0, d.circuit.genus >= 2
 
 
 def _cmd_substitute(args):
     d = _load(args.file, needs_closed=True)
     notes = []
-    try:
-        if args.op == "blowup":
-            if args.exp is None:
-                raise UsageError("blowup needs --exp")
-            out = apply_blowup(d, args.pos, args.exp)
-        elif args.op == "stab":
-            if args.k is None:
-                raise UsageError("stab needs --k")
-            out = apply_stabilization(d, args.pos, args.k)
-        else:
-            if args.k is None or args.dual is None:
-                raise UsageError("hayano needs --k and --dual")
-            dual = _parse_vector(args.dual)
-            out = hayano_surgery(d, args.pos, dual, args.k)
-            notes.append("fiber-framed surgery on dual" if args.k % 2 == 0
-                         else "opposite framing (odd twisting)")
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if args.op == "blowup":
+        if args.exp is None:
+            raise UsageError("blowup needs --exp")
+        out = apply_blowup(d, args.pos, args.exp)
+    elif args.op == "stab":
+        if args.k is None:
+            raise UsageError("stab needs --k")
+        out = apply_stabilization(d, args.pos, args.k)
+    else:
+        if args.k is None or args.dual is None:
+            raise UsageError("hayano needs --k and --dual")
+        out = hayano_surgery(d, args.pos, _parse_vector(args.dual), args.k)
+        notes.append("fiber-framed surgery on dual" if args.k % 2 == 0
+                     else "opposite framing (odd twisting)")
     return _diagram_output(out, notes)
 
 
@@ -452,129 +402,76 @@ def _parse_vector(s):
 
 
 def _cmd_switch(args):
-    d = _load(args.file, needs_closed=True)
-    try:
-        out = switch(d, args.k)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    return _diagram_output(out, [])
+    return _diagram_output(switch(_load(args.file, needs_closed=True), args.k), [])
 
 
 def _cmd_double(args):
     d = _load(args.file, allow_twisted=False)
-    try:
-        out = Diagram(double(d.circuit), None)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    return _diagram_output(out, [])
+    return _diagram_output(Diagram(double(d.circuit), None), [])
 
 
 def _cmd_monodromy(args):
-    d = _load(args.file, needs_closed=True, allow_twisted=False)
-    circ = d.circuit
-    g = circ.genus
+    circ = _load(args.file, needs_closed=True, allow_twisted=False).circuit
     word = mu_tilde_word(circ)
     mat = mu_tilde_matrix(circ)
     act = surgered_action(circ)
     ver = verdict(circ)
     report = {
-        "command": "monodromy",
-        "homological_only": g >= 2,
-        "word": [{"axis": list(a), "exponent": e} for a, e in word],
-        "matrix": [list(r) for r in mat],
-        "surgered": {
-            "base": list(act.base_class),
-            "rank": act.quotient_rank,
-            "basis": [list(b) for b in act.basis],
-            "matrix": [list(r) for r in act.matrix],
-        },
-        "verdict": {
-            "kind": ver.kind,
-            "text": ver.text,
-            "witness": list(ver.witness) if ver.witness is not None else None,
-        },
+        "word": [{"axis": a, "exponent": e} for a, e in word],
+        "matrix": mat,
+        "surgered": {"base": act.base_class, "rank": act.quotient_rank,
+                     "basis": act.basis, "matrix": act.matrix},
+        "verdict": dict(asdict(ver), text=ver.text),
     }
-    text = _banner_lines(g)
-    text.append("lift word (rightmost first): %s" % " ".join(str(list(a)) for a, _ in word))
+    text = ["lift word (rightmost first): %s" % " ".join(str(list(a)) for a, _ in word)]
     text.append("lift matrix:")
-    for r in mat:
-        text.append("  " + " ".join("%3d" % t for t in r))
+    text += _matrix_lines(mat)
     text.append("surgered action: rank %d" % act.quotient_rank)
-    for r in act.matrix:
-        text.append("  " + " ".join("%3d" % t for t in r))
+    text += _matrix_lines(act.matrix)
     text.append("verdict: %s" % ver.text)
-    return report, text, 0
+    return report, text, 0, circ.genus >= 2
 
 
 def _cmd_blf(args):
-    d = _load(args.file, needs_closed=True, allow_twisted=False)
-    try:
-        data = to_blf(d.circuit)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    g = d.circuit.genus
-    report = {
-        "command": "blf",
-        "homological_only": g >= 2,
-        "lefschetz_cycles": [{"class": list(v), "framing": f}
-                             for v, f in data.lefschetz_cycles],
-        "round_cycle": {"class": list(data.round_cycle[0]),
-                        "framing": data.round_cycle[1]},
-    }
-    text = _banner_lines(g)
-    text.append("round cycle: %s framing 0" % (list(data.round_cycle[0]),))
+    circ = _load(args.file, needs_closed=True, allow_twisted=False).circuit
+    data = to_blf(circ)
+    report = {"lefschetz_cycles": [_framed(v, f) for v, f in data.lefschetz_cycles],
+              "round_cycle": _framed(*data.round_cycle)}
+    text = ["round cycle: %s framing 0" % (list(data.round_cycle[0]),)]
     for i, (v, f) in enumerate(data.lefschetz_cycles, start=1):
         text.append("  lefschetz %d: %s framing %d" % (i, list(v), f))
-    return report, text, 0
+    return report, text, 0, circ.genus >= 2
 
 
 def _cmd_kirby(args):
-    d = _load(args.file, allow_twisted=False)
-    try:
-        kd = emit_kirby(d.circuit, args.section)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    g = d.circuit.genus
+    kd = emit_kirby(_load(args.file, allow_twisted=False).circuit, args.section)
     report = {
-        "command": "kirby",
-        "homological_only": g >= 2,
-        "genus": g,
-        "one_handles": list(kd.one_handles),
+        "genus": kd.genus,
+        "one_handles": kd.one_handles,
         "fiber_handle": {"framing": kd.fiber_framing},
-        "fold_handles": [{"class": list(v), "framing": f, "position": p}
-                         for v, f, p in kd.fold_handles],
+        "fold_handles": [dict(_framed(v, f), position=p) for v, f, p in kd.fold_handles],
         "last_handle": None if kd.last_handle is None
         else {"framing": kd.last_handle, "attached": "meridian of fiber handle"},
-        "linking_matrix": [list(r) for r in kd.linking.entries],
+        "linking_matrix": kd.linking.entries,
     }
-    text = _banner_lines(g)
-    text.append("1-handles (dotted): %s" % ", ".join(kd.one_handles))
-    text.append("fiber handle: framing 0")
+    text = ["1-handles (dotted): %s" % ", ".join(kd.one_handles), "fiber handle: framing 0"]
     for v, f, p in kd.fold_handles:
         text.append("  fold handle %d: %s framing %d" % (p, list(v), f))
     if kd.last_handle is not None:
         text.append("meridian handle: framing %d" % kd.last_handle)
     text.append("linking matrix:")
-    for r in kd.linking.entries:
-        text.append("  " + " ".join("%3d" % t for t in r))
-    return report, text, 0
+    text += _matrix_lines(kd.linking.entries)
+    return report, text, 0, kd.genus >= 2
 
 
 def _cmd_generate(args):
     if args.steps < 0:
         raise UsageError("--steps must be >= 0")
     circ, form = generate(args.seed, args.steps)
-    spin = normalize_sum(form.with_closure("Spin0"))
-    nonspin = normalize_sum(form.with_closure("NonSpin1"))
-    forms = sorted({spin, nonspin}, key=lambda f: (f.s2xs2, f.cp2, f.cp2bar))
-    expected = {
-        "counts": {"l": form.l, "m": form.m, "n": form.n},
-        "forms": [{"s2xs2": f.s2xs2, "cp2": f.cp2, "cp2bar": f.cp2bar,
-                   "pretty": f.pretty()} for f in forms],
-    }
-    d = Diagram(circ, None)
+    closures = {normalize_sum(form.with_closure(c)) for c in ("Spin0", "NonSpin1")}
+    forms, expected = _forms_report(closures, form)
     notes = ["expected: " + " or ".join(f.pretty() for f in forms)]
-    return _diagram_output(d, notes, expected=expected)
+    return _diagram_output(Diagram(circ, None), notes, expected=expected)
 
 
 def _diagram_output(d: Diagram, notes, **extra):
@@ -582,8 +479,7 @@ def _diagram_output(d: Diagram, notes, **extra):
     report = diagram_dict(d, **extra)
     if notes:
         report["note"] = "; ".join(notes)
-    text = emit_sd(d, notes).splitlines()
-    return report, text, 0
+    return report, emit_sd(d, notes).splitlines(), 0, None
 
 
 # ------------------------------------------------------------------ driver
@@ -644,13 +540,17 @@ def run(argv) -> int:
         return code
 
     try:
-        report, text_lines, code = args.func(args)
+        report, text_lines, code, homological = args.func(args)
     except ParseError as exc:
         return fail(1, str(exc))
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:  # ValueError: the input does not fit the operation
         return fail(2, str(exc))
     except RuntimeError as exc:
         return fail(1, str(exc))
+    if homological is not None:  # a report rather than a bare diagram
+        report.update(command=args.command, homological_only=homological)
+        if homological:
+            text_lines = ["note: " + BANNER] + text_lines
 
     if args.format == "json":
         payload = emit_json(report)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, Diagram, _as_circuit, validate
+from .circuit import Circuit, _as_circuit, _unpack, validate
 from .homology import add, pairing, scale
 from .subst import Detection, _blowup_summand, _stab_summand, contract
 
@@ -89,19 +89,9 @@ def duality_coefficients(c) -> list:
     circ = _as_circuit(c)
     if circ.genus != 1:
         raise ValueError("duality coefficients need genus 1")
-    cs = circ.curves
-    if len(cs) < 3:
+    if circ.length < 3:
         raise ValueError("duality coefficients need length >= 3")
-    ks = []
-    for i in range(2, len(cs)):
-        k = pairing(cs[i - 2], cs[i])
-        if cs[i] != add(scale(k, cs[i - 1]), scale(-1, cs[i - 2])):
-            raise ValueError(
-                "curve %d does not satisfy the duality relation; "
-                "is the circuit normalized?" % (i + 1,)
-            )
-        ks.append(k)
-    return ks
+    return _window_coefficients(circ.curves)
 
 
 def _cyclic_coefficients(circ: Circuit) -> list:
@@ -110,14 +100,20 @@ def _cyclic_coefficients(circ: Circuit) -> list:
     Index j (0-based) covers the window (g_j, g_{j+1}, g_{j+2}) with the
     eps-signed continuation past the seam; the relation
     g_{j+2} = k_j g_{j+1} - g_j holds cyclically."""
-    cs = circ.curves
-    c = len(cs)
-    e = circ.eps
-    ext = list(cs) + [scale(e, cs[0]), scale(e, cs[1])]
+    return _window_coefficients(circ.extended(2))
+
+
+def _window_coefficients(cs) -> list:
+    """k_i = <g_{i-2}, g_i> for every three consecutive entries of cs,
+    checking g_i = k_i g_{i-1} - g_{i-2}."""
     ks = []
-    for j in range(c):
-        k = pairing(ext[j], ext[j + 2])
-        assert ext[j + 2] == add(scale(k, ext[j + 1]), scale(-1, ext[j]))
+    for i in range(2, len(cs)):
+        k = pairing(cs[i - 2], cs[i])
+        if cs[i] != add(scale(k, cs[i - 1]), scale(-1, cs[i - 2])):
+            raise ValueError(
+                "curve %d does not satisfy the duality relation; "
+                "is the circuit normalized?" % (i + 1,)
+            )
         ks.append(k)
     return ks
 
@@ -161,9 +157,9 @@ def classify(d) -> Classification:
     length-2 circuit are materialized and deduplicated, giving one or
     two canonical forms.
     """
-    if isinstance(d, Diagram) and d.switch_matrix is not None:
+    circ, mu = _unpack(d)
+    if mu is not None:
         raise ValueError("classifier requires an untwisted diagram")
-    circ = _as_circuit(d)
     if circ.genus != 1:
         raise ValueError("classifier requires genus 1")
     if not circ.closed:

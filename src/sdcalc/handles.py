@@ -243,11 +243,6 @@ def to_blf(c) -> BlfData:
     circ = _as_circuit(c)
     if not circ.closed:
         raise ValueError("broken-fibration data needs a closed circuit")
-    cs = circ.curves
-    n = len(cs)
-    e = circ.eps
-    cycles = []
-    for i in range(n):
-        nxt = cs[i + 1] if i + 1 < n else tuple(e * t for t in cs[0])
-        cycles.append((twist_apply(cs[i], 1, nxt), -1))
-    return BlfData(lefschetz_cycles=tuple(cycles), round_cycle=(cs[0], 0))
+    ext = circ.extended(1)
+    cycles = tuple((twist_apply(x, 1, nxt), -1) for x, nxt in zip(ext, ext[1:]))
+    return BlfData(lefschetz_cycles=cycles, round_cycle=(ext[0], 0))

@@ -143,12 +143,7 @@ def twist_matrix(v, k) -> SpMatrix:
     twist_matrix(v, -k) are inverse.
     """
     _require_axis(v)
-    n = len(v)
-    cols = []
-    for j in range(n):
-        e = tuple(1 if t == j else 0 for t in range(n))
-        cols.append(twist_apply(v, k, e))
-    return tuple(zip(*cols))
+    return transpose([twist_apply(v, k, e) for e in ident(len(v))])
 
 
 def apply_word(word, x):
@@ -165,14 +160,22 @@ def apply_word(word, x):
 
 
 def word_matrix(word, genus) -> SpMatrix:
-    """Matrix of a twist word (rightmost factor applied first)."""
-    m = ident(2 * genus)
+    """Matrix of a twist word (rightmost factor applied first).
+
+    Its columns are the images of the 2g basis vectors, so c factors
+    cost O(c g^2) rather than c dense matrix products.
+    """
+    word = tuple(word)
     for axis, exp in word:
         if exp == 0:
             raise ValueError("word exponents must be nonzero")
         _require_axis(axis)
-        m = matmul(twist_matrix(axis, exp), m)
-    return m
+    cols = []
+    for x in ident(2 * genus):
+        for axis, exp in word:
+            x = twist_apply(axis, exp, x)
+        cols.append(x)
+    return transpose(cols)
 
 
 def delta_twist(a, b) -> SpMatrix:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ._intlinalg import quotient_basis
-from .circuit import Circuit, Diagram, _as_circuit
+from .circuit import Circuit, _unpack
 from .homology import (
     canon_sign,
     add,
@@ -23,6 +23,7 @@ from .homology import (
     matvec,
     pairing,
     scale,
+    transpose,
     word_matrix,
 )
 
@@ -49,9 +50,9 @@ class Verdict:
 
 
 def _require_untwisted_closed(c) -> Circuit:
-    if isinstance(c, Diagram) and c.switch_matrix is not None:
+    circ, mu = _unpack(c)
+    if mu is not None:
         raise ValueError("monodromy lift is only defined for untwisted diagrams")
-    circ = _as_circuit(c)
     if not circ.closed:
         raise ValueError("monodromy lift needs a closed circuit")
     return circ
@@ -64,14 +65,10 @@ def mu_tilde_word(c):
     g_{i+1} + <g_i, g_{i+1}> g_i, taken cyclically with the eps-signed
     closing curve and sign-canonicalized (axes are unoriented).
     """
-    circ = _require_untwisted_closed(c)
-    cs = circ.curves
-    n = len(cs)
-    e = circ.eps
+    ext = _require_untwisted_closed(c).extended(1)
     word = []
-    for i in range(n):
-        nxt = cs[i + 1] if i + 1 < n else scale(e, cs[0])
-        axis = add(nxt, scale(pairing(cs[i], nxt), cs[i]))
+    for x, nxt in zip(ext, ext[1:]):
+        axis = add(nxt, scale(pairing(x, nxt), x))
         word.append((canon_sign(axis), 1))
     return tuple(word)
 
@@ -92,11 +89,9 @@ def induced_action(a, m) -> SurgeredAction:
     """
     a = tuple(a)
     qb, coords = quotient_basis(a)
-    cols = [coords(matvec(m, q)) for q in qb]
-    r = len(qb)
-    matrix = tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
+    matrix = transpose([coords(matvec(m, q)) for q in qb])
     return SurgeredAction(
-        base_class=a, quotient_rank=r, matrix=matrix, basis=tuple(qb)
+        base_class=a, quotient_rank=len(qb), matrix=matrix, basis=tuple(qb)
     )
 
 
@@ -114,12 +109,8 @@ def verdict(c) -> Verdict:
     moved basis class is returned as a witness.
     """
     act = surgered_action(c)
-    idm = ident(act.quotient_rank)
-    if act.matrix == idm:
+    cols = zip(*act.matrix)
+    moved = [b for b, col, e in zip(act.basis, cols, ident(act.quotient_rank)) if col != e]
+    if not moved:
         return Verdict(kind="HomologicallyTrivial")
-    for j in range(act.quotient_rank):
-        col = tuple(act.matrix[i][j] for i in range(act.quotient_rank))
-        unit = tuple(1 if i == j else 0 for i in range(act.quotient_rank))
-        if col != unit:
-            return Verdict(kind="ObstructedOnHomology", witness=act.basis[j])
-    raise AssertionError("non-identity matrix with no moved column")
+    return Verdict(kind="ObstructedOnHomology", witness=moved[0])

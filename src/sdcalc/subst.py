@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .circuit import Diagram, _as_circuit, normalize, rotate_to_front
+from .circuit import _repack, _unpack, normalize, rotate_to_front
 from .homology import add, canon_sign, pairing, scale, twist_apply
 
 
@@ -43,26 +43,6 @@ def _stab_summand(k):
     return "S2xS2" if k % 2 == 0 else "CP2+CP2bar"
 
 
-def _unpack(d):
-    circ = _as_circuit(d)
-    mu = d.switch_matrix if isinstance(d, Diagram) else None
-    return circ, mu
-
-
-def _repack(d, circ):
-    if isinstance(d, Diagram):
-        return Diagram(circ, d.switch_matrix)
-    return circ
-
-
-def _cyclic(circ, j):
-    """1-based cyclic entry with the eps sign on wrap-around."""
-    c = circ.length
-    if j <= c:
-        return circ.curves[j - 1]
-    return scale(circ.eps, circ.curves[j - c - 1])
-
-
 def _check_pos(circ, mu, pos, seam_ok=False):
     c = circ.length
     if not circ.closed:
@@ -83,8 +63,7 @@ def apply_blowup(d, pos: int, e: int):
         raise ValueError("blow-up exponent must be +1 or -1")
     circ, mu = _unpack(d)
     _check_pos(circ, mu, pos)
-    x = circ.curves[pos - 1]
-    y = _cyclic(circ, pos + 1)
+    x, y = circ.extended(1)[pos - 1:pos + 1]
     xi = twist_apply(y, e, x)
     raw = list(circ.curves[:pos]) + [xi] + list(circ.curves[pos:])
     return _repack(d, normalize(raw, True, mu))
@@ -100,8 +79,7 @@ def apply_stabilization(d, pos: int, k: int):
     circ, mu = _unpack(d)
     _check_pos(circ, mu, pos)
     c = circ.length
-    x = circ.curves[pos - 1]
-    y = _cyclic(circ, pos + 1)
+    x, y = circ.extended(1)[pos - 1:pos + 1]
     xi = twist_apply(y, k, x)
     if pos < c:
         raw = list(circ.curves[: pos + 1]) + [xi, y] + list(circ.curves[pos + 1 :])
@@ -139,6 +117,31 @@ def _norm_window(win):
     return out
 
 
+def _blowup_exponent(x, y, z):
+    """Exponent of an oriented blow-up window (x, y, z), or None.
+
+    The window matches when y = +-(x + z); the exponent is -<x,z>.
+    """
+    s = add(x, z)
+    if y != s and y != scale(-1, s):
+        return None
+    e = -pairing(x, z)
+    assert abs(e) == 1
+    return e
+
+
+def _stab_power(x, y, z, w):
+    """Twist power k of an oriented stabilization window (x, y, z, w), or None.
+
+    The window matches when w = -y and z + x = k y.
+    """
+    if w != scale(-1, y):
+        return None
+    num = add(z, x)
+    k = next((n // t for n, t in zip(num, y) if t), None)
+    return k if k is not None and num == scale(k, y) else None
+
+
 def detect(d):
     """All substitution patterns in a closed diagram, ascending position.
 
@@ -157,15 +160,13 @@ def detect(d):
     homological = circ.genus >= 2
     last3 = c if mu is None else c - 2  # twisted: window must not wrap
     last4 = c if mu is None else c - 3
+    ext = circ.extended(3)
     out = []
     for pos in range(1, c + 1):
         if c >= 3 and pos <= last3:
-            x, y, z = _norm_window([_cyclic(circ, pos + t) for t in range(3)])
-            s = add(x, z)
-            if y == s or y == scale(-1, s):
-                cc = pairing(x, z)
-                assert abs(cc) == 1
-                e = -cc
+            x, y, z = _norm_window(ext[pos - 1:pos + 2])
+            e = _blowup_exponent(x, y, z)
+            if e is not None:
                 out.append(
                     Detection(
                         kind="BlowUp",
@@ -186,24 +187,17 @@ def detect(d):
                     )
                 )
         if c >= 4 and pos <= last4:
-            x, y, z, w = _norm_window([_cyclic(circ, pos + t) for t in range(4)])
-            if w == scale(-1, y):
-                num = add(z, x)
-                k = None
-                for i in range(len(y)):
-                    if y[i] != 0:
-                        k = num[i] // y[i]
-                        break
-                if k is not None and num == scale(k, y):
-                    out.append(
-                        Detection(
-                            kind="Stabilization",
-                            position=pos,
-                            k=k,
-                            summand=_stab_summand(k),
-                            homological_only=homological,
-                        )
+            k = _stab_power(*_norm_window(ext[pos - 1:pos + 3]))
+            if k is not None:
+                out.append(
+                    Detection(
+                        kind="Stabilization",
+                        position=pos,
+                        k=k,
+                        summand=_stab_summand(k),
+                        homological_only=homological,
                     )
+                )
     return out
 
 
@@ -235,9 +229,8 @@ def contract(d, det: Detection):
     if det.kind == "BlowUp":
         if c < 3 or (mu is not None and pos + 2 > c):
             raise _stale(det)  # seam windows are never detected on twisted input
-        x, y, z = _norm_window([_cyclic(circ, pos + t) for t in range(3)])
-        s = add(x, z)
-        if not (y == s or y == scale(-1, s)) or det.exponent != -pairing(x, z):
+        e = _blowup_exponent(*_norm_window(circ.extended(2)[pos - 1:pos + 2]))
+        if e is None or e != det.exponent:
             raise _stale(det)
         if pos + 2 <= c:
             raw = [v for i, v in enumerate(circ.curves) if i != pos]  # drop middle
@@ -251,8 +244,8 @@ def contract(d, det: Detection):
     if det.kind == "Stabilization":
         if c < 4 or (mu is not None and pos + 3 > c):
             raise _stale(det)
-        x, y, z, w = _norm_window([_cyclic(circ, pos + t) for t in range(4)])
-        if w != scale(-1, y) or add(z, x) != scale(det.k, y):
+        k = _stab_power(*_norm_window(circ.extended(3)[pos - 1:pos + 3]))
+        if k is None or k != det.k:
             raise _stale(det)
         if pos + 3 <= c:
             drop = {pos + 1, pos + 2}  # 0-based indices of (z, w)

@@ -7,9 +7,35 @@ can be sampled without rejection storms.
 
 from math import gcd
 
-from sdcalc._intlinalg import pairing_functional, solve_int
+from sdcalc._intlinalg import colreduce, pairing_functional
 from sdcalc.circuit import Circuit, normalize
 from sdcalc.homology import add, pairing, scale
+
+
+def solve_int(rows, b):
+    """One integer solution of A x = b plus a kernel basis, or (None, None).
+
+    Works by forward substitution on the column echelon form: with
+    A U = H echelon, solve H y = b, then x = U y; the trailing columns
+    of U span the kernel lattice.
+    """
+    m = len(rows)
+    n = len(rows[0])
+    H, U, _ = colreduce(rows)
+    y = [0] * n
+    used = 0
+    for row in range(m):
+        val = b[row] - sum(H[row][j] * y[j] for j in range(used))
+        if used < n and H[row][used] != 0:
+            if val % H[row][used] != 0:
+                return None, None
+            y[used] = val // H[row][used]
+            used += 1
+        elif val != 0:
+            return None, None
+    x = tuple(sum(U[i][j] * y[j] for j in range(n)) for i in range(n))
+    kernel = [tuple(U[i][j] for i in range(n)) for j in range(used, n)]
+    return x, kernel
 
 
 def rand_primitive(rng, genus, lim=4):

@@ -27,9 +27,9 @@ from sdcalc.homology import (
 )
 from sdcalc.monodromy import induced_action, mu_tilde_matrix, surgered_action, verdict
 from sdcalc.subst import apply_blowup, apply_stabilization, detect, hayano_surgery
-from sdcalc._intlinalg import pairing_functional, solve_int
+from sdcalc._intlinalg import pairing_functional
 
-from support import rand_chain, rand_closed, rand_next, rand_primitive
+from support import rand_chain, rand_closed, rand_next, rand_primitive, solve_int
 
 CORPUS_SIZE = 1000
 MAX_STEPS = 30

@@ -5,6 +5,7 @@ import pytest
 
 from sdcalc.circuit import (
     Circuit,
+    CurveError,
     Diagram,
     double,
     generate,
@@ -45,6 +46,32 @@ def test_normalize_errors():
     # closing pairing must be a unit for closed circuits
     with pytest.raises(ValueError, match="closing"):
         normalize([(1, 0), (1, 1), (1, 2)], True)
+
+
+@pytest.mark.parametrize("raw,closed,curve", [
+    ([(1, 0), (0, 1), (2, 2)], False, 3),
+    ([(1, 0), (0, 1), (0, 1)], False, 2),
+    ([(1, 0), (0, 1, 0, 0)], False, 2),
+    ([(1, 0), (1, 1), (1, 2)], True, 0),
+    ([(1, 0)], True, 0),
+])
+def test_normalize_errors_carry_the_curve(raw, closed, curve):
+    with pytest.raises(CurveError) as ei:
+        normalize(raw, closed)
+    assert ei.value.curve == curve
+
+
+def test_extended_continues_past_the_seam():
+    assert TRI.extended(0) == TRI.curves
+    assert TRI.extended(2) == TRI.curves + TRI.curves[:2]  # eps = +1
+    assert AB.extended(2) == ((1, 0), (0, 1), (-1, 0), (0, -1))  # eps = -1
+    rng = random.Random(4)
+    for g in (1, 2, 3):
+        c = rand_closed(rng, g, 5)
+        ext = c.extended(3)
+        assert all(pairing(ext[j], ext[j + 1]) == 1 for j in range(len(ext) - 1))
+    with pytest.raises(ValueError):
+        normalize([(1, 0), (0, 1)], False).extended(1)
 
 
 def test_eps_exposed():

@@ -73,6 +73,25 @@ def test_parse_semantic_errors_name_the_curve():
         cli.parse('{"genus": 1, "curves": [[1, 0], [1, 0]], "closed": true}')
 
 
+@pytest.mark.parametrize("text,curve", [
+    ("genus 1\ncurve 1 0\ncurve 0 1\ncurve 2 2\nclosed false\n", 3),
+    ("genus 1\ncurve 1 0\ncurve 0 1\ncurve 0 1\nclosed false\n", 2),
+    ("genus 1\ncurve 1 0\ncurve 1 0 0\nclosed false\n", 2),
+    ('{"genus": 1, "curves": [[1, 0], [0, "x"]]}', 2),
+    ("genus 1\ncurve 1 0\ncurve 0 1\ncurve -1 2\nclosed true\n", 0),
+    ("genus 1\ncurve 1 0\nclosed true\n", 0),
+    ("genus 1\ncurve 1 0\ncurves 3\n", 0),
+])
+def test_parse_error_carries_the_curve(capsys, monkeypatch, text, curve):
+    with pytest.raises(cli.ParseError) as ei:
+        cli.parse(text)
+    assert ei.value.curve == curve
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
+    code, payload, _ = run_json(capsys, "validate", "-")
+    assert code == 1
+    assert payload["failures"] == [[curve, str(ei.value)]]
+
+
 def test_parse_switch_matrix():
     d = cli.parse(Path(TWISTED).read_bytes())
     assert d.switch_matrix == ((1, 1), (0, 1))

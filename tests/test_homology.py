@@ -177,6 +177,30 @@ def test_word_matrix_matches_apply_word():
         assert matvec(m, x) == apply_word(word, x)
 
 
+def test_word_matrix_equals_dense_product():
+    # the column-by-column word_matrix against the product of twist matrices
+    rng = random.Random(12)
+    for g in (1, 2, 3, 5):
+        for _ in range(40):
+            word = []
+            for _ in range(rng.randint(0, 12)):
+                v = tuple(rng.randint(-4, 4) for _ in range(2 * g))
+                if is_primitive(v):
+                    word.append((v, rng.choice((-3, -1, 1, 2))))
+            dense = ident(2 * g)
+            for axis, exp in word:
+                dense = matmul(twist_matrix(axis, exp), dense)
+            assert word_matrix(word, g) == dense
+            assert word_matrix(iter(word), g) == dense
+
+
+def test_word_matrix_validates():
+    with pytest.raises(ValueError, match="nonzero"):
+        word_matrix([(A, 1), (B, 0)], 1)
+    with pytest.raises(ValueError, match="primitive"):
+        word_matrix([(A, 1), ((2, 0), 1)], 1)
+
+
 def test_delta_twist_genus_one_is_minus_identity():
     assert delta_twist(A, B) == ((-1, 0), (0, -1))
 

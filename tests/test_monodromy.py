@@ -121,6 +121,29 @@ def test_induced_action_shape():
         assert pairing(a, b) == 0
 
 
+def test_quotient_basis_completes_a_unimodular_basis():
+    # a, the quotient basis and any d with <a, d> = 1 form a basis of Z^2g,
+    # and coords reads off the coefficients over the quotient basis
+    from support import solve_int
+    from sdcalc._intlinalg import colreduce, pairing_functional, quotient_basis
+
+    rng = random.Random(21)
+    for g in (1, 2, 3, 5):
+        for _ in range(60):
+            a = rand_primitive(rng, g, rng.choice((2, 5, 30)))
+            qb, coords = quotient_basis(a)
+            assert len(qb) == 2 * g - 2
+            assert all(pairing(a, q) == 0 for q in qb)
+            d, _ = solve_int([pairing_functional(a)], [1])
+            h, _, _ = colreduce([a, *qb, d])  # rows; full rank with unit pivots
+            assert all(h[i][i] == 1 for i in range(2 * g))
+            cs = [rng.randint(-4, 4) for _ in qb]
+            x = tuple(sum(c * q[i] for c, q in zip(cs, qb)) + 3 * a[i] for i in range(2 * g))
+            assert coords(x) == tuple(cs)
+            with pytest.raises(ValueError, match="pair to zero"):
+                coords(d)
+
+
 def test_induced_action_rejects_imprimitive_base():
     with pytest.raises(ValueError):
         induced_action((2, 0, 0, 0), ident(4))
