@@ -30,6 +30,24 @@ from .homology import (
 )
 
 
+CLIP = 40  # longest piece of the input that an error message echoes
+
+
+def _clip(s):
+    return s if len(s) <= CLIP else s[:CLIP] + "..."
+
+
+def _clip_int(n):
+    """_clip(str(n)) without converting all of a long n, which str()
+    refuses past sys.get_int_max_str_digits() digits."""
+    a = abs(n)
+    if a >= 10 ** (CLIP + 1):
+        # keep the leading CLIP + 1 or more digits; bits * log10(2) <= digits
+        a //= 10 ** (int(a.bit_length() * 0.30102999566) - CLIP - 1)
+        n = -a if n < 0 else a
+    return _clip(str(n))
+
+
 @dataclass(frozen=True)
 class Circuit:
     curves: tuple
@@ -140,12 +158,13 @@ def normalize(raw, closed: bool, switch_matrix=None) -> Circuit:
         elif p == -1:
             out.append(scale(-1, v))
         else:
-            raise CurveError("curves %d,%d: adjacent pairing %d, need +-1" % (i - 1, i, p), i - 1)
+            raise CurveError("curves %d,%d: adjacent pairing %s, need +-1"
+                             % (i - 1, i, _clip_int(p)), i - 1)
     if closed:
         last = out[-1] if switch_matrix is None else matvec(switch_matrix, out[-1])
         e = pairing(last, out[0])
         if abs(e) != 1:
-            raise CurveError("closing pairing %d, need +-1 for a closed circuit" % e)
+            raise CurveError("closing pairing %s, need +-1 for a closed circuit" % _clip_int(e))
     return Circuit(tuple(out), closed)
 
 
@@ -172,12 +191,12 @@ def validate(d) -> ValidationReport:
         for i in range(c - 1):
             p = pairing(curves[i], curves[i + 1])
             if p != 1:
-                failures.append((i + 1, "adjacent pairing %d, need +1" % p))
+                failures.append((i + 1, "adjacent pairing %s, need +1" % _clip_int(p)))
         if circ.closed and c >= 2:
             last = curves[-1] if mu is None else matvec(mu, curves[-1])
             e = pairing(last, curves[0])
             if abs(e) != 1:
-                failures.append((c, "closing pairing %d, need +-1" % e))
+                failures.append((c, "closing pairing %s, need +-1" % _clip_int(e)))
     exactness = "Exact" if g == 1 else "HomologicalOnly"
     return ValidationReport(ok=not failures, exactness=exactness, failures=tuple(failures))
 

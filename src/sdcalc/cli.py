@@ -33,6 +33,7 @@ at that genus every result is a necessary condition, not a certificate.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -40,7 +41,7 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .circuit import Diagram, double, generate, normalize, switch, validate
+from .circuit import Diagram, _clip, _clip_int, double, generate, normalize, switch, validate
 from .genus1 import classify, normalize_sum
 from .handles import (
     emit_kirby,
@@ -56,7 +57,6 @@ from .subst import apply_blowup, apply_stabilization, detect, hayano_surgery
 
 BANNER = ("homological shadow only: genus >= 2 results are necessary "
           "conditions, not certificates")
-CLIP = 40  # longest piece of the input that an error message echoes
 
 
 class ParseError(Exception):
@@ -101,8 +101,8 @@ def parse(text, format=None) -> Diagram:
 
     for i, v in enumerate(curves, start=1):
         if len(v) != 2 * genus:
-            raise ParseError("curve %d: expected %d coefficients, got %d"
-                             % (i, 2 * genus, len(v)), curve=i)
+            raise ParseError("curve %d: expected %s coefficients, got %d"
+                             % (i, _clip_int(2 * genus), len(v)), curve=i)
     mu = None
     if rows is not None:
         if len(rows) != 2 * genus or any(len(r) != 2 * genus for r in rows):
@@ -205,13 +205,12 @@ def _is_int(s):
     return re.fullmatch(r"[+-]?\d+", s) is not None
 
 
+_OVERLONG = "integer string conversion"  # in the ValueError of str() past the limit
+
+
 def _too_long(**where):
     # int() refuses strings of more than sys.get_int_max_str_digits() digits
     return ParseError("integer longer than %d digits" % sys.get_int_max_str_digits(), **where)
-
-
-def _clip(s):
-    return s if len(s) <= CLIP else s[:CLIP] + "..."
 
 
 # ---------------------------------------------------------------- emission
@@ -398,7 +397,10 @@ def _parse_vector(s):
     parts = [p for p in re.split(r"[,\s]+", s.strip()) if p]
     if not parts or not all(_is_int(p) for p in parts):
         raise UsageError("expected a comma-separated integer vector, got %r" % _clip(s))
-    return tuple(int(p) for p in parts)
+    try:
+        return tuple(int(p) for p in parts)
+    except ValueError:
+        raise UsageError(_too_long().message) from None
 
 
 def _cmd_switch(args):
@@ -484,6 +486,7 @@ def _diagram_output(d: Diagram, notes, **extra):
 
 # ------------------------------------------------------------------ driver
 
+@functools.cache  # once per process; help text is formatted, and wrapped, on use
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="sdcalc",
@@ -526,9 +529,8 @@ def _build_parser():
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     err = sys.stderr
@@ -541,21 +543,23 @@ def run(argv) -> int:
 
     try:
         report, text_lines, code, homological = args.func(args)
+        if homological is not None:  # a report rather than a bare diagram
+            report.update(command=args.command, homological_only=homological)
+            if homological:
+                text_lines = ["note: " + BANNER] + text_lines
+        if args.format == "json":
+            payload = emit_json(report)
+        else:
+            payload = "\n".join(text_lines) + "\n"
     except ParseError as exc:
         return fail(1, str(exc))
     except (UsageError, ValueError) as exc:  # ValueError: the input does not fit the operation
+        if _OVERLONG in str(exc):  # a result str() refuses to print; valid input
+            return fail(1, "result has an integer longer than %d digits"
+                        % sys.get_int_max_str_digits())
         return fail(2, str(exc))
     except RuntimeError as exc:
         return fail(1, str(exc))
-    if homological is not None:  # a report rather than a bare diagram
-        report.update(command=args.command, homological_only=homological)
-        if homological:
-            text_lines = ["note: " + BANNER] + text_lines
-
-    if args.format == "json":
-        payload = emit_json(report)
-    else:
-        payload = "\n".join(text_lines) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

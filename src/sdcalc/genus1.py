@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, _as_circuit, _unpack, validate
+from .circuit import _as_circuit, _unpack, normalize, validate
 from .homology import add, pairing, scale
-from .subst import Detection, _blowup_summand, _stab_summand, contract
+from .subst import Detection, _blowup_summand, _stab_summand
 
 _CLOSURES = ("Spin0", "NonSpin1", "Unclosed")
 
@@ -46,6 +46,11 @@ class SumForm:
             raise ValueError("cannot add two closed sum forms")
         closure = self.closure if other.closure == "Unclosed" else other.closure
         return SumForm(self.l + other.l, self.m + other.m, self.n + other.n, closure)
+
+
+# the sum-form change of contracting a pattern, by its summand
+_DELTAS = {"CP2": SumForm(m=1), "CP2bar": SumForm(n=1), "S2xS2": SumForm(l=1),
+           "CP2+CP2bar": SumForm(m=1, n=1)}
 
 
 @dataclass(frozen=True)
@@ -92,15 +97,6 @@ def duality_coefficients(c) -> list:
     if circ.length < 3:
         raise ValueError("duality coefficients need length >= 3")
     return _window_coefficients(circ.curves)
-
-
-def _cyclic_coefficients(circ: Circuit) -> list:
-    """Duality coefficients of every cyclic window of a closed circuit.
-
-    Index j (0-based) covers the window (g_j, g_{j+1}, g_{j+2}) with the
-    eps-signed continuation past the seam; the relation
-    g_{j+2} = k_j g_{j+1} - g_j holds cyclically."""
-    return _window_coefficients(circ.extended(2))
 
 
 def _window_coefficients(cs) -> list:
@@ -156,6 +152,15 @@ def classify(d) -> Classification:
     RuntimeError rather than guessing.  Both closures of the final
     length-2 circuit are materialized and deduplicated, giving one or
     two canonical forms.
+
+    The reduction runs in one pass over two lists: the curves and ks,
+    ks[j] being the coefficient of the cyclic window (j, j+1, j+2).  A
+    window's coefficient is <x,y><y,z><x,z> whatever the curves' signs,
+    so nothing is renormalized.  A contraction removes w curves (1 for a
+    blow-up, 2 for a stabilization) and changes only the two windows
+    that span the gap, as blowing down a Hirzebruch-Jung string does.
+    A pattern that wraps the seam is rotated to the front first, as
+    `contract` does, so the trace replays through `contract`.
     """
     circ, mu = _unpack(d)
     if mu is not None:
@@ -168,39 +173,38 @@ def classify(d) -> Classification:
     if not report.ok:
         raise ValueError("invalid circuit: %s" % (report.failures[0],))
 
-    cur = circ
+    curves = list(circ.curves)
+    ks = _window_coefficients(circ.extended(2))
     total = SumForm()
     trace = []
-    step = 0
-    while cur.length > 2:
-        c = cur.length
-        ks = _cyclic_coefficients(cur)
-        j = next((t for t in range(c) if abs(ks[t]) == 1), None)
-        if j is not None:
-            det = Detection(
-                kind="BlowUp",
-                position=j + 1,
-                exponent=-ks[j],
-                summand=_blowup_summand(-ks[j]),
-            )
+    while len(curves) > 2:
+        c = len(curves)
+        j = _index(ks, -1, _index(ks, 1, c))
+        if j < c:
+            w = 1
+            det = Detection(kind="BlowUp", position=j + 1, exponent=-ks[j],
+                            summand=_blowup_summand(-ks[j]))
         else:
-            j = next((t for t in range(c) if ks[(t + 1) % c] == 0), None)
-            if j is None:
+            w = 2
+            j = _index(ks, 0, c, 1) - 1  # the first j with ks[j + 1] == 0
+            if j == c - 1 and ks[0] != 0:
                 raise RuntimeError(
                     "closed genus-1 circuit of length %d with no coefficient in "
                     "{-1, 0, 1}; this contradicts the reducibility guarantee: %r"
-                    % (c, cur.curves)
+                    % (c, normalize(curves, True).curves)
                 )
-            det = Detection(
-                kind="Stabilization",
-                position=j + 1,
-                k=ks[j],
-                summand=_stab_summand(ks[j]),
-            )
-        cur, delta = contract(cur, det)
+            det = Detection(kind="Stabilization", position=j + 1, k=ks[j],
+                            summand=_stab_summand(ks[j]))
+        if j + w + 2 > c:  # the pattern wraps the seam
+            curves = curves[j:] + curves[:j]
+            ks = ks[j:] + ks[:j]
+            j = 0
+        del curves[j + w:j + 2 * w], ks[j + w:j + 2 * w]
+        for i in (j + w - 2, j + w - 1):
+            ks[i] = _unoriented_k(curves, i)
+        delta = _DELTAS[det.summand]
         total = total + delta
-        step += 1
-        trace.append((step, det, delta))
+        trace.append((len(trace) + 1, det, delta))
 
     forms = frozenset(
         {
@@ -211,3 +215,19 @@ def classify(d) -> Classification:
     return Classification(
         canonical_forms=forms, reduction_trace=tuple(trace), counts=total
     )
+
+
+def _index(seq, v, hi, lo=0):
+    """The first index of v in seq[lo:hi], or hi when there is none."""
+    try:
+        return seq.index(v, lo, hi)
+    except ValueError:
+        return hi
+
+
+def _unoriented_k(cs, i):
+    """Coefficient of the cyclic window of genus-1 curves cs starting at i,
+    as <x,y><y,z><x,z>, which no sign flip of x, y or z changes."""
+    n = len(cs)
+    (a, b), (p, q), (r, s) = cs[i % n], cs[(i + 1) % n], cs[(i + 2) % n]
+    return (a * q - b * p) * (p * s - q * r) * (a * s - b * r)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .circuit import _repack, _unpack, normalize, rotate_to_front
+from .circuit import _clip, _clip_int, _repack, _unpack, normalize, rotate_to_front
 from .homology import add, canon_sign, pairing, scale, twist_apply
 
 
@@ -48,7 +48,7 @@ def _check_pos(circ, mu, pos, seam_ok=False):
     if not circ.closed:
         raise ValueError("substitutions need a closed circuit")
     if not 1 <= pos <= c:
-        raise ValueError("position %d out of range 1..%d" % (pos, c))
+        raise ValueError("position %s out of range 1..%d" % (_clip_int(pos), c))
     if mu is not None and pos == c and not seam_ok:
         raise ValueError("seam substitution on a twisted diagram is not supported")
 
@@ -101,7 +101,8 @@ def hayano_surgery(d, pos: int, dual, k: int):
     x = circ.curves[pos - 1]
     dual = tuple(dual)
     if abs(pairing(x, dual)) != 1:
-        raise ValueError("dual class %r does not pair to +-1 with curve %d" % (dual, pos))
+        raise ValueError("dual class %s does not pair to +-1 with curve %d"
+                         % (_clip(repr(dual)), pos))
     mid = twist_apply(x, k, dual)
     raw = list(circ.curves[:pos]) + [mid, x] + list(circ.curves[pos:])
     return _repack(d, normalize(raw, True, mu))
@@ -216,7 +217,7 @@ def contract(d, det: Detection):
     describe a surgery rather than a connected sum and cannot be
     contracted to a sum-form delta.
     """
-    from .genus1 import SumForm
+    from .genus1 import _DELTAS
 
     circ, mu = _unpack(d)
     c = circ.length
@@ -238,9 +239,7 @@ def contract(d, det: Detection):
         else:
             rc = rotate_to_front(circ, pos - 1)
             new = normalize([v for i, v in enumerate(rc.curves) if i != 1], True)
-        delta = SumForm(l=0, m=int(det.exponent == -1), n=int(det.exponent == 1),
-                        closure="Unclosed")
-        return _repack(d, new), delta
+        return _repack(d, new), _DELTAS[_blowup_summand(det.exponent)]
     if det.kind == "Stabilization":
         if c < 4 or (mu is not None and pos + 3 > c):
             raise _stale(det)
@@ -254,7 +253,5 @@ def contract(d, det: Detection):
         else:
             rc = rotate_to_front(circ, pos - 1)
             new = normalize([v for i, v in enumerate(rc.curves) if i not in (2, 3)], True)
-        odd = det.k % 2 != 0
-        delta = SumForm(l=int(not odd), m=int(odd), n=int(odd), closure="Unclosed")
-        return _repack(d, new), delta
+        return _repack(d, new), _DELTAS[_stab_summand(det.k)]
     raise ValueError("unknown detection kind %r" % (det.kind,))

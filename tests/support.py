@@ -2,14 +2,19 @@
 
 Curves meeting the next curve once are produced by solving the pairing
 equation over the integers, so chains and closed circuits of any genus
-can be sampled without rejection storms.
+can be sampled without rejection storms.  Also the reference
+classifier that genus1.classify is compared against, and a fast replay
+of the seeded generator for long circuits.
 """
 
+import random
 from math import gcd
 
 from sdcalc._intlinalg import colreduce, pairing_functional
 from sdcalc.circuit import Circuit, normalize
-from sdcalc.homology import add, pairing, scale
+from sdcalc.genus1 import Classification, SumForm, _window_coefficients, normalize_sum
+from sdcalc.homology import add, pairing, scale, twist_apply
+from sdcalc.subst import Detection, _blowup_summand, _stab_summand, contract
 
 
 def solve_int(rows, b):
@@ -87,3 +92,82 @@ def linking_by_halves(x, i, y, j):
     num = sgn * pairing(x, y) + bsym
     assert num % 2 == 0, "parity mismatch in linking number"
     return num // 2
+
+
+def classify_by_contract(circ) -> Classification:
+    """Reference classifier: recompute every cyclic coefficient and
+    contract (rebuilding and renormalizing the circuit) on every step,
+    O(c^2).  Same choice rule as genus1.classify; closed genus-1 input."""
+    cur = circ
+    total = SumForm()
+    trace = []
+    step = 0
+    while cur.length > 2:
+        c = cur.length
+        ks = _window_coefficients(cur.extended(2))
+        j = next((t for t in range(c) if abs(ks[t]) == 1), None)
+        if j is not None:
+            det = Detection(
+                kind="BlowUp",
+                position=j + 1,
+                exponent=-ks[j],
+                summand=_blowup_summand(-ks[j]),
+            )
+        else:
+            j = next((t for t in range(c) if ks[(t + 1) % c] == 0), None)
+            if j is None:
+                raise RuntimeError(
+                    "closed genus-1 circuit of length %d with no coefficient in "
+                    "{-1, 0, 1}; this contradicts the reducibility guarantee: %r"
+                    % (c, cur.curves)
+                )
+            det = Detection(
+                kind="Stabilization",
+                position=j + 1,
+                k=ks[j],
+                summand=_stab_summand(ks[j]),
+            )
+        cur, delta = contract(cur, det)
+        total = total + delta
+        step += 1
+        trace.append((step, det, delta))
+
+    forms = frozenset(
+        {
+            normalize_sum(total.with_closure("Spin0")),
+            normalize_sum(total.with_closure("NonSpin1")),
+        }
+    )
+    return Classification(
+        canonical_forms=forms, reduction_trace=tuple(trace), counts=total
+    )
+
+
+def generate_by_list(seed, steps):
+    """circuit.generate(seed, steps), built without renormalizing the
+    whole circuit after every move.
+
+    The same random moves insert into a plain list and the signs are
+    fixed once at the end.  Moves sit at interior pairs, never before
+    the first curve, and tau_y^k(x) = x + k<y,x>y only changes sign
+    with x, so the result is the generator's circuit exactly, in O(c)
+    per move instead of O(c) Python work per curve per move.
+    """
+    rng = random.Random(seed)
+    cs = [(1, 0), (0, 1)]
+    l = m = n = 0
+    for _ in range(steps):
+        pos = rng.randint(1, len(cs) - 1)
+        x, y = cs[pos - 1], cs[pos]
+        if rng.random() < 0.5:
+            e = rng.choice([1, -1])
+            cs.insert(pos, twist_apply(y, e, x))
+            m, n = m + (e == -1), n + (e == 1)
+        else:
+            k = rng.randint(-3, 3)
+            cs[pos + 1:pos + 1] = [twist_apply(y, k, x), y]
+            if k % 2 == 0:
+                l += 1
+            else:
+                m, n = m + 1, n + 1
+    return normalize(cs, True), SumForm(l, m, n)

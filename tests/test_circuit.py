@@ -7,6 +7,8 @@ from sdcalc.circuit import (
     Circuit,
     CurveError,
     Diagram,
+    _clip,
+    _clip_int,
     double,
     generate,
     generate_trace,
@@ -59,6 +61,15 @@ def test_normalize_errors_carry_the_curve(raw, closed, curve):
     with pytest.raises(CurveError) as ei:
         normalize(raw, closed)
     assert ei.value.curve == curve
+
+
+def test_clip_int_is_clip_of_str():
+    rng = random.Random(17)
+    for digits in list(range(1, 50)) + [rng.randint(50, 4300) for _ in range(200)]:
+        n = rng.randint(10 ** (digits - 1), 10 ** digits - 1) * rng.choice((1, -1))
+        assert _clip_int(n) == _clip(str(n))
+    # past the digits str() converts
+    assert _clip_int(-(10 ** 9000)) == "-" + "1" + "0" * 38 + "..."
 
 
 def test_extended_continues_past_the_seam():

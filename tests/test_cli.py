@@ -1,11 +1,16 @@
 import io
 import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdcalc import cli
+from sdcalc.circuit import Circuit, validate
 
 DATA = Path(__file__).parent / "data"
 SCHEMA = json.loads((DATA / "report.schema.json").read_text())
@@ -451,3 +456,97 @@ def test_unknown_directive_message_is_bounded(capsys, tmp_path):
     code, _, err = run(capsys, "substitute", TWO, "--op", "hayano", "--pos", "1",
                        "--k", "0", "--dual", "y" * 200_000)
     assert code == 2 and len(err) < 200
+
+
+def _big_triangle(closed):
+    # (1,0), (a,1), (ac-1, c): adjacent pairings 1, closing pairing -c,
+    # framing of the last curve about 6000 digits
+    a, c = int("7" * 2001), int("3" * 2001)
+    return "genus 1\ncurve 1 0\ncurve %d 1\ncurve %d %d\nclosed %s\n" % (a, a * c - 1, c, closed)
+
+
+def _stdin_run(capsys, monkeypatch, text, *argv):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
+    return run(capsys, *argv)
+
+
+@pytest.mark.parametrize("text,match", [
+    (_big_triangle("true"), "error: closing pairing -3333"),
+    # adjacent pairing of about 8400 digits, more than str() converts
+    ('{"genus": 1, "curves": [[1, 0], [%s, 1], [1, %s]], "closed": false}'
+     % ("7" * 4200, "3" * 4200), "error: curves 2,3: adjacent pairing 2592"),
+], ids=["sd_closing", "json_adjacent"])
+def test_long_pairing_message_is_bounded(capsys, monkeypatch, text, match):
+    code, out, err = _stdin_run(capsys, monkeypatch, text, "info", "-")
+    assert code == 1 and out == ""
+    assert err.startswith(match) and "...," in err
+    assert err.count("\n") == 1 and len(err) < 120
+
+
+def test_validate_clips_long_pairings():
+    a = 10 ** 5000 - 1  # more digits than str() converts
+    rep = validate(Circuit(((1, 0), (1, a), (0, 1)), True))
+    assert not rep.ok
+    assert all(len(reason) < 80 for _, reason in rep.failures)
+    assert rep.failures[0] == (1, "adjacent pairing 9999999999999999999999999999999999999999..., need +1")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_overlong_result_integer_is_input_error(capsys, monkeypatch, fmt):
+    code, out, err = _stdin_run(capsys, monkeypatch, _big_triangle("false"),
+                                "info", "-", "--format", fmt)
+    assert code == 1 and out == ""
+    assert err == "error: result has an integer longer than 4300 digits\n"
+
+
+def test_long_positions_and_duals_are_bounded(capsys):
+    code, _, err = run(capsys, "substitute", TWO, "--op", "blowup", "--exp", "1",
+                       "--pos", "9" * 4000)
+    assert code == 2 and err.count("\n") == 1 and len(err) < 120
+    code, _, err = run(capsys, "substitute", TWO, "--op", "hayano", "--pos", "1",
+                       "--k", "0", "--dual", "9" * 3000 + ",0")
+    assert code == 2 and err.count("\n") == 1 and len(err) < 120
+    code, _, err = run(capsys, "substitute", TWO, "--op", "hayano", "--pos", "1",
+                       "--k", "0", "--dual", "9" * 5000 + ",1")
+    assert (code, err) == (2, "error: integer longer than 4300 digits\n")
+
+
+FIXTURES = [p.read_bytes() for p in sorted(DATA.glob("*.sd"))] + [Path(TRIJSON).read_bytes()]
+NUMBER = re.compile(rb"-?[0-9]+")
+DIGITS = [b"0", b"1", b"2", b"7" * 150]
+TOKENS = [b"-", b"0", b"1", b" ", b"\n", b"#", b",", b"[", b"]", b"{", b"}", b'"', b"true",
+          b"null", b"curve 1 1\n", b"switchrow 1 0\n", b"genus 2\n", b"\xff", b"\x00"]
+
+
+@st.composite
+def fuzz_inputs(draw):
+    """Arbitrary bytes, or a fixture with a few edits: a number replaced by
+    another integer, or a few bytes replaced."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=300))
+    data = draw(st.sampled_from(FIXTURES))
+    for _ in range(draw(st.integers(1, 4))):
+        numbers = list(NUMBER.finditer(data))
+        if numbers and draw(st.integers(0, 3)):
+            m = draw(st.sampled_from(numbers))
+            i, j = m.span()
+            new = draw(st.sampled_from([b"", b"-"])) + draw(st.sampled_from(DIGITS))
+        else:
+            i = draw(st.integers(0, len(data)))
+            j = draw(st.integers(i, min(len(data), i + 8)))
+            new = draw(st.sampled_from(TOKENS) | st.binary(max_size=4))
+        data = data[:i] + new + data[j:]
+    return data
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(data=fuzz_inputs(), fmt=st.sampled_from(["text", "json"]))
+def test_fuzz_commands_never_raise(data, fmt):
+    for command in ("validate", "info", "classify"):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch("sys.stdin", io.TextIOWrapper(io.BytesIO(data))), \
+                redirect_stdout(out), redirect_stderr(err):
+            code = cli.run([command, "-", "--format", fmt])
+        msg = err.getvalue()
+        assert code in (0, 1, 2), (command, data)
+        assert msg.count("\n") <= 1 and len(msg) <= 150, (command, data, msg)

@@ -13,7 +13,7 @@ from sdcalc.genus1 import (
 )
 from sdcalc.homology import add, pairing, scale, twist_matrix
 
-from support import rand_chain, rand_closed
+from support import classify_by_contract, generate_by_list, rand_chain, rand_closed
 
 TRI = normalize([(1, 0), (1, -1), (0, 1)], True)
 AB = normalize([(1, 0), (0, 1)], True)
@@ -157,6 +157,33 @@ def test_classify_trace_is_replayable():
         total = total + delta
     assert len(cur) == 2
     assert (total.l, total.m, total.n) == (cl.counts.l, cl.counts.m, cl.counts.n)
+
+
+def test_classify_matches_contract_oracle():
+    # the one-pass classifier against the contract-and-renormalize loop:
+    # whole Classification, so every trace position and seam rotation
+    rng = random.Random(48)
+    for steps in [0, 1, 2, 150] + [rng.randint(0, 150) for _ in range(12)]:
+        circ, _ = generate(rng.randrange(2**32), steps)
+        for x in (circ, rotate_to_front(circ, rng.randrange(len(circ)))):
+            assert classify(x) == classify_by_contract(x)
+    for _ in range(200):
+        x = rand_closed(rng, 1, rng.randint(2, 9), lim=6)
+        assert classify(x) == classify_by_contract(x)
+
+
+def test_generate_by_list_is_generate():
+    rng = random.Random(49)
+    for steps in [0, 1, 200] + [rng.randint(0, 60) for _ in range(20)]:
+        seed = rng.randrange(2**32)
+        assert generate_by_list(seed, steps) == generate(seed, steps)
+
+
+def test_classify_long_circuit():
+    # c = 4504: the contract loop needs over 50 s here, one pass well under 1 s
+    circ, form = generate_by_list(1, 3000)
+    assert len(circ) == 4504
+    assert classify(circ).canonical_forms == frozenset(expected_forms(form))
 
 
 def test_sum_form_validation_and_add():
