@@ -27,10 +27,12 @@ from .homology import (
     pairing,
     scale,
     sp_inv,
+    twist_apply,
 )
 
 
 CLIP = 40  # longest piece of the input that an error message echoes
+MAX_STEPS = 10**5  # most moves `sdcalc generate` makes, so its work stays bounded
 
 
 def _clip(s):
@@ -264,6 +266,9 @@ def double(c: Circuit) -> Circuit:
     return normalize(raw, True)
 
 
+_START = ((1, 0), (0, 1))  # the standard dual pair
+
+
 def generate(seed: int, steps: int):
     """Seeded random closed genus-1 circuit with exactly known sum form.
 
@@ -274,11 +279,16 @@ def generate(seed: int, steps: int):
     the corresponding standard block, so the returned SumForm counts
     are not just expected values but theorems about the output.
 
+    The moves insert into a plain list and the signs are fixed by one
+    `normalize` at the end, so a circuit of length c costs O(c) per
+    move, not a renormalization of the whole circuit.
+
     Returns (circuit, SumForm) where the sum form has closure
     "Unclosed" (the closure summand is only chosen when classifying).
     """
-    circ, form, _moves, _states = generate_trace(seed, steps)
-    return circ, form
+    cs = list(_START)
+    form = _sum_form(_grow(seed, steps, cs))
+    return normalize(cs, True), form
 
 
 def generate_trace(seed: int, steps: int):
@@ -288,35 +298,52 @@ def generate_trace(seed: int, steps: int):
     (kind, pos, param) and states the circuits before/after each move
     (len(states) = len(moves) + 1).
     """
-    from .genus1 import SumForm
-    from .subst import apply_blowup, apply_stabilization
+    cs = list(_START)
+    states = [normalize(cs, True)]
+    moves = []
+    for move in _grow(seed, steps, cs):
+        moves.append(move)
+        states.append(normalize(cs, True))
+    return states[-1], _sum_form(moves), moves, states
 
+
+def _grow(seed, steps, cs):
+    """Apply the generator's random moves to the curve list cs in place,
+    yielding each move (kind, pos, param) once it is made.
+
+    cs is the generator's circuit up to per-curve signs: every move sits
+    at an interior pair, so the first curve is never touched, and the
+    inserted tau_y^k(x) = x + k<y,x>y changes sign only with x.
+    `normalize`, which keeps the first curve's sign, fixes the rest.
+    """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     rng = random.Random(seed)
-    cur = Circuit(((1, 0), (0, 1)), closed=True)
-    l = m = n = 0
-    moves = []
-    states = [cur]
     for _ in range(steps):
-        c = cur.length
-        pos = rng.randint(1, c - 1)
+        pos = rng.randint(1, len(cs) - 1)
+        x, y = cs[pos - 1], cs[pos]
         if rng.random() < 0.5:
             e = rng.choice([1, -1])
-            cur = apply_blowup(cur, pos, e)
-            moves.append(("blowup", pos, e))
-            if e == 1:
-                n += 1
-            else:
-                m += 1
+            cs.insert(pos, twist_apply(y, e, x))
+            yield "blowup", pos, e
         else:
             k = rng.randint(-3, 3)
-            cur = apply_stabilization(cur, pos, k)
-            moves.append(("stab", pos, k))
-            if k % 2 == 0:
-                l += 1
-            else:
-                m += 1
-                n += 1
-        states.append(cur)
-    return cur, SumForm(l=l, m=m, n=n, closure="Unclosed"), moves, states
+            cs[pos + 1:pos + 1] = [twist_apply(y, k, x), y]
+            yield "stab", pos, k
+
+
+def _sum_form(moves):
+    """SumForm of a move history: a +1 blow-up adds CP2bar (n), a -1
+    blow-up CP2 (m), an even stabilization S2xS2 (l), an odd one
+    CP2 # CP2bar (m and n)."""
+    from .genus1 import SumForm
+
+    l = m = n = 0
+    for kind, _pos, p in moves:
+        if kind == "blowup":
+            m, n = m + (p == -1), n + (p == 1)
+        elif p % 2 == 0:
+            l += 1
+        else:
+            m, n = m + 1, n + 1
+    return SumForm(l=l, m=m, n=n, closure="Unclosed")

@@ -41,7 +41,17 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .circuit import Diagram, _clip, _clip_int, double, generate, normalize, switch, validate
+from .circuit import (
+    MAX_STEPS,
+    Diagram,
+    _clip,
+    _clip_int,
+    double,
+    generate,
+    normalize,
+    switch,
+    validate,
+)
 from .genus1 import classify, normalize_sum
 from .handles import (
     emit_kirby,
@@ -469,6 +479,8 @@ def _cmd_kirby(args):
 def _cmd_generate(args):
     if args.steps < 0:
         raise UsageError("--steps must be >= 0")
+    if args.steps > MAX_STEPS:
+        raise UsageError("--steps must be at most %d" % MAX_STEPS)
     circ, form = generate(args.seed, args.steps)
     closures = {normalize_sum(form.with_closure(c)) for c in ("Spin0", "NonSpin1")}
     forms, expected = _forms_report(closures, form)
@@ -485,6 +497,14 @@ def _diagram_output(d: Diagram, notes, **extra):
 
 
 # ------------------------------------------------------------------ driver
+
+def _int_arg(s):
+    """int() for argparse, echoing at most CLIP characters of a bad value."""
+    try:
+        return int(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % _clip(s)) from None
+
 
 @functools.cache  # once per process; help text is formatted, and wrapped, on use
 def _build_parser():
@@ -510,21 +530,21 @@ def _build_parser():
     add("detect", _cmd_detect, "find substitution patterns")
     sp = add("substitute", _cmd_substitute, "apply a substitution")
     sp.add_argument("--op", choices=("blowup", "stab", "hayano"), required=True)
-    sp.add_argument("--pos", type=int, required=True, help="1-based position")
-    sp.add_argument("--exp", type=int, choices=(1, -1), help="blow-up exponent")
-    sp.add_argument("--k", type=int, help="twist power for stab/hayano")
+    sp.add_argument("--pos", type=_int_arg, required=True, help="1-based position")
+    sp.add_argument("--exp", type=_int_arg, choices=(1, -1), help="blow-up exponent")
+    sp.add_argument("--k", type=_int_arg, help="twist power for stab/hayano")
     sp.add_argument("--dual", help="dual class for hayano, e.g. '0,1'")
     sp = add("switch", _cmd_switch, "rotate the reference point")
-    sp.add_argument("--k", type=int, default=1, help="number of switches (may be negative)")
+    sp.add_argument("--k", type=_int_arg, default=1, help="number of switches (may be negative)")
     add("double", _cmd_double, "close off a circuit by doubling")
     add("monodromy", _cmd_monodromy, "lift word, matrix, surgered action, verdict")
     add("blf", _cmd_blf, "broken-fibration handle data")
     sp = add("kirby", _cmd_kirby, "handle-decomposition data")
-    sp.add_argument("--section", type=int, help="self-intersection of a section (closed only)")
+    sp.add_argument("--section", type=_int_arg, help="self-intersection of a section (closed only)")
     sp = add("generate", _cmd_generate, "seeded random closed genus-1 circuit with known classification",
              file_arg=False)
-    sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--steps", type=int, required=True)
+    sp.add_argument("--seed", type=_int_arg, required=True)
+    sp.add_argument("--steps", type=_int_arg, required=True)
     return p
 
 

@@ -3,8 +3,8 @@
 Curves meeting the next curve once are produced by solving the pairing
 equation over the integers, so chains and closed circuits of any genus
 can be sampled without rejection storms.  Also the reference
-classifier that genus1.classify is compared against, and a fast replay
-of the seeded generator for long circuits.
+classifier that genus1.classify is compared against, and the
+move-by-move reference for the seeded generator.
 """
 
 import random
@@ -13,8 +13,15 @@ from math import gcd
 from sdcalc._intlinalg import colreduce, pairing_functional
 from sdcalc.circuit import Circuit, normalize
 from sdcalc.genus1 import Classification, SumForm, _window_coefficients, normalize_sum
-from sdcalc.homology import add, pairing, scale, twist_apply
-from sdcalc.subst import Detection, _blowup_summand, _stab_summand, contract
+from sdcalc.homology import add, pairing, scale
+from sdcalc.subst import (
+    Detection,
+    _blowup_summand,
+    _stab_summand,
+    apply_blowup,
+    apply_stabilization,
+    contract,
+)
 
 
 def solve_int(rows, b):
@@ -143,31 +150,36 @@ def classify_by_contract(circ) -> Classification:
     )
 
 
-def generate_by_list(seed, steps):
-    """circuit.generate(seed, steps), built without renormalizing the
-    whole circuit after every move.
-
-    The same random moves insert into a plain list and the signs are
-    fixed once at the end.  Moves sit at interior pairs, never before
-    the first curve, and tau_y^k(x) = x + k<y,x>y only changes sign
-    with x, so the result is the generator's circuit exactly, in O(c)
-    per move instead of O(c) Python work per curve per move.
-    """
+def generate_by_moves(seed, steps):
+    """Reference for circuit.generate_trace: the same random moves, each
+    made by subst.apply_blowup / apply_stabilization, which renormalize
+    the whole circuit after every move, O(c^2) in all."""
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     rng = random.Random(seed)
-    cs = [(1, 0), (0, 1)]
+    cur = Circuit(((1, 0), (0, 1)), closed=True)
     l = m = n = 0
+    moves = []
+    states = [cur]
     for _ in range(steps):
-        pos = rng.randint(1, len(cs) - 1)
-        x, y = cs[pos - 1], cs[pos]
+        c = cur.length
+        pos = rng.randint(1, c - 1)
         if rng.random() < 0.5:
             e = rng.choice([1, -1])
-            cs.insert(pos, twist_apply(y, e, x))
-            m, n = m + (e == -1), n + (e == 1)
+            cur = apply_blowup(cur, pos, e)
+            moves.append(("blowup", pos, e))
+            if e == 1:
+                n += 1
+            else:
+                m += 1
         else:
             k = rng.randint(-3, 3)
-            cs[pos + 1:pos + 1] = [twist_apply(y, k, x), y]
+            cur = apply_stabilization(cur, pos, k)
+            moves.append(("stab", pos, k))
             if k % 2 == 0:
                 l += 1
             else:
-                m, n = m + 1, n + 1
-    return normalize(cs, True), SumForm(l, m, n)
+                m += 1
+                n += 1
+        states.append(cur)
+    return cur, SumForm(l=l, m=m, n=n, closure="Unclosed"), moves, states

@@ -20,7 +20,7 @@ from sdcalc.circuit import (
 from sdcalc.cli import parse
 from sdcalc.homology import canon_sign, matvec, pairing, sp_inv, twist_matrix
 
-from support import rand_closed
+from support import generate_by_moves, rand_closed
 
 DATA = Path(__file__).parent / "data"
 TRI = normalize([(1, 0), (1, -1), (0, 1)], True)
@@ -276,6 +276,21 @@ def test_generate_trace_replays():
         cur = apply_blowup(cur, pos, param) if kind == "blowup" else apply_stabilization(cur, pos, param)
         assert cur.curves == nxt.curves
     assert cur.curves == circ.curves
+
+
+def test_generate_trace_matches_move_oracle():
+    # one list normalized per snapshot against apply_blowup /
+    # apply_stabilization after every move: circuit, form, moves and
+    # every state
+    rng = random.Random(49)
+    for steps in [0, 1, 2, 200] + [rng.randint(0, 60) for _ in range(28)]:
+        seed = rng.randrange(2**32)
+        ref = generate_by_moves(seed, steps)
+        assert generate_trace(seed, steps) == ref
+        assert generate(seed, steps) == ref[:2]
+    for fn in (generate, generate_trace):
+        with pytest.raises(ValueError, match="steps must be >= 0"):
+            fn(1, -1)
 
 
 def test_generate_counts_match_moves():

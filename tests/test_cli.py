@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdcalc import cli
-from sdcalc.circuit import Circuit, validate
+from sdcalc.circuit import CLIP, MAX_STEPS, Circuit, validate
 
 DATA = Path(__file__).parent / "data"
 SCHEMA = json.loads((DATA / "report.schema.json").read_text())
@@ -509,6 +509,33 @@ def test_long_positions_and_duals_are_bounded(capsys):
     code, _, err = run(capsys, "substitute", TWO, "--op", "hayano", "--pos", "1",
                        "--k", "0", "--dual", "9" * 5000 + ",1")
     assert (code, err) == (2, "error: integer longer than 4300 digits\n")
+
+
+INT_OPTIONS = {
+    "switch_k": ["switch", TRI, "--k"],
+    "stab_k": ["substitute", TWO, "--op", "stab", "--pos", "1", "--k"],
+    "pos": ["substitute", TWO, "--op", "stab", "--k", "1", "--pos"],
+    "exp": ["substitute", TWO, "--op", "blowup", "--pos", "1", "--exp"],
+    "section": ["kirby", TRI, "--section"],
+    "seed": ["generate", "--steps", "1", "--seed"],
+    "steps": ["generate", "--seed", "1", "--steps"],
+}
+
+
+@pytest.mark.parametrize("value", [BIG, "1e" * 2500, "abc"], ids=["digits", "long", "short"])
+@pytest.mark.parametrize("argv", INT_OPTIONS.values(), ids=INT_OPTIONS.keys())
+def test_bad_int_options_are_bounded(capsys, argv, value):
+    code, out, err = run(capsys, *argv, value)
+    shown = value if len(value) <= CLIP else value[:CLIP] + "..."
+    assert code == 2 and out == ""
+    assert err.endswith("%s: invalid int value: '%s'\n" % (argv[-1], shown))
+    assert len(err) < 400
+
+
+def test_generate_steps_are_bounded(capsys):
+    for steps in (str(MAX_STEPS + 1), "9" * 300):
+        code, out, err = run(capsys, "generate", "--seed", "1", "--steps", steps)
+        assert (code, out, err) == (2, "", "error: --steps must be at most %d\n" % MAX_STEPS)
 
 
 FIXTURES = [p.read_bytes() for p in sorted(DATA.glob("*.sd"))] + [Path(TRIJSON).read_bytes()]

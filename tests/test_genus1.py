@@ -13,7 +13,7 @@ from sdcalc.genus1 import (
 )
 from sdcalc.homology import add, pairing, scale, twist_matrix
 
-from support import classify_by_contract, generate_by_list, rand_chain, rand_closed
+from support import classify_by_contract, rand_chain, rand_closed
 
 TRI = normalize([(1, 0), (1, -1), (0, 1)], True)
 AB = normalize([(1, 0), (0, 1)], True)
@@ -172,16 +172,9 @@ def test_classify_matches_contract_oracle():
         assert classify(x) == classify_by_contract(x)
 
 
-def test_generate_by_list_is_generate():
-    rng = random.Random(49)
-    for steps in [0, 1, 200] + [rng.randint(0, 60) for _ in range(20)]:
-        seed = rng.randrange(2**32)
-        assert generate_by_list(seed, steps) == generate(seed, steps)
-
-
 def test_classify_long_circuit():
     # c = 4504: the contract loop needs over 50 s here, one pass well under 1 s
-    circ, form = generate_by_list(1, 3000)
+    circ, form = generate(1, 3000)
     assert len(circ) == 4504
     assert classify(circ).canonical_forms == frozenset(expected_forms(form))
 
