@@ -531,7 +531,7 @@ def _build_parser():
     sp = add("substitute", _cmd_substitute, "apply a substitution")
     sp.add_argument("--op", choices=("blowup", "stab", "hayano"), required=True)
     sp.add_argument("--pos", type=_int_arg, required=True, help="1-based position")
-    sp.add_argument("--exp", type=_int_arg, choices=(1, -1), help="blow-up exponent")
+    sp.add_argument("--exp", type=_int_arg, metavar="{1,-1}", help="blow-up exponent")
     sp.add_argument("--k", type=_int_arg, help="twist power for stab/hayano")
     sp.add_argument("--dual", help="dual class for hayano, e.g. '0,1'")
     sp = add("switch", _cmd_switch, "rotate the reference point")

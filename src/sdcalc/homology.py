@@ -14,6 +14,9 @@ no floats, no overflow.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
+
+from ._intlinalg import pairing_functional
 
 HClass = tuple  # tuple of 2g ints
 SpMatrix = tuple  # tuple of 2g row tuples
@@ -146,36 +149,47 @@ def twist_matrix(v, k) -> SpMatrix:
     return transpose([twist_apply(v, k, e) for e in ident(len(v))])
 
 
-def apply_word(word, x):
-    """Evaluate a twist word on a class, rightmost (index 0) first."""
-    cur = tuple(x)
+def word_images(word, xs):
+    """Images of the classes xs under a twist word, rightmost (index 0) first.
+
+    The word may be any iterable; it is read once and every factor is
+    checked before any image is computed: nonzero exponent, primitive
+    axis of the classes' genus.  Each factor then costs one pairing per
+    class, through the axis's pairing functional scaled by the exponent.
+    """
+    xs = list(xs)
+    n = 2 * genus_of(xs[0]) if xs else None
+    for x in xs:
+        if len(x) != n:
+            raise ValueError("genus mismatch: %d vs %d" % (len(x), n))
+    factors = []
     for axis, exp in word:
-        if len(axis) != len(cur):
-            raise ValueError("genus mismatch in word: axis %r on %r" % (axis, x))
+        if xs and len(axis) != n:
+            raise ValueError("genus mismatch in word: axis %r on %r" % (axis, xs[0]))
         if exp == 0:
             raise ValueError("word exponents must be nonzero")
+        genus_of(axis)
         _require_axis(axis)
-        cur = twist_apply(axis, exp, cur)
-    return cur
+        factors.append((axis, [exp * t for t in pairing_functional(axis)]))
+    out = []
+    for x in xs:
+        for axis, f in factors:
+            c = sum(map(mul, f, x))
+            if c:
+                x = [a + c * b for a, b in zip(x, axis)]
+        out.append(tuple(x))
+    return out
+
+
+def apply_word(word, x):
+    """Evaluate a twist word on a class, rightmost (index 0) first."""
+    return word_images(word, [x])[0]
 
 
 def word_matrix(word, genus) -> SpMatrix:
-    """Matrix of a twist word (rightmost factor applied first).
-
-    Its columns are the images of the 2g basis vectors, so c factors
-    cost O(c g^2) rather than c dense matrix products.
-    """
-    word = tuple(word)
-    for axis, exp in word:
-        if exp == 0:
-            raise ValueError("word exponents must be nonzero")
-        _require_axis(axis)
-    cols = []
-    for x in ident(2 * genus):
-        for axis, exp in word:
-            x = twist_apply(axis, exp, x)
-        cols.append(x)
-    return transpose(cols)
+    """Matrix of a twist word (rightmost factor applied first): its
+    columns are the images of the 2g basis vectors, O(c g^2) for c factors."""
+    return transpose(word_images(word, ident(2 * genus)))
 
 
 def delta_twist(a, b) -> SpMatrix:

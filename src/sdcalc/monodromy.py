@@ -4,9 +4,11 @@ The lift is the product of twists about the curves tau_{g_i}(g_{i+1}),
 rightmost factor first, with the closing step using the eps-signed
 first curve.  It fixes the first curve up to the sign (-1)^c eps, hence
 descends to the rank-(2g-2) quotient of its perp lattice -- the
-homology of the surgered surface.  A non-identity quotient action
-obstructs trivial monodromy; the converse direction is not decided
-here, so verdicts are worded as necessary conditions.
+homology of the surgered surface.  That action is read from the
+images of the quotient basis classes under the lift word; the 2g x 2g
+lift matrix is only built for `mu_tilde_matrix`.  A non-identity
+quotient action obstructs trivial monodromy; the converse direction is
+not decided here, so verdicts are worded as necessary conditions.
 """
 
 from __future__ import annotations
@@ -16,16 +18,7 @@ from typing import Optional
 
 from ._intlinalg import quotient_basis
 from .circuit import Circuit, _unpack
-from .homology import (
-    canon_sign,
-    add,
-    ident,
-    matvec,
-    pairing,
-    scale,
-    transpose,
-    word_matrix,
-)
+from .homology import canon_sign, ident, pairing, transpose, word_images, word_matrix
 
 
 @dataclass(frozen=True)
@@ -68,8 +61,8 @@ def mu_tilde_word(c):
     ext = _require_untwisted_closed(c).extended(1)
     word = []
     for x, nxt in zip(ext, ext[1:]):
-        axis = add(nxt, scale(pairing(x, nxt), x))
-        word.append((canon_sign(axis), 1))
+        p = pairing(x, nxt)
+        word.append((canon_sign(tuple(b + p * a for a, b in zip(x, nxt))), 1))
     return tuple(word)
 
 
@@ -79,26 +72,17 @@ def mu_tilde_matrix(c):
     return word_matrix(mu_tilde_word(circ), circ.genus)
 
 
-def induced_action(a, m) -> SurgeredAction:
-    """Action induced by a symplectic matrix on a^perp / <a>.
-
-    Defined whenever m preserves the perp lattice of a and the line
-    through a, e.g. for any matrix fixing a up to sign.  The basis is
-    the deterministic echelon/completion basis, so matrices are
-    reproducible across runs.
-    """
-    a = tuple(a)
-    qb, coords = quotient_basis(a)
-    matrix = transpose([coords(matvec(m, q)) for q in qb])
-    return SurgeredAction(
-        base_class=a, quotient_rank=len(qb), matrix=matrix, basis=tuple(qb)
-    )
-
-
 def surgered_action(c) -> SurgeredAction:
-    """The lifted monodromy's action on the surgered surface's homology."""
+    """The lifted monodromy's action on the surgered surface's homology,
+    a^perp / <a> with a = g_1: the lift word applied to the deterministic
+    echelon/completion quotient basis, each image read in its coordinates.
+    """
     circ = _require_untwisted_closed(c)
-    return induced_action(circ.curves[0], mu_tilde_matrix(circ))
+    a = circ.curves[0]
+    qb, coords = quotient_basis(a)
+    images = word_images(mu_tilde_word(circ), qb)
+    matrix = transpose([coords(y) for y in images])
+    return SurgeredAction(base_class=a, quotient_rank=len(qb), matrix=matrix, basis=tuple(qb))
 
 
 def verdict(c) -> Verdict:

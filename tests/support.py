@@ -3,17 +3,19 @@
 Curves meeting the next curve once are produced by solving the pairing
 equation over the integers, so chains and closed circuits of any genus
 can be sampled without rejection storms.  Also the reference
-classifier that genus1.classify is compared against, and the
-move-by-move reference for the seeded generator.
+classifier that genus1.classify is compared against, the
+move-by-move reference for the seeded generator, and the
+matrix-based surgered action and verdict.
 """
 
 import random
 from math import gcd
 
-from sdcalc._intlinalg import colreduce, pairing_functional
+from sdcalc._intlinalg import colreduce, pairing_functional, quotient_basis
 from sdcalc.circuit import Circuit, normalize
 from sdcalc.genus1 import Classification, SumForm, _window_coefficients, normalize_sum
-from sdcalc.homology import add, pairing, scale
+from sdcalc.homology import add, ident, matvec, pairing, scale, transpose
+from sdcalc.monodromy import SurgeredAction, Verdict, mu_tilde_matrix
 from sdcalc.subst import (
     Detection,
     _blowup_summand,
@@ -183,3 +185,34 @@ def generate_by_moves(seed, steps):
                 n += 1
         states.append(cur)
     return cur, SumForm(l=l, m=m, n=n, closure="Unclosed"), moves, states
+
+
+def induced_action(a, m) -> SurgeredAction:
+    """Action induced by a symplectic matrix on a^perp / <a>.
+
+    Defined whenever m preserves the perp lattice of a and the line
+    through a, e.g. for any matrix fixing a up to sign.  Same quotient
+    basis as monodromy.surgered_action.
+    """
+    a = tuple(a)
+    qb, coords = quotient_basis(a)
+    matrix = transpose([coords(matvec(m, q)) for q in qb])
+    return SurgeredAction(
+        base_class=a, quotient_rank=len(qb), matrix=matrix, basis=tuple(qb)
+    )
+
+
+def surgered_action_by_matrix(c) -> SurgeredAction:
+    """Reference for monodromy.surgered_action: the induced action of the
+    whole 2g x 2g lift matrix."""
+    return induced_action(c.curves[0], mu_tilde_matrix(c))
+
+
+def verdict_by_matrix(c) -> Verdict:
+    """Reference for monodromy.verdict, on surgered_action_by_matrix."""
+    act = surgered_action_by_matrix(c)
+    cols = zip(*act.matrix)
+    moved = [b for b, col, e in zip(act.basis, cols, ident(act.quotient_rank)) if col != e]
+    if not moved:
+        return Verdict(kind="HomologicallyTrivial")
+    return Verdict(kind="ObstructedOnHomology", witness=moved[0])

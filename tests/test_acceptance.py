@@ -25,11 +25,11 @@ from sdcalc.homology import (
     twist_matrix,
     word_matrix,
 )
-from sdcalc.monodromy import induced_action, mu_tilde_matrix, surgered_action, verdict
+from sdcalc.monodromy import mu_tilde_matrix, surgered_action, verdict
 from sdcalc.subst import apply_blowup, apply_stabilization, detect, hayano_surgery
 from sdcalc._intlinalg import pairing_functional
 
-from support import rand_chain, rand_closed, rand_next, rand_primitive, solve_int
+from support import induced_action, rand_chain, rand_closed, rand_next, rand_primitive, solve_int
 
 CORPUS_SIZE = 1000
 MAX_STEPS = 30

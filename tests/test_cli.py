@@ -511,6 +511,20 @@ def test_long_positions_and_duals_are_bounded(capsys):
     assert (code, err) == (2, "error: integer longer than 4300 digits\n")
 
 
+@pytest.mark.parametrize("value", ["9" * 4000, "2", "0", "-3"])
+def test_other_blowup_exponents_are_one_line(capsys, value):
+    code, out, err = run(capsys, "substitute", TWO, "--op", "blowup", "--pos", "1",
+                         "--exp", value)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and len(err) <= 150
+    assert "exponent must be +1 or -1" in err
+
+
+def test_blowup_exponent_help_lists_the_values(capsys):
+    assert cli.run(["substitute", "-h"]) == 0
+    assert "[--exp {1,-1}]" in capsys.readouterr().out
+
+
 INT_OPTIONS = {
     "switch_k": ["switch", TRI, "--k"],
     "stab_k": ["substitute", TWO, "--op", "stab", "--pos", "1", "--k"],

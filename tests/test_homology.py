@@ -22,6 +22,7 @@ from sdcalc.homology import (
     sp_inv,
     twist_apply,
     twist_matrix,
+    word_images,
     word_matrix,
 )
 
@@ -192,6 +193,39 @@ def test_word_matrix_equals_dense_product():
                 dense = matmul(twist_matrix(axis, exp), dense)
             assert word_matrix(word, g) == dense
             assert word_matrix(iter(word), g) == dense
+
+
+def test_word_images_match_twist_apply_loop():
+    rng = random.Random(13)
+    for g in (1, 2, 3, 5):
+        for _ in range(40):
+            word = []
+            for _ in range(rng.randint(0, 12)):
+                v = tuple(rng.randint(-4, 4) for _ in range(2 * g))
+                if is_primitive(v):
+                    word.append((v, rng.choice((-3, -1, 1, 2))))
+            xs = [tuple(rng.randint(-9, 9) for _ in range(2 * g)) for _ in range(rng.randint(0, 4))]
+            want = []
+            for x in xs:
+                for axis, exp in word:
+                    x = twist_apply(axis, exp, x)
+                want.append(x)
+            assert word_images(word, xs) == want
+            assert word_images(iter(word), iter(xs)) == want
+
+
+def test_word_images_validates_whole_word():
+    # every factor is checked, also with no classes to move
+    with pytest.raises(ValueError, match="nonzero"):
+        word_images([(A, 1), (B, 0)], [])
+    with pytest.raises(ValueError, match="primitive"):
+        word_images(iter([(A, 1), ((2, 0), 1)]), [])
+    with pytest.raises(ValueError, match="genus mismatch in word"):
+        word_images([(A, 1), ((1, 0, 0, 0), 1)], [B])
+    with pytest.raises(ValueError, match="genus mismatch"):
+        word_images([(A, 1)], [B, (0, 1, 0, 0)])
+    with pytest.raises(ValueError, match="even length"):
+        word_images([((1, 0, 1), 1)], [])
 
 
 def test_word_matrix_validates():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sdcalc.circuit import Diagram, double, normalize
+from sdcalc.circuit import Circuit, Diagram, double, generate, normalize
 from sdcalc.homology import (
     apply_word,
     canon_sign,
@@ -15,15 +15,17 @@ from sdcalc.homology import (
     twist_matrix,
     word_matrix,
 )
-from sdcalc.monodromy import (
-    induced_action,
-    mu_tilde_matrix,
-    mu_tilde_word,
-    surgered_action,
-    verdict,
-)
+from sdcalc.monodromy import mu_tilde_matrix, mu_tilde_word, surgered_action, verdict
 
-from support import rand_closed, rand_next, rand_primitive
+from support import (
+    induced_action,
+    rand_chain,
+    rand_closed,
+    rand_next,
+    rand_primitive,
+    surgered_action_by_matrix,
+    verdict_by_matrix,
+)
 
 TRI = normalize([(1, 0), (1, -1), (0, 1)], True)
 AB = normalize([(1, 0), (0, 1)], True)
@@ -169,6 +171,38 @@ def test_kernel_law_delta_twist():
         x = rand_next(rng, a)
         act = induced_action(a, delta_twist(a, x))
         assert act.matrix == ident(2 * g - 2)
+
+
+def test_surgered_action_and_verdict_match_matrix_oracle():
+    # basis images under the lift word against the induced action of the
+    # whole lift matrix; whole objects compared, witnesses included
+    rng = random.Random(60)
+    circuits = [WITNESS]
+    for g in (1, 2, 3, 5, 8):
+        for length in range(2, 10):
+            circuits += [rand_closed(rng, g, length) for _ in range(3)]
+    circuits += [generate(seed, rng.randint(0, 40))[0] for seed in range(20)]
+    circuits += [double(rand_chain(rng, rng.randint(1, 4), rng.randint(2, 8))) for _ in range(20)]
+    kinds = set()
+    for c in circuits:
+        assert surgered_action(c) == surgered_action_by_matrix(c)
+        v = verdict(c)
+        assert v == verdict_by_matrix(c)
+        kinds.add(v.kind)
+    assert kinds == {"HomologicallyTrivial", "ObstructedOnHomology"}
+
+
+def test_surgered_action_rejects_hand_built_circuits():
+    # a hand-built, un-normalized genus-1 circuit: the quotient is empty,
+    # but the word check still runs ...
+    bad = Circuit(((1, 0), (0, 2)), True)
+    # and a genus-2 one whose lift leaves a^perp, seen by the coordinates
+    off = Circuit(((0, 1, 0, 1), (-1, 0, -1, 1), (0, 0, 1, -1)), True)
+    for f in (surgered_action, verdict):
+        with pytest.raises(ValueError, match="twist axis must be primitive"):
+            f(bad)
+        with pytest.raises(ValueError, match="does not pair to zero"):
+            f(off)
 
 
 def test_surgered_action_genus_one_is_empty():
