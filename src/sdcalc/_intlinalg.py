@@ -8,6 +8,8 @@ lives in the topical modules.
 
 from __future__ import annotations
 
+from .homology import pairing_functional
+
 
 def colreduce(rows):
     """Column-echelon reduction over Z.
@@ -68,14 +70,6 @@ def colreduce(rows):
             col += 1
         row += 1
     return H, U, Ui
-
-
-def pairing_functional(x):
-    """Row vector of <x, .> so that pairing(x, y) = row . y."""
-    r = []
-    for i in range(0, len(x), 2):
-        r.extend([-x[i + 1], x[i]])
-    return r
 
 
 def quotient_basis(a):

@@ -41,29 +41,9 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .circuit import (
-    MAX_STEPS,
-    Diagram,
-    _clip,
-    _clip_int,
-    double,
-    generate,
-    normalize,
-    switch,
-    validate,
-)
-from .genus1 import classify, normalize_sum
-from .handles import (
-    emit_kirby,
-    euler_characteristics,
-    fiber_framing,
-    form_invariants,
-    linking_matrix,
-    to_blf,
-)
-from .homology import is_symplectic
-from .monodromy import mu_tilde_matrix, mu_tilde_word, surgered_action, verdict
-from .subst import apply_blowup, apply_stabilization, detect, hayano_surgery
+# start-up is most of a run: each subcommand imports the rest of what it runs itself
+from .circuit import MAX_STEPS, Diagram, _clip, _clip_int, double, generate, normalize, switch, validate
+from .homology import is_symplectic, word_matrix
 
 BANNER = ("homological shadow only: genus >= 2 results are necessary "
           "conditions, not certificates")
@@ -316,6 +296,7 @@ def _cmd_validate(args):
 
 
 def _cmd_info(args):
+    from .handles import euler_characteristics, fiber_framing, form_invariants, linking_matrix
     d = _load(args.file)
     circ = d.circuit
     g = circ.genus
@@ -350,6 +331,7 @@ def _cmd_info(args):
 
 
 def _cmd_classify(args):
+    from .genus1 import classify
     cl = classify(_load(args.file))
     forms, report = _forms_report(cl.canonical_forms, cl.counts)
     report["trace"] = [
@@ -377,6 +359,7 @@ def _detection_line(t):
 
 
 def _cmd_detect(args):
+    from .subst import detect
     d = _load(args.file, needs_closed=True)
     dets = detect(d)
     text = [_detection_line(t) for t in dets] or ["no substitution patterns"]
@@ -384,6 +367,7 @@ def _cmd_detect(args):
 
 
 def _cmd_substitute(args):
+    from .subst import apply_blowup, apply_stabilization, hayano_surgery
     d = _load(args.file, needs_closed=True)
     notes = []
     if args.op == "blowup":
@@ -423,11 +407,12 @@ def _cmd_double(args):
 
 
 def _cmd_monodromy(args):
+    from .monodromy import _action_of, _verdict_of, mu_tilde_word
     circ = _load(args.file, needs_closed=True, allow_twisted=False).circuit
-    word = mu_tilde_word(circ)
-    mat = mu_tilde_matrix(circ)
-    act = surgered_action(circ)
-    ver = verdict(circ)
+    word = mu_tilde_word(circ)  # computed once for all four results
+    mat = word_matrix(word, circ.genus)
+    act = _action_of(circ.curves[0], word)
+    ver = _verdict_of(act)
     report = {
         "word": [{"axis": a, "exponent": e} for a, e in word],
         "matrix": mat,
@@ -445,6 +430,7 @@ def _cmd_monodromy(args):
 
 
 def _cmd_blf(args):
+    from .handles import to_blf
     circ = _load(args.file, needs_closed=True, allow_twisted=False).circuit
     data = to_blf(circ)
     report = {"lefschetz_cycles": [_framed(v, f) for v, f in data.lefschetz_cycles],
@@ -456,6 +442,7 @@ def _cmd_blf(args):
 
 
 def _cmd_kirby(args):
+    from .handles import emit_kirby
     kd = emit_kirby(_load(args.file, allow_twisted=False).circuit, args.section)
     report = {
         "genus": kd.genus,
@@ -477,6 +464,7 @@ def _cmd_kirby(args):
 
 
 def _cmd_generate(args):
+    from .genus1 import normalize_sum
     if args.steps < 0:
         raise UsageError("--steps must be >= 0")
     if args.steps > MAX_STEPS:

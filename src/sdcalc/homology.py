@@ -16,8 +16,6 @@ from __future__ import annotations
 from math import gcd
 from operator import mul
 
-from ._intlinalg import pairing_functional
-
 HClass = tuple  # tuple of 2g ints
 SpMatrix = tuple  # tuple of 2g row tuples
 
@@ -38,6 +36,14 @@ def pairing(x, y) -> int:
     for i in range(0, len(x), 2):
         s += x[i] * y[i + 1] - x[i + 1] * y[i]
     return s
+
+
+def pairing_functional(x):
+    """Row vector of <x, .> so that pairing(x, y) = row . y."""
+    r = []
+    for i in range(0, len(x), 2):
+        r.extend([-x[i + 1], x[i]])
+    return r
 
 
 def is_primitive(x) -> bool:

@@ -78,10 +78,12 @@ def surgered_action(c) -> SurgeredAction:
     echelon/completion quotient basis, each image read in its coordinates.
     """
     circ = _require_untwisted_closed(c)
-    a = circ.curves[0]
+    return _action_of(circ.curves[0], mu_tilde_word(circ))
+
+
+def _action_of(a, word) -> SurgeredAction:
     qb, coords = quotient_basis(a)
-    images = word_images(mu_tilde_word(circ), qb)
-    matrix = transpose([coords(y) for y in images])
+    matrix = transpose([coords(y) for y in word_images(word, qb)])
     return SurgeredAction(base_class=a, quotient_rank=len(qb), matrix=matrix, basis=tuple(qb))
 
 
@@ -92,7 +94,10 @@ def verdict(c) -> Verdict:
     identity (read: "not obstructed on homology"); otherwise the first
     moved basis class is returned as a witness.
     """
-    act = surgered_action(c)
+    return _verdict_of(surgered_action(c))
+
+
+def _verdict_of(act) -> Verdict:
     cols = zip(*act.matrix)
     moved = [b for b, col, e in zip(act.basis, cols, ident(act.quotient_rank)) if col != e]
     if not moved:

@@ -292,6 +292,18 @@ def test_monodromy_report(capsys):
     assert payload["surgered"]["rank"] == 0
 
 
+def test_monodromy_reads_the_lift_once(capsys):
+    from sdcalc import monodromy
+    c = len(cli.parse(Path(GENUS2).read_bytes()).circuit.curves)
+    # patched in monodromy's namespace, so every path to them is counted
+    with mock.patch.object(monodromy, "quotient_basis", wraps=monodromy.quotient_basis) as qb, \
+            mock.patch.object(monodromy, "pairing", wraps=monodromy.pairing) as pairing:
+        assert cli.run(["monodromy", GENUS2]) == 0
+    capsys.readouterr()
+    assert qb.call_count == 1  # one surgered action
+    assert pairing.call_count == c == 2  # one lift word: one pairing per curve
+
+
 def test_monodromy_rejects_twisted(capsys):
     code, _, err = run(capsys, "monodromy", TWISTED)
     assert code == 2

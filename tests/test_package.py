@@ -1,0 +1,186 @@
+"""The package surface and the CLI's entry points.
+
+`sdcalc` imports its submodules lazily (PEP 562), and each CLI
+subcommand imports only the modules it runs.  The import-boundary cases
+start a fresh interpreter each, because a module once imported stays in
+`sys.modules` for the rest of the process.
+"""
+
+import importlib
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sdcalc
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+DATA = ROOT / "tests" / "data"
+ENV = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+
+ALL = [
+    "BlfData", "Circuit", "Classification", "Detection", "Diagram", "FormInvariants",
+    "KirbyData", "LinkingMatrix", "SumForm", "SurgeredAction", "ValidationReport", "Verdict",
+    "apply_blowup", "apply_stabilization", "apply_word", "circuit", "classify", "contract",
+    "delta_twist", "detect", "double", "duality_coefficients", "emit_kirby",
+    "euler_characteristics", "fiber_framing", "form_invariants", "generate", "genus1",
+    "handles", "hayano_surgery", "homology", "is_primitive", "linking", "linking_matrix",
+    "monodromy", "mu_tilde_matrix", "mu_tilde_word", "normalize", "normalize_sum", "pairing",
+    "sigma_sequence", "subst", "surgered_action", "switch", "to_blf", "twist_matrix",
+    "validate", "verdict",
+]
+
+HELP = """\
+usage: sdcalc [-h] [--version]
+              {validate,info,classify,detect,substitute,switch,double,monodromy,blf,kirby,generate}
+              ...
+
+surface-diagram calculus on first homology
+
+positional arguments:
+  {validate,info,classify,detect,substitute,switch,double,monodromy,blf,kirby,generate}
+    validate            check circuit and switch invariants
+    info                framings, linking matrix, invariants, euler numbers
+    classify            canonical connected sums (genus 1, untwisted)
+    detect              find substitution patterns
+    substitute          apply a substitution
+    switch              rotate the reference point
+    double              close off a circuit by doubling
+    monodromy           lift word, matrix, surgered action, verdict
+    blf                 broken-fibration handle data
+    kirby               handle-decomposition data
+    generate            seeded random closed genus-1 circuit with known
+                        classification
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+
+
+def python(*args, stdin=None):
+    return subprocess.run([sys.executable, *args], input=stdin, capture_output=True,
+                          env=ENV, cwd=ROOT, timeout=60)
+
+
+# ------------------------------------------------------------ lazy surface
+
+def test_all_is_unchanged():
+    assert sorted(sdcalc.__all__) == ALL
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_every_public_name_resolves_to_its_home_object(name):
+    obj = getattr(sdcalc, name)
+    if name in ("circuit", "genus1", "handles", "homology", "monodromy", "subst"):
+        assert obj is sys.modules["sdcalc." + name]
+    else:
+        assert obj.__module__.startswith("sdcalc.")
+        assert getattr(importlib.import_module(obj.__module__), name) is obj
+
+
+def test_star_import_binds_every_name():
+    ns = {}
+    exec("from sdcalc import *", ns)
+    del ns["__builtins__"]
+    assert sorted(ns) == ALL
+    assert all(ns[name] is getattr(sdcalc, name) for name in ALL)
+
+
+def test_dir_lists_the_public_names():
+    names = dir(sdcalc)
+    assert names == sorted(names)
+    assert {"__all__", "__version__"} <= set(names)
+    assert set(ALL) <= set(names)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        sdcalc.nope
+    assert not hasattr(sdcalc, "nope")
+
+
+# ---------------------------------------------------------- import boundary
+
+PROBE = """\
+import contextlib, io, json, sys
+{statement}
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("sdcalc."))))
+"""
+
+RUN = """\
+from sdcalc import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run({argv!r}) == 0
+"""
+
+BASE = {"sdcalc.cli", "sdcalc.circuit", "sdcalc.homology"}
+HANDLES = BASE | {"sdcalc._intlinalg", "sdcalc.handles"}
+CLASSIFY = BASE | {"sdcalc.subst", "sdcalc.genus1"}
+
+SUBCOMMANDS = [
+    (["validate", "two.sd"], BASE),
+    (["switch", "two.sd", "--k", "2"], BASE),
+    (["double", "open.sd"], BASE),
+    (["detect", "two.sd"], BASE | {"sdcalc.subst"}),
+    (["substitute", "blowup3.sd", "--op", "blowup", "--pos", "1", "--exp", "1"],
+     BASE | {"sdcalc.subst"}),
+    (["classify", "two.sd"], CLASSIFY),
+    (["generate", "--seed", "1", "--steps", "3"], CLASSIFY),
+    (["info", "two.sd"], HANDLES),
+    (["blf", "two.sd"], HANDLES),
+    (["kirby", "two.sd"], HANDLES),
+    (["monodromy", "genus2.sd"], BASE | {"sdcalc._intlinalg", "sdcalc.monodromy"}),
+]
+
+
+@pytest.mark.parametrize("argv, loaded", SUBCOMMANDS, ids=[a[0] for a, _ in SUBCOMMANDS])
+def test_each_subcommand_imports_only_what_it_runs(argv, loaded):
+    argv = [str(DATA / a) if a.endswith(".sd") else a for a in argv]
+    proc = python("-c", PROBE.format(statement=RUN.format(argv=argv)))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert set(json.loads(proc.stdout)) == loaded
+
+
+@pytest.mark.parametrize("statement, loaded", [
+    ("import sdcalc", set()),
+    ("import sdcalc.cli", BASE),
+    ("import sdcalc; sdcalc.monodromy",
+     {"sdcalc.circuit", "sdcalc.homology", "sdcalc._intlinalg", "sdcalc.monodromy"}),
+    ("from sdcalc import classify", CLASSIFY - {"sdcalc.cli"}),
+], ids=["sdcalc", "sdcalc.cli", "submodule", "function"])
+def test_imports_load_no_more_than_they_need(statement, loaded):
+    proc = python("-c", PROBE.format(statement=statement))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert set(json.loads(proc.stdout)) == loaded
+
+
+# ------------------------------------------------------------- entry points
+
+def test_module_entry_point_runs_cleanly():
+    # runpy warns on stderr if the package has already imported sdcalc.cli
+    proc = python("-m", "sdcalc.cli", "validate", str(DATA / "two.sd"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"ok (Exact)\n", b"")
+
+
+@pytest.mark.parametrize("flag, out", [("--version", "sdcalc 0.1.0\n"), ("-h", HELP)])
+def test_module_entry_point_flags(flag, out):
+    proc = python("-m", "sdcalc.cli", flag)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr) == (0, out, b"")
+
+
+def test_console_script_target_runs():
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    module, attr = re.search(r'^sdcalc = "(.+)"$', pyproject, re.M).group(1).split(":")
+    assert (module, attr) == ("sdcalc.cli", "main")
+    # what the installed `sdcalc` script does
+    script = "import sys; from %s import %s; sys.argv[0] = 'sdcalc'; sys.exit(%s())" % (
+        module, attr, attr)
+    proc = python("-c", script, "classify", "-", stdin=(DATA / "two.sd").read_bytes())
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.decode().startswith("canonical form")
