@@ -39,6 +39,7 @@ import os
 import re
 import sys
 from dataclasses import asdict
+from itertools import chain
 
 from . import __version__
 # start-up is most of a run: each subcommand imports the rest of what it runs itself
@@ -237,7 +238,26 @@ def _color_enabled(stream):
 
 
 def _matrix_lines(m):
-    return ["  " + " ".join("%3d" % t for t in r) for r in m]
+    return ("  " + " ".join("%3d" % t for t in r) for r in m)
+
+
+_ROWS = "\0rows\0"  # the text line and JSON value that info's and kirby's matrix rows replace
+
+
+def _payload(report, text_lines, fmt):
+    """The output, as an iterable of strings.  A LinkingMatrix under
+    "linking_matrix" is written one row at a time, as json.dumps(indent=2)
+    writes a top-level value.  What can fail runs before this returns."""
+    lm = report.get("linking_matrix")
+    if lm is None:
+        return [emit_json(report) if fmt == "json" else "\n".join(text_lines) + "\n"]
+    lm.check_printable()
+    if fmt == "text":
+        head, _, tail = ("\n".join(text_lines) + "\n").partition(_ROWS + "\n")
+        return chain([head], map("{}\n".format, _matrix_lines(lm.rows())), [tail])
+    head, _, tail = emit_json(dict(report, linking_matrix=_ROWS)).partition(json.dumps(_ROWS))
+    rows = ("\n    [\n      " + ",\n      ".join(map(str, r)) + "\n    ]" for r in lm.rows())
+    return chain([head + "[", next(rows)], map(",".__add__, rows), ["\n  ]" + tail])
 
 
 def _counts(f):
@@ -296,7 +316,7 @@ def _cmd_validate(args):
 
 
 def _cmd_info(args):
-    from .handles import euler_characteristics, fiber_framing, form_invariants, linking_matrix
+    from .handles import euler_characteristics, form_invariants, linking_matrix
     d = _load(args.file)
     circ = d.circuit
     g = circ.genus
@@ -304,7 +324,7 @@ def _cmd_info(args):
     inv = form_invariants(lm)
     chi_z, chi_x = euler_characteristics(circ)
     exactness = "Exact" if g == 1 else "HomologicalOnly"
-    framings = [fiber_framing(v) for v in circ.curves]
+    framings = list(lm.framings)
     report = {
         "genus": g,
         "length": circ.length,
@@ -312,7 +332,7 @@ def _cmd_info(args):
         "twisted": d.switch_matrix is not None,
         "exactness": exactness,
         "framings": framings,
-        "linking_matrix": lm.entries,
+        "linking_matrix": lm,
         # whether this equals the closed total space's signature is
         # only verified for genus 1
         "form_invariants": dict(asdict(inv), signature_conjectural=g >= 2),
@@ -322,7 +342,7 @@ def _cmd_info(args):
         g, circ.length, "closed" if circ.closed else "open", exactness)]
     text.append("framings: %s" % (framings,))
     text.append("linking matrix:")
-    text += _matrix_lines(lm.entries)
+    text.append(_ROWS)
     text.append("form: rank %d, signature %d, parity %s%s" % (
         inv.rank, inv.signature, inv.parity,
         " (signature conjectural at this genus)" if g >= 2 else ""))
@@ -451,7 +471,7 @@ def _cmd_kirby(args):
         "fold_handles": [dict(_framed(v, f), position=p) for v, f, p in kd.fold_handles],
         "last_handle": None if kd.last_handle is None
         else {"framing": kd.last_handle, "attached": "meridian of fiber handle"},
-        "linking_matrix": kd.linking.entries,
+        "linking_matrix": kd.linking,
     }
     text = ["1-handles (dotted): %s" % ", ".join(kd.one_handles), "fiber handle: framing 0"]
     for v, f, p in kd.fold_handles:
@@ -459,7 +479,7 @@ def _cmd_kirby(args):
     if kd.last_handle is not None:
         text.append("meridian handle: framing %d" % kd.last_handle)
     text.append("linking matrix:")
-    text += _matrix_lines(kd.linking.entries)
+    text.append(_ROWS)
     return report, text, 0, kd.genus >= 2
 
 
@@ -554,11 +574,11 @@ def run(argv) -> int:
         if homological is not None:  # a report rather than a bare diagram
             report.update(command=args.command, homological_only=homological)
             if homological:
-                text_lines = ["note: " + BANNER] + text_lines
-        if args.format == "json":
-            payload = emit_json(report)
-        else:
-            payload = "\n".join(text_lines) + "\n"
+                note = "note: " + BANNER
+                if not args.out and _color_enabled(sys.stdout):
+                    note = "\x1b[33m" + note + "\x1b[0m"
+                text_lines = [note] + text_lines
+        payload = _payload(report, text_lines, args.format)
     except ParseError as exc:
         return fail(1, str(exc))
     except (UsageError, ValueError) as exc:  # ValueError: the input does not fit the operation
@@ -571,15 +591,11 @@ def run(argv) -> int:
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+                fh.writelines(payload)
         except OSError as exc:
             return fail(2, "cannot write %s: %s" % (args.out, exc.strerror))
     else:
-        out = sys.stdout
-        if args.format == "text" and _color_enabled(out):
-            payload = payload.replace("note: " + BANNER,
-                                      "\x1b[33mnote: " + BANNER + "\x1b[0m")
-        out.write(payload)
+        sys.stdout.writelines(payload)
     return code
 
 

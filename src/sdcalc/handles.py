@@ -12,7 +12,10 @@ curve j exactly when i < j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from operator import mul
 from typing import Optional
 
@@ -21,16 +24,76 @@ from .circuit import _as_circuit
 from .homology import twist_apply
 
 
-@dataclass(frozen=True)
 class LinkingMatrix:
-    entries: tuple  # symmetric, size c x c
-    # the circuit's curves, when built by linking_matrix; lets
-    # form_invariants use the matrix's rank-g structure
-    curves: Optional[tuple] = field(default=None, compare=False, repr=False)
+    """Symmetric c x c integer matrix: framings on the diagonal, linking
+    numbers off it.
+
+    LinkingMatrix(entries) holds the rows it is given.  linking_matrix(c)
+    keeps the circuit's curves and their framings instead: rows() computes
+    each row from the closed form in O(c g), and entries, the tuple of all
+    rows, is built on first access.  Equality, hash and repr are those of
+    the entries.
+    """
+
+    def __init__(self, entries=None, curves=None):
+        if entries is None and curves is None:
+            raise TypeError("LinkingMatrix needs entries or curves")
+        if entries is not None:
+            self.entries = entries  # an instance value hides the lazy property
+        self.curves = curves
+        self.framings = None if curves is None else tuple(map(fiber_framing, curves))
+
+    @cached_property
+    def entries(self) -> tuple:
+        return tuple(self._closed_form_rows())
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.entries if self.curves is None else self.curves)
+
+    def rows(self):
+        """Iterator over the rows; from the curves it builds no entries."""
+        if self.curves is None or "entries" in vars(self):
+            return iter(self.entries)
+        return self._closed_form_rows()
+
+    def check_printable(self):
+        """Raise str()'s own ValueError now if an entry has more digits than
+        sys.get_int_max_str_digits(), so that a caller can fail before it
+        prints anything.  From the curves every entry is at most
+        g max|coef|^2, so the rows are read only when that bound is too long."""
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            return
+        if self.curves is not None:
+            top = max(map(abs, chain.from_iterable(self.curves)))
+            if len(self.curves[0]) // 2 * top * top < 10 ** limit:
+                return
+        for r in self.rows():
+            str(min(r)), str(max(r))
+
+    def _closed_form_rows(self):
+        cs = self.curves
+        n = len(cs)
+        cols = list(zip(*cs))  # cols[2t]: a_t-coordinates, cols[2t + 1]: b_t-coordinates
+        for i, v in enumerate(cs):
+            left = [0] * i
+            right = [0] * (n - i - 1)
+            for t in range(0, len(v), 2):
+                left = [s + v[t] * x for s, x in zip(left, cols[t + 1])]
+                right = [s + v[t + 1] * x for s, x in zip(right, cols[t][i + 1:])]
+            yield tuple(left + [self.framings[i]] + right)
+
+    def __eq__(self, other):
+        if not isinstance(other, LinkingMatrix):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __repr__(self):
+        return "LinkingMatrix(entries=%r)" % (self.entries,)
 
 
 @dataclass(frozen=True)
@@ -85,36 +148,30 @@ def linking_matrix(c) -> LinkingMatrix:
     With A and B the c x g matrices of a- and b-coordinates of the
     curves, entry (i, j) is B_i . A_j for i < j and B_j . A_i below the
     diagonal, so the off-diagonal part has rank at most g.  The matrix
-    keeps the curves so that form_invariants can use this structure.
+    keeps the curves and their framings, O(c g): form_invariants reads
+    this structure, rows() yields one row at a time, and the c x c
+    entries are built only when read.
     """
-    cs = _as_circuit(c).curves
-    n = len(cs)
-    cols = list(zip(*cs))  # cols[2t]: a_t-coordinates, cols[2t + 1]: b_t-coordinates
-    rows = []
-    for i, v in enumerate(cs):
-        left = [0] * i
-        right = [0] * (n - i - 1)
-        for t in range(0, len(v), 2):
-            left = [s + v[t] * x for s, x in zip(left, cols[t + 1])]
-            right = [s + v[t + 1] * x for s, x in zip(right, cols[t][i + 1:])]
-        rows.append(tuple(left + [fiber_framing(v)] + right))
-    return LinkingMatrix(tuple(rows), cs)
+    return LinkingMatrix(curves=_as_circuit(c).curves)
 
 
 def form_invariants(m) -> FormInvariants:
     """Rank, signature and parity of a symmetric integer matrix.
 
     A LinkingMatrix that carries its curves goes through a Schur sweep
-    in O(c g^2) (see _sweep_invariants); any other matrix through exact
-    fraction-free congruence diagonalization in O(c^3).  Parity is Even
-    iff every diagonal entry of the input is even.
+    in O(c g^2) (see _sweep_invariants) and takes its diagonal from the
+    framings, without building the entries; any other matrix goes
+    through exact fraction-free congruence diagonalization in O(c^3).
+    Parity is Even iff every diagonal entry is even.
     """
-    entries = m.entries if isinstance(m, LinkingMatrix) else tuple(tuple(r) for r in m)
     if isinstance(m, LinkingMatrix) and m.curves is not None:
         rank, sig = _sweep_invariants(m.curves)
+        diagonal = m.framings
     else:
+        entries = m.entries if isinstance(m, LinkingMatrix) else tuple(tuple(r) for r in m)
         rank, sig = symmetric_invariants(entries)
-    parity = "Even" if all(entries[i][i] % 2 == 0 for i in range(len(entries))) else "Odd"
+        diagonal = [entries[i][i] for i in range(len(entries))]
+    parity = "Even" if all(t % 2 == 0 for t in diagonal) else "Odd"
     return FormInvariants(rank=rank, signature=sig, parity=parity)
 
 
@@ -218,16 +275,15 @@ def emit_kirby(c, section_k=None) -> KirbyData:
     labels = []
     for i in range(1, g + 1):
         labels.extend(["a%d" % i, "b%d" % i])
-    folds = tuple(
-        (v, fiber_framing(v), i) for i, v in enumerate(circ.curves, start=1)
-    )
+    lm = linking_matrix(circ)
+    folds = tuple(zip(lm.curves, lm.framings, range(1, circ.length + 1)))
     return KirbyData(
         genus=g,
         one_handles=tuple(labels),
         fiber_framing=0,
         fold_handles=folds,
         last_handle=section_k,
-        linking=linking_matrix(circ),
+        linking=lm,
     )
 
 

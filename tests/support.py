@@ -4,8 +4,8 @@ Curves meeting the next curve once are produced by solving the pairing
 equation over the integers, so chains and closed circuits of any genus
 can be sampled without rejection storms.  Also the reference
 classifier that genus1.classify is compared against, the
-move-by-move reference for the seeded generator, and the
-matrix-based surgered action and verdict.
+move-by-move reference for the seeded generator, the eager linking
+matrix, and the matrix-based surgered action and verdict.
 """
 
 import random
@@ -14,6 +14,7 @@ from math import gcd
 from sdcalc._intlinalg import colreduce, pairing_functional, quotient_basis
 from sdcalc.circuit import Circuit, normalize
 from sdcalc.genus1 import Classification, SumForm, _window_coefficients, normalize_sum
+from sdcalc.handles import fiber_framing
 from sdcalc.homology import add, ident, matvec, pairing, scale, transpose
 from sdcalc.monodromy import SurgeredAction, Verdict, mu_tilde_matrix
 from sdcalc.subst import (
@@ -91,6 +92,23 @@ def rand_closed(rng, genus, length, lim=3) -> Circuit:
             continue
         return normalize(list(chain.curves) + [last], True)
     raise AssertionError("could not close a circuit (genus %d, length %d)" % (genus, length))
+
+
+def linking_matrix_eager(c):
+    """Reference for handles.linking_matrix: all c x c entries at once, the
+    framings on the diagonal and b_i . a_j above it, row by row."""
+    cs = c.curves
+    n = len(cs)
+    cols = list(zip(*cs))  # cols[2t]: a_t-coordinates, cols[2t + 1]: b_t-coordinates
+    rows = []
+    for i, v in enumerate(cs):
+        left = [0] * i
+        right = [0] * (n - i - 1)
+        for t in range(0, len(v), 2):
+            left = [s + v[t] * x for s, x in zip(left, cols[t + 1])]
+            right = [s + v[t + 1] * x for s, x in zip(right, cols[t][i + 1:])]
+        rows.append(tuple(left + [fiber_framing(v)] + right))
+    return tuple(rows)
 
 
 def linking_by_halves(x, i, y, j):

@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -11,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from sdcalc import cli
 from sdcalc.circuit import CLIP, MAX_STEPS, Circuit, validate
+
+from support import linking_matrix_eager
 
 DATA = Path(__file__).parent / "data"
 SCHEMA = json.loads((DATA / "report.schema.json").read_text())
@@ -414,6 +419,22 @@ def test_color_toggle(monkeypatch):
     assert not cli._color_enabled(io.StringIO())
 
 
+def test_banner_is_colored_only_on_a_terminal(monkeypatch, tmp_path):
+    class Tty(io.StringIO):
+        def isatty(self):
+            return True
+
+    monkeypatch.delenv("SDCALC_COLOR", raising=False)
+    target = tmp_path / "report.txt"
+    for argv, colored in [([], True), (["--format", "json"], False), (["--out", str(target)], False)]:
+        out = Tty()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            assert cli.run(["info", GENUS2, *argv]) == 0
+        text = out.getvalue() or target.read_text()
+        assert ("\x1b[33mnote: " + cli.BANNER + "\x1b[0m\n" in text) == colored
+        assert ("\x1b" in text) == colored
+
+
 @pytest.mark.parametrize("path,command", [
     (TWO, "validate"), (TWO, "info"), (TWO, "classify"), (TWO, "detect"),
     (TWO, "monodromy"), (TWO, "blf"), (TWO, "kirby"),
@@ -509,6 +530,77 @@ def test_overlong_result_integer_is_input_error(capsys, monkeypatch, fmt):
                                 "info", "-", "--format", fmt)
     assert code == 1 and out == ""
     assert err == "error: result has an integer longer than 4300 digits\n"
+
+
+def _far_linking(m):
+    # genus-2 open chain (0,-1,0,0), (1,0,0,N), (1,1,0,0), (0,1,m,0): framings
+    # 0, 0, 1, 0, the first row small, L_24 = N m, and the bound
+    # g max|coef|^2 = 2 N^2 about 4400 digits long
+    n = int("7" * 2200)
+    return ("genus 2\ncurve 0 -1 0 0\ncurve 1 0 0 %d\ncurve 1 1 0 0\ncurve 0 1 %d 0\n"
+            "closed false\n" % (n, m))
+
+
+@pytest.mark.parametrize("text", [_big_triangle("false"), _far_linking(int("3" * 2200))],
+                         ids=["framing", "linking"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["info", "kirby"])
+def test_overlong_matrix_entry_fails_before_any_output(capsys, tmp_path, text, fmt, command):
+    path = tmp_path / "big.sd"
+    path.write_text(text)
+    target = tmp_path / "report.out"
+    for out in ([], ["--out", str(target)]):
+        code, stdout, err = run(capsys, command, str(path), "--format", fmt, *out)
+        assert (code, stdout) == (1, "")
+        assert err == "error: result has an integer longer than 4300 digits\n"
+        assert not target.exists()
+
+
+@pytest.mark.parametrize("command", ["info", "kirby"])
+def test_matrix_past_the_cheap_bound_streams_the_eager_bytes(capsys, tmp_path, command):
+    path = tmp_path / "far.sd"
+    path.write_text(_far_linking(7))
+    entries = linking_matrix_eager(cli.parse(path.read_text()).circuit)
+    assert len(str(entries[1][3])) == 2201 and max(map(abs, entries[0])) == 1
+    code, out, err = run(capsys, command, str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    payload = dict(json.loads(out), linking_matrix=entries)
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    code, out, err = run(capsys, command, str(path))
+    assert (code, err) == (0, "")
+    rows = ["  " + " ".join("%3d" % t for t in r) for r in entries]
+    assert "\nlinking matrix:\n" + "\n".join(rows) + "\n" in out
+
+
+# The child runs the CLI and prints its own peak RSS in KiB to stderr.  It
+# reads VmHWM, which counts only its own process image: ru_maxrss also keeps
+# the peak of the image it replaced at exec, here the test runner's.
+MAXRSS_CHILD = """\
+import re, sys
+from sdcalc.cli import run
+code = run(sys.argv[1:])
+sys.stdout.flush()
+with open("/proc/self/status") as fh:
+    print(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
+def test_info_json_streams_in_bounded_memory(capsys, tmp_path):
+    path = tmp_path / "g500.sd"
+    assert cli.run(["generate", "--seed", "1", "--steps", "500", "--out", str(path)]) == 0
+    circ = cli.parse(path.read_text()).circuit
+    assert circ.length > 700
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-c", MAXRSS_CHILD, "info", str(path), "--format", "json"],
+                           capture_output=True, env=env, timeout=120)
+    assert child.returncode == 0
+    # about 16 MB streamed; an eager c x c tuple and one json.dumps string
+    # of it peak at about 72 MB on this input
+    assert int(child.stderr.split()[-1]) < 40 * 1024
+    payload = dict(json.loads(child.stdout), linking_matrix=linking_matrix_eager(circ))
+    assert child.stdout == (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
 
 
 def test_long_positions_and_duals_are_bounded(capsys):

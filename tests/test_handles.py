@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import sdcalc.handles
 from sdcalc._intlinalg import suffix_spanners, symmetric_invariants
-from sdcalc.circuit import Circuit, generate_trace, normalize, switch
+from sdcalc.circuit import Circuit, generate, generate_trace, normalize, switch
 from sdcalc.handles import (
     KirbyData,
     LinkingMatrix,
@@ -23,7 +23,7 @@ from sdcalc.handles import (
 from sdcalc.homology import add, pairing, scale
 from sdcalc.subst import apply_blowup, apply_stabilization
 
-from support import linking_by_halves, rand_closed
+from support import linking_by_halves, linking_matrix_eager, rand_closed
 
 TRI = normalize([(1, 0), (1, -1), (0, 1)], True)
 AB = normalize([(1, 0), (0, 1)], True)
@@ -70,6 +70,61 @@ def test_linking_matrix_matches_half_pairing_formula():
             for i, x in enumerate(cs)
         )
         assert linking_matrix(c).entries == expect
+
+
+LAZY_CASES = [rand_closed(random.Random(50 + g), g, n) for g in (1, 2, 3, 5) for n in (2, 3, 6, 11)]
+LAZY_CASES += generate_trace(5, 60)[3]  # steps 0 to 60
+
+
+def test_lazy_linking_matrix_matches_eager_oracles():
+    for c in LAZY_CASES:
+        cs = c.curves
+        eager = linking_matrix_eager(c)
+        by_halves = tuple(
+            tuple(fiber_framing(x) if i == j else linking_by_halves(x, i, y, j)
+                  for j, y in enumerate(cs))
+            for i, x in enumerate(cs)
+        )
+        m = linking_matrix(c)
+        assert tuple(m.rows()) == eager == by_halves
+        assert "entries" not in vars(m)  # rows() streams without keeping them
+        assert m.entries == eager and tuple(m.rows()) == eager
+        assert form_invariants(m) == form_invariants(m.entries)
+
+
+def test_form_invariants_leave_the_entries_unbuilt():
+    c = generate(3, 80)[0]
+    assert c.length >= 100
+    m = linking_matrix(c)
+    kd = emit_kirby(c)
+    inv = form_invariants(m)
+    assert m.size == c.length and form_invariants(kd.linking) == inv
+    assert "entries" not in vars(m) and "entries" not in vars(kd.linking)
+    assert m.entries == linking_matrix_eager(c)
+    assert "entries" in vars(m)
+
+
+def test_check_printable_reads_rows_only_past_the_bound(monkeypatch):
+    big = 10 ** 4300  # one digit more than str() prints by default
+    LinkingMatrix(((big - 1, 0), (0, -big + 1))).check_printable()
+    with pytest.raises(ValueError, match="integer string conversion"):
+        LinkingMatrix(((1, 0), (0, -big))).check_printable()
+    n = int("7" * 2200)  # bound 2 n^2 is too long, every entry fits
+    m = linking_matrix(normalize([(1, 0, 0, n), (1, 1, 0, 0), (0, 1, 7, 0)], False))
+    rows, read = m.rows, []
+    monkeypatch.setattr(m, "rows", lambda: read.append(1) or rows())
+    m.check_printable()
+    assert read == [1]
+    with pytest.raises(ValueError, match="integer string conversion"):
+        linking_matrix(normalize([(1, 0, 0, n), (1, 1, 0, 0), (0, 1, n, 0)], False)).check_printable()
+    small = linking_matrix(generate(3, 80)[0])
+    monkeypatch.setattr(small, "rows", None)  # not called below the bound
+    small.check_printable()
+
+
+def test_linking_matrix_needs_entries_or_curves():
+    with pytest.raises(TypeError):
+        LinkingMatrix()
 
 
 def test_linking_requires_distinct_positions():

@@ -6,6 +6,7 @@ start a fresh interpreter each, because a module once imported stays in
 `sys.modules` for the rest of the process.
 """
 
+import doctest
 import importlib
 import json
 import os
@@ -184,3 +185,8 @@ def test_console_script_target_runs():
     proc = python("-c", script, "classify", "-", stdin=(DATA / "two.sd").read_bytes())
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout.decode().startswith("canonical form")
+
+
+def test_readme_quick_start_runs():
+    result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
+    assert (result.attempted, result.failed) == (3, 0)
