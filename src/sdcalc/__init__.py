@@ -28,6 +28,7 @@ _HOME = {name: home for home, names in (
     ("monodromy", "SurgeredAction Verdict mu_tilde_matrix mu_tilde_word surgered_action verdict"),
     ("subst", "Detection apply_blowup apply_stabilization contract detect hayano_surgery"),
 ) for name in (home, *names.split())}
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name):
@@ -44,54 +45,3 @@ def __dir__():
 
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Circuit",
-    "Diagram",
-    "ValidationReport",
-    "Classification",
-    "SumForm",
-    "BlfData",
-    "FormInvariants",
-    "KirbyData",
-    "LinkingMatrix",
-    "SurgeredAction",
-    "Verdict",
-    "Detection",
-    "pairing",
-    "is_primitive",
-    "twist_matrix",
-    "apply_word",
-    "delta_twist",
-    "normalize",
-    "validate",
-    "switch",
-    "double",
-    "generate",
-    "fiber_framing",
-    "linking",
-    "linking_matrix",
-    "form_invariants",
-    "euler_characteristics",
-    "emit_kirby",
-    "to_blf",
-    "apply_blowup",
-    "apply_stabilization",
-    "hayano_surgery",
-    "detect",
-    "contract",
-    "duality_coefficients",
-    "sigma_sequence",
-    "classify",
-    "normalize_sum",
-    "mu_tilde_word",
-    "mu_tilde_matrix",
-    "surgered_action",
-    "verdict",
-    "circuit",
-    "genus1",
-    "handles",
-    "homology",
-    "monodromy",
-    "subst",
-]

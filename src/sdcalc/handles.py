@@ -4,7 +4,10 @@ The fiber framing of a curve, pairwise linking numbers of the fold
 handles, the symmetric linking matrix with its rank/signature/parity,
 Euler characteristic bookkeeping, Kirby-diagram data, and the
 conversion to broken-fibration handle data (Lefschetz cycles plus a
-round cycle).
+round cycle).  Rank and signature come from a Schur sweep over the
+curves, which needs the suffix spanners of the a-coordinates, with a
+fraction-free (Bareiss) congruence as the fallback for any other
+symmetric matrix and for a degenerate Schur block.
 
 Attachment angles are pure index order: curve i is attached before
 curve j exactly when i < j.
@@ -19,7 +22,6 @@ from itertools import chain
 from operator import mul
 from typing import Optional
 
-from ._intlinalg import suffix_spanners, symmetric_invariants
 from .circuit import _as_circuit
 from .homology import twist_apply
 
@@ -245,6 +247,80 @@ def _sweep_invariants(curves):
         block = [[_dot(rest[min(i, j)], a[k + max(i, j)]) for j in range(m)] for i in range(m)]
         r2, s2 = symmetric_invariants(block)
         return rank + r2, sig + s2
+    return rank, sig
+
+
+def suffix_spanners(vectors):
+    """Indices j, in decreasing order, of the vectors not in the span of
+    the vectors after them.
+
+    For every m, the vectors at the returned indices >= m span all the
+    vectors at indices >= m.  At most len(vectors[0]) indices; the scan
+    stops once that many are found.
+    """
+    echelon = []  # (pivot, row); each row is zero at the pivots before it
+    out = []
+    for j in range(len(vectors) - 1, -1, -1):
+        v = vectors[j]
+        for p, w in echelon:
+            if v[p]:
+                v = [w[p] * x - v[p] * y for x, y in zip(v, w)]
+        if any(v):
+            echelon.append((next(t for t, x in enumerate(v) if x), v))
+            out.append(j)
+            if len(out) == len(v):
+                break
+    return out
+
+
+def symmetric_invariants(entries):
+    """(rank, signature) of an integer symmetric matrix.
+
+    Fraction-free two-sided elimination: each step performs the exact
+    Bareiss update (p*B[i][j] - B[i][k]*B[k][j]) / p_prev; zero diagonals
+    are resolved by symmetric permutation, or by a row+column addition
+    when the whole remaining diagonal vanishes (a hyperbolic block,
+    which contributes one positive and one negative pivot).  The true
+    k-th pivot has the sign of d_k * d_{k-1}.
+    """
+    n = len(entries)
+    B = [list(row) for row in entries]
+    D = 1
+    rank = 0
+    sig = 0
+    act = 0
+    while act < n:
+        piv = next((j for j in range(act, n) if B[j][j] != 0), None)
+        if piv is None:
+            off = next(
+                ((i, j) for i in range(act, n) for j in range(i + 1, n) if B[i][j] != 0),
+                None,
+            )
+            if off is None:
+                break  # remaining block is zero
+            i, j = off
+            for t in range(act, n):
+                B[i][t] += B[j][t]
+            for t in range(act, n):
+                B[t][i] += B[t][j]
+            piv = i
+        if piv != act:
+            B[act], B[piv] = B[piv], B[act]
+            for t in range(n):
+                B[t][act], B[t][piv] = B[t][piv], B[t][act]
+        p = B[act][act]
+        rank += 1
+        sig += 1 if (p > 0) == (D > 0) else -1
+        Ba = B[act]
+        for i in range(act + 1, n):
+            Bi = B[i]
+            bia = Bi[act]
+            for j in range(act + 1, n):
+                q, r = divmod(p * Bi[j] - bia * Ba[j], D)
+                assert r == 0, "inexact division in fraction-free congruence"
+                Bi[j] = q
+        D = p
+        act += 1
     return rank, sig
 
 

@@ -6,19 +6,22 @@ first curve.  It fixes the first curve up to the sign (-1)^c eps, hence
 descends to the rank-(2g-2) quotient of its perp lattice -- the
 homology of the surgered surface.  That action is read from the
 images of the quotient basis classes under the lift word; the 2g x 2g
-lift matrix is only built for `mu_tilde_matrix`.  A non-identity
-quotient action obstructs trivial monodromy; the converse direction is
-not decided here, so verdicts are worded as necessary conditions.
+lift matrix is only built for `mu_tilde_matrix`.  The quotient basis
+comes from two one-row reductions (Euclid with tracked column moves):
+one of <a,.>, whose kernel is a^perp, and one that completes a to a
+basis of that kernel.  A non-identity quotient action obstructs
+trivial monodromy; the converse direction is not decided here, so
+verdicts are worded as necessary conditions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
-from ._intlinalg import quotient_basis
 from .circuit import Circuit, _unpack
-from .homology import canon_sign, ident, pairing, transpose, word_images, word_matrix
+from .homology import canon_sign, ident, pairing, pairing_functional, transpose, word_images, word_matrix
 
 
 @dataclass(frozen=True)
@@ -75,10 +78,78 @@ def mu_tilde_matrix(c):
 def surgered_action(c) -> SurgeredAction:
     """The lifted monodromy's action on the surgered surface's homology,
     a^perp / <a> with a = g_1: the lift word applied to the deterministic
-    echelon/completion quotient basis, each image read in its coordinates.
+    basis from quotient_basis, each image read in its coordinates.
     """
     circ = _require_untwisted_closed(c)
     return _action_of(circ.curves[0], mu_tilde_word(circ))
+
+
+def _row_reduce(r):
+    """Euclid on one integer row r, tracking the column moves.
+
+    Returns (d, U, Ui) with r U = (d, 0, ..., 0) and d >= 0 the gcd of r;
+    U is unimodular, given as its list of columns, and Ui = U^-1 as its
+    list of rows.  Each round moves the entry of least absolute value
+    (the first on a tie) to the front and reduces every other entry by
+    its floor quotient, until the rest are zero; then a negative d is
+    negated.
+    """
+    n = len(r)
+    h = list(r)
+    U = list(ident(n))
+    Ui = list(ident(n))
+    while any(h[1:]):
+        p = min((abs(x), j) for j, x in enumerate(h) if x)[1]
+        h[0], h[p] = h[p], h[0]
+        U[0], U[p] = U[p], U[0]
+        Ui[0], Ui[p] = Ui[p], Ui[0]
+        d = h[0]
+        for j in range(1, n):
+            q = h[j] // d
+            if q:
+                h[j] -= q * d
+                U[j] = [x - q * y for x, y in zip(U[j], U[0])]
+                Ui[0] = [x + q * y for x, y in zip(Ui[0], Ui[j])]
+    if h[0] < 0:
+        h[0] = -h[0]
+        U[0] = [-x for x in U[0]]
+        Ui[0] = [-x for x in Ui[0]]
+    return h[0], U, Ui
+
+
+def quotient_basis(a):
+    """Basis of the lattice a^perp / <a> for primitive a, with coordinates.
+
+    Returns (qbasis, coords): qbasis is a list of len(a)-2 classes whose
+    images form a basis of the quotient, and coords maps any x with
+    <a,x> = 0 to its coefficient vector over that basis (discarding the
+    a-component).  Deterministic: reducing <a,.> gives a basis U whose
+    columns after the first span a^perp; reducing a's coordinates over
+    those columns completes a to a basis of a^perp, a first.
+    """
+    n = len(a)
+    d, U, Ui = _row_reduce(pairing_functional(a))
+    if d != 1:
+        # <a,.> is onto Z exactly when a is primitive
+        raise ValueError("quotient base class must be primitive, got %r" % (a,))
+    K, Ki = U[1:], Ui[1:]  # a^perp has basis K; Ki gives coordinates over it
+    h, V, Vi = _row_reduce([sum(map(mul, row, a)) for row in Ki])
+    assert h == 1, "completion failed"
+    # the basis K Vi^T of a^perp; its first class is a itself
+    KP = [tuple(sum(map(mul, v, k)) for k in zip(*K)) for v in Vi]
+    assert KP[0] == tuple(a), "completion lost the base class"
+    # coordinates of x: row 0 of Ui is <a,.>, the other rows are V^T Ki without a's row
+    rows = [Ui[0]] + [[sum(map(mul, v, k)) for k in zip(*Ki)] for v in V[1:]]
+
+    def coords(x):
+        if len(x) != n:
+            raise ValueError("genus mismatch")
+        w = [sum(map(mul, row, x)) for row in rows]
+        if w[0]:
+            raise ValueError("class %r does not pair to zero with %r" % (x, a))
+        return tuple(w[1:])
+
+    return KP[1:], coords
 
 
 def _action_of(a, word) -> SurgeredAction:

@@ -5,17 +5,19 @@ equation over the integers, so chains and closed circuits of any genus
 can be sampled without rejection storms.  Also the reference
 classifier that genus1.classify is compared against, the
 move-by-move reference for the seeded generator, the eager linking
-matrix, and the matrix-based surgered action and verdict.
+matrix, and the matrix-based surgered action and verdict.  The general
+column-echelon reduction `colreduce` backs `solve_int`, and
+`quotient_basis_by_echelon`, built on two of its passes, is the
+reference for monodromy.quotient_basis.
 """
 
 import random
 from math import gcd
 
-from sdcalc._intlinalg import colreduce, pairing_functional, quotient_basis
 from sdcalc.circuit import Circuit, normalize
 from sdcalc.genus1 import Classification, SumForm, _window_coefficients, normalize_sum
 from sdcalc.handles import fiber_framing
-from sdcalc.homology import add, ident, matvec, pairing, scale, transpose
+from sdcalc.homology import add, ident, matvec, pairing, pairing_functional, scale, transpose
 from sdcalc.monodromy import SurgeredAction, Verdict, mu_tilde_matrix
 from sdcalc.subst import (
     Detection,
@@ -25,6 +27,107 @@ from sdcalc.subst import (
     apply_stabilization,
     contract,
 )
+
+
+def colreduce(rows):
+    """Column-echelon reduction over Z.
+
+    Returns (H, U, Uinv) with A*U = H, U unimodular, H in column
+    echelon form with positive leading entries.  Rows of Uinv are the
+    coordinates of the standard basis over U's columns.
+    """
+    m = len(rows)
+    n = len(rows[0])
+    H = [list(r) for r in rows]
+    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    Ui = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def colop_add(src, dst, c):
+        # col dst += c * col src; inverse tracked on Ui rows
+        for t in range(m):
+            H[t][dst] += c * H[t][src]
+        for t in range(n):
+            U[t][dst] += c * U[t][src]
+        for t in range(n):
+            Ui[src][t] -= c * Ui[dst][t]
+
+    def colop_swap(i, j):
+        for t in range(m):
+            H[t][i], H[t][j] = H[t][j], H[t][i]
+        for t in range(n):
+            U[t][i], U[t][j] = U[t][j], U[t][i]
+        Ui[i], Ui[j] = Ui[j], Ui[i]
+
+    def colop_neg(i):
+        for t in range(m):
+            H[t][i] = -H[t][i]
+        for t in range(n):
+            U[t][i] = -U[t][i]
+        for t in range(n):
+            Ui[i][t] = -Ui[i][t]
+
+    row = 0
+    col = 0
+    while row < m and col < n:
+        while True:
+            nz = [j for j in range(col, n) if H[row][j] != 0]
+            if not nz:
+                break
+            jmin = min(nz, key=lambda j: abs(H[row][j]))
+            if jmin != col:
+                colop_swap(col, jmin)
+            done = all(H[row][j] % H[row][col] == 0 for j in nz)
+            for j in range(col, n):
+                if j != col and H[row][j] != 0:
+                    colop_add(col, j, -(H[row][j] // H[row][col]))
+            if done:
+                break
+        if H[row][col] != 0:
+            if H[row][col] < 0:
+                colop_neg(col)
+            col += 1
+        row += 1
+    return H, U, Ui
+
+
+def quotient_basis_by_echelon(a):
+    """Basis of the lattice a^perp / <a> for primitive a, with coordinates.
+
+    Returns (qbasis, coords): qbasis is a list of len(a)-2 classes whose
+    images form a basis of the quotient, and coords maps any x with
+    <a,x> = 0 to its coefficient vector over that basis (discarding the
+    a-component).  Deterministic: built from the echelon kernel of the
+    pairing functional, then a unimodular completion putting a first.
+    """
+    n = len(a)
+    H, U, Ui = colreduce([pairing_functional(a)])
+    if H[0][0] != 1:
+        # <a,.> is onto Z exactly when a is primitive
+        raise ValueError("quotient base class must be primitive, got %r" % (a,))
+    # write a in U-coordinates; it lies in the kernel part (columns 1..n-1)
+    w = [sum(Ui[i][j] * a[j] for j in range(n)) for i in range(n)]
+    assert w[0] == 0, "base class not in its own perp"
+    m = n - 1
+    # second reduction: w[1:] V = (1, 0, ..., 0), so P = V^T maps it to e_1
+    h, V, Vinv = colreduce([w[1:]])
+    assert h[0][0] == 1, "completion failed"
+
+    # kernel lattice basis K = U[:, 1:]; quotient basis = columns 1.. of K P^-1
+    # with P^-1 = Vinv^T (column 0 of K P^-1 is a itself)
+    KP = [[sum(U[i][1 + t] * Vinv[j][t] for t in range(m)) for j in range(m)] for i in range(n)]
+    first = tuple(KP[i][0] for i in range(n))
+    assert first == tuple(a), "completion lost the base class"
+    qbasis = [tuple(KP[i][j] for i in range(n)) for j in range(1, m)]
+
+    def coords(x):
+        if len(x) != n:
+            raise ValueError("genus mismatch")
+        w = [sum(Ui[i][j] * x[j] for j in range(n)) for i in range(n)]
+        if w[0] != 0:
+            raise ValueError("class %r does not pair to zero with %r" % (x, a))
+        return tuple(sum(V[t][i] * w[1 + t] for t in range(m)) for i in range(1, m))
+
+    return qbasis, coords
 
 
 def solve_int(rows, b):
@@ -213,7 +316,7 @@ def induced_action(a, m) -> SurgeredAction:
     basis as monodromy.surgered_action.
     """
     a = tuple(a)
-    qb, coords = quotient_basis(a)
+    qb, coords = quotient_basis_by_echelon(a)
     matrix = transpose([coords(matvec(m, q)) for q in qb])
     return SurgeredAction(
         base_class=a, quotient_rank=len(qb), matrix=matrix, basis=tuple(qb)

@@ -20,6 +20,7 @@ from sdcalc.homology import (
     is_symplectic,
     matvec,
     pairing,
+    pairing_functional,
     scale,
     twist_apply,
     twist_matrix,
@@ -27,7 +28,6 @@ from sdcalc.homology import (
 )
 from sdcalc.monodromy import mu_tilde_matrix, surgered_action, verdict
 from sdcalc.subst import apply_blowup, apply_stabilization, detect, hayano_surgery
-from sdcalc._intlinalg import pairing_functional
 
 from support import induced_action, rand_chain, rand_closed, rand_next, rand_primitive, solve_int
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdcalc.handles
-from sdcalc._intlinalg import suffix_spanners, symmetric_invariants
 from sdcalc.circuit import Circuit, generate, generate_trace, normalize, switch
 from sdcalc.handles import (
     KirbyData,
@@ -18,6 +17,8 @@ from sdcalc.handles import (
     form_invariants,
     linking,
     linking_matrix,
+    suffix_spanners,
+    symmetric_invariants,
     to_blf,
 )
 from sdcalc.homology import add, pairing, scale

@@ -11,18 +11,29 @@ from sdcalc.homology import (
     is_symplectic,
     matvec,
     pairing,
+    pairing_functional,
     scale,
     twist_matrix,
     word_matrix,
 )
-from sdcalc.monodromy import mu_tilde_matrix, mu_tilde_word, surgered_action, verdict
+from sdcalc.monodromy import (
+    _row_reduce,
+    mu_tilde_matrix,
+    mu_tilde_word,
+    quotient_basis,
+    surgered_action,
+    verdict,
+)
 
 from support import (
+    colreduce,
     induced_action,
+    quotient_basis_by_echelon,
     rand_chain,
     rand_closed,
     rand_next,
     rand_primitive,
+    solve_int,
     surgered_action_by_matrix,
     verdict_by_matrix,
 )
@@ -126,9 +137,6 @@ def test_induced_action_shape():
 def test_quotient_basis_completes_a_unimodular_basis():
     # a, the quotient basis and any d with <a, d> = 1 form a basis of Z^2g,
     # and coords reads off the coefficients over the quotient basis
-    from support import solve_int
-    from sdcalc._intlinalg import colreduce, pairing_functional, quotient_basis
-
     rng = random.Random(21)
     for g in (1, 2, 3, 5):
         for _ in range(60):
@@ -144,6 +152,69 @@ def test_quotient_basis_completes_a_unimodular_basis():
             assert coords(x) == tuple(cs)
             with pytest.raises(ValueError, match="pair to zero"):
                 coords(d)
+
+
+def _as_lists(d, U, Ui):
+    return d, [list(v) for v in U], [list(v) for v in Ui]
+
+
+def _row_reduce_by_echelon(r):
+    # d = H[0][0], U as its columns, Ui as its rows
+    H, U, Ui = colreduce([r])
+    return _as_lists(H[0][0], zip(*U), Ui)
+
+
+ROWS = [
+    [0],
+    [0, 0, 0, 0],
+    [-7],
+    [0, 0, 5, 0],
+    [0, -3, 0, 0, 0, 0],
+    [6, -4, 9, 4],  # negative smallest entry, tied with a positive one after it
+    [4, -4, 4, -4, 6],  # tied magnitudes
+    [-4, 4, -6],
+    [10 ** 30, 10 ** 30 + 1, -(10 ** 30) + 7, 3 * 10 ** 29],
+    [-(10 ** 30) - 1, 2 * 10 ** 30 + 3],
+]
+
+
+def test_row_reduce_matches_column_echelon():
+    rng = random.Random(90)
+    rows = list(ROWS)
+    for _ in range(600):
+        lim = rng.choice((1, 3, 20, 10 ** 6, 10 ** 30))
+        rows.append([rng.choice((0, rng.randint(-lim, lim))) for _ in range(rng.randint(1, 16))])
+    for r in rows:
+        assert _as_lists(*_row_reduce(r)) == _row_reduce_by_echelon(r), r
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 5, 8])
+def test_quotient_basis_matches_echelon_oracle(g):
+    rng = random.Random(40 + g)
+    n = 2 * g
+    for _ in range(40):
+        a = rand_primitive(rng, g, rng.choice((1, 4, 50, 10 ** 6)))
+        qb, coords = quotient_basis(a)
+        qb_ref, coords_ref = quotient_basis_by_echelon(a)
+        assert qb == qb_ref
+        d, kernel = solve_int([pairing_functional(a)], [1])
+        for _ in range(5):
+            cs = [rng.randint(-9, 9) for _ in kernel]
+            x = tuple(sum(c * k[i] for c, k in zip(cs, kernel)) for i in range(n))
+            assert coords(x) == coords_ref(x)
+        for x in (d, (0,) * (n + 2), (0,) * (n - 1)):
+            with pytest.raises(ValueError) as got:
+                coords(x)
+            with pytest.raises(ValueError) as want:
+                coords_ref(x)
+            assert str(got.value) == str(want.value)
+        k = rng.choice((2, -3, 6))
+        for b in ((0,) * n, tuple(k * t for t in a)):
+            with pytest.raises(ValueError) as got:
+                quotient_basis(b)
+            with pytest.raises(ValueError) as want:
+                quotient_basis_by_echelon(b)
+            assert str(got.value) == str(want.value)
 
 
 def test_induced_action_rejects_imprimitive_base():

@@ -121,7 +121,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 """
 
 BASE = {"sdcalc.cli", "sdcalc.circuit", "sdcalc.homology"}
-HANDLES = BASE | {"sdcalc._intlinalg", "sdcalc.handles"}
+HANDLES = BASE | {"sdcalc.handles"}
 CLASSIFY = BASE | {"sdcalc.subst", "sdcalc.genus1"}
 
 SUBCOMMANDS = [
@@ -136,7 +136,7 @@ SUBCOMMANDS = [
     (["info", "two.sd"], HANDLES),
     (["blf", "two.sd"], HANDLES),
     (["kirby", "two.sd"], HANDLES),
-    (["monodromy", "genus2.sd"], BASE | {"sdcalc._intlinalg", "sdcalc.monodromy"}),
+    (["monodromy", "genus2.sd"], BASE | {"sdcalc.monodromy"}),
 ]
 
 
@@ -152,7 +152,7 @@ def test_each_subcommand_imports_only_what_it_runs(argv, loaded):
     ("import sdcalc", set()),
     ("import sdcalc.cli", BASE),
     ("import sdcalc; sdcalc.monodromy",
-     {"sdcalc.circuit", "sdcalc.homology", "sdcalc._intlinalg", "sdcalc.monodromy"}),
+     {"sdcalc.circuit", "sdcalc.homology", "sdcalc.monodromy"}),
     ("from sdcalc import classify", CLASSIFY - {"sdcalc.cli"}),
 ], ids=["sdcalc", "sdcalc.cli", "submodule", "function"])
 def test_imports_load_no_more_than_they_need(statement, loaded):
