@@ -148,7 +148,7 @@ def normalize(raw, closed: bool, switch_matrix=None) -> Circuit:
         raise CurveError("closed circuit needs at least 2 curves")
     g = genus_of(raw[0])
     for i, v in enumerate(raw, start=1):
-        if genus_of(v) != g:
+        if len(v) != 2 * g and genus_of(v) != g:
             raise CurveError("curve %d: genus mismatch" % i, i)
         if not is_primitive(v):
             raise CurveError("curve %d: not primitive" % i, i)
@@ -212,22 +212,21 @@ def switch(d, k: int = 1):
     returns the same kind.
 
     The closing sign e = <mu g_c, g_1> is the same after every switch, so
-    c forward switches of a normalized circuit give e^(c-1) mu g_i in
-    every slot, and c backward ones e mu^-1 g_i.  With |k| = q c + r,
-    1 <= r <= c, this takes r single switches (the first normalizes the
-    input) and then applies mu^(+-q) by squaring: O(c + log|k|) matrix
-    work, not O(|k| c).
+    on a normalized circuit a forward switch gives (mu g_c, e g_1, ...,
+    e g_{c-1}) and a backward one (g_2, ..., g_c, e mu^-1 g_1), and c
+    forward switches give e^(c-1) mu g_i in every slot, c backward ones
+    e mu^-1 g_i.  With |k| = q c + r + 1, 0 <= r < c, this takes one
+    single switch (which normalizes the input), the next r at once by
+    that rule, and then mu^(+-q) by squaring: O(c + log|k|) matrix work,
+    not O(|k| c).  Like sp_inv, this reads mu as symplectic.
     """
     circ, mu = _unpack(d)
     if not circ.closed:
         raise ValueError("switch needs a closed circuit")
     cur = list(circ.curves)
     mu_inv = None if mu is None or k >= 0 else sp_inv(mu)
-    q = r = 0
     if k:
-        q, r = divmod(abs(k) - 1, len(cur))
-        r += 1  # |k| = q c + r with 1 <= r <= c
-    for _ in range(r):
+        q, r = divmod(abs(k) - 1, len(cur))  # |k| = q c + r + 1, 0 <= r < c
         if k > 0:
             last = cur[-1] if mu is None else matvec(mu, cur[-1])
             cur = [last] + cur[:-1]
@@ -235,12 +234,19 @@ def switch(d, k: int = 1):
             first = cur[0] if mu_inv is None else matvec(mu_inv, cur[0])
             cur = cur[1:] + [first]
         cur = list(normalize(cur, True, mu).curves)
-    if q:
         last = cur[-1] if mu is None else matvec(mu, cur[-1])
         e = pairing(last, cur[0])
-        sign = e ** (q * (len(cur) - 1) if k > 0 else q)
-        m = None if mu is None else mat_pow(mu if k > 0 else mu_inv, q)
-        cur = [scale(sign, v if m is None else matvec(m, v)) for v in cur]
+        if r and k > 0:
+            moved = cur[-r:] if mu is None else [matvec(mu, v) for v in cur[-r:]]
+            s = e ** (r - 1)
+            cur = [scale(s, v) for v in moved] + [scale(s * e, v) for v in cur[:-r]]
+        elif r:
+            moved = cur[:r] if mu_inv is None else [matvec(mu_inv, v) for v in cur[:r]]
+            cur = cur[r:] + [scale(e, v) for v in moved]
+        if q:
+            sign = e ** (q * (len(cur) - 1) if k > 0 else q)
+            m = None if mu is None else mat_pow(mu if k > 0 else mu_inv, q)
+            cur = [scale(sign, v if m is None else matvec(m, v)) for v in cur]
     return _repack(d, normalize(cur, True, mu))
 
 

@@ -238,7 +238,7 @@ def _color_enabled(stream):
 
 
 def _matrix_lines(m):
-    return ("  " + " ".join("%3d" % t for t in r) for r in m)
+    return ("  " + " ".join(["%3d"] * len(r)) % tuple(r) for r in m)
 
 
 _ROWS = "\0rows\0"  # the text line and JSON value that info's and kirby's matrix rows replace

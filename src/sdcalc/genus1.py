@@ -14,9 +14,10 @@ connected sums of standard pieces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 
 from .circuit import _as_circuit, _unpack, normalize, validate
-from .homology import add, pairing, scale
+from .homology import pairing
 from .subst import Detection, _blowup_summand, _stab_summand
 
 _CLOSURES = ("Spin0", "NonSpin1", "Unclosed")
@@ -103,12 +104,12 @@ def _window_coefficients(cs) -> list:
     """k_i = <g_{i-2}, g_i> for every three consecutive entries of cs,
     checking g_i = k_i g_{i-1} - g_{i-2}."""
     ks = []
-    for i in range(2, len(cs)):
-        k = pairing(cs[i - 2], cs[i])
-        if cs[i] != add(scale(k, cs[i - 1]), scale(-1, cs[i - 2])):
+    for i, (x, y, z) in enumerate(zip(cs, cs[1:], cs[2:]), start=3):
+        k = pairing(x, z)
+        if z != tuple(map(sub, map(k.__mul__, y), x)):
             raise ValueError(
                 "curve %d does not satisfy the duality relation; "
-                "is the circuit normalized?" % (i + 1,)
+                "is the circuit normalized?" % (i,)
             )
         ks.append(k)
     return ks

@@ -76,12 +76,11 @@ class LinkingMatrix:
 
     def _closed_form_rows(self):
         cs = self.curves
-        n = len(cs)
         cols = list(zip(*cs))  # cols[2t]: a_t-coordinates, cols[2t + 1]: b_t-coordinates
         for i, v in enumerate(cs):
-            left = [0] * i
-            right = [0] * (n - i - 1)
-            for t in range(0, len(v), 2):
+            left = list(map(v[0].__mul__, cols[1][:i]))
+            right = list(map(v[1].__mul__, cols[0][i + 1:]))
+            for t in range(2, len(v), 2):
                 left = [s + v[t] * x for s, x in zip(left, cols[t + 1])]
                 right = [s + v[t + 1] * x for s, x in zip(right, cols[t][i + 1:])]
             yield tuple(left + [self.framings[i]] + right)

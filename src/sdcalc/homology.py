@@ -28,14 +28,16 @@ def genus_of(x) -> int:
 
 
 def pairing(x, y) -> int:
-    """Symplectic pairing <x,y> = sum of (n_{ai}(x) n_{bi}(y) - n_{bi}(x) n_{ai}(y))."""
-    if len(x) != len(y):
-        raise ValueError("genus mismatch: %d vs %d" % (len(x), len(y)))
+    """Symplectic pairing <x,y> = sum of (n_{ai}(x) n_{bi}(y) - n_{bi}(x) n_{ai}(y)).
+
+    One length check, then genus 1, the common case, in one expression."""
+    n = len(x)
+    if n != len(y):
+        raise ValueError("genus mismatch: %d vs %d" % (n, len(y)))
+    if n == 2:
+        return x[0] * y[1] - x[1] * y[0]
     genus_of(x)
-    s = 0
-    for i in range(0, len(x), 2):
-        s += x[i] * y[i + 1] - x[i + 1] * y[i]
-    return s
+    return sum(map(mul, x[::2], y[1::2])) - sum(map(mul, x[1::2], y[::2]))
 
 
 def pairing_functional(x):
@@ -48,10 +50,7 @@ def pairing_functional(x):
 
 def is_primitive(x) -> bool:
     """True iff gcd of the entries is 1 (zero vector gives False)."""
-    g = 0
-    for v in x:
-        g = gcd(g, v)
-    return g == 1
+    return gcd(*x) == 1
 
 
 def add(x, y):
@@ -161,7 +160,8 @@ def word_images(word, xs):
     The word may be any iterable; it is read once and every factor is
     checked before any image is computed: nonzero exponent, primitive
     axis of the classes' genus.  Each factor then costs one pairing per
-    class, through the axis's pairing functional scaled by the exponent.
+    class, through the axis's pairing functional; with no classes only
+    the checks run.
     """
     xs = list(xs)
     n = 2 * genus_of(xs[0]) if xs else None
@@ -176,15 +176,17 @@ def word_images(word, xs):
             raise ValueError("word exponents must be nonzero")
         genus_of(axis)
         _require_axis(axis)
-        factors.append((axis, [exp * t for t in pairing_functional(axis)]))
-    out = []
-    for x in xs:
-        for axis, f in factors:
-            c = sum(map(mul, f, x))
+        factors.append((axis, exp))
+    if not xs:
+        return []
+    images = [list(x) for x in xs]
+    for axis, exp in factors:
+        f = pairing_functional(axis)
+        for x in images:
+            c = exp * sum(map(mul, f, x))
             if c:
-                x = [a + c * b for a, b in zip(x, axis)]
-        out.append(tuple(x))
-    return out
+                x[:] = [a + c * b for a, b in zip(x, axis)]
+    return [tuple(x) for x in images]
 
 
 def apply_word(word, x):

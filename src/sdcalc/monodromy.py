@@ -17,7 +17,7 @@ verdicts are worded as necessary conditions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul
 from typing import Optional
 
 from .circuit import Circuit, _unpack
@@ -65,7 +65,7 @@ def mu_tilde_word(c):
     word = []
     for x, nxt in zip(ext, ext[1:]):
         p = pairing(x, nxt)
-        word.append((canon_sign(tuple(b + p * a for a, b in zip(x, nxt))), 1))
+        word.append((canon_sign(tuple(map(add, nxt, map(p.__mul__, x)))), 1))
     return tuple(word)
 
 

@@ -15,10 +15,11 @@ as such.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Optional
 
 from .circuit import _clip, _clip_int, _repack, _unpack, normalize, rotate_to_front
-from .homology import add, canon_sign, pairing, scale, twist_apply
+from .homology import canon_sign, pairing, scale, twist_apply
 
 
 @dataclass(frozen=True)
@@ -118,13 +119,18 @@ def _norm_window(win):
     return out
 
 
+def _opposite(x, y):
+    """True iff y = -x."""
+    return not any(map(add, x, y))
+
+
 def _blowup_exponent(x, y, z):
     """Exponent of an oriented blow-up window (x, y, z), or None.
 
     The window matches when y = +-(x + z); the exponent is -<x,z>.
     """
-    s = add(x, z)
-    if y != s and y != scale(-1, s):
+    s = tuple(map(add, x, z))
+    if y != s and not _opposite(y, s):
         return None
     e = -pairing(x, z)
     assert abs(e) == 1
@@ -136,9 +142,9 @@ def _stab_power(x, y, z, w):
 
     The window matches when w = -y and z + x = k y.
     """
-    if w != scale(-1, y):
+    if not _opposite(w, y):
         return None
-    num = add(z, x)
+    num = tuple(map(add, z, x))
     k = next((n // t for n, t in zip(num, y) if t), None)
     return k if k is not None and num == scale(k, y) else None
 
@@ -153,52 +159,37 @@ def detect(d):
     z = -x, reported with the minimal-|k| representative (k = 0, dual =
     the middle curve).  Overlapping patterns are all reported.  For a
     twisted diagram only seam-free windows are scanned.
+
+    The curves are oriented once, as one chain, and every window is a
+    slice of it.  A window oriented on its own differs from that slice
+    by at most an overall sign, which changes no match, exponent or
+    canonical dual.  Only the entries some window reads are oriented:
+    for a twisted diagram none past g_c.
     """
     circ, mu = _unpack(d)
     if not circ.closed:
         raise ValueError("detection needs a closed circuit")
     c = circ.length
     homological = circ.genus >= 2
-    last3 = c if mu is None else c - 2  # twisted: window must not wrap
-    last4 = c if mu is None else c - 3
+    # n3 3-windows and n4 4-windows are scanned; a twisted one must not wrap
+    n3 = 0 if c < 3 else c if mu is None else c - 2
+    n4 = 0 if c < 4 else c if mu is None else c - 3
     ext = circ.extended(3)
+    chain = _norm_window(ext[:max(n3 + 2, n4 + 3)]) if n3 else []
     out = []
-    for pos in range(1, c + 1):
-        if c >= 3 and pos <= last3:
-            x, y, z = _norm_window(ext[pos - 1:pos + 2])
-            e = _blowup_exponent(x, y, z)
-            if e is not None:
-                out.append(
-                    Detection(
-                        kind="BlowUp",
-                        position=pos,
-                        exponent=e,
-                        summand=_blowup_summand(e),
-                        homological_only=homological,
-                    )
-                )
-            if z == scale(-1, x):
-                out.append(
-                    Detection(
-                        kind="HayanoPattern",
-                        position=pos,
-                        k=0,
-                        dual=canon_sign(y),
-                        homological_only=homological,
-                    )
-                )
-        if c >= 4 and pos <= last4:
-            k = _stab_power(*_norm_window(ext[pos - 1:pos + 3]))
-            if k is not None:
-                out.append(
-                    Detection(
-                        kind="Stabilization",
-                        position=pos,
-                        k=k,
-                        summand=_stab_summand(k),
-                        homological_only=homological,
-                    )
-                )
+    for i in range(n3):
+        x, y, z = chain[i:i + 3]
+        e = _blowup_exponent(x, y, z)
+        if e is not None:
+            out.append(Detection(kind="BlowUp", position=i + 1, exponent=e,
+                                 summand=_blowup_summand(e), homological_only=homological))
+        if _opposite(x, z):
+            out.append(Detection(kind="HayanoPattern", position=i + 1, k=0,
+                                 dual=canon_sign(y), homological_only=homological))
+        k = _stab_power(x, y, z, chain[i + 3]) if i < n4 else None
+        if k is not None:
+            out.append(Detection(kind="Stabilization", position=i + 1, k=k,
+                                 summand=_stab_summand(k), homological_only=homological))
     return out
 
 

@@ -5,7 +5,8 @@ equation over the integers, so chains and closed circuits of any genus
 can be sampled without rejection storms.  Also the reference
 classifier that genus1.classify is compared against, the
 move-by-move reference for the seeded generator, the eager linking
-matrix, and the matrix-based surgered action and verdict.  The general
+matrix, the matrix-based surgered action and verdict, and the
+window-by-window detector that subst.detect is compared against.  The general
 column-echelon reduction `colreduce` backs `solve_int`, and
 `quotient_basis_by_echelon`, built on two of its passes, is the
 reference for monodromy.quotient_basis.
@@ -14,10 +15,11 @@ reference for monodromy.quotient_basis.
 import random
 from math import gcd
 
-from sdcalc.circuit import Circuit, normalize
+from sdcalc.circuit import Circuit, Diagram, normalize
 from sdcalc.genus1 import Classification, SumForm, _window_coefficients, normalize_sum
 from sdcalc.handles import fiber_framing
-from sdcalc.homology import add, ident, matvec, pairing, pairing_functional, scale, transpose
+from sdcalc.homology import (add, canon_sign, ident, matvec, pairing, pairing_functional, scale,
+                             transpose)
 from sdcalc.monodromy import SurgeredAction, Verdict, mu_tilde_matrix
 from sdcalc.subst import (
     Detection,
@@ -271,6 +273,63 @@ def classify_by_contract(circ) -> Classification:
     return Classification(
         canonical_forms=forms, reduction_trace=tuple(trace), counts=total
     )
+
+
+def _oriented_window(win):
+    out = [win[0]]
+    for v in win[1:]:
+        p = pairing(out[-1], v)
+        assert abs(p) == 1, "window from a valid circuit must chain with +-1"
+        out.append(v if p == 1 else scale(-1, v))
+    return out
+
+
+def _window_blowup_exponent(x, y, z):
+    s = add(x, z)
+    if y != s and y != scale(-1, s):
+        return None
+    e = -pairing(x, z)
+    assert abs(e) == 1
+    return e
+
+
+def _window_stab_power(x, y, z, w):
+    if w != scale(-1, y):
+        return None
+    num = add(z, x)
+    k = next((n // t for n, t in zip(num, y) if t), None)
+    return k if k is not None and num == scale(k, y) else None
+
+
+def detect_by_windows(d):
+    """Reference for subst.detect: every 3- and 4-window of the extended
+    circuit is oriented on its own, from its first curve, and matched
+    against the patterns with fresh add/scale temporaries."""
+    circ, mu = (d.circuit, d.switch_matrix) if isinstance(d, Diagram) else (d, None)
+    if not circ.closed:
+        raise ValueError("detection needs a closed circuit")
+    c = circ.length
+    homological = circ.genus >= 2
+    last3 = c if mu is None else c - 2  # twisted: window must not wrap
+    last4 = c if mu is None else c - 3
+    ext = circ.extended(3)
+    out = []
+    for pos in range(1, c + 1):
+        if c >= 3 and pos <= last3:
+            x, y, z = _oriented_window(ext[pos - 1:pos + 2])
+            e = _window_blowup_exponent(x, y, z)
+            if e is not None:
+                out.append(Detection(kind="BlowUp", position=pos, exponent=e,
+                                     summand=_blowup_summand(e), homological_only=homological))
+            if z == scale(-1, x):
+                out.append(Detection(kind="HayanoPattern", position=pos, k=0,
+                                     dual=canon_sign(y), homological_only=homological))
+        if c >= 4 and pos <= last4:
+            k = _window_stab_power(*_oriented_window(ext[pos - 1:pos + 3]))
+            if k is not None:
+                out.append(Detection(kind="Stabilization", position=pos, k=k,
+                                     summand=_stab_summand(k), homological_only=homological))
+    return out
 
 
 def generate_by_moves(seed, steps):

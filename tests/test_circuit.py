@@ -18,7 +18,7 @@ from sdcalc.circuit import (
     validate,
 )
 from sdcalc.cli import parse
-from sdcalc.homology import canon_sign, matvec, pairing, sp_inv, twist_matrix
+from sdcalc.homology import canon_sign, matvec, pairing, scale, sp_inv, twist_matrix
 
 from support import generate_by_moves, rand_closed
 
@@ -213,6 +213,20 @@ def test_switch_matches_step_loop():
         c = d.circuit.length
         for k in range(-3 * c, 3 * c + 1):
             assert switch(d, k) == _switch_by_steps(d, k), (d, k)
+
+
+def test_switch_closed_form_matches_step_loop_on_random_twisted_diagrams():
+    rng = random.Random(23)
+    for _ in range(30):
+        circ = rand_closed(rng, rng.choice((1, 2, 3)), rng.randint(2, 7))
+        # a twist about g_1 keeps <mu g_c, g_1> = <g_c, g_1>; the sign flips
+        # leave the first single switch to normalize
+        mu = twist_matrix(circ.curves[0], rng.choice((-2, -1, 1, 3)))
+        raw = Circuit(tuple(scale(rng.choice((1, -1)), v) for v in circ), True)
+        for d in (Diagram(circ, mu), Diagram(raw, mu), Diagram(raw)):
+            c = circ.length
+            for k in range(-2 * c - 1, 2 * c + 2):
+                assert switch(d, k) == _switch_by_steps(d, k), (d, k)
 
 
 def test_switch_requires_closed():

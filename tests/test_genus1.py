@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sdcalc.circuit import Diagram, generate, normalize, rotate_to_front
+from sdcalc.circuit import Circuit, Diagram, generate, normalize, rotate_to_front
 from sdcalc.genus1 import (
     CanonicalForm,
     SumForm,
@@ -40,6 +40,37 @@ def test_duality_relation_holds():
             k = ks[i - 2]
             assert ch[i] == add(scale(k, ch[i - 1]), scale(-1, ch[i - 2]))
             assert k == pairing(ch[i - 2], ch[i])
+
+
+def coefficients_by_loop(cs):
+    ks = []
+    for i in range(2, len(cs)):
+        k = pairing(cs[i - 2], cs[i])
+        if cs[i] != add(scale(k, cs[i - 1]), scale(-1, cs[i - 2])):
+            raise ValueError(
+                "curve %d does not satisfy the duality relation; "
+                "is the circuit normalized?" % (i + 1,)
+            )
+        ks.append(k)
+    return ks
+
+
+def test_duality_check_matches_plain_loop_on_unnormalized_chains():
+    rng = random.Random(43)
+    raised = 0
+    for _ in range(300):
+        ch = rand_chain(rng, 1, rng.randint(3, 9), lim=rng.choice((1, 2, 3)))
+        curves = [scale(rng.choice((1, 1, -1)), v) for v in ch.curves]
+        try:
+            want = coefficients_by_loop(curves)
+        except ValueError as exc:
+            raised += 1
+            with pytest.raises(ValueError) as err:
+                duality_coefficients(Circuit(tuple(curves), False))
+            assert str(err.value) == str(exc)
+        else:
+            assert duality_coefficients(Circuit(tuple(curves), False)) == want
+    assert 100 < raised < 300
 
 
 def test_duality_needs_genus_one():

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -64,6 +65,55 @@ def test_pairing_antisymmetric(x, y):
 def test_pairing_bilinear(x, y, z, s, t):
     left = pairing(add(scale(s, x), scale(t, y)), z)
     assert left == s * pairing(x, z) + t * pairing(y, z)
+
+
+def pairing_by_loop(x, y):
+    if len(x) != len(y):
+        raise ValueError("genus mismatch: %d vs %d" % (len(x), len(y)))
+    genus_of(x)
+    s = 0
+    for i in range(0, len(x), 2):
+        s += x[i] * y[i + 1] - x[i + 1] * y[i]
+    return s
+
+
+def is_primitive_by_loop(x):
+    g = 0
+    for v in x:
+        g = gcd(g, v)
+    return g == 1
+
+
+def test_pairing_and_is_primitive_match_plain_loops():
+    rng = random.Random(41)
+    for _ in range(2000):
+        g = rng.choice((1, 1, 2, 3, 5, 8))
+        lim = rng.choice((1, 3, 10 ** 6, 10 ** 40))
+        x, y = ([rng.randint(-lim, lim) for _ in range(2 * g)] for _ in range(2))
+        for u, v in ((x, y), (tuple(x), tuple(y)), (x, tuple(y))):
+            assert pairing(u, v) == pairing_by_loop(u, v)
+        assert is_primitive(x) == is_primitive(tuple(x)) == is_primitive_by_loop(x)
+        # the gcd of a multiple is a multiple
+        k = rng.choice((0, -1, 2, -6))
+        assert is_primitive(scale(k, x)) == is_primitive_by_loop(scale(k, x))
+    for x in ((), (0,), (0, 0), (1,), (-1, 0), (0, 0, 0, -1), (4, 6, 9, 0)):
+        assert is_primitive(x) == is_primitive_by_loop(x)
+
+
+@pytest.mark.parametrize("x, y, message", [
+    ((), (), "coefficient vector must have positive even length, got 0"),
+    ((1,), (0,), "coefficient vector must have positive even length, got 1"),
+    ((1, 0, 0), (0, 1, 0), "coefficient vector must have positive even length, got 3"),
+    ((1, 0), (1, 0, 0, 0), "genus mismatch: 2 vs 4"),
+    ((1, 0, 0, 0), (1, 0), "genus mismatch: 4 vs 2"),
+    ((1, 0), (1,), "genus mismatch: 2 vs 1"),
+    ((), (1, 0), "genus mismatch: 0 vs 2"),
+])
+def test_pairing_errors_match_plain_loop(x, y, message):
+    for f in (pairing, pairing_by_loop):
+        with pytest.raises(ValueError) as err:
+            f(x, y)
+        assert str(err.value) == message
 
 
 def test_is_primitive():

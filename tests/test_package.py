@@ -6,6 +6,7 @@ start a fresh interpreter each, because a module once imported stays in
 `sys.modules` for the rest of the process.
 """
 
+import ast
 import doctest
 import importlib
 import json
@@ -159,6 +160,26 @@ def test_imports_load_no_more_than_they_need(statement, loaded):
     proc = python("-c", PROBE.format(statement=statement))
     assert proc.returncode == 0, proc.stderr.decode()
     assert set(json.loads(proc.stdout)) == loaded
+
+
+# ---------------------------------------------------------------- source
+
+MODULES = sorted(p for p in (SRC / "sdcalc").glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_imported_name_is_used(path):
+    # __init__ is left out: it names its submodules' objects only in strings
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name: line for name, line in imported.items() if name not in used}
+    assert not unused, "%s imports names it never uses: %s" % (path.name, unused)
 
 
 # ------------------------------------------------------------- entry points

@@ -1,9 +1,11 @@
 import random
+from pathlib import Path
 
 import pytest
 
-from sdcalc.circuit import Diagram, normalize, rotate_to_front
-from sdcalc.homology import canon_sign, pairing, twist_apply, twist_matrix
+from sdcalc.circuit import Circuit, Diagram, generate, normalize, rotate_to_front
+from sdcalc.cli import parse
+from sdcalc.homology import canon_sign, pairing, scale, twist_apply, twist_matrix
 from sdcalc.subst import (
     Detection,
     apply_blowup,
@@ -13,7 +15,9 @@ from sdcalc.subst import (
     hayano_surgery,
 )
 
-from support import rand_closed
+from support import detect_by_windows, rand_closed, rand_next
+
+DATA = Path(__file__).resolve().parent / "data"
 
 TRI = normalize([(1, 0), (1, -1), (0, 1)], True)
 AB = normalize([(1, 0), (0, 1)], True)
@@ -217,3 +221,86 @@ def test_contract_then_delta_matches_twist_identity():
                        tuple(-t for t in twist_apply(AB[1], e, AB[0])))
         det = next(t for t in detect(out) if t.kind == "BlowUp" and t.position == 1)
         assert det.exponent == e == -pairing(out[0], out[2])
+
+
+# ------------------------------------------- detect against the window oracle
+
+def outcome(f, d):
+    """f(d), or the type of the exception it raised."""
+    try:
+        return f(d)
+    except Exception as exc:  # the exception type is what is compared
+        return type(exc)
+
+
+def flipped(rng, circ):
+    """The same closed circuit, built by hand with random curve signs."""
+    return Circuit(tuple(scale(rng.choice((1, -1)), v) for v in circ.curves), True)
+
+
+def substituted(rng, circ, moves):
+    """circ after random blow-ups, stabilizations and Hayano surgeries,
+    so that the oracle has patterns to find at any genus."""
+    for _ in range(moves):
+        pos = rng.randint(1, circ.length)
+        op = rng.choice(("blowup", "stab", "hayano"))
+        if op == "blowup":
+            circ = apply_blowup(circ, pos, rng.choice((1, -1)))
+        elif op == "stab":
+            circ = apply_stabilization(circ, pos, rng.randint(-3, 3))
+        else:
+            dual = rand_next(rng, circ.curves[pos - 1])
+            circ = hayano_surgery(circ, pos, dual, rng.randint(-2, 2))
+    return circ
+
+
+def test_detect_matches_window_oracle_on_generated_circuits():
+    rng = random.Random(5)
+    for seed in range(80):
+        circ, _ = generate(seed, seed % 41)
+        for d in (circ, flipped(rng, circ)):
+            assert detect(d) == detect_by_windows(d), (seed, d)
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3, 5])
+def test_detect_matches_window_oracle_on_random_circuits(genus):
+    rng = random.Random(100 + genus)
+    for _ in range(30):
+        circ = rand_closed(rng, genus, rng.randint(2, 7))
+        circ = substituted(rng, circ, rng.randint(0, 4))
+        for d in (circ, flipped(rng, circ)):
+            found = detect(d)
+            assert found == detect_by_windows(d), d
+            assert all(t.homological_only == (genus >= 2) for t in found)
+
+
+def test_detect_matches_window_oracle_on_twisted_diagrams():
+    rng = random.Random(17)
+    plain = apply_blowup(TRI, 3, 1)
+    diagrams = [parse((DATA / "twisted.sd").read_bytes()),
+                Diagram(plain, twist_matrix((1, 0), 1)),
+                Diagram(ST, twist_matrix((1, 0), -2))]
+    for _ in range(40):
+        genus = rng.choice((1, 1, 2, 3))
+        circ = substituted(rng, rand_closed(rng, genus, rng.randint(2, 6)), rng.randint(0, 3))
+        # a twist about g_1 keeps <mu g_c, g_1> = <g_c, g_1>
+        mu = twist_matrix(circ.curves[0], rng.choice((-2, -1, 1, 3)))
+        diagrams += [Diagram(circ, mu), Diagram(flipped(rng, circ), mu)]
+    for d in diagrams:
+        assert detect(d) == detect_by_windows(d), d
+
+
+@pytest.mark.parametrize("curves, closed", [
+    (((1, 0), (1, 0), (0, 1)), True),  # adjacent pairing 0
+    (((1, 0), (0, 1), (-1, 2)), True),  # closing pairing -2: the seam windows break
+    (((1, 0), (0, 1), (-1, 2), (2, 3)), True),  # adjacent pairing 7 at the end
+    (((1, 0), (0, 1), (1, 0, 0, 0)), True),  # genus mismatch
+    (((1, 0, 0), (0, 1, 0), (1, 1, 1)), True),  # odd length
+    (((1, 0), (1, 0)), True),  # too short for any window
+    (((1, 0), (0, 1), (-1, 0)), False),  # open
+])
+def test_detect_raises_what_the_window_oracle_raises(curves, closed):
+    circ = Circuit(curves, closed)
+    for d in (circ, Diagram(circ, twist_matrix((1, 0), 1)) if len(curves[0]) == 2 else circ):
+        got, want = outcome(detect, d), outcome(detect_by_windows, d)
+        assert got == want, (d, got, want)
