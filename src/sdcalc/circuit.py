@@ -16,8 +16,7 @@ negative as the same curve, and `normalize` only adjusts signs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Optional
+from collections import namedtuple
 
 from .homology import (
     genus_of,
@@ -50,10 +49,48 @@ def _clip_int(n):
     return _clip(str(n))
 
 
-@dataclass(frozen=True)
+class _Rec(tuple):
+    """Namedtuple record base: equal only to a record of its own type."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace runs a record's own checks
+        return cls(*iterable)
+
+
 class Circuit:
-    curves: tuple
-    closed: bool
+    """Immutable; iterating, len() and indexing run over the curves."""
+
+    __slots__ = __match_args__ = ("curves", "closed")
+
+    def __init__(self, curves: tuple, closed: bool):
+        object.__setattr__(self, "curves", curves)
+        object.__setattr__(self, "closed", closed)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not Circuit:
+            return NotImplemented
+        return self.curves == other.curves and self.closed == other.closed
+
+    def __hash__(self):
+        return hash((self.curves, self.closed))
+
+    def __repr__(self):
+        return "Circuit(curves=%r, closed=%r)" % (self.curves, self.closed)
 
     @property
     def genus(self) -> int:
@@ -92,19 +129,17 @@ class Circuit:
         return self.curves[i]
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(_Rec, namedtuple("Diagram", "circuit switch_matrix", defaults=(None,))):
     """A circuit with an optional switch matrix (None = untwisted)."""
 
-    circuit: Circuit
-    switch_matrix: Optional[tuple] = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    exactness: str  # "Exact" for genus 1, "HomologicalOnly" above
-    failures: tuple = field(default_factory=tuple)  # (1-based index, reason)
+class ValidationReport(_Rec, namedtuple("ValidationReport", "ok exactness failures",
+                                        defaults=((),))):
+    """exactness "Exact" for genus 1, "HomologicalOnly" above; failures (1-based index, reason)."""
+
+    __slots__ = ()
 
 
 class CurveError(ValueError):

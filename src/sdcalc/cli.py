@@ -38,7 +38,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict
 from itertools import chain
 
 from . import __version__
@@ -266,8 +265,8 @@ def _counts(f):
 
 def _forms_report(forms, counts):
     """The canonical forms in report order, and their "forms" and "counts" entries."""
-    forms = sorted(forms, key=lambda f: (f.s2xs2, f.cp2, f.cp2bar))
-    return forms, {"forms": [dict(asdict(f), pretty=f.pretty()) for f in forms],
+    forms = sorted(forms)  # CanonicalForm is a tuple (s2xs2, cp2, cp2bar)
+    return forms, {"forms": [dict(f._asdict(), pretty=f.pretty()) for f in forms],
                    "counts": _counts(counts)}
 
 
@@ -312,7 +311,7 @@ def _cmd_validate(args):
     rep = validate(d)
     text = ["%s (%s)" % ("ok" if rep.ok else "invalid", rep.exactness)]
     text += ["  curve %d: %s" % f for f in rep.failures]
-    return asdict(rep), text, 0 if rep.ok else 1, d.circuit.genus >= 2
+    return rep._asdict(), text, 0 if rep.ok else 1, d.circuit.genus >= 2
 
 
 def _cmd_info(args):
@@ -335,7 +334,7 @@ def _cmd_info(args):
         "linking_matrix": lm,
         # whether this equals the closed total space's signature is
         # only verified for genus 1
-        "form_invariants": dict(asdict(inv), signature_conjectural=g >= 2),
+        "form_invariants": dict(inv._asdict(), signature_conjectural=g >= 2),
         "euler": {"disk_piece": chi_z, "total_space": chi_x},
     }
     text = ["genus %d, length %d, %s, %s" % (
@@ -383,7 +382,7 @@ def _cmd_detect(args):
     d = _load(args.file, needs_closed=True)
     dets = detect(d)
     text = [_detection_line(t) for t in dets] or ["no substitution patterns"]
-    return {"detections": [asdict(t) for t in dets]}, text, 0, d.circuit.genus >= 2
+    return {"detections": [t._asdict() for t in dets]}, text, 0, d.circuit.genus >= 2
 
 
 def _cmd_substitute(args):
@@ -438,7 +437,7 @@ def _cmd_monodromy(args):
         "matrix": mat,
         "surgered": {"base": act.base_class, "rank": act.quotient_rank,
                      "basis": act.basis, "matrix": act.matrix},
-        "verdict": dict(asdict(ver), text=ver.text),
+        "verdict": dict(ver._asdict(), text=ver.text),
     }
     text = ["lift word (rightmost first): %s" % " ".join(str(list(a)) for a, _ in word)]
     text.append("lift matrix:")

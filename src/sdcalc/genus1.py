@@ -13,31 +13,29 @@ connected sums of standard pieces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import sub
 
-from .circuit import _as_circuit, _unpack, normalize, validate
+from .circuit import _Rec, _as_circuit, _unpack, normalize, validate
 from .homology import pairing
 from .subst import Detection, _blowup_summand, _stab_summand
 
 _CLOSURES = ("Spin0", "NonSpin1", "Unclosed")
 
 
-@dataclass(frozen=True)
-class SumForm:
+class SumForm(_Rec, namedtuple("SumForm", "l m n closure", defaults=(0, 0, 0, "Unclosed"))):
     """Connected-sum bookkeeping: l copies of S2xS2, m of CP2, n of CP2bar,
     plus which closure summand (if any) has been chosen."""
 
-    l: int = 0
-    m: int = 0
-    n: int = 0
-    closure: str = "Unclosed"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.l < 0 or self.m < 0 or self.n < 0:
             raise ValueError("summand counts must be >= 0")
         if self.closure not in _CLOSURES:
             raise ValueError("closure must be one of %s" % (_CLOSURES,))
+        return self
 
     def with_closure(self, closure: str) -> "SumForm":
         return SumForm(self.l, self.m, self.n, closure)
@@ -54,20 +52,19 @@ _DELTAS = {"CP2": SumForm(m=1), "CP2bar": SumForm(n=1), "S2xS2": SumForm(l=1),
            "CP2+CP2bar": SumForm(m=1, n=1)}
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(_Rec, namedtuple("CanonicalForm", "s2xs2 cp2 cp2bar", defaults=(0, 0, 0))):
     """Either t*(S2xS2) or m*CP2 # n*CP2bar, never a mixture."""
 
-    s2xs2: int = 0
-    cp2: int = 0
-    cp2bar: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         spin = self.s2xs2 > 0
         if spin and (self.cp2 or self.cp2bar):
             raise ValueError("canonical form mixes bundle and projective summands")
         if not spin and (self.cp2 < 1 or self.cp2bar < 1):
             raise ValueError("non-spin canonical form needs both CP2 counts >= 1")
+        return self
 
     @property
     def signature(self) -> int:
@@ -79,11 +76,10 @@ class CanonicalForm:
         return "%d*CP2 # %d*CP2bar" % (self.cp2, self.cp2bar)
 
 
-@dataclass(frozen=True)
-class Classification:
-    canonical_forms: frozenset  # one or two CanonicalForm values
-    reduction_trace: tuple  # (step, Detection, SumForm delta)
-    counts: SumForm  # accumulated (l, m, n), closure Unclosed
+class Classification(_Rec, namedtuple("Classification", "canonical_forms reduction_trace counts")):
+    """One or two CanonicalForms, the (step, Detection, SumForm delta) trace, the Unclosed total."""
+
+    __slots__ = ()
 
 
 def duality_coefficients(c) -> list:
@@ -161,7 +157,9 @@ def classify(d) -> Classification:
     blow-up, 2 for a stabilization) and changes only the two windows
     that span the gap, as blowing down a Hirzebruch-Jung string does.
     A pattern that wraps the seam is rotated to the front first, as
-    `contract` does, so the trace replays through `contract`.
+    `contract` does, so the trace replays through `contract`.  The windows
+    before a gap keep their coefficients, so each search for the first +-1
+    or 0 resumes at the last gap: linear in c behind a long untouched run.
     """
     circ, mu = _unpack(d)
     if mu is not None:
@@ -178,16 +176,18 @@ def classify(d) -> Classification:
     ks = _window_coefficients(circ.extended(2))
     total = SumForm()
     trace = []
+    lo, z = 0, 1  # ks[:lo] holds no +-1, ks[1:z] no 0
     while len(curves) > 2:
         c = len(curves)
-        j = _index(ks, -1, _index(ks, 1, c))
+        j = _index(ks, -1, _index(ks, 1, c, lo), lo)
         if j < c:
             w = 1
             det = Detection(kind="BlowUp", position=j + 1, exponent=-ks[j],
                             summand=_blowup_summand(-ks[j]))
         else:
             w = 2
-            j = _index(ks, 0, c, 1) - 1  # the first j with ks[j + 1] == 0
+            z = _index(ks, 0, c, z)
+            j = z - 1  # the first j with ks[j + 1] == 0
             if j == c - 1 and ks[0] != 0:
                 raise RuntimeError(
                     "closed genus-1 circuit of length %d with no coefficient in "
@@ -203,19 +203,13 @@ def classify(d) -> Classification:
         del curves[j + w:j + 2 * w], ks[j + w:j + 2 * w]
         for i in (j + w - 2, j + w - 1):
             ks[i] = _unoriented_k(curves, i)
+        lo, z = max(0, j + w - 2), max(1, min(z, j + w - 2))  # after a rotation j = 0
         delta = _DELTAS[det.summand]
         total = total + delta
         trace.append((len(trace) + 1, det, delta))
 
-    forms = frozenset(
-        {
-            normalize_sum(total.with_closure("Spin0")),
-            normalize_sum(total.with_closure("NonSpin1")),
-        }
-    )
-    return Classification(
-        canonical_forms=forms, reduction_trace=tuple(trace), counts=total
-    )
+    forms = frozenset(normalize_sum(total.with_closure(c)) for c in ("Spin0", "NonSpin1"))
+    return Classification(canonical_forms=forms, reduction_trace=tuple(trace), counts=total)
 
 
 def _index(seq, v, hi, lo=0):

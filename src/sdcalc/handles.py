@@ -16,13 +16,12 @@ curve j exactly when i < j.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import chain
 from operator import mul
-from typing import Optional
 
-from .circuit import _as_circuit
+from .circuit import _Rec, _as_circuit
 from .homology import twist_apply
 
 
@@ -97,27 +96,22 @@ class LinkingMatrix:
         return "LinkingMatrix(entries=%r)" % (self.entries,)
 
 
-@dataclass(frozen=True)
-class FormInvariants:
-    rank: int
-    signature: int
-    parity: str  # "Even" | "Odd"
+class FormInvariants(_Rec, namedtuple("FormInvariants", "rank signature parity")):
+    __slots__ = ()  # parity: "Even" or "Odd"
 
 
-@dataclass(frozen=True)
-class KirbyData:
-    genus: int
-    one_handles: tuple  # 2g dotted-circle labels
-    fiber_framing: int  # always 0
-    fold_handles: tuple  # (class, framing, 1-based position)
-    last_handle: Optional[int]  # section self-intersection, meridian handle
-    linking: LinkingMatrix
+class KirbyData(_Rec, namedtuple("KirbyData", "genus one_handles fiber_framing fold_handles "
+                                 "last_handle linking")):
+    """2g dotted-circle labels, fiber framing 0, fold handles (class, framing,
+    1-based position), the meridian handle's framing or None, linking matrix."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BlfData:
-    lefschetz_cycles: tuple  # (class, framing -1)
-    round_cycle: tuple  # (class, framing 0)
+class BlfData(_Rec, namedtuple("BlfData", "lefschetz_cycles round_cycle")):
+    """Lefschetz cycles (class, framing -1) and the round cycle (class, framing 0)."""
+
+    __slots__ = ()
 
 
 def fiber_framing(v) -> int:
@@ -280,7 +274,8 @@ def symmetric_invariants(entries):
     are resolved by symmetric permutation, or by a row+column addition
     when the whole remaining diagonal vanishes (a hyperbolic block,
     which contributes one positive and one negative pivot).  The true
-    k-th pivot has the sign of d_k * d_{k-1}.
+    k-th pivot has the sign of d_k * d_{k-1}.  Every division is exact:
+    both moves are congruences, so entries stay bordered minors (Sylvester).
     """
     n = len(entries)
     B = [list(row) for row in entries]
@@ -315,9 +310,7 @@ def symmetric_invariants(entries):
             Bi = B[i]
             bia = Bi[act]
             for j in range(act + 1, n):
-                q, r = divmod(p * Bi[j] - bia * Ba[j], D)
-                assert r == 0, "inexact division in fraction-free congruence"
-                Bi[j] = q
+                Bi[j] = (p * Bi[j] - bia * Ba[j]) // D
         D = p
         act += 1
     return rank, sig

@@ -16,26 +16,23 @@ verdicts are worded as necessary conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add, mul
-from typing import Optional
 
-from .circuit import Circuit, _unpack
+from .circuit import Circuit, _Rec, _unpack
 from .homology import canon_sign, ident, pairing, pairing_functional, transpose, word_images, word_matrix
 
 
-@dataclass(frozen=True)
-class SurgeredAction:
-    base_class: tuple
-    quotient_rank: int  # 2g - 2
-    matrix: tuple  # action on the quotient basis
-    basis: tuple  # classes whose images form the quotient basis
+class SurgeredAction(_Rec, namedtuple("SurgeredAction", "base_class quotient_rank matrix basis")):
+    """The action (rank 2g - 2) on the images of the basis classes."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Verdict:
-    kind: str  # "HomologicallyTrivial" | "ObstructedOnHomology"
-    witness: Optional[tuple] = None  # a basis class moved by the action
+class Verdict(_Rec, namedtuple("Verdict", "kind witness", defaults=(None,))):
+    """HomologicallyTrivial, or ObstructedOnHomology with a moved basis class."""
+
+    __slots__ = ()
 
     @property
     def text(self) -> str:
@@ -133,11 +130,10 @@ def quotient_basis(a):
         # <a,.> is onto Z exactly when a is primitive
         raise ValueError("quotient base class must be primitive, got %r" % (a,))
     K, Ki = U[1:], Ui[1:]  # a^perp has basis K; Ki gives coordinates over it
-    h, V, Vi = _row_reduce([sum(map(mul, row, a)) for row in Ki])
-    assert h == 1, "completion failed"
-    # the basis K Vi^T of a^perp; its first class is a itself
+    # a is primitive in the saturated lattice a^perp, so this gcd is 1 and
+    # row 0 of Vi is a's coordinate row: the basis K Vi^T of a^perp starts with a
+    _, V, Vi = _row_reduce([sum(map(mul, row, a)) for row in Ki])
     KP = [tuple(sum(map(mul, v, k)) for k in zip(*K)) for v in Vi]
-    assert KP[0] == tuple(a), "completion lost the base class"
     # coordinates of x: row 0 of Ui is <a,.>, the other rows are V^T Ki without a's row
     rows = [Ui[0]] + [[sum(map(mul, v, k)) for k in zip(*Ki)] for v in V[1:]]
 

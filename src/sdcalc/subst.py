@@ -14,23 +14,20 @@ as such.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add
-from typing import Optional
 
-from .circuit import _clip, _clip_int, _repack, _unpack, normalize, rotate_to_front
+from .circuit import _Rec, _clip, _clip_int, _repack, _unpack, normalize, rotate_to_front
 from .homology import canon_sign, pairing, scale, twist_apply
 
 
-@dataclass(frozen=True)
-class Detection:
-    kind: str  # "BlowUp" | "Stabilization" | "HayanoPattern"
-    position: int  # 1-based cyclic index of the pattern's first curve
-    exponent: Optional[int] = None  # blow-up twist exponent, +-1
-    k: Optional[int] = None  # stabilization twist power (0 for a Hayano match)
-    dual: Optional[tuple] = None  # Hayano: middle curve, canonical sign
-    summand: Optional[str] = None  # "CP2" | "CP2bar" | "S2xS2" | "CP2+CP2bar"
-    homological_only: bool = False
+class Detection(_Rec, namedtuple("Detection", "kind position exponent k dual summand "
+                                 "homological_only", defaults=(None, None, None, None, False))):
+    """A BlowUp, Stabilization or HayanoPattern at a 1-based cyclic position:
+    the blow-up exponent +-1, the twist power k (0 for Hayano), the Hayano
+    dual (the middle curve, canonical sign), the summand it contributes."""
+
+    __slots__ = ()
 
 
 # summand bookkeeping: a +1 blow-up inserts a -1-framed curve (CP2bar),
@@ -114,7 +111,8 @@ def _norm_window(win):
     out = [win[0]]
     for v in win[1:]:
         p = pairing(out[-1], v)
-        assert abs(p) == 1, "window from a valid circuit must chain with +-1"
+        if abs(p) != 1:
+            raise ValueError("adjacent pairing %s in a window, need +-1" % _clip_int(p))
         out.append(v if p == 1 else scale(-1, v))
     return out
 
@@ -133,7 +131,8 @@ def _blowup_exponent(x, y, z):
     if y != s and not _opposite(y, s):
         return None
     e = -pairing(x, z)
-    assert abs(e) == 1
+    if abs(e) != 1:
+        raise ValueError("blow-up window with <x,z> = %s, need +-1" % _clip_int(-e))
     return e
 
 

@@ -3,7 +3,7 @@
 Curves meeting the next curve once are produced by solving the pairing
 equation over the integers, so chains and closed circuits of any genus
 can be sampled without rejection storms.  Also the reference
-classifier that genus1.classify is compared against, the
+classifiers that genus1.classify is compared against, the
 move-by-move reference for the seeded generator, the eager linking
 matrix, the matrix-based surgered action and verdict, and the
 window-by-window detector that subst.detect is compared against.  The general
@@ -16,7 +16,8 @@ import random
 from math import gcd
 
 from sdcalc.circuit import Circuit, Diagram, normalize
-from sdcalc.genus1 import Classification, SumForm, _window_coefficients, normalize_sum
+from sdcalc.genus1 import (Classification, SumForm, _DELTAS, _index, _unoriented_k,
+                           _window_coefficients, normalize_sum)
 from sdcalc.handles import fiber_framing
 from sdcalc.homology import (add, canon_sign, ident, matvec, pairing, pairing_functional, scale,
                              transpose)
@@ -275,11 +276,61 @@ def classify_by_contract(circ) -> Classification:
     )
 
 
+def classify_by_rescan(circ) -> Classification:
+    """Reference classifier: genus1.classify's one-pass loop as it was
+    before its searches resumed from the last gap.  Every search for the
+    first +-1 or 0 starts again at index 0, so a long run of coefficients
+    that no contraction touches is rescanned on every step, O(c^2).
+    Closed genus-1 input."""
+    curves = list(circ.curves)
+    ks = _window_coefficients(circ.extended(2))
+    total = SumForm()
+    trace = []
+    while len(curves) > 2:
+        c = len(curves)
+        j = _index(ks, -1, _index(ks, 1, c))
+        if j < c:
+            w = 1
+            det = Detection(kind="BlowUp", position=j + 1, exponent=-ks[j],
+                            summand=_blowup_summand(-ks[j]))
+        else:
+            w = 2
+            j = _index(ks, 0, c, 1) - 1  # the first j with ks[j + 1] == 0
+            if j == c - 1 and ks[0] != 0:
+                raise RuntimeError("no coefficient in {-1, 0, 1}")
+            det = Detection(kind="Stabilization", position=j + 1, k=ks[j],
+                            summand=_stab_summand(ks[j]))
+        if j + w + 2 > c:  # the pattern wraps the seam
+            curves = curves[j:] + curves[:j]
+            ks = ks[j:] + ks[:j]
+            j = 0
+        del curves[j + w:j + 2 * w], ks[j + w:j + 2 * w]
+        for i in (j + w - 2, j + w - 1):
+            ks[i] = _unoriented_k(curves, i)
+        delta = _DELTAS[det.summand]
+        total = total + delta
+        trace.append((len(trace) + 1, det, delta))
+    forms = frozenset({normalize_sum(total.with_closure("Spin0")),
+                       normalize_sum(total.with_closure("NonSpin1"))})
+    return Classification(canonical_forms=forms, reduction_trace=tuple(trace), counts=total)
+
+
+def k2_chain(c) -> Circuit:
+    """The closed genus-1 circuit of c curves g_1 = (1,0), g_2 = (0,1),
+    g_i = 2 g_{i-1} - g_{i-2}, closed by (-1,1): every coefficient but
+    the last three is 2."""
+    cs = [(1, 0), (0, 1)]
+    while len(cs) < c - 1:
+        cs.append(tuple(2 * y - x for x, y in zip(cs[-2], cs[-1])))
+    return normalize(cs + [(-1, 1)], True)
+
+
 def _oriented_window(win):
     out = [win[0]]
     for v in win[1:]:
         p = pairing(out[-1], v)
-        assert abs(p) == 1, "window from a valid circuit must chain with +-1"
+        if abs(p) != 1:  # what subst.detect raises, with or without -O
+            raise ValueError("window from a valid circuit must chain with +-1")
         out.append(v if p == 1 else scale(-1, v))
     return out
 

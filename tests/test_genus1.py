@@ -13,7 +13,7 @@ from sdcalc.genus1 import (
 )
 from sdcalc.homology import add, pairing, scale, twist_matrix
 
-from support import classify_by_contract, rand_chain, rand_closed
+from support import classify_by_contract, classify_by_rescan, k2_chain, rand_chain, rand_closed
 
 TRI = normalize([(1, 0), (1, -1), (0, 1)], True)
 AB = normalize([(1, 0), (0, 1)], True)
@@ -201,6 +201,20 @@ def test_classify_matches_contract_oracle():
     for _ in range(200):
         x = rand_closed(rng, 1, rng.randint(2, 9), lim=6)
         assert classify(x) == classify_by_contract(x)
+
+
+@pytest.mark.parametrize("c", [51, 301, 1001])
+def test_classify_on_k2_chain_matches_both_oracles(c):
+    # a long run of coefficient 2 that the searches skip after each gap;
+    # the rotations move the run across the seam
+    circ = k2_chain(c)
+    for r in (0, 1, c // 3, c // 2, c - 2, c - 1):
+        x = rotate_to_front(circ, r)
+        got = classify(x)
+        assert got == classify_by_rescan(x), r
+        if c < 1001 or r in (0, c // 2):  # the contract loop takes over a second at c = 1001
+            assert got == classify_by_contract(x), r
+    assert got.counts == SumForm(m=c - 2)  # c - 2 blow-ups of exponent -1, each a CP2
 
 
 def test_classify_long_circuit():

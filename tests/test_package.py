@@ -149,6 +149,34 @@ def test_each_subcommand_imports_only_what_it_runs(argv, loaded):
     assert set(json.loads(proc.stdout)) == loaded
 
 
+HEAVY = ("dataclasses", "inspect")  # the records are tuples, so no start-up pays for these
+
+HEAVY_PROBE = """\
+import contextlib, io, json, sys
+def heavy():
+    return [m for m in {heavy!r} if m in sys.modules]
+import sdcalc.cli
+seen = {{"import sdcalc.cli": heavy()}}
+for argv in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert sdcalc.cli.run(argv) == 0
+    seen[argv[0]] = heavy()
+print(json.dumps(seen))
+"""
+
+
+def test_no_subcommand_loads_dataclasses_or_inspect():
+    bare = python("-c", "import sys; print(sorted(set(sys.modules) & %r))" % (set(HEAVY),))
+    if bare.stdout.strip() != b"[]":
+        pytest.skip("a bare interpreter already loads %s" % bare.stdout.decode().strip())
+    argvs = [[str(DATA / a) if a.endswith(".sd") else a for a in argv] for argv, _ in SUBCOMMANDS]
+    proc = python("-c", HEAVY_PROBE.format(heavy=HEAVY, argvs=argvs))
+    assert proc.returncode == 0, proc.stderr.decode()
+    seen = json.loads(proc.stdout)
+    assert len(seen) == 1 + len(SUBCOMMANDS)
+    assert seen == dict.fromkeys(seen, [])
+
+
 @pytest.mark.parametrize("statement, loaded", [
     ("import sdcalc", set()),
     ("import sdcalc.cli", BASE),
@@ -180,6 +208,22 @@ def test_every_imported_name_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported.items() if name not in used}
     assert not unused, "%s imports names it never uses: %s" % (path.name, unused)
+
+
+SOURCES = sorted((SRC / "sdcalc").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
+def test_no_assert_and_no_dataclasses_or_inspect(path):
+    # python -O strips assert, so input checks must raise explicitly
+    tree = ast.parse(path.read_text())
+    asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not asserts, "%s uses assert at lines %s" % (path.name, asserts)
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    heavy = [m for m in modules if m and m.split(".")[0] in HEAVY]
+    assert not heavy, "%s imports %s" % (path.name, heavy)
 
 
 # ------------------------------------------------------------- entry points

@@ -1,4 +1,8 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -290,7 +294,7 @@ def test_detect_matches_window_oracle_on_twisted_diagrams():
         assert detect(d) == detect_by_windows(d), d
 
 
-@pytest.mark.parametrize("curves, closed", [
+DETECT_BAD = [
     (((1, 0), (1, 0), (0, 1)), True),  # adjacent pairing 0
     (((1, 0), (0, 1), (-1, 2)), True),  # closing pairing -2: the seam windows break
     (((1, 0), (0, 1), (-1, 2), (2, 3)), True),  # adjacent pairing 7 at the end
@@ -298,9 +302,62 @@ def test_detect_matches_window_oracle_on_twisted_diagrams():
     (((1, 0, 0), (0, 1, 0), (1, 1, 1)), True),  # odd length
     (((1, 0), (1, 0)), True),  # too short for any window
     (((1, 0), (0, 1), (-1, 0)), False),  # open
-])
+]
+
+
+@pytest.mark.parametrize("curves, closed", DETECT_BAD)
 def test_detect_raises_what_the_window_oracle_raises(curves, closed):
     circ = Circuit(curves, closed)
     for d in (circ, Diagram(circ, twist_matrix((1, 0), 1)) if len(curves[0]) == 2 else circ):
         got, want = outcome(detect, d), outcome(detect_by_windows, d)
         assert got == want, (d, got, want)
+
+
+# the bad-input calls of this module as source, so that a python -O
+# interpreter, which strips assert statements, can make them too
+BAD_CALLS = ["detect(Circuit(%r, %r))" % case for case in DETECT_BAD] + [
+    "detect(Diagram(Circuit(%r, True), twist_matrix((1, 0), 1)))" % (curves,)
+    for curves, closed in DETECT_BAD if closed and len(curves[0]) == 2
+] + [
+    "contract(Circuit(((1, 0), (1, 0), (0, 1)), True), Detection('BlowUp', 1, exponent=1))",
+    "apply_blowup(AB, 1, 2)",
+    "apply_blowup(AB, 3, 1)",
+    "apply_blowup(normalize([(1, 0), (0, 1)], False), 1, 1)",
+    "hayano_surgery(AB, 1, (1, 0), 2)",
+    "contract(TRI, Detection(kind='BlowUp', position=1, exponent=-1, summand='CP2'))",
+    "contract(TRI, Detection(kind='BlowUp', position=9, exponent=1, summand='CP2bar'))",
+    "contract(hayano_surgery(TRI, 2, (1, 0), 0), Detection('HayanoPattern', 2, k=0))",
+    "apply_blowup(Diagram(TRI, twist_matrix((1, 0), 1)), 3, 1)",
+    "apply_stabilization(Diagram(TRI, twist_matrix((1, 0), 1)), 3, 0)",
+]
+
+RAISED = """\
+import json, sys
+sys.path.insert(0, {tests!r})
+import test_subst
+print(json.dumps(test_subst.raised(test_subst.BAD_CALLS)))
+"""
+
+
+def raised(calls):
+    """The name of the exception each call raises, or None (some of the
+    detect cases have no bad window to read and return normally)."""
+    out = []
+    for src in calls:
+        try:
+            eval(src, globals())
+            out.append(None)
+        except Exception as exc:
+            out.append(type(exc).__name__)
+    return out
+
+
+def test_bad_input_raises_the_same_under_python_O():
+    here = raised(BAD_CALLS)
+    assert here[0] == "ValueError"  # the adjacent pairing 0 of DETECT_BAD[0]
+    assert "AssertionError" not in here, dict(zip(BAD_CALLS, here))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", RAISED.format(tests=str(DATA.parent))],
+                          capture_output=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout) == here
