@@ -16,6 +16,7 @@ negative as the same curve, and `normalize` only adjusts signs.
 from __future__ import annotations
 
 import random
+import sys
 from collections import namedtuple
 
 from .homology import (
@@ -32,6 +33,7 @@ from .homology import (
 
 CLIP = 40  # longest piece of the input that an error message echoes
 MAX_STEPS = 10**5  # most moves `sdcalc generate` makes, so its work stays bounded
+MAX_POWER_BITS = 2**14  # longest entry of a switch matrix power that `switch` forms at genus >= 2
 
 
 def _clip(s):
@@ -252,8 +254,8 @@ def switch(d, k: int = 1):
     forward switches give e^(c-1) mu g_i in every slot, c backward ones
     e mu^-1 g_i.  With |k| = q c + r + 1, 0 <= r < c, this takes one
     single switch (which normalizes the input), the next r at once by
-    that rule, and then mu^(+-q) by squaring: O(c + log|k|) matrix work,
-    not O(|k| c).  Like sp_inv, this reads mu as symplectic.
+    that rule, and then mu^(+-q) (see _turns): O(c + log|k|) matrix
+    work, not O(|k| c).  Like sp_inv, this reads mu as symplectic.
     """
     circ, mu = _unpack(d)
     if not circ.closed:
@@ -280,9 +282,39 @@ def switch(d, k: int = 1):
             cur = cur[r:] + [scale(e, v) for v in moved]
         if q:
             sign = e ** (q * (len(cur) - 1) if k > 0 else q)
-            m = None if mu is None else mat_pow(mu if k > 0 else mu_inv, q)
+            m = None if mu is None else _turns(mu if k > 0 else mu_inv, q, cur)
             cur = [scale(sign, v if m is None else matvec(m, v)) for v in cur]
     return _repack(d, normalize(cur, True, mu))
+
+
+def _turns(m, q, cur):
+    """m^q for q full turns of the circuit cur, its size decided first.
+
+    At genus 1 m is in SL(2, Z).  If t = |tr m| < 2, m^12 = 1 (as
+    m^2 = tr(m) m - 1); if t = 2, m = s (1 + N) with N^2 = 0, so
+    m^q = s^q (1 + q N).  If t > 2, m^q has the eigenvalue l^q with
+    l > t - 1, and l^q < |tr m^q| <= 2 max|m^q| <= 4 G max|out|, since two
+    adjacent curves x, y of cur are a basis: m^q = [m^q x, m^q y] [x, y]^-1,
+    with G = max|x, y| and out the switched curves.  So once
+    (t - 1)^q >= 4 G 10^limit, with limit the digits str() prints, the
+    result cannot print, and str()'s ValueError comes before any squaring.
+    At genus >= 2 no power of m may pass MAX_POWER_BITS.
+    """
+    if len(m) > 2:
+        out = mat_pow(m, q, MAX_POWER_BITS)
+        if out is None:
+            raise ValueError("switch matrix power past %d bits at genus >= 2" % MAX_POWER_BITS)
+        return out
+    t = abs(m[0][0] + m[1][1])
+    if t == 2:  # s^q (1 + q N) = s^q (q s m - (q - 1))
+        s = (m[0][0] + m[1][1]) // 2
+        return tuple(tuple((s if q % 2 else 1) * (q * s * x - (q - 1) * (i == j))
+                           for j, x in enumerate(row)) for i, row in enumerate(m))
+    limit = sys.get_int_max_str_digits()
+    top = max(map(abs, cur[0] + cur[1]))
+    if t > 2 and limit and q * ((t - 1).bit_length() - 1) >= (4 * top * 10 ** limit).bit_length():
+        raise ValueError("Exceeds the limit (%d digits) for integer string conversion" % limit)
+    return mat_pow(m, q if t > 2 else q % 12)
 
 
 def rotate_to_front(circ: Circuit, j: int) -> Circuit:

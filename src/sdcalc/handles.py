@@ -5,9 +5,8 @@ handles, the symmetric linking matrix with its rank/signature/parity,
 Euler characteristic bookkeeping, Kirby-diagram data, and the
 conversion to broken-fibration handle data (Lefschetz cycles plus a
 round cycle).  Rank and signature come from a Schur sweep over the
-curves, which needs the suffix spanners of the a-coordinates, with a
-fraction-free (Bareiss) congruence as the fallback for any other
-symmetric matrix and for a degenerate Schur block.
+curves, which needs the suffix spanners of the a-coordinates; it is
+the only elimination, so form_invariants takes a LinkingMatrix.
 
 Attachment angles are pure index order: curve i is attached before
 curve j exactly when i < j.
@@ -19,30 +18,25 @@ import sys
 from collections import namedtuple
 from functools import cached_property
 from itertools import chain
-from operator import mul
+from operator import add, mul
 
 from .circuit import _Rec, _as_circuit
 from .homology import twist_apply
 
 
 class LinkingMatrix:
-    """Symmetric c x c integer matrix: framings on the diagonal, linking
-    numbers off it.
+    """Symmetric c x c integer matrix of a circuit: framings on the
+    diagonal, linking numbers off it.
 
-    LinkingMatrix(entries) holds the rows it is given.  linking_matrix(c)
-    keeps the circuit's curves and their framings instead: rows() computes
-    each row from the closed form in O(c g), and entries, the tuple of all
-    rows, is built on first access.  Equality, hash and repr are those of
-    the entries.
+    It keeps the curves and their framings: rows() computes each row from
+    the closed form in O(c g), and entries, the tuple of all rows, is
+    built on first access.  Equality, hash and repr are those of the
+    entries.
     """
 
-    def __init__(self, entries=None, curves=None):
-        if entries is None and curves is None:
-            raise TypeError("LinkingMatrix needs entries or curves")
-        if entries is not None:
-            self.entries = entries  # an instance value hides the lazy property
+    def __init__(self, curves):
         self.curves = curves
-        self.framings = None if curves is None else tuple(map(fiber_framing, curves))
+        self.framings = tuple(map(fiber_framing, curves))
 
     @cached_property
     def entries(self) -> tuple:
@@ -50,28 +44,22 @@ class LinkingMatrix:
 
     @property
     def size(self) -> int:
-        return len(self.entries if self.curves is None else self.curves)
+        return len(self.curves)
 
     def rows(self):
-        """Iterator over the rows; from the curves it builds no entries."""
-        if self.curves is None or "entries" in vars(self):
-            return iter(self.entries)
-        return self._closed_form_rows()
+        """Iterator over the rows; it builds no entries."""
+        return iter(self.entries) if "entries" in vars(self) else self._closed_form_rows()
 
     def check_printable(self):
         """Raise str()'s own ValueError now if an entry has more digits than
         sys.get_int_max_str_digits(), so that a caller can fail before it
-        prints anything.  From the curves every entry is at most
-        g max|coef|^2, so the rows are read only when that bound is too long."""
+        prints anything.  Every entry is at most g max|coef|^2, so the
+        rows are read only when that bound is too long."""
         limit = sys.get_int_max_str_digits()
-        if not limit:
-            return
-        if self.curves is not None:
-            top = max(map(abs, chain.from_iterable(self.curves)))
-            if len(self.curves[0]) // 2 * top * top < 10 ** limit:
-                return
-        for r in self.rows():
-            str(min(r)), str(max(r))
+        top = max(map(abs, chain.from_iterable(self.curves)))
+        if limit and len(self.curves[0]) // 2 * top * top >= 10 ** limit:
+            for r in self.rows():
+                str(min(r)), str(max(r))
 
     def _closed_form_rows(self):
         cs = self.curves
@@ -85,9 +73,7 @@ class LinkingMatrix:
             yield tuple(left + [self.framings[i]] + right)
 
     def __eq__(self, other):
-        if not isinstance(other, LinkingMatrix):
-            return NotImplemented
-        return self.entries == other.entries
+        return self.entries == other.entries if isinstance(other, LinkingMatrix) else NotImplemented
 
     def __hash__(self):
         return hash(self.entries)
@@ -147,26 +133,18 @@ def linking_matrix(c) -> LinkingMatrix:
     this structure, rows() yields one row at a time, and the c x c
     entries are built only when read.
     """
-    return LinkingMatrix(curves=_as_circuit(c).curves)
+    return LinkingMatrix(_as_circuit(c).curves)
 
 
-def form_invariants(m) -> FormInvariants:
-    """Rank, signature and parity of a symmetric integer matrix.
+def form_invariants(m: LinkingMatrix) -> FormInvariants:
+    """Rank, signature and parity of a linking matrix.
 
-    A LinkingMatrix that carries its curves goes through a Schur sweep
-    in O(c g^2) (see _sweep_invariants) and takes its diagonal from the
-    framings, without building the entries; any other matrix goes
-    through exact fraction-free congruence diagonalization in O(c^3).
-    Parity is Even iff every diagonal entry is even.
+    Rank and signature come from a Schur sweep over the curves in
+    O(c g^2) (see _sweep_invariants), parity from the framings, and no
+    entry is built.  Parity is Even iff every diagonal entry is even.
     """
-    if isinstance(m, LinkingMatrix) and m.curves is not None:
-        rank, sig = _sweep_invariants(m.curves)
-        diagonal = m.framings
-    else:
-        entries = m.entries if isinstance(m, LinkingMatrix) else tuple(tuple(r) for r in m)
-        rank, sig = symmetric_invariants(entries)
-        diagonal = [entries[i][i] for i in range(len(entries))]
-    parity = "Even" if all(t % 2 == 0 for t in diagonal) else "Odd"
+    rank, sig, _ = _sweep_invariants(m.curves)
+    parity = "Even" if all(t % 2 == 0 for t in m.framings) else "Odd"
     return FormInvariants(rank=rank, signature=sig, parity=parity)
 
 
@@ -175,26 +153,41 @@ def _dot(x, y):
 
 
 def _sweep_invariants(curves):
-    """(rank, signature) of the linking matrix of curves.
+    """(rank, signature, number of far pivots) of the linking matrix of curves.
 
     With a_i and b_i the a- and b-coordinates of curve i, the matrix is
-    L_ij = b_min(i,j) . a_max(i,j).  Eliminating the rows in order keeps
-    that shape: the Schur complement after the first k rows is
-    b~_min . a_max  with  b~_i = b_i - M a_i  for one symmetric g x g
-    rational M.  So each row costs O(g^2), O(c g^2) in all:
+    L_ij = b_min(i,j) . a_max(i,j).  The sweep pivots at the first row k
+    left and keeps the Schur complement of the rows left in the shape
+    S_il = b~_i . a_l (i <= l), b~_i = b_i - M a_i + c_i, with one
+    symmetric g x g rational M and c_i = 0 until a far pivot passes row
+    i.  That is O(g^2) per row, O(c g^2) in all, plus O(g) per row passed:
 
-    * p = b~_k . a_k != 0: a 1x1 pivot p, then M += b~ b~^T / p;
-    * p = 0, s = b~_k . a_{k+1} != 0: the 2x2 pivot P = [[0, s], [s, t]]
-      has one positive and one negative eigenvalue, then M += W P^-1 W^T
-      with W = [b~_k, b~_{k+1}];
-    * the rest of row k is zero too: row k adds nothing, drop it;
-    * otherwise the remaining Schur block goes to symmetric_invariants,
-      which is cubic in the size of that block.
+    * p = S_kk != 0: a 1x1 pivot p, then M += b~_k b~_k^T / p;
+    * p = 0, s = S_kj != 0 for j = k+1, or else for the first j with
+      S_kj != 0 (a far pivot): the 2x2 pivot P = [[0, s], [s, t]] has one
+      positive and one negative eigenvalue, then M += W P^-1 W^T with
+      W = [b~_k, b~_j]; each row i left between k and j takes
+      c_i += b~_k (b~_j . a_i - b~_i . a_j) / s, and row j is skipped;
+    * otherwise row k is zero: it adds nothing, drop it.
 
-    M is kept fraction-free as num / d, with d > 0 the absolute
-    determinant of the pivots taken so far.  d M is then an adjugate
-    expression in integer matrices, so num is integral and every
-    division below is exact; so is u_i = d b~_i.
+    Shape: a pivot block F moves S_il by -S_iF P^-1 S_Fl.  If F lies
+    before i, S_iF = W^T a_i and M's update is that move.  If i lies
+    between k and j, S_iF = (0, y) with y = b~_i . a_j, so b~_i moves by
+    -b~_k y / s, and M's update by -b~_k x / s with x = b~_j . a_i; c_i
+    takes the difference.
+
+    Skipped rows: every move of b~_i is by b~_f with f < i, so
+    b~_i = b_i - rho_i B_E with rho_i = L_iE L_EE^-1, the multipliers that
+    clear row i in the eliminated columns E, zero at each e in E after i.
+    For those e, b~_i . a_e = L_ie - rho_i L_Ee = 0.  So the first j with
+    b~_k . a_j != 0 is a row left, and row k is zero past k+1 iff b~_k is
+    orthogonal to the suffix spanners after k+1, which span all a_l there.
+
+    Integrality: with d > 0 the absolute determinant of L_EE, the product
+    of the |det P|, the block inverse gives M = B_E^T L_EE^-1 B_E, so
+    num = d M is integral, and so are u_i = d b~_i (d rho_i is a row of an
+    adjugate) and d c_i = u_i - (d b_i - num a_i).  Every division below
+    is exact.
     """
     a = [v[0::2] for v in curves]
     b = [v[1::2] for v in curves]
@@ -205,12 +198,21 @@ def _sweep_invariants(curves):
     rank = sig = 0
     spanners = suffix_spanners(a)  # the a_j with these j >= m span all a_j with j >= m
     span_g = range(g)
+    done = set()  # rows that a far pivot took out of order
+    fix = {}  # row i: (d' c_i, d') for the d' at which c_i last changed
 
-    def reduced(i):
-        return [d * bt - _dot(row, a[i]) for bt, row in zip(b[i], num)]
+    def correction(i):  # d c_i
+        return [d * y // fix[i][1] for y in fix[i][0]]
+
+    def reduced(i):  # u_i = d b~_i
+        u = [d * bt - _dot(row, a[i]) for bt, row in zip(b[i], num)]
+        return list(map(add, u, correction(i))) if i in fix else u
 
     k = 0
     while k < c:
+        if k in done:
+            k += 1
+            continue
         u = reduced(k)
         p = _dot(u, a[k])  # d times the pivot
         if p:
@@ -221,26 +223,32 @@ def _sweep_invariants(curves):
             d = abs(p)
             k += 1
             continue
-        s = _dot(u, a[k + 1]) if k + 1 < c else 0
-        if s:
-            w = reduced(k + 1)
-            t = _dot(w, a[k + 1])
-            rank += 2
-            num = [[(s * s * num[x][y] - t * u[x] * u[y] + s * (u[x] * w[y] + w[x] * u[y]))
-                     // (d * d) for y in span_g] for x in span_g]
-            d = s * s // d
-            k += 2
-            continue
-        if not any(_dot(u, a[j]) for j in spanners if j > k + 1):
-            k += 1
-            continue
-        # the block from row k on, scaled by d: u_min . a_max
-        rest = [reduced(i) for i in range(k, c)]
-        m = c - k
-        block = [[_dot(rest[min(i, j)], a[k + max(i, j)]) for j in range(m)] for i in range(m)]
-        r2, s2 = symmetric_invariants(block)
-        return rank + r2, sig + s2
-    return rank, sig
+        j = k + 1
+        s = _dot(u, a[j]) if j < c else 0
+        if not s:
+            if not any(_dot(u, a[i]) for i in spanners if i > j):
+                k += 1
+                continue
+            j = next(i for i in range(k + 2, c) if _dot(u, a[i]))
+            s = _dot(u, a[j])
+        w = reduced(j)
+        t = _dot(w, a[j])
+        if j > k + 1:
+            z = [_dot(row, a[j]) for row in num]  # num a_j
+            for i in range(k + 1, j):
+                if i in done:
+                    continue
+                e = correction(i) if i in fix else [0] * g
+                # x = d (b~_j . a_i - b~_i . a_j), as u_i = d b_i - num a_i + d c_i
+                x = _dot(w, a[i]) - d * _dot(b[i], a[j]) + _dot(a[i], z) - _dot(e, a[j])
+                fix[i] = [s * (s * et + ut * x) // (d * d) for et, ut in zip(e, u)], s * s // d
+            done.add(j)
+        rank += 2
+        num = [[(s * s * num[x][y] - t * u[x] * u[y] + s * (u[x] * w[y] + w[x] * u[y]))
+                 // (d * d) for y in span_g] for x in span_g]
+        d = s * s // d
+        k += 2 if j == k + 1 else 1
+    return rank, sig, len(done)
 
 
 def suffix_spanners(vectors):
@@ -264,56 +272,6 @@ def suffix_spanners(vectors):
             if len(out) == len(v):
                 break
     return out
-
-
-def symmetric_invariants(entries):
-    """(rank, signature) of an integer symmetric matrix.
-
-    Fraction-free two-sided elimination: each step performs the exact
-    Bareiss update (p*B[i][j] - B[i][k]*B[k][j]) / p_prev; zero diagonals
-    are resolved by symmetric permutation, or by a row+column addition
-    when the whole remaining diagonal vanishes (a hyperbolic block,
-    which contributes one positive and one negative pivot).  The true
-    k-th pivot has the sign of d_k * d_{k-1}.  Every division is exact:
-    both moves are congruences, so entries stay bordered minors (Sylvester).
-    """
-    n = len(entries)
-    B = [list(row) for row in entries]
-    D = 1
-    rank = 0
-    sig = 0
-    act = 0
-    while act < n:
-        piv = next((j for j in range(act, n) if B[j][j] != 0), None)
-        if piv is None:
-            off = next(
-                ((i, j) for i in range(act, n) for j in range(i + 1, n) if B[i][j] != 0),
-                None,
-            )
-            if off is None:
-                break  # remaining block is zero
-            i, j = off
-            for t in range(act, n):
-                B[i][t] += B[j][t]
-            for t in range(act, n):
-                B[t][i] += B[t][j]
-            piv = i
-        if piv != act:
-            B[act], B[piv] = B[piv], B[act]
-            for t in range(n):
-                B[t][act], B[t][piv] = B[t][piv], B[t][act]
-        p = B[act][act]
-        rank += 1
-        sig += 1 if (p > 0) == (D > 0) else -1
-        Ba = B[act]
-        for i in range(act + 1, n):
-            Bi = B[i]
-            bia = Bi[act]
-            for j in range(act + 1, n):
-                Bi[j] = (p * Bi[j] - bia * Ba[j]) // D
-        D = p
-        act += 1
-    return rank, sig
 
 
 def euler_characteristics(c, closed=None):

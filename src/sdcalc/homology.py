@@ -13,6 +13,7 @@ no floats, no overflow.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd
 from operator import mul
 
@@ -114,8 +115,9 @@ def matmul(a, b):
     return tuple(tuple(sum(ra[t] * cb[t] for t in range(n)) for cb in bt) for ra in a)
 
 
-def mat_pow(m, q):
-    """m to the power q >= 0, by repeated squaring."""
+def mat_pow(m, q, max_bits=None):
+    """m to the power q >= 0, by repeated squaring; None as soon as a
+    power it forms has an entry longer than max_bits bits."""
     out = ident(len(m))
     while q:
         if q & 1:
@@ -123,6 +125,8 @@ def mat_pow(m, q):
         q >>= 1
         if q:
             m = matmul(m, m)
+        if max_bits is not None and max(map(abs, chain(*out, *m))).bit_length() > max_bits:
+            return None
     return out
 
 

@@ -18,7 +18,7 @@ from collections import namedtuple
 from operator import add
 
 from .circuit import _Rec, _clip, _clip_int, _repack, _unpack, normalize, rotate_to_front
-from .homology import canon_sign, pairing, scale, twist_apply
+from .homology import canon_sign, matvec, pairing, scale, twist_apply
 
 
 class Detection(_Rec, namedtuple("Detection", "kind position exponent k dual summand "
@@ -162,8 +162,9 @@ def detect(d):
     The curves are oriented once, as one chain, and every window is a
     slice of it.  A window oriented on its own differs from that slice
     by at most an overall sign, which changes no match, exponent or
-    canonical dual.  Only the entries some window reads are oriented:
-    for a twisted diagram none past g_c.
+    canonical dual.  The chain also covers the pairings no window reads,
+    as at c < 3; for a twisted diagram it stops at g_c, and the seam
+    <mu g_c, g_1> is checked on its own.
     """
     circ, mu = _unpack(d)
     if not circ.closed:
@@ -173,8 +174,10 @@ def detect(d):
     # n3 3-windows and n4 4-windows are scanned; a twisted one must not wrap
     n3 = 0 if c < 3 else c if mu is None else c - 2
     n4 = 0 if c < 4 else c if mu is None else c - 3
-    ext = circ.extended(3)
-    chain = _norm_window(ext[:max(n3 + 2, n4 + 3)]) if n3 else []
+    ext = circ.extended(3) if mu is None else circ.curves
+    chain = _norm_window(ext[:max(n3 + 2, n4 + 3, c + 1)])
+    if mu is not None:  # the seam window (mu g_c, g_1)
+        _norm_window([matvec(mu, circ.curves[-1]), circ.curves[0]])
     out = []
     for i in range(n3):
         x, y, z = chain[i:i + 3]

@@ -5,8 +5,11 @@ equation over the integers, so chains and closed circuits of any genus
 can be sampled without rejection storms.  Also the reference
 classifiers that genus1.classify is compared against, the
 move-by-move reference for the seeded generator, the eager linking
-matrix, the matrix-based surgered action and verdict, and the
-window-by-window detector that subst.detect is compared against.  The general
+matrix, the fraction-free (Bareiss) rank and signature that the Schur
+sweep of handles.form_invariants is compared against, the genus-2
+family whose sweep needs a far pivot, the matrix-based surgered action
+and verdict, and the window-by-window detector that subst.detect is
+compared against.  The general
 column-echelon reduction `colreduce` backs `solve_int`, and
 `quotient_basis_by_echelon`, built on two of its passes, is the
 reference for monodromy.quotient_basis.
@@ -20,7 +23,7 @@ from sdcalc.genus1 import (Classification, SumForm, _DELTAS, _index, _unoriented
                            _window_coefficients, normalize_sum)
 from sdcalc.handles import fiber_framing
 from sdcalc.homology import (add, canon_sign, ident, matvec, pairing, pairing_functional, scale,
-                             transpose)
+                             transpose, twist_apply)
 from sdcalc.monodromy import SurgeredAction, Verdict, mu_tilde_matrix
 from sdcalc.subst import (
     Detection,
@@ -217,6 +220,75 @@ def linking_matrix_eager(c):
     return tuple(rows)
 
 
+def symmetric_invariants(entries):
+    """(rank, signature) of an integer symmetric matrix; the reference for
+    the Schur sweep of handles.form_invariants, O(n^3).
+
+    Fraction-free two-sided elimination: each step performs the exact
+    Bareiss update (p*B[i][j] - B[i][k]*B[k][j]) / p_prev; zero diagonals
+    are resolved by symmetric permutation, or by a row+column addition
+    when the whole remaining diagonal vanishes (a hyperbolic block,
+    which contributes one positive and one negative pivot).  The true
+    k-th pivot has the sign of d_k * d_{k-1}.  Every division is exact:
+    both moves are congruences, so entries stay bordered minors (Sylvester).
+    """
+    n = len(entries)
+    B = [list(row) for row in entries]
+    D = 1
+    rank = 0
+    sig = 0
+    act = 0
+    while act < n:
+        piv = next((j for j in range(act, n) if B[j][j] != 0), None)
+        if piv is None:
+            off = next(
+                ((i, j) for i in range(act, n) for j in range(i + 1, n) if B[i][j] != 0),
+                None,
+            )
+            if off is None:
+                break  # remaining block is zero
+            i, j = off
+            for t in range(act, n):
+                B[i][t] += B[j][t]
+            for t in range(act, n):
+                B[t][i] += B[t][j]
+            piv = i
+        if piv != act:
+            B[act], B[piv] = B[piv], B[act]
+            for t in range(n):
+                B[t][act], B[t][piv] = B[t][piv], B[t][act]
+        p = B[act][act]
+        rank += 1
+        sig += 1 if (p > 0) == (D > 0) else -1
+        Ba = B[act]
+        for i in range(act + 1, n):
+            Bi = B[i]
+            bia = Bi[act]
+            for j in range(act + 1, n):
+                Bi[j] = (p * Bi[j] - bia * Ba[j]) // D
+        D = p
+        act += 1
+    return rank, sig
+
+
+FAR_PIVOT_START = ((3, -2, 2, 3), (-3, -1, -2, 2), (-1, 0, -2, 1), (5, -2, 1, 0))  # eps = -1
+
+
+def far_pivot_family(c) -> Circuit:
+    """The closed genus-2 circuit FAR_PIVOT_START after c - 4 blow-ups
+    apply_blowup(d, d.length - 1, 1), built in O(c).  Row 0 of its linking
+    matrix has a zero diagonal and L_01 = 0 but is not zero, so the Schur
+    sweep takes a far pivot over almost every row.
+
+    Each blow-up inserts tau_y(x) before the last curve y, x the curve
+    before it; tau_y(x) is sign-invariant in y and changes sign only
+    with x, so one normalize at the end gives apply_blowup's signs."""
+    cs = list(FAR_PIVOT_START)
+    while len(cs) < c:
+        cs.insert(len(cs) - 1, twist_apply(cs[-1], 1, cs[-2]))
+    return normalize(cs, True)
+
+
 def linking_by_halves(x, i, y, j):
     """Reference linking number: half the signed pairing plus half its
     symmetric companion; the two halves always have equal parity."""
@@ -380,6 +452,12 @@ def detect_by_windows(d):
             if k is not None:
                 out.append(Detection(kind="Stabilization", position=pos, k=k,
                                      summand=_stab_summand(k), homological_only=homological))
+    # the pairings no window reads: all of them when c < 3, and the
+    # closing <mu g_c, g_1> of a twisted diagram
+    if c < 3:
+        _oriented_window(ext[:c + 1] if mu is None else circ.curves)
+    if mu is not None and abs(pairing(matvec(mu, circ.curves[-1]), circ.curves[0])) != 1:
+        raise ValueError("closing pairing of a twisted diagram must be +-1")
     return out
 
 

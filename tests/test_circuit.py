@@ -3,12 +3,15 @@ from pathlib import Path
 
 import pytest
 
+import sdcalc.circuit
 from sdcalc.circuit import (
+    MAX_POWER_BITS,
     Circuit,
     CurveError,
     Diagram,
     _clip,
     _clip_int,
+    _turns,
     double,
     generate,
     generate_trace,
@@ -18,7 +21,7 @@ from sdcalc.circuit import (
     validate,
 )
 from sdcalc.cli import parse
-from sdcalc.homology import canon_sign, matvec, pairing, scale, sp_inv, twist_matrix
+from sdcalc.homology import canon_sign, ident, mat_pow, matvec, pairing, scale, sp_inv, twist_matrix
 
 from support import generate_by_moves, rand_closed
 
@@ -227,6 +230,49 @@ def test_switch_closed_form_matches_step_loop_on_random_twisted_diagrams():
             c = circ.length
             for k in range(-2 * c - 1, 2 * c + 2):
                 assert switch(d, k) == _switch_by_steps(d, k), (d, k)
+
+
+SL2 = [((a, b), (c, (1 + b * c) // a)) for a in range(-3, 4) for b in range(-3, 4)
+       for c in range(-3, 4) if a and (1 + b * c) % a == 0]
+
+
+def test_turns_at_genus_1_equal_the_power():
+    # closed forms for |tr| <= 2, squaring above
+    assert {abs(m[0][0] + m[1][1]) for m in SL2} >= {0, 1, 2, 3}
+    for m in SL2:
+        for q in range(40):
+            assert _turns(m, q, [(1, 0), (0, 1)]) == mat_pow(m, q), (m, q)
+
+
+def test_turns_reject_only_results_that_cannot_print(monkeypatch):
+    limit = 640  # the smallest digit limit str() accepts
+    monkeypatch.setattr(sdcalc.circuit.sys, "get_int_max_str_digits", lambda: limit)
+    rng = random.Random(29)
+    hyperbolic = [m for m in SL2 if abs(m[0][0] + m[1][1]) > 2]
+    rejected = 0
+    for _ in range(300):
+        m = rng.choice(hyperbolic)
+        cur = rand_closed(rng, 1, rng.randint(2, 5)).curves
+        q = rng.randint(1, 2500)
+        try:
+            _turns(m, q, cur)
+        except ValueError as exc:
+            assert "integer string conversion" in str(exc)
+            rejected += 1
+            p = mat_pow(m, q)
+            assert max(abs(x) for v in cur for x in matvec(p, v)) >= 10 ** limit, (m, q, cur)
+    assert 0 < rejected < 300
+
+
+def test_switch_caps_the_powers_at_genus_2():
+    curves = [(1, 0, 0, 0), (0, 1, 0, 0)]
+    d = Diagram(normalize(curves, True), ident(4))  # finite order: the powers stay small
+    assert switch(d, 10**30 + 1) == switch(d, 1)
+    cat = ((2, 1, 0, 0), (1, 1, 0, 0), (0, 0, 2, 1), (0, 0, 1, 1))  # cat^q has 1.39 q bits
+    d = Diagram(normalize(curves, True, cat), cat)
+    assert switch(d, 2 * 8000 + 1).circuit.curves[0][0].bit_length() > 11000
+    with pytest.raises(ValueError, match="power past %d bits" % MAX_POWER_BITS):
+        switch(d, 2 * 40000 + 1)
 
 
 def test_switch_requires_closed():

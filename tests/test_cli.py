@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -277,6 +278,35 @@ def test_switch_command(capsys):
     code, far, _ = run_json(capsys, "switch", TRI, "--k", "100000000")
     assert code == 0
     assert far == payload
+
+
+# the switch matrix has trace 3: mu^q has about 0.42 q digits
+HYPERBOLIC = "genus 1\ncurve 1 0\ncurve 0 1\nclosed true\nswitchrow 2 1\nswitchrow 1 1\n"
+
+
+@pytest.mark.parametrize("k", ["10000", "100000", "1000000000", "-1000000000"])
+def test_switch_decides_the_digit_limit_before_squaring(capsys, tmp_path, k):
+    path = tmp_path / "hyperbolic.sd"
+    path.write_text(HYPERBOLIC)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "switch", str(path), "--k", k)
+    assert time.perf_counter() - start < 1.0
+    if k == "10000":  # mu^4999, 2090 digits
+        assert (code, err) == (0, "") and len(out) > 2090
+    else:
+        assert (code, out) == (1, "")
+        assert err == "error: result has an integer longer than 4300 digits\n"
+
+
+def test_switch_caps_the_powers_at_genus_2(capsys, tmp_path):
+    path = tmp_path / "twisted2.sd"
+    rows = "switchrow 2 1 0 0\nswitchrow 1 1 0 0\nswitchrow 0 0 2 1\nswitchrow 0 0 1 1\n"
+    path.write_text("genus 2\ncurve 1 0 0 0\ncurve 0 1 0 0\nclosed true\n" + rows)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "switch", str(path), "--k", "1000000000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: switch matrix power past 16384 bits at genus >= 2\n"
 
 
 def test_double_command(capsys):

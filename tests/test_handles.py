@@ -1,16 +1,17 @@
 import random
+import time
 from fractions import Fraction
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import sdcalc.handles
 from sdcalc.circuit import Circuit, generate, generate_trace, normalize, switch
 from sdcalc.handles import (
     KirbyData,
     LinkingMatrix,
+    _sweep_invariants,
     emit_kirby,
     euler_characteristics,
     fiber_framing,
@@ -18,13 +19,13 @@ from sdcalc.handles import (
     linking,
     linking_matrix,
     suffix_spanners,
-    symmetric_invariants,
     to_blf,
 )
 from sdcalc.homology import add, pairing, scale
 from sdcalc.subst import apply_blowup, apply_stabilization
 
-from support import linking_by_halves, linking_matrix_eager, rand_closed
+from support import (far_pivot_family, linking_by_halves, linking_matrix_eager, rand_chain,
+                     rand_closed, symmetric_invariants)
 
 TRI = normalize([(1, 0), (1, -1), (0, 1)], True)
 AB = normalize([(1, 0), (0, 1)], True)
@@ -90,7 +91,8 @@ def test_lazy_linking_matrix_matches_eager_oracles():
         assert tuple(m.rows()) == eager == by_halves
         assert "entries" not in vars(m)  # rows() streams without keeping them
         assert m.entries == eager and tuple(m.rows()) == eager
-        assert form_invariants(m) == form_invariants(m.entries)
+        inv = form_invariants(m)
+        assert (inv.rank, inv.signature) == symmetric_invariants(eager)
 
 
 def test_form_invariants_leave_the_entries_unbuilt():
@@ -107,9 +109,9 @@ def test_form_invariants_leave_the_entries_unbuilt():
 
 def test_check_printable_reads_rows_only_past_the_bound(monkeypatch):
     big = 10 ** 4300  # one digit more than str() prints by default
-    LinkingMatrix(((big - 1, 0), (0, -big + 1))).check_printable()
+    LinkingMatrix(((1, big - 1), (0, 1))).check_printable()  # framing big - 1
     with pytest.raises(ValueError, match="integer string conversion"):
-        LinkingMatrix(((1, 0), (0, -big))).check_printable()
+        LinkingMatrix(((1, 0), (-1, big))).check_printable()  # framing -big
     n = int("7" * 2200)  # bound 2 n^2 is too long, every entry fits
     m = linking_matrix(normalize([(1, 0, 0, n), (1, 1, 0, 0), (0, 1, 7, 0)], False))
     rows, read = m.rows, []
@@ -123,9 +125,11 @@ def test_check_printable_reads_rows_only_past_the_bound(monkeypatch):
     small.check_printable()
 
 
-def test_linking_matrix_needs_entries_or_curves():
+def test_linking_matrix_needs_curves():
     with pytest.raises(TypeError):
         LinkingMatrix()
+    with pytest.raises(TypeError):
+        LinkingMatrix(entries=((0,),))
 
 
 def test_linking_requires_distinct_positions():
@@ -138,8 +142,9 @@ def test_linking_requires_distinct_positions():
 def test_linking_matrix_carries_curves_outside_equality():
     m = linking_matrix(TRI)
     assert m.curves == TRI.curves
-    assert m == LinkingMatrix(m.entries)
-    assert repr(m) == repr(LinkingMatrix(m.entries))
+    other = LinkingMatrix(((-1, 0), (1, -1), (0, 1)))  # TRI with g_1 flipped, same entries
+    assert other.curves != m.curves
+    assert m == other and hash(m) == hash(other) and repr(m) == repr(other)
     with pytest.raises(ValueError, match="zero class"):
         linking_matrix(Circuit(((1, 0), (0, 0)), False))
 
@@ -164,10 +169,14 @@ def _inv(m):
 
 def test_form_invariants_examples():
     assert _inv(linking_matrix(TRI)) == (1, -1, "Odd")
-    assert _inv([[0, 1], [1, -5]]) == (2, 0, "Odd")
-    assert _inv([[0, 0], [0, 0]]) == (0, 0, "Even")
-    assert _inv([[2, 0], [0, 2]]) == (2, 2, "Even")
-    assert _inv([]) == (0, 0, "Even")
+    for curves, entries, inv in [
+        (((0, 1), (1, -5)), ((0, 1), (1, -5)), (2, 0, "Odd")),
+        (((1, 0), (1, 0)), ((0, 0), (0, 0)), (0, 0, "Even")),
+        (((1, 2, 0, 0), (0, 0, 1, 2)), ((2, 0), (0, 2)), (2, 2, "Even")),
+        ((), (), (0, 0, "Even")),
+    ]:
+        m = LinkingMatrix(curves)
+        assert m.entries == entries and _inv(m) == inv
 
 
 def _reference_invariants(rows):
@@ -208,6 +217,8 @@ def _reference_invariants(rows):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
 def test_form_invariants_match_rational_reference(seed, n):
+    # the Bareiss oracle on any symmetric matrix, and the sweep on the
+    # linking matrix of any curve list
     rng = random.Random(seed)
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -216,17 +227,25 @@ def test_form_invariants_match_rational_reference(seed, n):
     if rng.random() < 0.4:  # force zero diagonals to hit the hyperbolic path
         for i in range(n):
             rows[i][i] = 0
-    inv = form_invariants(rows)
-    assert (inv.rank, inv.signature) == _reference_invariants(rows)
-    assert inv.parity == ("Even" if all(rows[i][i] % 2 == 0 for i in range(n)) else "Odd")
+    assert symmetric_invariants(rows) == _reference_invariants(rows)
+    g = rng.randint(1, 3)
+    curves = [tuple(rng.randint(-3, 3) for _ in range(2 * g)) for _ in range(n)]
+    curves = [v for v in curves if any(v)]
+    m = LinkingMatrix(curves)
+    inv = form_invariants(m)
+    assert (inv.rank, inv.signature) == _reference_invariants(m.entries)
+    assert inv.parity == ("Even" if all(m.entries[i][i] % 2 == 0 for i in range(len(curves)))
+                          else "Odd")
 
 
 def _sweep_and_bareiss(curves):
+    """(rank, signature) of the sweep, its entries and its far pivots,
+    once the sweep agrees with form_invariants and the Bareiss oracle."""
     lm = linking_matrix(Circuit(tuple(curves), False))
-    swept = form_invariants(lm)
-    plain = form_invariants(lm.entries)
-    assert swept == plain
-    return (swept.rank, swept.signature), lm.entries
+    rank, sig, far = _sweep_invariants(lm.curves)
+    inv = form_invariants(lm)
+    assert (inv.rank, inv.signature) == (rank, sig) == symmetric_invariants(lm.entries)
+    return (rank, sig), lm.entries, far
 
 
 @st.composite
@@ -240,35 +259,70 @@ def sparse_curves(draw):
 @settings(max_examples=400, deadline=None)
 @given(sparse_curves())
 def test_sweep_matches_bareiss_and_rational_reference(curves):
-    inv, entries = _sweep_and_bareiss(curves)
-    assert inv == symmetric_invariants(entries) == _reference_invariants(entries)
+    inv, entries, _ = _sweep_and_bareiss(curves)
+    assert inv == _reference_invariants(entries)
 
 
-# (name, curves, rank, signature, whether the Bareiss fallback runs);
-# the first row of each example takes the named path
+# an adjacent-slide chain gets (6, 0) here: a slide leaves a diagonal
+# correction that the next slide moves off the diagonal
+SLIDE_COUNTER_EXAMPLE = ((0, 0, 0, 2), (-1, 2, 0, 0), (0, 0, 0, 2), (0, -1, 0, 1),
+                         (-1, 0, 2, 0), (0, 0, 1, 0))
+
+# (name, curves, rank, signature, number of far pivots); the first row
+# of each of the first five examples takes the named path, the last
+# three read a correction c_i that a far pivot left
 SWEEP_PATHS = [
-    ("1x1 pivot", [(1, 1), (1, 0), (2, 1)], 3, 1, False),
-    ("2x2 pivot", [(0, 1), (1, 0)], 2, 0, False),
-    ("zero row", [(1, 0), (1, 1)], 1, 1, False),
-    ("fallback", [(0, 1), (0, 1), (1, 0)], 2, 0, True),
-    ("fallback after pivots", [(1, 1), (0, 1), (0, 1), (1, 0)], 3, 1, True),
+    ("1x1 pivot", [(1, 1), (1, 0), (2, 1)], 3, 1, 0),
+    ("2x2 pivot", [(0, 1), (1, 0)], 2, 0, 0),
+    ("zero row", [(1, 0), (1, 1)], 1, 1, 0),
+    ("far pivot", [(0, 1), (0, 1), (1, 0)], 2, 0, 1),
+    ("far pivot after pivots", [(1, 1), (0, 1), (0, 1), (1, 0)], 3, 1, 1),
+    ("slide counter-example", SLIDE_COUNTER_EXAMPLE, 5, -1, 2),
+    ("2x2 pivot on a corrected row", [(0, 0, 0, -1), (0, 1, 0, 1), (1, -1, 0, 0), (1, 0, -1, 0)],
+     4, 0, 1),
+    ("far pivot over a corrected row", [(0, 1, 0, 0), (0, 1, 0, 1), (0, 0, 0, 1), (1, 1, 0, -1),
+                                        (0, 1, 0, 0), (-1, 0, -1, -1)], 4, 0, 2),
 ]
 
 
-@pytest.mark.parametrize("name,curves,rank,sig,falls_back", SWEEP_PATHS,
-                         ids=[p[0] for p in SWEEP_PATHS])
-def test_sweep_paths(monkeypatch, name, curves, rank, sig, falls_back):
-    calls = []
-
-    def counting(entries):
-        calls.append(len(entries))
-        return symmetric_invariants(entries)
-
-    monkeypatch.setattr(sdcalc.handles, "symmetric_invariants", counting)
-    inv, entries = _sweep_and_bareiss(curves)
-    calls.pop()  # the plain matrix's own Bareiss run
+@pytest.mark.parametrize("name,curves,rank,sig,far", SWEEP_PATHS, ids=[p[0] for p in SWEEP_PATHS])
+def test_sweep_paths(name, curves, rank, sig, far):
+    inv, entries, taken = _sweep_and_bareiss(curves)
     assert inv == (rank, sig) == _reference_invariants(entries)
-    assert bool(calls) == falls_back
+    assert taken == far
+
+
+@st.composite
+def circuits(draw):
+    """The curves of a random closed or open circuit at genus 1, 2, 3 or 5."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    genus = draw(st.sampled_from((1, 2, 3, 5)))
+    length = draw(st.integers(2, 12))
+    make = rand_closed if draw(st.booleans()) else rand_chain
+    return make(rng, genus, length).curves
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuits())
+@example(SLIDE_COUNTER_EXAMPLE)
+@example(far_pivot_family(54).curves)
+def test_sweep_matches_bareiss_on_random_circuits(curves):
+    _sweep_and_bareiss(curves)
+
+
+def test_far_pivot_family():
+    for c in (5, 6, 54):
+        assert _sweep_and_bareiss(far_pivot_family(c).curves)[::2] == ((c, 2 - c), 1)
+
+
+def test_far_pivot_family_is_linear():
+    # Bareiss on all c rows took 8 s at c = 404 and minutes at c = 2004
+    lm = linking_matrix(far_pivot_family(2004))
+    start = time.perf_counter()
+    inv = form_invariants(lm)
+    elapsed = time.perf_counter() - start
+    assert (inv.rank, inv.signature) == (2004, -2002)
+    assert elapsed < 2.0, elapsed
 
 
 def test_suffix_spanners_span_every_suffix():

@@ -149,7 +149,9 @@ def test_each_subcommand_imports_only_what_it_runs(argv, loaded):
     assert set(json.loads(proc.stdout)) == loaded
 
 
-HEAVY = ("dataclasses", "inspect")  # the records are tuples, so no start-up pays for these
+# records are tuples, so no start-up pays for dataclasses or inspect; and
+# the arithmetic stays in exact int, without fractions or decimal
+HEAVY = ("dataclasses", "inspect", "fractions", "decimal")
 
 HEAVY_PROBE = """\
 import contextlib, io, json, sys
