@@ -19,16 +19,7 @@ import random
 import sys
 from collections import namedtuple
 
-from .homology import (
-    genus_of,
-    is_primitive,
-    mat_pow,
-    matvec,
-    pairing,
-    scale,
-    sp_inv,
-    twist_apply,
-)
+from .homology import genus_of, is_primitive, mat_pow, matvec, pairing, scale, sp_inv, twist_apply
 
 
 CLIP = 40  # longest piece of the input that an error message echoes
@@ -315,18 +306,6 @@ def _turns(m, q, cur):
     if t > 2 and limit and q * ((t - 1).bit_length() - 1) >= (4 * top * 10 ** limit).bit_length():
         raise ValueError("Exceeds the limit (%d digits) for integer string conversion" % limit)
     return mat_pow(m, q if t > 2 else q % 12)
-
-
-def rotate_to_front(circ: Circuit, j: int) -> Circuit:
-    """Untwisted rotation putting 0-based entry j first, in one pass.
-
-    Same unoriented circuit as switch(circ, (c - j) % c), but linear
-    time, which the classifier relies on.
-    """
-    if not circ.closed:
-        raise ValueError("rotation needs a closed circuit")
-    cur = circ.curves
-    return normalize(list(cur[j:]) + list(cur[:j]), True)
 
 
 def double(c: Circuit) -> Circuit:

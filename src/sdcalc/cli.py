@@ -66,12 +66,12 @@ class ParseError(Exception):
 
 # ---------------------------------------------------------------- parsing
 
-def parse(text, format=None) -> Diagram:
+def parse(text) -> Diagram:
     """Parse a diagram file (bytes or str), normalizing orientations.
 
-    format is "json", "sd", or None to sniff.  Raises ParseError with a
-    location for syntax problems and with the curve index for semantic
-    ones.
+    The format is sniffed: JSON when the first non-blank character is
+    ``{``, ``.sd`` text otherwise.  Raises ParseError with a location for
+    syntax problems and with the curve index for semantic ones.
     """
     if isinstance(text, bytes):
         try:
@@ -79,15 +79,8 @@ def parse(text, format=None) -> Diagram:
         except UnicodeDecodeError as exc:
             raise ParseError("not UTF-8: byte 0x%02x at offset %d"
                              % (exc.object[exc.start], exc.start)) from None
-    if format is None:
-        stripped = text.lstrip()
-        format = "json" if stripped.startswith("{") else "sd"
-    if format == "json":
-        genus, curves, closed, rows = _parse_json(text)
-    elif format == "sd":
-        genus, curves, closed, rows = _parse_sd(text)
-    else:
-        raise ValueError("unknown format %r" % (format,))
+    read = _parse_json if text.lstrip().startswith("{") else _parse_sd
+    genus, curves, closed, rows = read(text)
 
     for i, v in enumerate(curves, start=1):
         if len(v) != 2 * genus:
@@ -505,17 +498,32 @@ def _diagram_output(d: Diagram, notes, **extra):
 
 # ------------------------------------------------------------------ driver
 
-def _int_arg(s):
-    """int() for argparse, echoing at most CLIP characters of a bad value."""
-    try:
-        return int(s)
-    except ValueError:
-        raise argparse.ArgumentTypeError("invalid int value: %r" % _clip(s)) from None
+# an argv value as an argparse error echoes it, quoted by %r or bare; compiled on use
+_ECHO = r"""'((?:[^'\\]|\\.)*)'|"((?:[^"\\]|\\.)*)"|(\S+)"""
+
+
+def _clip_echo(m):
+    q = m[0][0] if m.lastindex < 3 else ""  # a quoted value keeps its quotes
+    return q + _clip(m[m.lastindex]) + q
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse whose errors cut each echoed argv value by _clip, taking
+    the unrecognized arguments as one value."""
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: %s" % _clip(" ".join(extras)))
+        return args
+
+    def error(self, message):
+        super().error(re.sub(_ECHO, _clip_echo, message))
 
 
 @functools.cache  # once per process; help text is formatted, and wrapped, on use
 def _build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="sdcalc",
         description="surface-diagram calculus on first homology",
     )
@@ -537,21 +545,21 @@ def _build_parser():
     add("detect", _cmd_detect, "find substitution patterns")
     sp = add("substitute", _cmd_substitute, "apply a substitution")
     sp.add_argument("--op", choices=("blowup", "stab", "hayano"), required=True)
-    sp.add_argument("--pos", type=_int_arg, required=True, help="1-based position")
-    sp.add_argument("--exp", type=_int_arg, metavar="{1,-1}", help="blow-up exponent")
-    sp.add_argument("--k", type=_int_arg, help="twist power for stab/hayano")
+    sp.add_argument("--pos", type=int, required=True, help="1-based position")
+    sp.add_argument("--exp", type=int, metavar="{1,-1}", help="blow-up exponent")
+    sp.add_argument("--k", type=int, help="twist power for stab/hayano")
     sp.add_argument("--dual", help="dual class for hayano, e.g. '0,1'")
     sp = add("switch", _cmd_switch, "rotate the reference point")
-    sp.add_argument("--k", type=_int_arg, default=1, help="number of switches (may be negative)")
+    sp.add_argument("--k", type=int, default=1, help="number of switches (may be negative)")
     add("double", _cmd_double, "close off a circuit by doubling")
     add("monodromy", _cmd_monodromy, "lift word, matrix, surgered action, verdict")
     add("blf", _cmd_blf, "broken-fibration handle data")
     sp = add("kirby", _cmd_kirby, "handle-decomposition data")
-    sp.add_argument("--section", type=_int_arg, help="self-intersection of a section (closed only)")
+    sp.add_argument("--section", type=int, help="self-intersection of a section (closed only)")
     sp = add("generate", _cmd_generate, "seeded random closed genus-1 circuit with known classification",
              file_arg=False)
-    sp.add_argument("--seed", type=_int_arg, required=True)
-    sp.add_argument("--steps", type=_int_arg, required=True)
+    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--steps", type=int, required=True)
     return p
 
 

@@ -40,15 +40,11 @@ class LinkingMatrix:
 
     @cached_property
     def entries(self) -> tuple:
-        return tuple(self._closed_form_rows())
+        return tuple(self.rows())
 
     @property
     def size(self) -> int:
         return len(self.curves)
-
-    def rows(self):
-        """Iterator over the rows; it builds no entries."""
-        return iter(self.entries) if "entries" in vars(self) else self._closed_form_rows()
 
     def check_printable(self):
         """Raise str()'s own ValueError now if an entry has more digits than
@@ -61,7 +57,8 @@ class LinkingMatrix:
             for r in self.rows():
                 str(min(r)), str(max(r))
 
-    def _closed_form_rows(self):
+    def rows(self):
+        """Iterator over the rows, each from the closed form; it builds no entries."""
         cs = self.curves
         cols = list(zip(*cs))  # cols[2t]: a_t-coordinates, cols[2t + 1]: b_t-coordinates
         for i, v in enumerate(cs):
@@ -274,20 +271,15 @@ def suffix_spanners(vectors):
     return out
 
 
-def euler_characteristics(c, closed=None):
+def euler_characteristics(c):
     """(chi of the disk piece, chi of the closed total space or None).
 
     chi(Z) = 2 - 2g + c always; chi(X) = 6 - 4g + c when the circuit is
     closed (so 2 + c in genus 1), else None.
     """
     circ = _as_circuit(c)
-    if closed is None:
-        closed = circ.closed
-    g = circ.genus
-    n = circ.length
-    chi_z = 2 - 2 * g + n
-    chi_x = 6 - 4 * g + n if closed else None
-    return chi_z, chi_x
+    g, n = circ.genus, circ.length
+    return 2 - 2 * g + n, (6 - 4 * g + n if circ.closed else None)
 
 
 def emit_kirby(c, section_k=None) -> KirbyData:

@@ -17,7 +17,6 @@ from itertools import chain
 from math import gcd
 from operator import mul
 
-HClass = tuple  # tuple of 2g ints
 SpMatrix = tuple  # tuple of 2g row tuples
 
 
@@ -91,20 +90,6 @@ def ident(n) -> SpMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def jmat(g) -> SpMatrix:
-    """Block-diagonal pairing matrix J with blocks [[0,1],[-1,0]]."""
-    n = 2 * g
-    rows = []
-    for i in range(n):
-        row = [0] * n
-        if i % 2 == 0:
-            row[i + 1] = 1
-        else:
-            row[i - 1] = -1
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def matvec(m, x):
     return tuple(sum(r[j] * x[j] for j in range(len(x))) for r in m)
 
@@ -135,17 +120,18 @@ def transpose(m):
 
 
 def is_symplectic(m) -> bool:
-    """Check M^T J M = J for the pairing matrix of the right genus."""
-    j = jmat(len(m) // 2)
-    return matmul(matmul(transpose(m), j), m) == j
+    """Check M^T J M = J: the columns pair as the basis vectors do, which for
+    i < j (the pairing is alternating) is <e_i, e_j> = 1 at (a_t, b_t), else 0."""
+    cols = transpose(m)
+    return all(pairing(cols[i], cols[j]) == (j == i + 1 and i % 2 == 0)
+               for i in range(len(cols)) for j in range(i + 1, len(cols)))
 
 
 def sp_inv(m):
-    """Inverse of a symplectic integer matrix, via M^{-1} = -J M^T J."""
-    g = len(m) // 2
-    j = jmat(g)
-    inv = matmul(matmul(j, transpose(m)), j)
-    return tuple(tuple(-e for e in row) for row in inv)
+    """Inverse of a symplectic integer matrix, M^{-1} = -J M^T J, read off
+    entry by entry: entry (i, j) is (-1)^(i+j) M[j^1][i^1]."""
+    n = len(m)
+    return tuple(tuple(m[j ^ 1][i ^ 1] * (-1) ** (i + j) for j in range(n)) for i in range(n))
 
 
 def twist_matrix(v, k) -> SpMatrix:
@@ -205,8 +191,10 @@ def word_matrix(word, genus) -> SpMatrix:
 
 
 def delta_twist(a, b) -> SpMatrix:
-    """(T_a T_b)^3 for a dual pair: -identity on span(a,b), identity on its complement."""
-    if abs(pairing(a, b)) != 1:
-        raise ValueError("delta twist needs |<a,b>| = 1, got %d" % pairing(a, b))
-    ab = matmul(twist_matrix(a, 1), twist_matrix(b, 1))
-    return matmul(ab, matmul(ab, ab))
+    """(T_a T_b)^3 for a dual pair: -identity on span(a,b), identity on its
+    complement, so x -> x - 2e(<x,b> a - <x,a> b) with e = <a,b> = +-1."""
+    e = pairing(a, b)
+    if abs(e) != 1:
+        raise ValueError("delta twist needs |<a,b>| = 1, got %d" % e)
+    return transpose([add(x, add(scale(-2 * e * pairing(x, b), a), scale(2 * e * pairing(x, a), b)))
+                      for x in ident(len(a))])

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import add
 
-from .circuit import _Rec, _clip, _clip_int, _repack, _unpack, normalize, rotate_to_front
+from .circuit import _Rec, _clip, _clip_int, _repack, _unpack, normalize
 from .homology import canon_sign, matvec, pairing, scale, twist_apply
 
 
@@ -203,48 +203,35 @@ def _stale(det):
 def contract(d, det: Detection):
     """Undo a detected substitution, returning (diagram, SumForm delta).
 
-    Removes the middle curve of a blow-up window or the inserted pair of
-    a stabilization window; the input is recovered up to switching and
-    signs.  Patterns that wrap the seam are rotated to the front first,
-    so the result may be a switched representative.  Hayano patterns
-    describe a surgery rather than a connected sum and cannot be
-    contracted to a sum-form delta.
+    The rule of genus1.classify, with width w = 1 for a blow-up and 2 for
+    a stabilization: check the pattern on its window of w + 2 curves and
+    remove the w curves after the window's first.  A window that wraps the
+    seam is rotated to the front first, so the result is the input up to
+    switching and signs.  A Hayano pattern is a surgery, not a connected
+    sum, and has no sum-form delta.
     """
     from .genus1 import _DELTAS
 
     circ, mu = _unpack(d)
-    c = circ.length
-    pos = det.position
+    cs, pos = circ.curves, det.position
+    c = len(cs)
     if not circ.closed or not 1 <= pos <= c:
         raise _stale(det)
     if det.kind == "HayanoPattern":
         raise ValueError("a Hayano pattern is a surgery, not a connected sum; "
                          "no sum-form delta to contract")
     if det.kind == "BlowUp":
-        if c < 3 or (mu is not None and pos + 2 > c):
-            raise _stale(det)  # seam windows are never detected on twisted input
-        e = _blowup_exponent(*_norm_window(circ.extended(2)[pos - 1:pos + 2]))
-        if e is None or e != det.exponent:
-            raise _stale(det)
-        if pos + 2 <= c:
-            raw = [v for i, v in enumerate(circ.curves) if i != pos]  # drop middle
-            new = normalize(raw, True, mu)
-        else:
-            rc = rotate_to_front(circ, pos - 1)
-            new = normalize([v for i, v in enumerate(rc.curves) if i != 1], True)
-        return _repack(d, new), _DELTAS[_blowup_summand(det.exponent)]
-    if det.kind == "Stabilization":
-        if c < 4 or (mu is not None and pos + 3 > c):
-            raise _stale(det)
-        k = _stab_power(*_norm_window(circ.extended(3)[pos - 1:pos + 3]))
-        if k is None or k != det.k:
-            raise _stale(det)
-        if pos + 3 <= c:
-            drop = {pos + 1, pos + 2}  # 0-based indices of (z, w)
-            raw = [v for i, v in enumerate(circ.curves) if i not in drop]
-            new = normalize(raw, True, mu)
-        else:
-            rc = rotate_to_front(circ, pos - 1)
-            new = normalize([v for i, v in enumerate(rc.curves) if i not in (2, 3)], True)
-        return _repack(d, new), _DELTAS[_stab_summand(det.k)]
-    raise ValueError("unknown detection kind %r" % (det.kind,))
+        w, read, want, summand = 1, _blowup_exponent, det.exponent, _blowup_summand
+    elif det.kind == "Stabilization":
+        w, read, want, summand = 2, _stab_power, det.k, _stab_summand
+    else:
+        raise ValueError("unknown detection kind %r" % (det.kind,))
+    wraps = pos + w + 1 > c
+    if c < w + 2 or (mu is not None and wraps):
+        raise _stale(det)  # seam windows are never detected on twisted input
+    got = read(*_norm_window(circ.extended(w + 1)[pos - 1:pos + w + 1]))
+    if got is None or got != want:
+        raise _stale(det)
+    if wraps:
+        cs, pos = normalize(cs[pos - 1:] + cs[:pos - 1], True).curves, 1
+    return _repack(d, normalize(cs[:pos] + cs[pos + w:], True, mu)), _DELTAS[summand(want)]

@@ -8,8 +8,12 @@ move-by-move reference for the seeded generator, the eager linking
 matrix, the fraction-free (Bareiss) rank and signature that the Schur
 sweep of handles.form_invariants is compared against, the genus-2
 family whose sweep needs a far pivot, the matrix-based surgered action
-and verdict, and the window-by-window detector that subst.detect is
-compared against.  The general
+and verdict, the window-by-window detector that subst.detect is
+compared against, the two-branch `contract_by_kind` (with its
+`rotate_to_front`) that subst.contract is compared against, and the
+matrix-product forms of is_symplectic, sp_inv and delta_twist, built on
+the pairing matrix `jmat`, that homology's closed forms are compared
+against.  The general
 column-echelon reduction `colreduce` backs `solve_int`, and
 `quotient_basis_by_echelon`, built on two of its passes, is the
 reference for monodromy.quotient_basis.
@@ -18,17 +22,21 @@ reference for monodromy.quotient_basis.
 import random
 from math import gcd
 
-from sdcalc.circuit import Circuit, Diagram, normalize
+from sdcalc.circuit import Circuit, Diagram, _repack, _unpack, normalize
 from sdcalc.genus1 import (Classification, SumForm, _DELTAS, _index, _unoriented_k,
                            _window_coefficients, normalize_sum)
 from sdcalc.handles import fiber_framing
-from sdcalc.homology import (add, canon_sign, ident, matvec, pairing, pairing_functional, scale,
-                             transpose, twist_apply)
+from sdcalc.homology import (add, canon_sign, ident, matmul, matvec, pairing, pairing_functional,
+                             scale, transpose, twist_apply, twist_matrix)
 from sdcalc.monodromy import SurgeredAction, Verdict, mu_tilde_matrix
 from sdcalc.subst import (
     Detection,
+    _blowup_exponent,
     _blowup_summand,
+    _norm_window,
+    _stab_power,
     _stab_summand,
+    _stale,
     apply_blowup,
     apply_stabilization,
     contract,
@@ -525,3 +533,93 @@ def verdict_by_matrix(c) -> Verdict:
     if not moved:
         return Verdict(kind="HomologicallyTrivial")
     return Verdict(kind="ObstructedOnHomology", witness=moved[0])
+
+
+def rotate_to_front(circ: Circuit, j: int) -> Circuit:
+    """Untwisted rotation putting 0-based entry j first, in one pass.
+
+    Same unoriented circuit as switch(circ, (c - j) % c), but linear
+    time.
+    """
+    if not circ.closed:
+        raise ValueError("rotation needs a closed circuit")
+    cur = circ.curves
+    return normalize(list(cur[j:]) + list(cur[:j]), True)
+
+
+def contract_by_kind(d, det: Detection):
+    """Reference for subst.contract: one branch per kind.  A blow-up drops
+    the middle curve of its window, a stabilization the last two curves
+    of its window; a window that wraps the seam is rotated to the front
+    with rotate_to_front first."""
+    circ, mu = _unpack(d)
+    c = circ.length
+    pos = det.position
+    if not circ.closed or not 1 <= pos <= c:
+        raise _stale(det)
+    if det.kind == "HayanoPattern":
+        raise ValueError("a Hayano pattern is a surgery, not a connected sum; "
+                         "no sum-form delta to contract")
+    if det.kind == "BlowUp":
+        if c < 3 or (mu is not None and pos + 2 > c):
+            raise _stale(det)  # seam windows are never detected on twisted input
+        e = _blowup_exponent(*_norm_window(circ.extended(2)[pos - 1:pos + 2]))
+        if e is None or e != det.exponent:
+            raise _stale(det)
+        if pos + 2 <= c:
+            raw = [v for i, v in enumerate(circ.curves) if i != pos]  # drop middle
+            new = normalize(raw, True, mu)
+        else:
+            rc = rotate_to_front(circ, pos - 1)
+            new = normalize([v for i, v in enumerate(rc.curves) if i != 1], True)
+        return _repack(d, new), _DELTAS[_blowup_summand(det.exponent)]
+    if det.kind == "Stabilization":
+        if c < 4 or (mu is not None and pos + 3 > c):
+            raise _stale(det)
+        k = _stab_power(*_norm_window(circ.extended(3)[pos - 1:pos + 3]))
+        if k is None or k != det.k:
+            raise _stale(det)
+        if pos + 3 <= c:
+            drop = {pos + 1, pos + 2}  # 0-based indices of (z, w)
+            raw = [v for i, v in enumerate(circ.curves) if i not in drop]
+            new = normalize(raw, True, mu)
+        else:
+            rc = rotate_to_front(circ, pos - 1)
+            new = normalize([v for i, v in enumerate(rc.curves) if i not in (2, 3)], True)
+        return _repack(d, new), _DELTAS[_stab_summand(det.k)]
+    raise ValueError("unknown detection kind %r" % (det.kind,))
+
+
+def jmat(g):
+    """Block-diagonal pairing matrix J with blocks [[0,1],[-1,0]]."""
+    n = 2 * g
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        if i % 2 == 0:
+            row[i + 1] = 1
+        else:
+            row[i - 1] = -1
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def is_symplectic_by_jmat(m) -> bool:
+    """Reference for homology.is_symplectic: M^T J M = J as matrix products."""
+    j = jmat(len(m) // 2)
+    return matmul(matmul(transpose(m), j), m) == j
+
+
+def sp_inv_by_jmat(m):
+    """Reference for homology.sp_inv: -J M^T J as matrix products."""
+    j = jmat(len(m) // 2)
+    inv = matmul(matmul(j, transpose(m)), j)
+    return tuple(tuple(-e for e in row) for row in inv)
+
+
+def delta_twist_by_product(a, b):
+    """Reference for homology.delta_twist: (T_a T_b)^3 as matrix products."""
+    if abs(pairing(a, b)) != 1:
+        raise ValueError("delta twist needs |<a,b>| = 1, got %d" % pairing(a, b))
+    ab = matmul(twist_matrix(a, 1), twist_matrix(b, 1))
+    return matmul(ab, matmul(ab, ab))

@@ -16,14 +16,13 @@ from sdcalc.circuit import (
     generate,
     generate_trace,
     normalize,
-    rotate_to_front,
     switch,
     validate,
 )
 from sdcalc.cli import parse
 from sdcalc.homology import canon_sign, ident, mat_pow, matvec, pairing, scale, sp_inv, twist_matrix
 
-from support import generate_by_moves, rand_closed
+from support import generate_by_moves, rand_closed, rotate_to_front
 
 DATA = Path(__file__).parent / "data"
 TRI = normalize([(1, 0), (1, -1), (0, 1)], True)

@@ -680,6 +680,27 @@ def test_bad_int_options_are_bounded(capsys, argv, value):
     assert len(err) < 400
 
 
+LONG = "x" * 200000
+ECHOED = {
+    "command": [LONG, TRI],
+    "op": ["substitute", TWO, "--pos", "1", "--op", LONG],
+    "format": ["info", TRI, "--format", LONG],
+    "format_abbrev": ["info", TRI, "--fo=" + LONG],
+    "format_spaces": ["info", TRI, "--format", "x " * 100000],
+    "version_arg": ["--version=" + LONG],
+    "extra": ["info", TRI, LONG],
+    "extras": ["info", TRI] + ["x"] * 100000,
+}
+
+
+@pytest.mark.parametrize("argv", ECHOED.values(), ids=ECHOED.keys())
+def test_argparse_errors_echo_bounded_values(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "x" * (CLIP + 1) not in err and "x " * (CLIP + 1) not in err
+    assert len(err) < 400, err
+
+
 def test_generate_steps_are_bounded(capsys):
     for steps in (str(MAX_STEPS + 1), "9" * 300):
         code, out, err = run(capsys, "generate", "--seed", "1", "--steps", steps)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sdcalc.circuit import Circuit, Diagram, generate, normalize, rotate_to_front
+from sdcalc.circuit import Circuit, Diagram, generate, normalize
 from sdcalc.genus1 import (
     CanonicalForm,
     SumForm,
@@ -13,7 +13,8 @@ from sdcalc.genus1 import (
 )
 from sdcalc.homology import add, pairing, scale, twist_matrix
 
-from support import classify_by_contract, classify_by_rescan, k2_chain, rand_chain, rand_closed
+from support import (classify_by_contract, classify_by_rescan, k2_chain, rand_chain, rand_closed,
+                     rotate_to_front)
 
 TRI = normalize([(1, 0), (1, -1), (0, 1)], True)
 AB = normalize([(1, 0), (0, 1)], True)

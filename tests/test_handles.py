@@ -392,7 +392,6 @@ def test_euler_characteristics():
     assert euler_characteristics(AB) == (2, 4)
     open_chain = normalize([(1, 0), (0, 1)], False)
     assert euler_characteristics(open_chain) == (2, None)
-    assert euler_characteristics(open_chain, closed=True) == (2, 4)
     g2 = rand_closed(random.Random(1), 2, 2)
     assert euler_characteristics(g2) == (0, 0)
 

@@ -14,18 +14,21 @@ from sdcalc.homology import (
     ident,
     is_primitive,
     is_symplectic,
-    jmat,
     mat_pow,
     matmul,
     matvec,
     pairing,
     scale,
     sp_inv,
+    transpose,
     twist_apply,
     twist_matrix,
     word_images,
     word_matrix,
 )
+
+from support import (delta_twist_by_product, is_symplectic_by_jmat, jmat, rand_next, rand_primitive,
+                     sp_inv_by_jmat)
 
 A = (1, 0)
 B = (0, 1)
@@ -196,6 +199,42 @@ def test_jmat_squares_to_minus_identity():
     for g in (1, 2, 3):
         j = jmat(g)
         assert matmul(j, j) == tuple(tuple(-e for e in row) for row in ident(2 * g))
+
+
+def closed_form_outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # the exception type and message are what is compared
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 5])
+def test_closed_forms_match_jmat_products(g):
+    # on random twist-word matrices, which are symplectic, and on the same
+    # matrices with one entry perturbed, which are not
+    rng = random.Random(70 + g)
+    n = 2 * g
+    for _ in range(120):
+        word = [(rand_primitive(rng, g, 2), rng.choice((-2, -1, 1, 2)))
+                for _ in range(rng.randint(1, 6))]
+        m = word_matrix(word, g)
+        i, j = rng.randrange(n), rng.randrange(n)
+        bad = tuple(tuple(x + (r == i and t == j) * rng.choice((-1, 1)) for t, x in enumerate(row))
+                    for r, row in enumerate(m))
+        assert is_symplectic(m) and is_symplectic_by_jmat(m)
+        assert is_symplectic(bad) == is_symplectic_by_jmat(bad)
+        assert sp_inv(m) == sp_inv_by_jmat(m) and matmul(m, sp_inv(m)) == ident(n)
+        assert sp_inv(bad) == sp_inv_by_jmat(bad)
+        # the images of (a_1, b_1) pair to +1, a random next curve to +1 and
+        # its negative to -1; (x, x) pairs to 0, two columns of bad to anything
+        cols, bad_cols = transpose(m), transpose(bad)
+        x = rand_primitive(rng, g)
+        y = rand_next(rng, x)
+        for a, b in ((cols[0], cols[1]), (x, y), (y, x), (x, scale(-1, y)), (x, x),
+                     (bad_cols[i], bad_cols[j])):
+            assert (closed_form_outcome(delta_twist, a, b)
+                    == closed_form_outcome(delta_twist_by_product, a, b)), (a, b)
 
 
 def test_apply_word_order():

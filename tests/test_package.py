@@ -14,6 +14,7 @@ import os
 import re
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -226,6 +227,36 @@ def test_no_assert_and_no_dataclasses_or_inspect(path):
     modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     heavy = [m for m in modules if m and m.split(".")[0] in HEAVY]
     assert not heavy, "%s imports %s" % (path.name, heavy)
+
+
+def test_every_module_level_name_is_used():
+    # a module-level name that no module reads, that is not public and that
+    # no test names is dead code
+    trees = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
+    read = set()
+    for node in chain.from_iterable(map(ast.walk, trees.values())):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    tests = "\n".join(p.read_text() for p in (ROOT / "tests").glob("*.py"))
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            dead += ["%s.%s" % (module, name) for name in names
+                     if not (name.startswith("__") and name.endswith("__"))
+                     and name not in sdcalc.__all__ and name not in read
+                     and not re.search(r"\b%s\b" % re.escape(name), tests)]
+    assert not dead, "names that nothing uses: %s" % dead
 
 
 # ------------------------------------------------------------- entry points

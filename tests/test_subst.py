@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sdcalc.circuit import Circuit, Diagram, generate, normalize, rotate_to_front
+from sdcalc.circuit import Circuit, Diagram, generate, normalize
 from sdcalc.cli import parse
 from sdcalc.homology import canon_sign, pairing, scale, twist_apply, twist_matrix
 from sdcalc.subst import (
@@ -19,7 +19,7 @@ from sdcalc.subst import (
     hayano_surgery,
 )
 
-from support import detect_by_windows, rand_closed, rand_next
+from support import contract_by_kind, detect_by_windows, rand_closed, rand_next, rotate_to_front
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -292,6 +292,94 @@ def test_detect_matches_window_oracle_on_twisted_diagrams():
         diagrams += [Diagram(circ, mu), Diagram(flipped(rng, circ), mu)]
     for d in diagrams:
         assert detect(d) == detect_by_windows(d), d
+
+
+def contract_outcome(f, d, det):
+    """repr of f(d, det), or the type and message of what it raised."""
+    try:
+        return repr(f(d, det))
+    except Exception as exc:  # the exception type and message are what is compared
+        return type(exc), str(exc)
+
+
+def assert_contract_matches_oracle(d, dets):
+    for det in dets:
+        got, want = contract_outcome(contract, d, det), contract_outcome(contract_by_kind, d, det)
+        assert got == want, (d, det, got, want)
+
+
+def edited(det, c):
+    """det made stale in every way: unknown kind, positions out of range or
+    elsewhere, wrong exponent or k."""
+    out = [det._replace(kind=kind) for kind in ("BlowUp", "Stabilization", "HayanoPattern", "Cusp")]
+    out += [det._replace(position=p) for p in (0, -1, c, c + 1, det.position % c + 1)]
+    out += [det._replace(exponent=-det.exponent)] if det.exponent is not None else []
+    out += [det._replace(k=det.k + dk) for dk in (-1, 1)] if det.k is not None else []
+    return out
+
+
+def test_contract_matches_oracle_on_generator_detections():
+    # every detection, seam windows included, on the normalized circuit and
+    # on the same curves with random signs; then every detection edited
+    rng = random.Random(23)
+    for seed in range(60):
+        circ, _ = generate(seed, rng.randint(0, 40))
+        c = circ.length
+        dets = detect(circ)
+        for d in (circ, flipped(rng, circ), rotate_to_front(circ, rng.randrange(c))):
+            assert_contract_matches_oracle(d, dets + detect(d))
+        assert_contract_matches_oracle(circ, [e for det in dets for e in edited(det, c)])
+
+
+def test_contract_matches_oracle_at_genus_2_3_5():
+    rng = random.Random(24)
+    for _ in range(60):
+        genus = rng.choice((2, 3, 5))
+        circ = substituted(rng, rand_closed(rng, genus, rng.randint(2, 6)), rng.randint(1, 4))
+        dets = detect(circ)
+        for d in (circ, flipped(rng, circ)):
+            assert_contract_matches_oracle(d, dets)
+        assert_contract_matches_oracle(circ, [e for det in dets for e in edited(det, circ.length)])
+
+
+def test_contract_matches_oracle_on_corrupted_circuits():
+    # a curve away from the window replaced by one that breaks normalize:
+    # not primitive, of another genus, or pairing its neighbour to 0
+    rng = random.Random(25)
+    for seed in range(40):
+        circ, _ = generate(seed, rng.randint(3, 20))
+        c = circ.length
+        for det in detect(circ):
+            w = 1 if det.kind == "BlowUp" else 2
+            window = {(det.position - 1 + t) % c for t in range(w + 2)}
+            away = [i for i in range(c) if i not in window]
+            if not away:
+                continue
+            i = rng.choice(away)
+            for bad in ((2, 0), (1, 0, 0, 0), circ.curves[i - 1]):
+                cs = list(circ.curves)
+                cs[i] = bad
+                assert_contract_matches_oracle(Circuit(tuple(cs), True), [det])
+    assert_contract_matches_oracle(Circuit(((1, 0), (1, 0), (0, 1)), True),
+                                   [Detection("BlowUp", 1, exponent=1)])
+    assert_contract_matches_oracle(normalize([(1, 0), (0, 1)], False),
+                                   [Detection("BlowUp", 1, exponent=1)])
+
+
+def test_contract_matches_oracle_on_twisted_diagrams():
+    rng = random.Random(26)
+    diagrams = [parse((DATA / "twisted.sd").read_bytes()),
+                Diagram(apply_blowup(TRI, 2, 1), twist_matrix((1, 0), 1)),
+                Diagram(ST, twist_matrix((1, 0), -2))]
+    for _ in range(40):
+        genus = rng.choice((1, 1, 2, 3))
+        circ = substituted(rng, rand_closed(rng, genus, rng.randint(2, 6)), rng.randint(1, 3))
+        mu = twist_matrix(circ.curves[0], rng.choice((-2, -1, 1, 3)))  # keeps the closing pairing
+        diagrams += [Diagram(circ, mu), Diagram(flipped(rng, circ), mu)]
+    for d in diagrams:
+        c = d.circuit.length
+        dets = detect(d) + detect(d.circuit)  # the untwisted scan adds the seam windows
+        assert_contract_matches_oracle(d, dets + [e for det in dets for e in edited(det, c)])
 
 
 DETECT_BAD = [
