@@ -318,9 +318,6 @@ def double(c: Circuit) -> Circuit:
     return normalize(raw, True)
 
 
-_START = ((1, 0), (0, 1))  # the standard dual pair
-
-
 def generate(seed: int, steps: int):
     """Seeded random closed genus-1 circuit with exactly known sum form.
 
@@ -329,73 +326,37 @@ def generate(seed: int, steps: int):
     with k in [-3, 3], at a random interior pair.  Interior positions
     keep the bookkeeping exact: each move changes the linking form by
     the corresponding standard block, so the returned SumForm counts
-    are not just expected values but theorems about the output.
+    are not just expected values but theorems about the output.  A +1
+    blow-up adds CP2bar (n), a -1 blow-up CP2 (m), an even stabilization
+    S2xS2 (l), an odd one CP2 # CP2bar (m and n).
 
     The moves insert into a plain list and the signs are fixed by one
     `normalize` at the end, so a circuit of length c costs O(c) per
-    move, not a renormalization of the whole circuit.
+    move, not a renormalization of the whole circuit.  The list is the
+    circuit up to per-curve signs: every move sits at an interior pair,
+    so the first curve is never touched, and the inserted
+    tau_y^k(x) = x + k<y,x>y changes sign only with x.  `normalize`,
+    which keeps the first curve's sign, fixes the rest.
 
     Returns (circuit, SumForm) where the sum form has closure
     "Unclosed" (the closure summand is only chosen when classifying).
     """
-    cs = list(_START)
-    form = _sum_form(_grow(seed, steps, cs))
-    return normalize(cs, True), form
+    from .genus1 import SumForm
 
-
-def generate_trace(seed: int, steps: int):
-    """Like generate, but also return the per-move history.
-
-    Returns (circuit, sum_form, moves, states) with moves a list of
-    (kind, pos, param) and states the circuits before/after each move
-    (len(states) = len(moves) + 1).
-    """
-    cs = list(_START)
-    states = [normalize(cs, True)]
-    moves = []
-    for move in _grow(seed, steps, cs):
-        moves.append(move)
-        states.append(normalize(cs, True))
-    return states[-1], _sum_form(moves), moves, states
-
-
-def _grow(seed, steps, cs):
-    """Apply the generator's random moves to the curve list cs in place,
-    yielding each move (kind, pos, param) once it is made.
-
-    cs is the generator's circuit up to per-curve signs: every move sits
-    at an interior pair, so the first curve is never touched, and the
-    inserted tau_y^k(x) = x + k<y,x>y changes sign only with x.
-    `normalize`, which keeps the first curve's sign, fixes the rest.
-    """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     rng = random.Random(seed)
+    cs = [(1, 0), (0, 1)]  # the standard dual pair
+    l = m = n = 0
     for _ in range(steps):
         pos = rng.randint(1, len(cs) - 1)
         x, y = cs[pos - 1], cs[pos]
         if rng.random() < 0.5:
             e = rng.choice([1, -1])
             cs.insert(pos, twist_apply(y, e, x))
-            yield "blowup", pos, e
+            m, n = m + (e == -1), n + (e == 1)
         else:
             k = rng.randint(-3, 3)
             cs[pos + 1:pos + 1] = [twist_apply(y, k, x), y]
-            yield "stab", pos, k
-
-
-def _sum_form(moves):
-    """SumForm of a move history: a +1 blow-up adds CP2bar (n), a -1
-    blow-up CP2 (m), an even stabilization S2xS2 (l), an odd one
-    CP2 # CP2bar (m and n)."""
-    from .genus1 import SumForm
-
-    l = m = n = 0
-    for kind, _pos, p in moves:
-        if kind == "blowup":
-            m, n = m + (p == -1), n + (p == 1)
-        elif p % 2 == 0:
-            l += 1
-        else:
-            m, n = m + 1, n + 1
-    return SumForm(l=l, m=m, n=n, closure="Unclosed")
+            l, m, n = l + (k % 2 == 0), m + k % 2, n + k % 2
+    return normalize(cs, True), SumForm(l, m, n, "Unclosed")

@@ -172,8 +172,12 @@ def classify(d) -> Classification:
     if not report.ok:
         raise ValueError("invalid circuit: %s" % (report.failures[0],))
 
+    # At genus 1 a window (x, y, z) with <x,y> = <y,z> = 1 has <y, x+z> = 0,
+    # so z = k y - x with k = <x,z>: validate has checked the duality relation.
+    # The seam windows read eps g_1, which pairs +1 on both sides, and the
+    # sign-free <x,y><y,z><x,z> is that k.
     curves = list(circ.curves)
-    ks = _window_coefficients(circ.extended(2))
+    ks = [_unoriented_k(curves, i) for i in range(len(curves))]
     total = SumForm()
     trace = []
     lo, z = 0, 1  # ks[:lo] holds no +-1, ks[1:z] no 0

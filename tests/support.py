@@ -470,9 +470,11 @@ def detect_by_windows(d):
 
 
 def generate_by_moves(seed, steps):
-    """Reference for circuit.generate_trace: the same random moves, each
+    """Reference for circuit.generate: the same random moves, each
     made by subst.apply_blowup / apply_stabilization, which renormalize
-    the whole circuit after every move, O(c^2) in all."""
+    the whole circuit after every move, O(c^2) in all.  Returns
+    (circuit, sum_form, moves, states): moves a list of (kind, pos, param),
+    states the circuits before and after each move."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     rng = random.Random(seed)

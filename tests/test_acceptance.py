@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from sdcalc.circuit import double, generate, generate_trace, normalize
+from sdcalc.circuit import double, generate, normalize
 from sdcalc.genus1 import classify, normalize_sum, sigma_sequence
 from sdcalc.handles import emit_kirby, euler_characteristics, form_invariants, linking_matrix
 from sdcalc.homology import (
@@ -29,7 +29,8 @@ from sdcalc.homology import (
 from sdcalc.monodromy import mu_tilde_matrix, surgered_action, verdict
 from sdcalc.subst import apply_blowup, apply_stabilization, detect, hayano_surgery
 
-from support import induced_action, rand_chain, rand_closed, rand_next, rand_primitive, solve_int
+from support import (generate_by_moves, induced_action, rand_chain, rand_closed, rand_next,
+                     rand_primitive, solve_int)
 
 CORPUS_SIZE = 1000
 MAX_STEPS = 30
@@ -40,7 +41,7 @@ def corpus():
     out = []
     for seed in range(CORPUS_SIZE):
         steps = seed % (MAX_STEPS + 1)
-        out.append((seed,) + generate_trace(seed, steps))
+        out.append((seed,) + generate_by_moves(seed, steps))
     return out
 
 

@@ -14,7 +14,6 @@ from sdcalc.circuit import (
     _turns,
     double,
     generate,
-    generate_trace,
     normalize,
     switch,
     validate,
@@ -325,35 +324,20 @@ def test_generate_zero_steps():
     assert form.closure == "Unclosed"
 
 
-def test_generate_trace_replays():
-    from sdcalc.subst import apply_blowup, apply_stabilization
-
-    circ, form, moves, states = generate_trace(17, 12)
-    assert len(moves) == 12 and len(states) == 13
-    cur = states[0]
-    for (kind, pos, param), nxt in zip(moves, states[1:]):
-        cur = apply_blowup(cur, pos, param) if kind == "blowup" else apply_stabilization(cur, pos, param)
-        assert cur.curves == nxt.curves
-    assert cur.curves == circ.curves
-
-
-def test_generate_trace_matches_move_oracle():
-    # one list normalized per snapshot against apply_blowup /
-    # apply_stabilization after every move: circuit, form, moves and
-    # every state
+def test_generate_matches_move_oracle():
+    # one list normalized at the end against apply_blowup /
+    # apply_stabilization after every move: circuit and form
     rng = random.Random(49)
     for steps in [0, 1, 2, 200] + [rng.randint(0, 60) for _ in range(28)]:
         seed = rng.randrange(2**32)
-        ref = generate_by_moves(seed, steps)
-        assert generate_trace(seed, steps) == ref
-        assert generate(seed, steps) == ref[:2]
-    for fn in (generate, generate_trace):
+        assert generate(seed, steps) == generate_by_moves(seed, steps)[:2]
+    for fn in (generate, generate_by_moves):
         with pytest.raises(ValueError, match="steps must be >= 0"):
             fn(1, -1)
 
 
 def test_generate_counts_match_moves():
-    _, form, moves, _ = generate_trace(99, 20)
+    form, moves = generate(99, 20)[1], generate_by_moves(99, 20)[2]
     l = sum(1 for k, _, p in moves if k == "stab" and p % 2 == 0)
     m = sum(1 for k, _, p in moves if (k == "blowup" and p == -1) or (k == "stab" and p % 2 == 1))
     n = sum(1 for k, _, p in moves if (k == "blowup" and p == 1) or (k == "stab" and p % 2 == 1))
@@ -361,7 +345,7 @@ def test_generate_counts_match_moves():
 
 
 def test_generate_lengths():
-    circ, _, moves, _ = generate_trace(3, 8)
+    circ, moves = generate(3, 8)[0], generate_by_moves(3, 8)[2]
     # each blow-up adds one curve, each stabilization two
     expect = 2 + sum(1 if k == "blowup" else 2 for k, _, _ in moves)
     assert len(circ) == expect

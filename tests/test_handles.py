@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sdcalc.circuit import Circuit, generate, generate_trace, normalize, switch
+from sdcalc.circuit import Circuit, generate, normalize, switch
 from sdcalc.handles import (
     KirbyData,
     LinkingMatrix,
@@ -24,8 +24,8 @@ from sdcalc.handles import (
 from sdcalc.homology import add, pairing, scale
 from sdcalc.subst import apply_blowup, apply_stabilization
 
-from support import (far_pivot_family, linking_by_halves, linking_matrix_eager, rand_chain,
-                     rand_closed, symmetric_invariants)
+from support import (far_pivot_family, generate_by_moves, linking_by_halves, linking_matrix_eager,
+                     rand_chain, rand_closed, symmetric_invariants)
 
 TRI = normalize([(1, 0), (1, -1), (0, 1)], True)
 AB = normalize([(1, 0), (0, 1)], True)
@@ -63,7 +63,7 @@ def test_linking_matches_half_pairing_formula():
 def test_linking_matrix_matches_half_pairing_formula():
     rng = random.Random(4)
     circuits = [rand_closed(rng, rng.randint(1, 3), rng.randint(2, 7)) for _ in range(40)]
-    circuits += generate_trace(4, 12)[3]
+    circuits += generate_by_moves(4, 12)[3]
     for c in circuits:
         cs = c.curves
         expect = tuple(
@@ -75,7 +75,7 @@ def test_linking_matrix_matches_half_pairing_formula():
 
 
 LAZY_CASES = [rand_closed(random.Random(50 + g), g, n) for g in (1, 2, 3, 5) for n in (2, 3, 6, 11)]
-LAZY_CASES += generate_trace(5, 60)[3]  # steps 0 to 60
+LAZY_CASES += generate_by_moves(5, 60)[3]  # steps 0 to 60
 
 
 def test_lazy_linking_matrix_matches_eager_oracles():
@@ -342,7 +342,7 @@ def test_suffix_spanners_span_every_suffix():
 
 def test_sweep_matches_bareiss_on_generated_histories():
     for seed in range(8):
-        for state in generate_trace(seed, 30)[3]:
+        for state in generate_by_moves(seed, 30)[3]:
             _sweep_and_bareiss(state.curves)
 
 
