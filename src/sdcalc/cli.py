@@ -282,7 +282,7 @@ def _load(path, needs_closed=False, allow_twisted=True):
             with open(path, "rb") as fh:
                 data = fh.read()
         except OSError as exc:
-            raise ParseError("cannot read %s: %s" % (path, exc.strerror)) from exc
+            raise ParseError("cannot read %s: %s" % (_clip(path), exc.strerror)) from exc
     d = parse(data)
     if needs_closed and not d.circuit.closed:
         raise UsageError("this command needs a closed circuit")
@@ -498,8 +498,9 @@ def _diagram_output(d: Diagram, notes, **extra):
 
 # ------------------------------------------------------------------ driver
 
-# an argv value as an argparse error echoes it, quoted by %r or bare; compiled on use
-_ECHO = r"""'((?:[^'\\]|\\.)*)'|"((?:[^"\\]|\\.)*)"|(\S+)"""
+# an argv value as an argparse error echoes it: quoted by %r, as the whole
+# argument of an ambiguous option, or bare; compiled on use
+_ECHO = r"""'((?:[^'\\]|\\.)*)'|"((?:[^"\\]|\\.)*)"|(?<=^ambiguous option: )(.*)(?= could match )|(\S+)"""
 
 
 def _clip_echo(m):
@@ -508,8 +509,13 @@ def _clip_echo(m):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse whose errors cut each echoed argv value by _clip, taking
-    the unrecognized arguments as one value."""
+    """argparse whose errors raise UsageError, one line with each echoed
+    argv value cut by _clip, taking the unrecognized arguments as one value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # no option starts with - and a digit, so such an argument is a value: --dual -1,0
+        self._negative_number_matcher = re.compile(r"-\d")
 
     def parse_args(self, args=None, namespace=None):
         args, extras = self.parse_known_args(args, namespace)
@@ -518,7 +524,7 @@ class _Parser(argparse.ArgumentParser):
         return args
 
     def error(self, message):
-        super().error(re.sub(_ECHO, _clip_echo, message))
+        raise UsageError(re.sub(_ECHO, _clip_echo, message))
 
 
 @functools.cache  # once per process; help text is formatted, and wrapped, on use
@@ -564,19 +570,16 @@ def _build_parser():
 
 
 def run(argv) -> int:
-    try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
     err = sys.stderr
     paint = _color_enabled(err)
 
     def fail(code, msg):
         prefix = "\x1b[31merror:\x1b[0m" if paint else "error:"
-        print(prefix, msg, file=err)
+        print(prefix, " ".join(msg.splitlines()), file=err)  # an argv value may hold newlines
         return code
 
     try:
+        args = _build_parser().parse_args(argv)
         report, text_lines, code, homological = args.func(args)
         if homological is not None:  # a report rather than a bare diagram
             report.update(command=args.command, homological_only=homological)
@@ -586,21 +589,23 @@ def run(argv) -> int:
                     note = "\x1b[33m" + note + "\x1b[0m"
                 text_lines = [note] + text_lines
         payload = _payload(report, text_lines, args.format)
-    except ParseError as exc:
+    except SystemExit as exc:  # -h and --version print, then exit 0
+        return exc.code
+    except (ParseError, RuntimeError) as exc:
         return fail(1, str(exc))
-    except (UsageError, ValueError) as exc:  # ValueError: the input does not fit the operation
+    except UsageError as exc:  # its message may echo argv, so it is not read here
+        return fail(2, str(exc))
+    except ValueError as exc:  # the input does not fit the operation
         if _OVERLONG in str(exc):  # a result str() refuses to print; valid input
             return fail(1, "result has an integer longer than %d digits"
                         % sys.get_int_max_str_digits())
         return fail(2, str(exc))
-    except RuntimeError as exc:
-        return fail(1, str(exc))
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.writelines(payload)
         except OSError as exc:
-            return fail(2, "cannot write %s: %s" % (args.out, exc.strerror))
+            return fail(2, "cannot write %s: %s" % (_clip(args.out), exc.strerror))
     else:
         sys.stdout.writelines(payload)
     return code

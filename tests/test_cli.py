@@ -11,7 +11,7 @@ from unittest import mock
 
 import jsonschema
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sdcalc import cli
 from sdcalc.circuit import CLIP, MAX_STEPS, Circuit, validate
@@ -687,6 +687,7 @@ ECHOED = {
     "format": ["info", TRI, "--format", LONG],
     "format_abbrev": ["info", TRI, "--fo=" + LONG],
     "format_spaces": ["info", TRI, "--format", "x " * 100000],
+    "ambiguous_spaces": ["substitute", TWO, "--o=" + "x " * 100000],
     "version_arg": ["--version=" + LONG],
     "extra": ["info", TRI, LONG],
     "extras": ["info", TRI] + ["x"] * 100000,
@@ -699,6 +700,47 @@ def test_argparse_errors_echo_bounded_values(capsys, argv):
     assert code == 2 and out == ""
     assert "x" * (CLIP + 1) not in err and "x " * (CLIP + 1) not in err
     assert len(err) < 400, err
+
+
+USAGE_ERRORS = {
+    "command": ["frobnicate"],
+    "missing": ["substitute", TWO, "--op", "blowup"],
+    "choice": ["info", TRI, "--format", "xml"],
+    "int": ["switch", TRI, "--k", "two"],
+    "extra": ["info", TRI, "extra"],
+    "ambiguous": ["substitute", TWO, "--o", "x"],
+    "no_value": ["substitute", TWO, "--op", "hayano", "--pos", "1", "--k", "0", "--dual"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_errors_are_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: ") and "usage:" not in err
+
+
+def test_usage_errors_are_painted_on_a_terminal(monkeypatch):
+    err = io.StringIO()
+    monkeypatch.setattr(err, "isatty", lambda: True, raising=False)
+    monkeypatch.delenv("SDCALC_COLOR", raising=False)
+    with redirect_stderr(err):
+        assert cli.run(["frobnicate"]) == 2
+    assert err.getvalue().startswith("\x1b[31merror:\x1b[0m argument command: invalid choice")
+
+
+@pytest.mark.parametrize("dual", ["-1,1", "-1,+1", "-2,-1"])
+def test_dual_may_start_with_a_minus(capsys, dual):
+    argv = ["substitute", TRI, "--op", "hayano", "--pos", "1", "--k", "0"]
+    expect = run(capsys, *argv, "--dual=" + dual)
+    assert expect[0] == 0 and expect[1].startswith("genus 1\ncurve 1 0\n")
+    assert run(capsys, *argv, "--dual", dual) == expect
+
+
+def test_usage_error_text_is_not_read_as_an_overlong_result(capsys):
+    code, _, err = run(capsys, "substitute", TWO, "--op", "hayano", "--pos", "1", "--k", "0",
+                       "--dual", "integer string conversion")
+    assert code == 2 and err.startswith("error: expected a comma-separated integer vector")
 
 
 def test_generate_steps_are_bounded(capsys):
@@ -746,3 +788,33 @@ def test_fuzz_commands_never_raise(data, fmt):
         msg = err.getvalue()
         assert code in (0, 1, 2), (command, data)
         assert msg.count("\n") <= 1 and len(msg) <= 150, (command, data, msg)
+
+
+SUBCOMMANDS = ["validate", "info", "classify", "detect", "substitute", "switch", "double",
+               "monodromy", "blf", "kirby", "generate", "frobnicate"]
+# every option but --out, whose value names a file to write, and two abbreviations
+OPTIONS = ["--format", "--op", "--pos", "--exp", "--k", "--dual", "--section", "--seed",
+           "--steps", "--fo", "--du", "-h"]
+ARGV_VALUES = st.one_of(
+    st.integers(-40, 40).map(str),
+    st.sampled_from(["9" * 30, "-" + "9" * 30, BIG, "-" + BIG, "-1,0", "1,-1,0,2", "text",
+                     "json", "blowup", "stab", "hayano", "", " ", "-", "--", "-x",
+                     "x " * 3000, "é" * 300, "é\nΔ 1"]),
+    st.text(max_size=30),  # non-ASCII, spaces and control characters
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(command=st.sampled_from(SUBCOMMANDS),
+       file=st.sampled_from([TWO, TRI, GENUS2, OPEN, TWISTED, TRIJSON, "-"]) | ARGV_VALUES,
+       options=st.lists(st.tuples(st.sampled_from(OPTIONS), ARGV_VALUES), max_size=5))
+def test_fuzz_argv_errors_are_one_bounded_line(command, file, options):
+    argv = [command] + [file] * (command != "generate") + [t for pair in options for t in pair]
+    assume(not any(t.startswith("--o") for t in argv))  # an abbreviation of --out writes a file
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.TextIOWrapper(io.BytesIO(Path(TWO).read_bytes()))), \
+            redirect_stdout(out), redirect_stderr(err):
+        code = cli.run(argv)
+    msg = err.getvalue()
+    assert code in (0, 1, 2), argv
+    assert msg.count("\n") <= 1 and len(msg) <= 300, (argv, msg)
