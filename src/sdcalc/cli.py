@@ -500,7 +500,7 @@ def _diagram_output(d: Diagram, notes, **extra):
 
 # an argv value as an argparse error echoes it: quoted by %r, as the whole
 # argument of an ambiguous option, or bare; compiled on use
-_ECHO = r"""'((?:[^'\\]|\\.)*)'|"((?:[^"\\]|\\.)*)"|(?<=^ambiguous option: )(.*)(?= could match )|(\S+)"""
+_ECHO = r"""'((?:[^'\\]|\\.)*)'|"((?:[^"\\]|\\.)*)"|(?<=^ambiguous option: )((?s:.*))(?= could match )|(\S+)"""
 
 
 def _clip_echo(m):

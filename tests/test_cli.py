@@ -688,6 +688,7 @@ ECHOED = {
     "format_abbrev": ["info", TRI, "--fo=" + LONG],
     "format_spaces": ["info", TRI, "--format", "x " * 100000],
     "ambiguous_spaces": ["substitute", TWO, "--o=" + "x " * 100000],
+    "ambiguous_newlines": ["substitute", TWO, "--o=" + "x\n" * 100000],
     "version_arg": ["--version=" + LONG],
     "extra": ["info", TRI, LONG],
     "extras": ["info", TRI] + ["x"] * 100000,
