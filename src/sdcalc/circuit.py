@@ -18,8 +18,11 @@ from __future__ import annotations
 import random
 import sys
 from collections import namedtuple
+from itertools import chain
+from math import comb
 
-from .homology import genus_of, is_primitive, mat_pow, matvec, pairing, scale, sp_inv, twist_apply
+from .homology import (genus_of, ident, is_primitive, mat_pow, matmul, matvec, pairing, scale, sp_inv,
+                       twist_apply)
 
 
 CLIP = 40  # longest piece of the input that an error message echoes
@@ -281,31 +284,58 @@ def switch(d, k: int = 1):
 def _turns(m, q, cur):
     """m^q for q full turns of the circuit cur, its size decided first.
 
-    At genus 1 m is in SL(2, Z).  If t = |tr m| < 2, m^12 = 1 (as
-    m^2 = tr(m) m - 1); if t = 2, m = s (1 + N) with N^2 = 0, so
-    m^q = s^q (1 + q N).  If t > 2, m^q has the eigenvalue l^q with
-    l > t - 1, and l^q < |tr m^q| <= 2 max|m^q| <= 4 G max|out|, since two
-    adjacent curves x, y of cur are a basis: m^q = [m^q x, m^q y] [x, y]^-1,
-    with G = max|x, y| and out the switched curves.  So once
+    If s m is unipotent, s = sign tr m, the power has a closed form (see
+    _unipotent_power).  Otherwise, at genus 1, m is in SL(2, Z) with
+    t = |tr m| != 2.  If t < 2, m^12 = 1 (as m^2 = tr(m) m - 1).  If t > 2,
+    m^q has the eigenvalue l^q with l > t - 1, and
+    l^q < |tr m^q| <= 2 max|m^q| <= 4 G max|out|, since two adjacent
+    curves x, y of cur are a basis: m^q = [m^q x, m^q y] [x, y]^-1, with
+    G = max|x, y| and out the switched curves.  So once
     (t - 1)^q >= 4 G 10^limit, with limit the digits str() prints, the
     result cannot print, and str()'s ValueError comes before any squaring.
-    At genus >= 2 no power of m may pass MAX_POWER_BITS.
+    At genus >= 2 no power of m that is formed may pass MAX_POWER_BITS.
     """
+    out = _unipotent_power(m, q)
     if len(m) > 2:
-        out = mat_pow(m, q, MAX_POWER_BITS)
         if out is None:
+            out = mat_pow(m, q, MAX_POWER_BITS)
+        if out is None or max(map(abs, chain(*out))).bit_length() > MAX_POWER_BITS:
             raise ValueError("switch matrix power past %d bits at genus >= 2" % MAX_POWER_BITS)
         return out
+    if out is not None:
+        return out
     t = abs(m[0][0] + m[1][1])
-    if t == 2:  # s^q (1 + q N) = s^q (q s m - (q - 1))
-        s = (m[0][0] + m[1][1]) // 2
-        return tuple(tuple((s if q % 2 else 1) * (q * s * x - (q - 1) * (i == j))
-                           for j, x in enumerate(row)) for i, row in enumerate(m))
     limit = sys.get_int_max_str_digits()
     top = max(map(abs, cur[0] + cur[1]))
     if t > 2 and limit and q * ((t - 1).bit_length() - 1) >= (4 * top * 10 ** limit).bit_length():
         raise ValueError("Exceeds the limit (%d digits) for integer string conversion" % limit)
     return mat_pow(m, q if t > 2 else q % 12)
+
+
+def _unipotent_power(m, q):
+    """m^q = s^q sum_{i<n} C(q, i) N^i when |tr m| = n = len(m) and
+    N = s m - 1, s = sign tr m, has N^n = 0; else None.
+
+    The powers of N are formed until one is zero, at most n - 1 products
+    whatever q is.  At genus 1 every m in SL(2, Z) with |tr m| = 2 is such
+    an m, as N^2 = 0 there: m^q = s^q (1 + q N).
+    """
+    n = len(m)
+    tr = sum(m[i][i] for i in range(n))
+    if abs(tr) != n:
+        return None
+    s = tr // n
+    nil = tuple(tuple(s * x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(m))
+    powers = [ident(n)]
+    p = nil
+    while any(map(any, p)):
+        if len(powers) == n:
+            return None  # N^n != 0
+        powers.append(p)
+        p = matmul(p, nil)
+    coef = [(-1 if s < 0 and q % 2 else 1) * comb(q, i) for i in range(len(powers))]
+    return tuple(tuple(sum(c * pw[i][j] for c, pw in zip(coef, powers)) for j in range(n))
+                 for i in range(n))
 
 
 def double(c: Circuit) -> Circuit:

@@ -42,7 +42,7 @@ from itertools import chain
 
 from . import __version__
 # start-up is most of a run: each subcommand imports the rest of what it runs itself
-from .circuit import MAX_STEPS, Diagram, _clip, _clip_int, double, generate, normalize, switch, validate
+from .circuit import CLIP, MAX_STEPS, Diagram, _clip, _clip_int, double, generate, normalize, switch, validate
 from .homology import is_symplectic, word_matrix
 
 BANNER = ("homological shadow only: genus >= 2 results are necessary "
@@ -504,8 +504,17 @@ _ECHO = r"""'((?:[^'\\]|\\.)*)'|"((?:[^"\\]|\\.)*)"|(?<=^ambiguous option: )((?s
 
 
 def _clip_echo(m):
-    q = m[0][0] if m.lastindex < 3 else ""  # a quoted value keeps its quotes
-    return q + _clip(m[m.lastindex]) + q
+    s = m[m.lastindex]
+    if m.lastindex > 2:
+        return _clip(s)
+    if len(s) > CLIP:  # a quoted repr is cut between its escapes, so it stays a prefix of the repr
+        cut = 0
+        for unit in re.finditer(r"\\(?:x..|u.{4}|U.{8}|N\{[^}]*\}|.)|[^\\]", s):
+            if unit.end() > CLIP:
+                break
+            cut = unit.end()
+        s = s[:cut] + "..."
+    return m[0][0] + s + m[0][0]  # a quoted value keeps its quotes
 
 
 class _Parser(argparse.ArgumentParser):

@@ -150,8 +150,8 @@ def word_images(word, xs):
     The word may be any iterable; it is read once and every factor is
     checked before any image is computed: nonzero exponent, primitive
     axis of the classes' genus.  Each factor then costs one pairing per
-    class, through the axis's pairing functional; with no classes only
-    the checks run.
+    class, through the axis's pairing functional, or at genus 1 a few
+    scalar products; with no classes only the checks run.
     """
     xs = list(xs)
     n = 2 * genus_of(xs[0]) if xs else None
@@ -164,11 +164,22 @@ def word_images(word, xs):
             raise ValueError("genus mismatch in word: axis %r on %r" % (axis, xs[0]))
         if exp == 0:
             raise ValueError("word exponents must be nonzero")
-        genus_of(axis)
-        _require_axis(axis)
+        if not xs:  # with classes, len(axis) == n has checked it
+            genus_of(axis)
+        if gcd(*axis) != 1:
+            raise ValueError("twist axis must be primitive, got %r" % (axis,))
         factors.append((axis, exp))
     if not xs:
         return []
+    if n == 2:  # x -> x + e <v, x> v on scalars
+        images = []
+        for x0, x1 in xs:
+            for (a, b), e in factors:
+                t = e * (a * x1 - b * x0)
+                x0 += t * a
+                x1 += t * b
+            images.append((x0, x1))
+        return images
     images = [list(x) for x in xs]
     for axis, exp in factors:
         f = pairing_functional(axis)

@@ -56,10 +56,20 @@ def mu_tilde_word(c):
 
     The i-th axis is the class of tau_{g_i}(g_{i+1}), i.e.
     g_{i+1} + <g_i, g_{i+1}> g_i, taken cyclically with the eps-signed
-    closing curve and sign-canonicalized (axes are unoriented).
+    closing curve and sign-canonicalized (axes are unoriented).  At
+    genus 1 the axis (y0 + p x0, y1 + p x1), p = x0 y1 - x1 y0, is built
+    and canonicalized on scalars.
     """
     ext = _require_untwisted_closed(c).extended(1)
     word = []
+    if set(map(len, ext)) == {2}:  # mixed lengths go below, where pairing names the mismatch
+        x0, x1 = ext[0]
+        for y0, y1 in ext[1:]:
+            p = x0 * y1 - x1 * y0
+            a, b = y0 + p * x0, y1 + p * x1
+            word.append(((a, b) if a > 0 or not a and b >= 0 else (-a, -b), 1))
+            x0, x1 = y0, y1
+        return tuple(word)
     for x, nxt in zip(ext, ext[1:]):
         p = pairing(x, nxt)
         word.append((canon_sign(tuple(map(add, nxt, map(p.__mul__, x)))), 1))

@@ -19,16 +19,18 @@ column-echelon reduction `colreduce` backs `solve_int`, and
 reference for monodromy.quotient_basis.
 """
 
+import operator
 import random
 from math import gcd
+from operator import mul
 
 from sdcalc.circuit import Circuit, Diagram, _repack, _unpack, normalize
 from sdcalc.genus1 import (Classification, SumForm, _DELTAS, _index, _unoriented_k,
                            _window_coefficients, normalize_sum)
 from sdcalc.handles import fiber_framing
-from sdcalc.homology import (add, canon_sign, ident, matmul, matvec, pairing, pairing_functional,
-                             scale, transpose, twist_apply, twist_matrix)
-from sdcalc.monodromy import SurgeredAction, Verdict, mu_tilde_matrix
+from sdcalc.homology import (_require_axis, add, canon_sign, genus_of, ident, matmul, matvec, pairing,
+                             pairing_functional, scale, transpose, twist_apply, twist_matrix)
+from sdcalc.monodromy import SurgeredAction, Verdict, _require_untwisted_closed, mu_tilde_matrix
 from sdcalc.subst import (
     Detection,
     _blowup_exponent,
@@ -625,3 +627,44 @@ def delta_twist_by_product(a, b):
         raise ValueError("delta twist needs |<a,b>| = 1, got %d" % pairing(a, b))
     ab = matmul(twist_matrix(a, 1), twist_matrix(b, 1))
     return matmul(ab, matmul(ab, ab))
+
+
+def word_images_generic(word, xs):
+    """Reference for homology.word_images: its checks and factor loop as
+    they were before the genus-1 branch, one pairing functional per
+    factor at every genus."""
+    xs = list(xs)
+    n = 2 * genus_of(xs[0]) if xs else None
+    for x in xs:
+        if len(x) != n:
+            raise ValueError("genus mismatch: %d vs %d" % (len(x), n))
+    factors = []
+    for axis, exp in word:
+        if xs and len(axis) != n:
+            raise ValueError("genus mismatch in word: axis %r on %r" % (axis, xs[0]))
+        if exp == 0:
+            raise ValueError("word exponents must be nonzero")
+        genus_of(axis)
+        _require_axis(axis)
+        factors.append((axis, exp))
+    if not xs:
+        return []
+    images = [list(x) for x in xs]
+    for axis, exp in factors:
+        f = pairing_functional(axis)
+        for x in images:
+            c = exp * sum(map(mul, f, x))
+            if c:
+                x[:] = [a + c * b for a, b in zip(x, axis)]
+    return [tuple(x) for x in images]
+
+
+def mu_tilde_word_generic(c):
+    """Reference for monodromy.mu_tilde_word: the 2g-vector loop at every
+    genus, one pairing, sum and canon_sign per factor."""
+    ext = _require_untwisted_closed(c).extended(1)
+    word = []
+    for x, nxt in zip(ext, ext[1:]):
+        p = pairing(x, nxt)
+        word.append((canon_sign(tuple(map(operator.add, nxt, map(p.__mul__, x)))), 1))
+    return tuple(word)

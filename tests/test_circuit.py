@@ -19,9 +19,10 @@ from sdcalc.circuit import (
     validate,
 )
 from sdcalc.cli import parse
-from sdcalc.homology import canon_sign, ident, mat_pow, matvec, pairing, scale, sp_inv, twist_matrix
+from sdcalc.homology import (canon_sign, ident, is_symplectic, mat_pow, matmul, matvec, pairing, scale, sp_inv,
+                             twist_matrix, word_matrix)
 
-from support import generate_by_moves, rand_closed, rotate_to_front
+from support import generate_by_moves, rand_closed, rand_primitive, rotate_to_front
 
 DATA = Path(__file__).parent / "data"
 TRI = normalize([(1, 0), (1, -1), (0, 1)], True)
@@ -260,6 +261,61 @@ def test_turns_reject_only_results_that_cannot_print(monkeypatch):
             p = mat_pow(m, q)
             assert max(abs(x) for v in cur for x in matvec(p, v)) >= 10 ** limit, (m, q, cur)
     assert 0 < rejected < 300
+
+
+def _block_sum(*blocks):
+    """The genus-1 blocks on (a_1, b_1), (a_2, b_2), ... in turn."""
+    n = 2 * len(blocks)
+    return tuple(tuple(blocks[i // 2][i % 2][j % 2] if i // 2 == j // 2 else 0 for j in range(n))
+                 for i in range(n))
+
+
+def _neg(m):
+    return tuple(tuple(-x for x in row) for row in m)
+
+
+def _jordan_lift(g):
+    """a_i -> a_i + a_{i-1}, with the inverse transpose on the b_i: unipotent,
+    and (m - 1)^(g - 1) != 0."""
+    m = [[0] * (2 * g) for _ in range(2 * g)]
+    for i in range(g):
+        m[2 * i][2 * i] = 1
+        if i:
+            m[2 * i - 2][2 * i] = 1
+        for j in range(i + 1):
+            m[2 * i + 1][2 * j + 1] = (-1) ** (i - j)
+    return tuple(map(tuple, m))
+
+
+def test_turns_at_genus_2_and_up_equal_the_power():
+    # unipotent s m by the binomial sum, everything else by squaring
+    rng = random.Random(31)
+    for g in (2, 3, 5):
+        n = 2 * g
+        cur = [(1,) + (0,) * (n - 1), (0, 1) + (0,) * (n - 2)]  # a_1, b_1
+        p = word_matrix([(rand_primitive(rng, g, 2), rng.choice((-1, 1))) for _ in range(3)], g)
+        ms = [ident(n), twist_matrix(cur[0], 1), twist_matrix(cur[0], -3), _jordan_lift(g),
+              matmul(matmul(p, _jordan_lift(g)), sp_inv(p)), p,
+              _block_sum(((2, 1), (1, 1)), ((1, 1), (-1, 0)), *[((1, 0), (0, 1))] * (g - 2))]
+        ms += [_neg(m) for m in ms]
+        for m in ms:
+            assert is_symplectic(m)
+            for q in range(41):
+                assert _turns(m, q, cur) == mat_pow(m, q), (m, q)
+
+
+def test_turns_of_a_unipotent_matrix_need_no_squaring():
+    # by squaring, a genus-5 twist to a 4000-bit power took seconds
+    v = rand_primitive(random.Random(32), 5)
+    cur = [(1,) + (0,) * 9, (0, 1) + (0,) * 8]
+    q = 2**4000 - 1
+    assert _turns(twist_matrix(v, 1), q, cur) == twist_matrix(v, q)
+    assert _turns(twist_matrix(v, -1), q, cur) == twist_matrix(v, -q)
+    assert _turns(_neg(ident(10)), q, cur) == _neg(ident(10))
+    m = _jordan_lift(5)  # m^q has entries C(q, 4) at most
+    assert _turns(m, 2**3000, cur) == matmul(_turns(m, 2**3000 - 1, cur), m)
+    with pytest.raises(ValueError, match="power past %d bits" % MAX_POWER_BITS):
+        _turns(m, 2**4200, cur)
 
 
 def test_switch_caps_the_powers_at_genus_2():

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -307,6 +308,18 @@ def test_switch_caps_the_powers_at_genus_2(capsys, tmp_path):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err == "error: switch matrix power past 16384 bits at genus >= 2\n"
+
+
+def test_switch_turns_an_identity_twist_at_once(capsys, tmp_path):
+    path = tmp_path / "identity2.sd"
+    rows = "switchrow 1 0 0 0\nswitchrow 0 1 0 0\nswitchrow 0 0 1 0\nswitchrow 0 0 0 1\n"
+    path.write_text("genus 2\ncurve 1 0 0 0\ncurve 0 1 0 0\nclosed true\n" + rows)
+    k = "7" * 4300  # the longest --k that int() reads; 2c = 4 switches are the identity
+    start = time.perf_counter()
+    got = run(capsys, "switch", str(path), "--k", k)
+    assert time.perf_counter() - start < 1.0
+    assert got == run(capsys, "switch", str(path), "--k", str(int(k) % 4))
+    assert got[0] == 0 and got[1].startswith("genus 2\ncurve 0 1 0 0\ncurve -1 0 0 0\n")
 
 
 def test_double_command(capsys):
@@ -701,6 +714,22 @@ def test_argparse_errors_echo_bounded_values(capsys, argv):
     assert code == 2 and out == ""
     assert "x" * (CLIP + 1) not in err and "x " * (CLIP + 1) not in err
     assert len(err) < 400, err
+
+
+@pytest.mark.parametrize("escape", ["\x01", "\u200b", "\U000e0001", "\n", "\\", "'"])
+def test_quoted_echoes_are_cut_between_escapes(capsys, escape):
+    # a cut value is a prefix of the real repr that ends between two escapes
+    for pad in range(CLIP - 10, CLIP + 1):
+        value = "a" * pad + escape * 3
+        code, out, err = run(capsys, "info", TWO, "--format", value)
+        assert code == 2 and out == ""
+        shown, real = re.search(r"invalid choice: (.*) \(choose from", err)[1], repr(value)
+        if len(real) <= CLIP + 2:
+            assert shown == real
+            continue
+        q, cut = real[0], shown[1:-4]
+        assert shown == q + cut + "..." + q and real.startswith(q + cut), (pad, err)
+        assert value.startswith(ast.literal_eval(q + cut + q)) and len(cut) > CLIP - 10
 
 
 USAGE_ERRORS = {

@@ -27,8 +27,11 @@ from sdcalc.homology import (
     word_matrix,
 )
 
-from support import (delta_twist_by_product, is_symplectic_by_jmat, jmat, rand_next, rand_primitive,
-                     sp_inv_by_jmat)
+from sdcalc.circuit import generate
+from sdcalc.monodromy import mu_tilde_word
+
+from support import (delta_twist_by_product, is_symplectic_by_jmat, jmat, k2_chain, rand_closed, rand_next,
+                     rand_primitive, sp_inv_by_jmat, word_images_generic)
 
 A = (1, 0)
 B = (0, 1)
@@ -315,6 +318,44 @@ def test_word_images_validates_whole_word():
         word_images([(A, 1)], [B, (0, 1, 0, 0)])
     with pytest.raises(ValueError, match="even length"):
         word_images([((1, 0, 1), 1)], [])
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_word_images_genus_one_branch_matches_the_generic_loop():
+    # lift words of generator circuits, random closed circuits and the k = 2
+    # chain, with other exponents; words read from iterators, classes as lists
+    rng = random.Random(41)
+    circuits = [generate(seed, rng.randint(0, 80))[0] for seed in range(40)]
+    circuits += [rand_closed(rng, 1, rng.randint(2, 6)) for _ in range(60)]
+    circuits.append(k2_chain(1001))
+    for c in circuits:
+        word = [(axis, rng.choice((-3, -2, -1, 1, 1, 2, 5))) for axis, _ in mu_tilde_word(c)]
+        xs = [list(x) for x in ident(2)]
+        xs += [[rng.randint(-9, 9), rng.randint(-9, 9)] for _ in range(rng.randint(0, 3))]
+        want = word_images_generic(word, xs)
+        assert word_images(iter(word), xs) == want
+        assert word_images(iter(word), []) == [] == word_images_generic(word, [])
+
+
+BAD_FACTORS = [((1, 0), 0), ((2, 0), 1), ((0, 0), -1), ((1, 0, 0, 0), 1), ((1, 0, 1), 1),
+               ((), 1), ((2, 4), 0), ((0, 0, 0), 0), ((2, 0, 0, 0), 1), ((1,), 2)]
+
+
+@pytest.mark.parametrize("xs", [[], [A], [list(B), (3, 1)], [(0, 1, 0, 0)], [(1, 0, 0)], [(1, 0), (1, 0, 0, 0)]])
+def test_word_images_errors_match_the_generic_loop(xs):
+    # zero exponent, non-primitive axis, zero axis, genus mismatch and odd
+    # length, alone and in pairs: the first fault wins, with the same message
+    good = [(A, 1), ((1, -1), 2)] if not xs or len(xs[0]) == 2 else [((1, 0, 1, 1), -1)]
+    for i, bad in enumerate(BAD_FACTORS):
+        for other in [None] + BAD_FACTORS[i:]:
+            word = good + [bad] + ([other] if other else [])
+            assert _outcome(word_images, iter(word), iter(xs)) == _outcome(word_images_generic, word, xs)
 
 
 def test_word_matrix_validates():

@@ -13,6 +13,7 @@ from sdcalc.homology import (
     pairing,
     pairing_functional,
     scale,
+    transpose,
     twist_matrix,
     word_matrix,
 )
@@ -28,6 +29,8 @@ from sdcalc.monodromy import (
 from support import (
     colreduce,
     induced_action,
+    k2_chain,
+    mu_tilde_word_generic,
     quotient_basis_by_echelon,
     rand_chain,
     rand_closed,
@@ -36,6 +39,7 @@ from support import (
     solve_int,
     surgered_action_by_matrix,
     verdict_by_matrix,
+    word_images_generic,
 )
 
 TRI = normalize([(1, 0), (1, -1), (0, 1)], True)
@@ -114,6 +118,25 @@ def test_triple_factorization():
         word = [t for i in range(n) for t in ((seq[i], 1), (seq[i + 1], 1), (seq[i], 1))]
         word += [(c[0], -2 * n)]
         assert word_matrix(word, c.genus) == mu_tilde_matrix(c)
+
+
+def test_mu_tilde_word_genus_one_branch_matches_the_generic_loop():
+    rng = random.Random(56)
+    circuits = [generate(seed, rng.randint(0, 80))[0] for seed in range(60)]
+    circuits += [rand_closed(rng, g, rng.randint(2, 7)) for g in (1, 1, 2, 3, 5) for _ in range(30)]
+    circuits.append(k2_chain(1001))
+    for c in circuits:
+        word = mu_tilde_word_generic(c)
+        assert mu_tilde_word(c) == word
+        assert mu_tilde_matrix(c) == transpose(word_images_generic(word, ident(2 * c.genus)))
+
+
+def test_mu_tilde_word_names_a_hand_built_genus_mismatch():
+    mixed = Circuit(((1, 0), (0, 1, 0, 0), (0, 1)), True)
+    with pytest.raises(ValueError) as want:
+        mu_tilde_word_generic(mixed)
+    with pytest.raises(ValueError, match="^%s$" % want.value):
+        mu_tilde_word(mixed)
 
 
 def test_mu_tilde_requires_untwisted_closed():
@@ -269,6 +292,8 @@ def test_surgered_action_rejects_hand_built_circuits():
     bad = Circuit(((1, 0), (0, 2)), True)
     # and a genus-2 one whose lift leaves a^perp, seen by the coordinates
     off = Circuit(((0, 1, 0, 1), (-1, 0, -1, 1), (0, 0, 1, -1)), True)
+    with pytest.raises(ValueError, match="twist axis must be primitive"):
+        mu_tilde_matrix(bad)
     for f in (surgered_action, verdict):
         with pytest.raises(ValueError, match="twist axis must be primitive"):
             f(bad)
