@@ -148,8 +148,12 @@ class CurveError(ValueError):
 
 
 def _unpack(d):
-    """(circuit, switch matrix or None) of a Circuit or a Diagram."""
-    return (d.circuit, d.switch_matrix) if isinstance(d, Diagram) else (d, None)
+    """(circuit, switch matrix or None) of a Circuit or Diagram; ValueError, in O(g), if not 2g x 2g."""
+    circ, mu = d if isinstance(d, Diagram) else (d, None)
+    n = len(circ.curves[0]) if mu is not None and circ.curves else 0
+    if n and (len(mu) != n or any(len(row) != n for row in mu)):
+        raise ValueError("switch matrix must be %dx%d" % (n, n))
+    return circ, mu
 
 
 def _repack(d, circ):
@@ -208,8 +212,13 @@ def validate(d) -> ValidationReport:
     determines the curves.  Higher genus reports "HomologicalOnly" --
     every check is then a necessary condition, not a certificate.
     """
-    circ, mu = _unpack(d)
     failures = []
+    try:
+        circ, mu = _unpack(d)
+        closing = circ.closed  # whether the closing pairing is read
+    except ValueError as exc:  # a switch matrix of the wrong size
+        (circ, mu), closing = d, False
+        failures.append((0, str(exc)))
     curves = circ.curves
     c = len(curves)
     g = circ.genus
@@ -225,7 +234,7 @@ def validate(d) -> ValidationReport:
             p = pairing(curves[i], curves[i + 1])
             if p != 1:
                 failures.append((i + 1, "adjacent pairing %s, need +1" % _clip_int(p)))
-        if circ.closed and c >= 2:
+        if closing and c >= 2:
             last = curves[-1] if mu is None else matvec(mu, curves[-1])
             e = pairing(last, curves[0])
             if abs(e) != 1:
@@ -284,58 +293,51 @@ def switch(d, k: int = 1):
 def _turns(m, q, cur):
     """m^q for q full turns of the circuit cur, its size decided first.
 
-    If s m is unipotent, s = sign tr m, the power has a closed form (see
-    _unipotent_power).  Otherwise, at genus 1, m is in SL(2, Z) with
-    t = |tr m| != 2.  If t < 2, m^12 = 1 (as m^2 = tr(m) m - 1).  If t > 2,
-    m^q has the eigenvalue l^q with l > t - 1, and
-    l^q < |tr m^q| <= 2 max|m^q| <= 4 G max|out|, since two adjacent
-    curves x, y of cur are a basis: m^q = [m^q x, m^q y] [x, y]^-1, with
-    G = max|x, y| and out the switched curves.  So once
-    (t - 1)^q >= 4 G 10^limit, with limit the digits str() prints, the
-    result cannot print, and str()'s ValueError comes before any squaring.
-    At genus >= 2 no power of m that is formed may pass MAX_POWER_BITS.
-    """
-    out = _unipotent_power(m, q)
-    if len(m) > 2:
-        if out is None:
-            out = mat_pow(m, q, MAX_POWER_BITS)
-        if out is None or max(map(abs, chain(*out))).bit_length() > MAX_POWER_BITS:
-            raise ValueError("switch matrix power past %d bits at genus >= 2" % MAX_POWER_BITS)
-        return out
-    if out is not None:
-        return out
-    t = abs(m[0][0] + m[1][1])
-    limit = sys.get_int_max_str_digits()
-    top = max(map(abs, cur[0] + cur[1]))
-    if t > 2 and limit and q * ((t - 1).bit_length() - 1) >= (4 * top * 10 ** limit).bit_length():
-        raise ValueError("Exceeds the limit (%d digits) for integer string conversion" % limit)
-    return mat_pow(m, q if t > 2 else q % 12)
-
-
-def _unipotent_power(m, q):
-    """m^q = s^q sum_{i<n} C(q, i) N^i when |tr m| = n = len(m) and
-    N = s m - 1, s = sign tr m, has N^n = 0; else None.
-
-    The powers of N are formed until one is zero, at most n - 1 products
-    whatever q is.  At genus 1 every m in SL(2, Z) with |tr m| = 2 is such
-    an m, as N^2 = 0 there: m^q = s^q (1 + q N).
+    Every root of unity that can be an eigenvalue of m has an order that
+    divides L = _period(g).  With q = d L + r and P = m^L, m^q = m^r P^d.
+    If all eigenvalues of m are roots of unity (by Kronecker, if all lie on
+    the unit circle), N = P - 1 is nilpotent and P^d = sum_{i<2g} C(d, i) N^i;
+    that is seen, not assumed: the N^i are formed, at most 2g - 1 products,
+    until one is zero or has a nonzero trace.  Otherwise P^d is formed by
+    squaring.  At genus 1, m in SL(2, Z) then has an eigenvalue l with
+    |l|^L > T - 1, T = |tr P|, and |l|^q < |tr m^q| <= 4 G max|out|, where
+    G = max|x, y| for two adjacent curves x, y of cur, a basis, and out are
+    the switched curves; so once (T - 1)^d >= 4 G 10^limit the result cannot
+    print, and str()'s ValueError comes before any squaring.  At genus >= 2
+    no power of m that is formed may pass MAX_POWER_BITS.
     """
     n = len(m)
-    tr = sum(m[i][i] for i in range(n))
-    if abs(tr) != n:
-        return None
-    s = tr // n
-    nil = tuple(tuple(s * x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(m))
-    powers = [ident(n)]
-    p = nil
-    while any(map(any, p)):
-        if len(powers) == n:
-            return None  # N^n != 0
-        powers.append(p)
-        p = matmul(p, nil)
-    coef = [(-1 if s < 0 and q % 2 else 1) * comb(q, i) for i in range(len(powers))]
-    return tuple(tuple(sum(c * pw[i][j] for c, pw in zip(coef, powers)) for j in range(n))
-                 for i in range(n))
+    cap = MAX_POWER_BITS if n > 2 else None
+    period = _period(n // 2)
+    d, r = divmod(q, period)
+    out, p = mat_pow(m, r, cap), (mat_pow(m, period, cap) if d else ident(n))  # P^0 = 1
+    if d and out and p:
+        nil = tuple(tuple(x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(p))
+        x, i, total = nil, 1, ident(n)  # total: the sum of the C(d, k) N^k, k < i
+        while any(map(any, x)) and i < n and not sum(x[k][k] for k in range(n)):
+            c = comb(d, i)
+            total = tuple(tuple(a + c * b for a, b in zip(u, v)) for u, v in zip(total, x))
+            x, i = matmul(x, nil), i + 1
+        if any(map(any, x)):  # N is not nilpotent
+            limit = n == 2 and sys.get_int_max_str_digits()
+            top, t = max(map(abs, cur[0] + cur[1])), abs(p[0][0] + p[1][1])
+            if limit and d * ((t - 1).bit_length() - 1) >= (4 * top * 10 ** limit).bit_length():
+                raise ValueError("Exceeds the limit (%d digits) for integer string conversion" % limit)
+            total = mat_pow(p, d, cap)
+        out = total and matmul(out, total)
+    if cap and not (out and p and max(map(abs, chain(*out))).bit_length() <= cap):
+        raise ValueError("switch matrix power past %d bits at genus >= 2" % MAX_POWER_BITS)
+    return out
+
+
+def _period(g):
+    """The lcm of the n with phi(n) <= 2g: the product of the largest prime
+    powers p^a with phi(p^a) = p^(a-1) (p - 1) <= 2g; 12, 120, 2520 at g = 1, 2, 3."""
+    out = 1
+    for p in range(2, 2 * g + 2):
+        if all(p % f for f in range(2, p)):
+            out *= p ** max(a for a in range(1, 2 * g + 1) if p ** (a - 1) * (p - 1) <= 2 * g)
+    return out
 
 
 def double(c: Circuit) -> Circuit:

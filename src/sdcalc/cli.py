@@ -208,14 +208,10 @@ def diagram_dict(d: Diagram, **extra) -> dict:
 
 def emit_sd(d: Diagram, notes=()) -> str:
     lines = ["genus %d" % d.circuit.genus]
-    for v in d.circuit.curves:
-        lines.append("curve " + " ".join(str(t) for t in v))
+    lines += ["curve " + " ".join(map(str, v)) for v in d.circuit.curves]
     lines.append("closed %s" % ("true" if d.circuit.closed else "false"))
-    if d.switch_matrix is not None:
-        for r in d.switch_matrix:
-            lines.append("switchrow " + " ".join(str(t) for t in r))
-    for note in notes:
-        lines.append("# %s" % note)
+    lines += ["switchrow " + " ".join(map(str, r)) for r in d.switch_matrix or ()]
+    lines += ["# %s" % note for note in notes]
     return "\n".join(lines) + "\n"
 
 

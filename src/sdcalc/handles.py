@@ -128,9 +128,12 @@ def linking_matrix(c) -> LinkingMatrix:
     diagonal, so the off-diagonal part has rank at most g.  The matrix
     keeps the curves and their framings, O(c g): form_invariants reads
     this structure, rows() yields one row at a time, and the c x c
-    entries are built only when read.
+    entries are built only when read.  Curves of different lengths raise ValueError, in O(c).
     """
-    return LinkingMatrix(_as_circuit(c).curves)
+    curves = _as_circuit(c).curves
+    if len(set(map(len, curves))) > 1:
+        raise ValueError("genus mismatch: curves of different lengths")
+    return LinkingMatrix(curves)
 
 
 def form_invariants(m: LinkingMatrix) -> FormInvariants:
@@ -290,14 +293,12 @@ def emit_kirby(c, section_k=None) -> KirbyData:
     if section_k is not None and not circ.closed:
         raise ValueError("meridian handle only applies to a closed circuit")
     g = circ.genus
-    labels = []
-    for i in range(1, g + 1):
-        labels.extend(["a%d" % i, "b%d" % i])
+    labels = tuple(s % i for i in range(1, g + 1) for s in ("a%d", "b%d"))
     lm = linking_matrix(circ)
     folds = tuple(zip(lm.curves, lm.framings, range(1, circ.length + 1)))
     return KirbyData(
         genus=g,
-        one_handles=tuple(labels),
+        one_handles=labels,
         fiber_framing=0,
         fold_handles=folds,
         last_handle=section_k,

@@ -1,4 +1,5 @@
 import random
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from sdcalc.circuit import (
     Diagram,
     _clip,
     _clip_int,
+    _period,
     _turns,
     double,
     generate,
@@ -19,8 +21,8 @@ from sdcalc.circuit import (
     validate,
 )
 from sdcalc.cli import parse
-from sdcalc.homology import (canon_sign, ident, is_symplectic, mat_pow, matmul, matvec, pairing, scale, sp_inv,
-                             twist_matrix, word_matrix)
+from sdcalc.homology import (add, canon_sign, ident, is_symplectic, mat_pow, matmul, matvec, pairing, scale,
+                             sp_inv, twist_matrix, word_matrix)
 
 from support import generate_by_moves, rand_closed, rand_primitive, rotate_to_front
 
@@ -120,6 +122,16 @@ def test_validate_collects_failures_without_raising():
     assert not rep.ok
     assert rep.failures[0][0] == 1
     assert "pairing" in rep.failures[0][1]
+
+
+def test_switch_matrix_of_the_wrong_size_is_one_error():
+    two = Circuit(((1, 0, 0, 0), (0, 1, 0, 0)), True)
+    rep = validate(Diagram(two, ((1, 1), (0, 1))))  # the closing pairing is skipped
+    assert not rep.ok and rep.failures == ((0, "switch matrix must be 4x4"),)
+    for d, k, size in ((Diagram(two, ((1, 1), (0, 1))), 1, 4), (Diagram(AB, ident(4)), 5, 2),
+                       (Diagram(AB, ((1, 0), (0, 1, 0))), -3, 2)):
+        with pytest.raises(ValueError, match="^switch matrix must be %dx%d$" % (size, size)):
+            switch(d, k)
 
 
 def test_validate_twisted_closure():
@@ -236,11 +248,18 @@ SL2 = [((a, b), (c, (1 + b * c) // a)) for a in range(-3, 4) for b in range(-3, 
 
 
 def test_turns_at_genus_1_equal_the_power():
-    # closed forms for |tr| <= 2, squaring above
+    # q = 12 d + r: the binomial sum for |tr| <= 2, squaring m^12 above
     assert {abs(m[0][0] + m[1][1]) for m in SL2} >= {0, 1, 2, 3}
     for m in SL2:
-        for q in range(40):
+        for q in range(44):  # past 3 L + 7 = 43
             assert _turns(m, q, [(1, 0), (0, 1)]) == mat_pow(m, q), (m, q)
+
+
+def test_turns_at_genus_1_never_reach_the_cap():
+    # the printability bound decides, as it did before any power was capped
+    b = 10**1500
+    with pytest.raises(ValueError, match=r"^Exceeds the limit \(4300 digits\) for integer string conversion$"):
+        _turns(((1, b), (1, b + 1)), 13, [(1, 0), (0, 1)])
 
 
 def test_turns_reject_only_results_that_cannot_print(monkeypatch):
@@ -287,21 +306,49 @@ def _jordan_lift(g):
     return tuple(map(tuple, m))
 
 
+def _e10(g):
+    """Twists about a chain of 2g - 1 curves and one more curve meeting the
+    third: the Coxeter element of A4, E6 and E8 (finite order) at g = 2, 3
+    and 4, and of E10 at g = 5, whose spectral radius is Lehmer's number."""
+    n = 2 * g
+    e = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    curves = [e[0], e[1]] + [c for t in range(1, g) for c in (add(e[2 * t], scale(-1, e[2 * t - 2])),
+                                                               e[2 * t + 1])][:2 * g - 3]
+    y = tuple(0 if i < 3 or i % 2 == 0 and i < n - 2 else -1 for i in range(n))
+    assert [pairing(y, c) for c in curves] == [0, 0, 1] + [0] * (2 * g - 4)
+    return word_matrix([(c, 1) for c in curves + [y]], g)
+
+
 def test_turns_at_genus_2_and_up_equal_the_power():
-    # unipotent s m by the binomial sum, everything else by squaring
+    # q = d L + r: the binomial sum when m^L is unipotent, squaring m^L otherwise
+    assert [_period(g) for g in range(1, 6)] == [12, 120, 2520, 5040, 55440]
     rng = random.Random(31)
+    J = ((0, 1), (-1, 0))
     for g in (2, 3, 5):
         n = 2 * g
-        cur = [(1,) + (0,) * (n - 1), (0, 1) + (0,) * (n - 2)]  # a_1, b_1
+        one = [((1, 0), (0, 1))] * (g - 2)
+        a1, b1, a2, b2 = (tuple(int(i == k) for i in range(n)) for k in range(4))
+        cur = [a1, b1]
         p = word_matrix([(rand_primitive(rng, g, 2), rng.choice((-1, 1))) for _ in range(3)], g)
         ms = [ident(n), twist_matrix(cur[0], 1), twist_matrix(cur[0], -3), _jordan_lift(g),
               matmul(matmul(p, _jordan_lift(g)), sp_inv(p)), p,
-              _block_sum(((2, 1), (1, 1)), ((1, 1), (-1, 0)), *[((1, 0), (0, 1))] * (g - 2))]
-        ms += [_neg(m) for m in ms]
-        for m in ms:
+              _block_sum(((2, 1), (1, 1)), ((1, 1), (-1, 0)), *one)]
+        period = _period(g)
+        far = [period - 1, period, period + 1, 3 * period + 7]  # d = 0, 1, 1, 3
+        cases = [(m, [] if m is p else far) for m in ms] + [(_neg(m), []) for m in ms] + [
+            (_block_sum(J, ((1, 0), (0, 1)), *one), far),  # J + 1, of order 4
+            (word_matrix([(a1, 1), (b1, 1), (add(b1, scale(-1, b2)), 1), (a2, 1)], g), far),  # of order 10
+            (_block_sum(J, ((1, 2), (0, 1)), *one), far),  # J + a twist: quasi-unipotent and mixed
+            (_e10(g), far)]  # of finite order at g = 2, 3; at g = 5 not quasi-unipotent
+        for m, qs in cases:
             assert is_symplectic(m)
-            for q in range(41):
-                assert _turns(m, q, cur) == mat_pow(m, q), (m, q)
+            for q in [*range(41), *qs]:
+                ref = mat_pow(m, q, MAX_POWER_BITS)
+                if ref is None or max(map(abs, chain(*ref))).bit_length() > MAX_POWER_BITS:
+                    with pytest.raises(ValueError, match="power past"):
+                        _turns(m, q, cur)
+                else:
+                    assert _turns(m, q, cur) == ref, (m, q)
 
 
 def test_turns_of_a_unipotent_matrix_need_no_squaring():

@@ -320,6 +320,18 @@ def test_switch_turns_an_identity_twist_at_once(capsys, tmp_path):
     assert time.perf_counter() - start < 1.0
     assert got == run(capsys, "switch", str(path), "--k", str(int(k) % 4))
     assert got[0] == 0 and got[1].startswith("genus 2\ncurve 0 1 0 0\ncurve -1 0 0 0\n")
+    # genus 5, switch matrix J + 1 of order 4: 4c = 12 switches are the identity, and k = 1 mod 12
+    path = tmp_path / "quarter5.sd"
+    rows = ["0 1" + " 0" * 8, "-1" + " 0" * 9]
+    rows += [" ".join("01"[i == j] for j in range(10)) for i in range(2, 10)]
+    curves = ["1 0", "0 1", "-1 1"]
+    path.write_text("genus 5\n" + "".join("curve %s%s\n" % (v, " 0" * 8) for v in curves) + "closed true\n"
+                    + "".join("switchrow %s\n" % r for r in rows))
+    start = time.perf_counter()
+    got = run(capsys, "switch", str(path), "--k", k)
+    assert time.perf_counter() - start < 1.0
+    assert got == run(capsys, "switch", str(path), "--k", str(int(k) % 12))
+    assert got[0] == 0 and got[1].startswith("genus 5\ncurve 1 1%s\ncurve -1 0%s\n" % (" 0" * 8, " 0" * 8))
 
 
 def test_double_command(capsys):

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from sdcalc.circuit import Circuit, Diagram, generate, normalize
+from sdcalc.circuit import Circuit, Diagram, generate, normalize, switch, validate
 from sdcalc.cli import parse
+from sdcalc.handles import form_invariants, linking_matrix
 from sdcalc.homology import canon_sign, pairing, scale, twist_apply, twist_matrix
 from sdcalc.subst import (
     Detection,
@@ -417,7 +418,21 @@ BAD_CALLS = ["detect(Circuit(%r, %r))" % case for case in DETECT_BAD] + [
     "contract(hayano_surgery(TRI, 2, (1, 0), 0), Detection('HayanoPattern', 2, k=0))",
     "apply_blowup(Diagram(TRI, twist_matrix((1, 0), 1)), 3, 1)",
     "apply_stabilization(Diagram(TRI, twist_matrix((1, 0), 1)), 3, 0)",
+    # a switch matrix of the wrong size, and curves of different lengths
+    "switch(Diagram(Circuit(((1, 0, 0, 0), (0, 1, 0, 0)), True), ((1, 1), (0, 1))))",
+    "detect(Diagram(Circuit(((1, 0, 0, 0), (0, 1, 0, 0)), True), ((1, 1), (0, 1))))",
+    "reported(validate(Diagram(Circuit(((1, 0, 0, 0), (0, 1, 0, 0)), True), ((1, 1), (0, 1)))))",
+    "switch(Diagram(AB, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))), 5)",
+    "linking_matrix(Circuit(((1, 0), (0, 1, 0, 0)), False)).entries",
+    "form_invariants(linking_matrix(Circuit(((-3, 5), (0, 2, -3, 1)), False)))",
 ]
+
+
+def reported(report):
+    """Raise a failure that validate reports, so that it counts as raised."""
+    if not report.ok:
+        raise ValueError(report.failures)
+
 
 RAISED = """\
 import json, sys
