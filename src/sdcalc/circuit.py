@@ -148,11 +148,17 @@ class CurveError(ValueError):
 
 
 def _unpack(d):
-    """(circuit, switch matrix or None) of a Circuit or Diagram; ValueError, in O(g), if not 2g x 2g."""
+    """(circuit, switch matrix or None) of a Circuit or Diagram; ValueError, in O(1), if the circuit
+    is empty, and in O(c + g) if a switch matrix is not 2g x 2g or the curves' lengths differ."""
     circ, mu = d if isinstance(d, Diagram) else (d, None)
-    n = len(circ.curves[0]) if mu is not None and circ.curves else 0
-    if n and (len(mu) != n or any(len(row) != n for row in mu)):
-        raise ValueError("switch matrix must be %dx%d" % (n, n))
+    if not circ.curves:
+        raise ValueError("empty circuit")
+    if mu is not None:
+        n = len(circ.curves[0])
+        if len(mu) != n or any(len(row) != n for row in mu):
+            raise ValueError("switch matrix must be %dx%d" % (n, n))
+        if any(len(v) != n for v in circ.curves):
+            raise ValueError("genus mismatch: curves of different lengths")
     return circ, mu
 
 
@@ -212,16 +218,16 @@ def validate(d) -> ValidationReport:
     determines the curves.  Higher genus reports "HomologicalOnly" --
     every check is then a necessary condition, not a certificate.
     """
+    circ, mu = d if isinstance(d, Diagram) else (d, None)
     failures = []
     try:
-        circ, mu = _unpack(d)
-        closing = circ.closed  # whether the closing pairing is read
-    except ValueError as exc:  # a switch matrix of the wrong size
-        (circ, mu), closing = d, False
+        _unpack(d)
+    except ValueError as exc:  # empty, or a switch matrix that does not fit the curves
         failures.append((0, str(exc)))
+    closing = circ.closed and not failures  # whether the closing pairing is read
     curves = circ.curves
     c = len(curves)
-    g = circ.genus
+    g = circ.genus if c else 0
     if circ.closed and c < 2:
         failures.append((0, "closed circuit needs at least 2 curves"))
     for i, v in enumerate(curves, start=1):

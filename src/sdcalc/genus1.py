@@ -14,11 +14,9 @@ connected sums of standard pieces.
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import sub
 
 from .circuit import _Rec, _as_circuit, _unpack, normalize, validate
-from .homology import pairing
-from .subst import Detection, _blowup_summand, _stab_summand
+from .subst import Detection, _blowup_summand, _stab_summand, _window_k
 
 _CLOSURES = ("Spin0", "NonSpin1", "Unclosed")
 
@@ -85,29 +83,20 @@ class Classification(_Rec, namedtuple("Classification", "canonical_forms reducti
 def duality_coefficients(c) -> list:
     """The unique k_i with g_i = k_i g_{i-1} - g_{i-2}, for i = 3..c.
 
-    Needs a normalized genus-1 circuit of length >= 3.  Computable as
-    k_i = <g_{i-2}, g_i> since adjacent curves are a basis.
+    Needs a normalized genus-1 circuit of length >= 3.  k_i = <g_{i-2}, g_i>
+    since adjacent curves are a basis: the window rule of subst.detect.
     """
     circ = _as_circuit(c)
     if circ.genus != 1:
         raise ValueError("duality coefficients need genus 1")
     if circ.length < 3:
         raise ValueError("duality coefficients need length >= 3")
-    return _window_coefficients(circ.curves)
-
-
-def _window_coefficients(cs) -> list:
-    """k_i = <g_{i-2}, g_i> for every three consecutive entries of cs,
-    checking g_i = k_i g_{i-1} - g_{i-2}."""
     ks = []
-    for i, (x, y, z) in enumerate(zip(cs, cs[1:], cs[2:]), start=3):
-        k = pairing(x, z)
-        if z != tuple(map(sub, map(k.__mul__, y), x)):
-            raise ValueError(
-                "curve %d does not satisfy the duality relation; "
-                "is the circuit normalized?" % (i,)
-            )
-        ks.append(k)
+    for i in range(3, circ.length + 1):
+        ks.append(_window_k(*circ.curves[i - 3:i]))  # g_i + g_{i-2} = k_i g_{i-1}, or None
+        if ks[-1] is None:
+            raise ValueError("curve %d does not satisfy the duality relation; "
+                             "is the circuit normalized?" % i)
     return ks
 
 

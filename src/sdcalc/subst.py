@@ -3,9 +3,11 @@
 A blow-up inserts tau_y^e(x) between an adjacent pair (x, y); a
 stabilization inserts (tau_y^k(x), y) after the pair; a Hayano
 substitution replaces a single curve x by the triple (x, tau_x^k(d), x)
-for a chosen dual d.  Detection scans every cyclic window for these
-shapes, matching curves up to sign, and recovers exponents from the
-oriented normal form of the window.
+for a chosen dual d.  All three are read off one number per window: on
+an oriented window (x, y, z), <x,y> = 1, so x + z = k y forces
+k = <x, x + z> = <x,z>.  A blow-up is k = +-1 (exponent -k), a Hayano
+pattern k = 0 (z = -x), and a stabilization (x, y, z, w) any k followed
+by k = 0 at the next window (w = -y).
 
 On a genus-1 surface a detected pattern is the geometric configuration;
 for genus >= 2 a match is a homological candidate only and is flagged
@@ -15,7 +17,7 @@ as such.
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import add
+from operator import add, eq
 
 from .circuit import _Rec, _clip, _clip_int, _repack, _unpack, normalize
 from .homology import canon_sign, matvec, pairing, scale, twist_apply
@@ -117,47 +119,28 @@ def _norm_window(win):
     return out
 
 
-def _opposite(x, y):
-    """True iff y = -x."""
-    return not any(map(add, x, y))
+def _window_k(x, y, z):
+    """k = <x,z> if x + z = k y, else None.
 
-
-def _blowup_exponent(x, y, z):
-    """Exponent of an oriented blow-up window (x, y, z), or None.
-
-    The window matches when y = +-(x + z); the exponent is -<x,z>.
+    The pairing comes first, so x and z of different lengths raise its
+    ValueError; a y of another length gives None.  On an oriented window
+    (<x,y> = 1) any k with x + z = k y is <x,z>, so no other multiple can
+    match.
     """
-    s = tuple(map(add, x, z))
-    if y != s and not _opposite(y, s):
-        return None
-    e = -pairing(x, z)
-    if abs(e) != 1:
-        raise ValueError("blow-up window with <x,z> = %s, need +-1" % _clip_int(-e))
-    return e
-
-
-def _stab_power(x, y, z, w):
-    """Twist power k of an oriented stabilization window (x, y, z, w), or None.
-
-    The window matches when w = -y and z + x = k y.
-    """
-    if not _opposite(w, y):
-        return None
-    num = tuple(map(add, z, x))
-    k = next((n // t for n, t in zip(num, y) if t), None)
-    return k if k is not None and num == scale(k, y) else None
+    k = pairing(x, z)
+    return k if len(y) == len(x) and all(map(eq, map(add, x, z), map(k.__mul__, y))) else None
 
 
 def detect(d):
     """All substitution patterns in a closed diagram, ascending position.
 
-    Matching is sign-insensitive; exponents are read off oriented
-    windows.  A blow-up window (x, y, z) has y = <x,z>(x + z) and
-    exponent -<x,z>; a stabilization window (x, y, z, w) has w = -y and
-    z + x a multiple of y, the multiple being k; a Hayano window has
-    z = -x, reported with the minimal-|k| representative (k = 0, dual =
-    the middle curve).  Overlapping patterns are all reported.  For a
-    twisted diagram only seam-free windows are scanned.
+    Every oriented 3-window (x, y, z) gets one k, _window_k: <x,z> when
+    x + z = k y, else None.  k = +-1 is a blow-up of exponent -k; k = 0
+    (z = -x) a Hayano pattern, reported with the minimal-|k|
+    representative (k = 0, dual = the middle curve); a window with any k
+    followed by a window with k = 0 (w = -y) is a stabilization with
+    that k.  Overlapping patterns are all reported.  For a twisted
+    diagram only seam-free windows are scanned.
 
     The curves are oriented once, as one chain, and every window is a
     slice of it.  A window oriented on its own differs from that slice
@@ -178,18 +161,17 @@ def detect(d):
     chain = _norm_window(ext[:max(n3 + 2, n4 + 3, c + 1)])
     if mu is not None:  # the seam window (mu g_c, g_1)
         _norm_window([matvec(mu, circ.curves[-1]), circ.curves[0]])
+    ks = [_window_k(*chain[i:i + 3]) for i in range(len(chain) - 2)]
     out = []
     for i in range(n3):
-        x, y, z = chain[i:i + 3]
-        e = _blowup_exponent(x, y, z)
-        if e is not None:
-            out.append(Detection(kind="BlowUp", position=i + 1, exponent=e,
-                                 summand=_blowup_summand(e), homological_only=homological))
-        if _opposite(x, z):
+        k = ks[i]
+        if k in (1, -1):
+            out.append(Detection(kind="BlowUp", position=i + 1, exponent=-k,
+                                 summand=_blowup_summand(-k), homological_only=homological))
+        if k == 0:
             out.append(Detection(kind="HayanoPattern", position=i + 1, k=0,
-                                 dual=canon_sign(y), homological_only=homological))
-        k = _stab_power(x, y, z, chain[i + 3]) if i < n4 else None
-        if k is not None:
+                                 dual=canon_sign(chain[i + 1]), homological_only=homological))
+        if i < n4 and k is not None and ks[i + 1] == 0:
             out.append(Detection(kind="Stabilization", position=i + 1, k=k,
                                  summand=_stab_summand(k), homological_only=homological))
     return out
@@ -220,18 +202,22 @@ def contract(d, det: Detection):
     if det.kind == "HayanoPattern":
         raise ValueError("a Hayano pattern is a surgery, not a connected sum; "
                          "no sum-form delta to contract")
+    # want: the window's ks, (-e,) for a blow-up and (k, 0) for a stabilization; None,
+    # which no ks equal, for e not +-1 or no k (a window that is no stabilization can be (None, 0))
     if det.kind == "BlowUp":
-        w, read, want, summand = 1, _blowup_exponent, det.exponent, _blowup_summand
+        w, e, summand = 1, det.exponent, _blowup_summand
+        want = (-e,) if e in (1, -1) else None
     elif det.kind == "Stabilization":
-        w, read, want, summand = 2, _stab_power, det.k, _stab_summand
+        w, e, summand = 2, det.k, _stab_summand
+        want = None if e is None else (e, 0)
     else:
         raise ValueError("unknown detection kind %r" % (det.kind,))
     wraps = pos + w + 1 > c
     if c < w + 2 or (mu is not None and wraps):
         raise _stale(det)  # seam windows are never detected on twisted input
-    got = read(*_norm_window(circ.extended(w + 1)[pos - 1:pos + w + 1]))
-    if got is None or got != want:
+    win = _norm_window(circ.extended(w + 1)[pos - 1:pos + w + 1])
+    if tuple(_window_k(*win[j:j + 3]) for j in range(w)) != want:
         raise _stale(det)
     if wraps:
         cs, pos = normalize(cs[pos - 1:] + cs[:pos - 1], True).curves, 1
-    return _repack(d, normalize(cs[:pos] + cs[pos + w:], True, mu)), _DELTAS[summand(want)]
+    return _repack(d, normalize(cs[:pos] + cs[pos + w:], True, mu)), _DELTAS[summand(e)]

@@ -3,14 +3,17 @@
 Curves meeting the next curve once are produced by solving the pairing
 equation over the integers, so chains and closed circuits of any genus
 can be sampled without rejection storms.  Also the reference
-classifiers that genus1.classify is compared against, the
+classifiers that genus1.classify is compared against, with the
+three-curve duality check `_window_coefficients` they read, the
 move-by-move reference for the seeded generator, the eager linking
 matrix, the fraction-free (Bareiss) rank and signature that the Schur
 sweep of handles.form_invariants is compared against, the genus-2
 family whose sweep needs a far pivot, the matrix-based surgered action
 and verdict, the window-by-window detector that subst.detect is
 compared against, the two-branch `contract_by_kind` (with its
-`rotate_to_front`) that subst.contract is compared against, and the
+`rotate_to_front`) that subst.contract is compared against, both on
+the per-kind window matchers `_window_blowup_exponent` and
+`_window_stab_power` in place of subst's one window coefficient, and the
 matrix-product forms of is_symplectic, sp_inv and delta_twist, built on
 the pairing matrix `jmat`, that homology's closed forms are compared
 against.  The general
@@ -22,21 +25,18 @@ reference for monodromy.quotient_basis.
 import operator
 import random
 from math import gcd
-from operator import mul
+from operator import mul, sub
 
 from sdcalc.circuit import Circuit, Diagram, _repack, _unpack, normalize
-from sdcalc.genus1 import (Classification, SumForm, _DELTAS, _index, _unoriented_k,
-                           _window_coefficients, normalize_sum)
+from sdcalc.genus1 import Classification, SumForm, _DELTAS, _index, _unoriented_k, normalize_sum
 from sdcalc.handles import fiber_framing
 from sdcalc.homology import (_require_axis, add, canon_sign, genus_of, ident, matmul, matvec, pairing,
                              pairing_functional, scale, transpose, twist_apply, twist_matrix)
 from sdcalc.monodromy import SurgeredAction, Verdict, _require_untwisted_closed, mu_tilde_matrix
 from sdcalc.subst import (
     Detection,
-    _blowup_exponent,
     _blowup_summand,
     _norm_window,
-    _stab_power,
     _stab_summand,
     _stale,
     apply_blowup,
@@ -309,6 +309,21 @@ def linking_by_halves(x, i, y, j):
     return num // 2
 
 
+def _window_coefficients(cs) -> list:
+    """k_i = <g_{i-2}, g_i> for every three consecutive entries of cs,
+    checking g_i = k_i g_{i-1} - g_{i-2}."""
+    ks = []
+    for i, (x, y, z) in enumerate(zip(cs, cs[1:], cs[2:]), start=3):
+        k = pairing(x, z)
+        if z != tuple(map(sub, map(k.__mul__, y), x)):
+            raise ValueError(
+                "curve %d does not satisfy the duality relation; "
+                "is the circuit normalized?" % (i,)
+            )
+        ks.append(k)
+    return ks
+
+
 def classify_by_contract(circ) -> Classification:
     """Reference classifier: recompute every cyclic coefficient and
     contract (rebuilding and renormalizing the circuit) on every step,
@@ -567,7 +582,7 @@ def contract_by_kind(d, det: Detection):
     if det.kind == "BlowUp":
         if c < 3 or (mu is not None and pos + 2 > c):
             raise _stale(det)  # seam windows are never detected on twisted input
-        e = _blowup_exponent(*_norm_window(circ.extended(2)[pos - 1:pos + 2]))
+        e = _window_blowup_exponent(*_norm_window(circ.extended(2)[pos - 1:pos + 2]))
         if e is None or e != det.exponent:
             raise _stale(det)
         if pos + 2 <= c:
@@ -580,7 +595,7 @@ def contract_by_kind(d, det: Detection):
     if det.kind == "Stabilization":
         if c < 4 or (mu is not None and pos + 3 > c):
             raise _stale(det)
-        k = _stab_power(*_norm_window(circ.extended(3)[pos - 1:pos + 3]))
+        k = _window_stab_power(*_norm_window(circ.extended(3)[pos - 1:pos + 3]))
         if k is None or k != det.k:
             raise _stale(det)
         if pos + 3 <= c:

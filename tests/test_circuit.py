@@ -342,7 +342,12 @@ def test_turns_at_genus_2_and_up_equal_the_power():
             (_e10(g), far)]  # of finite order at g = 2, 3; at g = 5 not quasi-unipotent
         for m, qs in cases:
             assert is_symplectic(m)
-            for q in [*range(41), *qs]:
+            ref = ident(n)  # m^q for q = 0..40 as a running product, all far below the cap
+            for q in range(41):
+                assert max(map(abs, chain(*ref))).bit_length() < MAX_POWER_BITS // 8, (m, q)
+                assert _turns(m, q, cur) == ref, (m, q)
+                ref = matmul(ref, m)
+            for q in qs:
                 ref = mat_pow(m, q, MAX_POWER_BITS)
                 if ref is None or max(map(abs, chain(*ref))).bit_length() > MAX_POWER_BITS:
                     with pytest.raises(ValueError, match="power past"):

@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
+import sdcalc
 from sdcalc.circuit import Circuit, Diagram, generate, normalize, switch, validate
 from sdcalc.cli import parse
 from sdcalc.handles import form_invariants, linking_matrix
-from sdcalc.homology import canon_sign, pairing, scale, twist_apply, twist_matrix
+from sdcalc.homology import add, canon_sign, pairing, scale, twist_apply, twist_matrix
 from sdcalc.subst import (
     Detection,
     apply_blowup,
@@ -383,6 +384,47 @@ def test_contract_matches_oracle_on_twisted_diagrams():
         assert_contract_matches_oracle(d, dets + [e for det in dets for e in edited(det, c)])
 
 
+def hand_built(c):
+    """Every blow-up and stabilization a caller could build at positions
+    1..c, most of them stale: exponents that are not +-1, and no k."""
+    return [Detection("BlowUp", pos, exponent=e) for pos in range(1, c + 1)
+            for e in (None, 0, 1, -1, 2, -2)] + [
+        Detection("Stabilization", pos, k=k) for pos in range(1, c + 1)
+        for k in (None, *range(-3, 4))]
+
+
+def test_contract_matches_oracle_on_hand_built_detections():
+    rng = random.Random(27)
+    circuits = [generate(seed, rng.randint(0, 12))[0] for seed in range(20)]
+    for genus in (2, 3, 5):
+        circuits += [rand_closed(rng, genus, rng.randint(2, 6)) for _ in range(3)]
+        circuits += [substituted(rng, rand_closed(rng, genus, rng.randint(2, 5)), rng.randint(1, 3))
+                     for _ in range(3)]
+    matched = set()
+    for circ in circuits:
+        dets = hand_built(circ.length)
+        assert_contract_matches_oracle(circ, dets)
+        matched |= {(det.kind, circ.genus >= 2) for det in dets
+                    if isinstance(contract_outcome(contract, circ, det), str)}
+    assert len(matched) == 4  # both kinds contract at genus 1 and above
+
+
+def test_zero_at_the_next_window_alone_is_no_stabilization():
+    # (x, y, z, w) with w = -y but x + z = a_2, no multiple of y: the window
+    # (y, z, w) is a Hayano pattern, and ks = (None, 0) at (x, y, z, w) is no
+    # stabilization, whatever k a detection names, None included
+    a1, b1, a2 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)
+    circ = normalize([a1, b1, add(scale(-1, a1), a2), scale(-1, b1)], True)
+    assert pairing(circ[0], circ[2]) == 0 and circ[3] == scale(-1, circ[1])
+    dets = detect(circ)
+    assert dets == detect_by_windows(circ)
+    assert [(t.kind, t.position) for t in dets] == [("HayanoPattern", 2), ("HayanoPattern", 4)]
+    for det in [t for t in hand_built(4) if t.kind == "Stabilization"]:
+        with pytest.raises(ValueError, match="stale"):
+            contract(circ, det)
+    assert_contract_matches_oracle(circ, hand_built(4))
+
+
 DETECT_BAD = [
     (((1, 0), (1, 0), (0, 1)), True),  # adjacent pairing 0
     (((1, 0), (0, 1), (-1, 2)), True),  # closing pairing -2: the seam windows break
@@ -400,6 +442,21 @@ def test_detect_raises_what_the_window_oracle_raises(curves, closed):
     for d in (circ, Diagram(circ, twist_matrix((1, 0), 1)) if len(curves[0]) == 2 else circ):
         got, want = outcome(detect, d), outcome(detect_by_windows, d)
         assert got == want, (d, got, want)
+
+
+# the public calls that read a circuit, each of which raises "empty circuit" on none
+EMPTY_CALLS = ("detect", "classify", "switch", "to_blf", "emit_kirby", "euler_characteristics",
+               "duality_coefficients", "linking_matrix", "mu_tilde_word", "mu_tilde_matrix",
+               "surgered_action", "verdict")
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_empty_circuit_is_one_value_error(closed):
+    for name in EMPTY_CALLS:
+        with pytest.raises(ValueError, match="^empty circuit$"):
+            getattr(sdcalc, name)(Circuit((), closed))
+    rep = validate(Circuit((), closed))
+    assert not rep.ok and rep.failures[0] == (0, "empty circuit")
 
 
 # the bad-input calls of this module as source, so that a python -O
@@ -425,6 +482,11 @@ BAD_CALLS = ["detect(Circuit(%r, %r))" % case for case in DETECT_BAD] + [
     "switch(Diagram(AB, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))), 5)",
     "linking_matrix(Circuit(((1, 0), (0, 1, 0, 0)), False)).entries",
     "form_invariants(linking_matrix(Circuit(((-3, 5), (0, 2, -3, 1)), False)))",
+    # an odd curve length, and curves of different lengths under a 2x2 switch matrix
+    "linking_matrix(Circuit(((1, 0, 0),), False))",
+    "switch(Diagram(Circuit(((1, 0), (0, 1), (1, 0, 0, 0)), True), ((1, 1), (0, 1))))",
+] + ["sdcalc.%s(Circuit((), True))" % name for name in EMPTY_CALLS] + [
+    "reported(validate(Circuit((), False)))",
 ]
 
 
