@@ -19,10 +19,9 @@ import random
 import sys
 from collections import namedtuple
 from itertools import chain
-from math import comb
+from math import comb, gcd
 
-from .homology import (genus_of, ident, is_primitive, mat_pow, matmul, matvec, pairing, scale, sp_inv,
-                       twist_apply)
+from .homology import genus_of, ident, mat_pow, matmul, matvec, pairing, scale, sp_inv, twist_apply
 
 
 CLIP = 40  # longest piece of the input that an error message echoes
@@ -126,14 +125,16 @@ class Circuit:
 
 
 class Diagram(_Rec, namedtuple("Diagram", "circuit switch_matrix", defaults=(None,))):
-    """A circuit with an optional switch matrix (None = untwisted)."""
+    """A circuit with an optional switch matrix (None = untwisted).  The matrix's shape is
+    checked where a diagram enters a call; only `cli.parse` checks that it is symplectic,
+    since `is_symplectic` is O(g^3), about 45 pairings at genus 5, on every call."""
 
     __slots__ = ()
 
 
 class ValidationReport(_Rec, namedtuple("ValidationReport", "ok exactness failures",
                                         defaults=((),))):
-    """exactness "Exact" for genus 1, "HomologicalOnly" above; failures (1-based index, reason)."""
+    """exactness "Exact" at genus 1, else "HomologicalOnly"; failures: none or one (curve, reason)."""
 
     __slots__ = ()
 
@@ -147,6 +148,11 @@ class CurveError(ValueError):
         self.curve = curve
 
 
+def _check_switch(mu, n):
+    if mu is not None and (len(mu) != n or any(len(row) != n for row in mu)):
+        raise ValueError("switch matrix must be %dx%d" % (n, n))
+
+
 def _unpack(d):
     """(circuit, switch matrix or None) of a Circuit or Diagram; ValueError, in O(1), if the circuit
     is empty, and in O(c + g) if a switch matrix is not 2g x 2g or the curves' lengths differ."""
@@ -154,9 +160,8 @@ def _unpack(d):
     if not circ.curves:
         raise ValueError("empty circuit")
     if mu is not None:
-        n = len(circ.curves[0])
-        if len(mu) != n or any(len(row) != n for row in mu):
-            raise ValueError("switch matrix must be %dx%d" % (n, n))
+        n = 2 * genus_of(circ.curves[0])
+        _check_switch(mu, n)
         if any(len(v) != n for v in circ.curves):
             raise ValueError("genus mismatch: curves of different lengths")
     return circ, mu
@@ -165,10 +170,6 @@ def _unpack(d):
 def _repack(d, circ):
     """circ as the same kind as d, keeping d's switch matrix."""
     return Diagram(circ, d.switch_matrix) if isinstance(d, Diagram) else circ
-
-
-def _as_circuit(d) -> Circuit:
-    return _unpack(d)[0]
 
 
 def normalize(raw, closed: bool, switch_matrix=None) -> Circuit:
@@ -180,18 +181,19 @@ def normalize(raw, closed: bool, switch_matrix=None) -> Circuit:
     adjacent pairing is not +-1, any entry is non-primitive, genera
     disagree, or a closed circuit's final pairing is not +-1.  A twisted
     diagram closes through its switch matrix: pass it so the closing
-    check reads <mu g_c, g_1>.
+    check reads <mu g_c, g_1>; it must be 2g x 2g (see Diagram).
     """
     raw = [tuple(v) for v in raw]
     if not raw:
         raise CurveError("empty circuit")
     if closed and len(raw) < 2:
         raise CurveError("closed circuit needs at least 2 curves")
-    g = genus_of(raw[0])
+    n = 2 * genus_of(raw[0])
+    _check_switch(switch_matrix, n)
     for i, v in enumerate(raw, start=1):
-        if len(v) != 2 * g and genus_of(v) != g:
+        if len(v) != n:
             raise CurveError("curve %d: genus mismatch" % i, i)
-        if not is_primitive(v):
+        if gcd(*v) != 1:
             raise CurveError("curve %d: not primitive" % i, i)
     out = [raw[0]]
     for i, v in enumerate(raw[1:], start=2):
@@ -212,41 +214,28 @@ def normalize(raw, closed: bool, switch_matrix=None) -> Circuit:
 
 
 def validate(d) -> ValidationReport:
-    """Check circuit (and switch) invariants, reporting failures instead of raising.
+    """Report the first failure that `normalize` raises on d (mu's shape included, not its
+    symplecticity: see Diagram), or else the first adjacent pairing of -1, which it flips.
 
-    Genus 1 reports exactness "Exact": on the torus the homological data
-    determines the curves.  Higher genus reports "HomologicalOnly" --
+    The failure is (curve, reason): the CurveError's curve, 0 if none, and its message
+    less the "curve i: " prefix.  Genus 1 reports exactness "Exact": on the torus the
+    homological data determines the curves.  Higher genus reports "HomologicalOnly" --
     every check is then a necessary condition, not a certificate.
     """
     circ, mu = d if isinstance(d, Diagram) else (d, None)
-    failures = []
-    try:
-        _unpack(d)
-    except ValueError as exc:  # empty, or a switch matrix that does not fit the curves
-        failures.append((0, str(exc)))
-    closing = circ.closed and not failures  # whether the closing pairing is read
     curves = circ.curves
-    c = len(curves)
-    g = circ.genus if c else 0
-    if circ.closed and c < 2:
-        failures.append((0, "closed circuit needs at least 2 curves"))
-    for i, v in enumerate(curves, start=1):
-        if len(v) != 2 * g:
-            failures.append((i, "genus mismatch"))
-        elif not is_primitive(v):
-            failures.append((i, "not primitive"))
-    if not any(reason == "genus mismatch" for _, reason in failures):
-        for i in range(c - 1):
-            p = pairing(curves[i], curves[i + 1])
-            if p != 1:
-                failures.append((i + 1, "adjacent pairing %s, need +1" % _clip_int(p)))
-        if closing and c >= 2:
-            last = curves[-1] if mu is None else matvec(mu, curves[-1])
-            e = pairing(last, curves[0])
-            if abs(e) != 1:
-                failures.append((c, "closing pairing %s, need +-1" % _clip_int(e)))
-    exactness = "Exact" if g == 1 else "HomologicalOnly"
-    return ValidationReport(ok=not failures, exactness=exactness, failures=tuple(failures))
+    exactness = "Exact" if curves and len(curves[0]) == 2 else "HomologicalOnly"
+    try:
+        out = normalize(curves, circ.closed, mu).curves
+    except ValueError as exc:
+        curve = getattr(exc, "curve", 0)
+        reason = str(exc).partition(": ")[2] if curve else str(exc)
+        return ValidationReport(False, exactness, ((curve, reason),))
+    if out != curves:  # the first curve that normalize flipped pairs -1 with the one before
+        i = next((i for i, (u, v) in enumerate(zip(out, curves)) if u != tuple(v)), 0)
+        if i:
+            return ValidationReport(False, exactness, ((i, "adjacent pairing -1, need +1"),))
+    return ValidationReport(True, exactness)
 
 
 def switch(d, k: int = 1):
@@ -264,7 +253,8 @@ def switch(d, k: int = 1):
     e mu^-1 g_i.  With |k| = q c + r + 1, 0 <= r < c, this takes one
     single switch (which normalizes the input), the next r at once by
     that rule, and then mu^(+-q) (see _turns): O(c + log|k|) matrix
-    work, not O(|k| c).  Like sp_inv, this reads mu as symplectic.
+    work, not O(|k| c).  Like sp_inv, this reads mu as symplectic; only
+    its shape is checked (see Diagram).
     """
     circ, mu = _unpack(d)
     if not circ.closed:
@@ -348,7 +338,7 @@ def _period(g):
 
 def double(c: Circuit) -> Circuit:
     """The closed circuit (g_1, ..., g_l, g_{l-1}, ..., g_2) of length 2l-2."""
-    circ = _as_circuit(c)
+    circ = _unpack(c)[0]
     l = len(circ.curves)
     if l < 2:
         raise ValueError("double needs length >= 2")

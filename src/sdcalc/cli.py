@@ -153,9 +153,7 @@ def _parse_json(text):
         raise ParseError(exc.msg, line=exc.lineno, col=exc.colno) from exc
     except ValueError:
         raise _too_long() from None
-    if not isinstance(data, dict):
-        raise ParseError("top level must be an object")
-    try:
+    try:  # parse reads JSON only when the text starts with "{", so data is a dict
         genus = data["genus"]
         curves = data["curves"]
         closed = data.get("closed", False)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .circuit import _Rec, _as_circuit, _unpack, normalize, validate
+from .circuit import _Rec, _unpack, normalize, validate
 from .subst import Detection, _blowup_summand, _stab_summand, _window_k
 
 _CLOSURES = ("Spin0", "NonSpin1", "Unclosed")
@@ -86,8 +86,8 @@ def duality_coefficients(c) -> list:
     Needs a normalized genus-1 circuit of length >= 3.  k_i = <g_{i-2}, g_i>
     since adjacent curves are a basis: the window rule of subst.detect.
     """
-    circ = _as_circuit(c)
-    if circ.genus != 1:
+    circ = _unpack(c)[0]
+    if any(len(v) != 2 for v in circ.curves):
         raise ValueError("duality coefficients need genus 1")
     if circ.length < 3:
         raise ValueError("duality coefficients need length >= 3")

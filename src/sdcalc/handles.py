@@ -20,7 +20,7 @@ from functools import cached_property
 from itertools import chain
 from operator import add, mul
 
-from .circuit import _Rec, _as_circuit
+from .circuit import _Rec, _unpack
 from .homology import genus_of, twist_apply
 
 
@@ -130,7 +130,7 @@ def linking_matrix(c) -> LinkingMatrix:
     this structure, rows() yields one row at a time, and the c x c
     entries are built only when read.  Curves of different or odd lengths raise ValueError, in O(c).
     """
-    curves = _as_circuit(c).curves
+    curves = _unpack(c)[0].curves
     if len(set(map(len, curves))) > 1:
         raise ValueError("genus mismatch: curves of different lengths")
     genus_of(curves[0])  # raises on an odd length
@@ -281,7 +281,7 @@ def euler_characteristics(c):
     chi(Z) = 2 - 2g + c always; chi(X) = 6 - 4g + c when the circuit is
     closed (so 2 + c in genus 1), else None.
     """
-    circ = _as_circuit(c)
+    circ = _unpack(c)[0]
     g, n = circ.genus, circ.length
     return 2 - 2 * g + n, (6 - 4 * g + n if circ.closed else None)
 
@@ -290,7 +290,7 @@ def emit_kirby(c, section_k=None) -> KirbyData:
     """Handle set: 2g dotted circles, a 0-framed fiber handle, one
     fold handle per curve framed by its fiber framing, and optionally a
     k-framed meridian of the fiber handle (closed circuits only)."""
-    circ = _as_circuit(c)
+    circ = _unpack(c)[0]
     if section_k is not None and not circ.closed:
         raise ValueError("meridian handle only applies to a closed circuit")
     g = circ.genus
@@ -316,7 +316,9 @@ def to_blf(c) -> BlfData:
     the first curve with framing 0.  Homologically the first Lefschetz
     cycle slides to the second curve: lambda_1 - rho = g_2.
     """
-    circ = _as_circuit(c)
+    circ, mu = _unpack(c)
+    if mu is not None:
+        raise ValueError("broken-fibration data needs an untwisted diagram")
     if not circ.closed:
         raise ValueError("broken-fibration data needs a closed circuit")
     ext = circ.extended(1)

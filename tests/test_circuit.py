@@ -60,6 +60,7 @@ def test_normalize_errors():
     ([(1, 0), (0, 1, 0, 0)], False, 2),
     ([(1, 0), (1, 1), (1, 2)], True, 0),
     ([(1, 0)], True, 0),
+    ([(1, 0), (0, 1, 0)], False, 2),
 ])
 def test_normalize_errors_carry_the_curve(raw, closed, curve):
     with pytest.raises(CurveError) as ei:

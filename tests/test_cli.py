@@ -576,7 +576,7 @@ def test_validate_clips_long_pairings():
     rep = validate(Circuit(((1, 0), (1, a), (0, 1)), True))
     assert not rep.ok
     assert all(len(reason) < 80 for _, reason in rep.failures)
-    assert rep.failures[0] == (1, "adjacent pairing 9999999999999999999999999999999999999999..., need +1")
+    assert rep.failures[0] == (1, "adjacent pairing 9999999999999999999999999999999999999999..., need +-1")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -752,14 +752,20 @@ USAGE_ERRORS = {
     "extra": ["info", TRI, "extra"],
     "ambiguous": ["substitute", TWO, "--o", "x"],
     "no_value": ["substitute", TWO, "--op", "hayano", "--pos", "1", "--k", "0", "--dual"],
+    "stab_k": ["substitute", TWO, "--op", "stab", "--pos", "1"],
+    "hayano_dual": ["substitute", TWO, "--op", "hayano", "--pos", "1", "--k", "0"],
 }
+# the whole stderr of the usage errors that sdcalc words itself
+USAGE_TEXT = {"stab_k": "error: stab needs --k\n",
+              "hayano_dual": "error: hayano needs --k and --dual\n"}
 
 
-@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
-def test_usage_errors_are_one_line(capsys, argv):
-    code, out, err = run(capsys, *argv)
+@pytest.mark.parametrize("name", USAGE_ERRORS)
+def test_usage_errors_are_one_line(capsys, name):
+    code, out, err = run(capsys, *USAGE_ERRORS[name])
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and err.startswith("error: ") and "usage:" not in err
+    assert err == USAGE_TEXT.get(name, err)
 
 
 def test_usage_errors_are_painted_on_a_terminal(monkeypatch):

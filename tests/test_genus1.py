@@ -77,6 +77,9 @@ def test_duality_check_matches_plain_loop_on_unnormalized_chains():
 def test_duality_needs_genus_one():
     with pytest.raises(ValueError):
         duality_coefficients(rand_chain(random.Random(0), 2, 4))
+    # a middle curve of another length, not a broken duality relation
+    with pytest.raises(ValueError, match="^duality coefficients need genus 1$"):
+        duality_coefficients(Circuit(((1, 0), (0, 1, 0, 0), (-1, 0)), False))
 
 
 def test_sigma_sequence():

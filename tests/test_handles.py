@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sdcalc.circuit import Circuit, generate, normalize, switch
+from sdcalc.circuit import Circuit, Diagram, generate, normalize, switch
 from sdcalc.handles import (
     KirbyData,
     LinkingMatrix,
@@ -443,3 +443,11 @@ def test_to_blf_cycle_count_and_closing():
 def test_to_blf_requires_closed():
     with pytest.raises(ValueError):
         to_blf(normalize([(1, 0), (0, 1)], False))
+
+
+def test_to_blf_refuses_a_switch_matrix():
+    # the seam would be signed by the untwisted eps = <g_3, g_1> = -2
+    mu = ((1, 0), (1, 1))
+    d = Diagram(normalize([(1, 0), (0, 1), (-1, 2)], True, mu), mu)
+    with pytest.raises(ValueError, match="^broken-fibration data needs an untwisted diagram$"):
+        to_blf(d)

@@ -152,6 +152,7 @@ def test_defaults():
     (lambda: CanonicalForm(0, 1), "non-spin canonical form needs both CP2 counts >= 1"),
     (lambda: CanonicalForm(cp2bar=1), "non-spin canonical form needs both CP2 counts >= 1"),
     (lambda: CanonicalForm(2)._replace(cp2=1), "canonical form mixes"),
+    (lambda: SumForm(closure="Spin0") + SumForm(closure="NonSpin1"), "cannot add two closed sum forms"),
 ])
 def test_checked_records_keep_their_messages(make, message):
     with pytest.raises(ValueError, match="^" + message):

@@ -6,12 +6,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sdcalc
 from sdcalc.circuit import Circuit, Diagram, generate, normalize, switch, validate
 from sdcalc.cli import parse
 from sdcalc.handles import form_invariants, linking_matrix
-from sdcalc.homology import add, canon_sign, pairing, scale, twist_apply, twist_matrix
+from sdcalc.homology import add, canon_sign, ident, pairing, scale, twist_apply, twist_matrix
 from sdcalc.subst import (
     Detection,
     apply_blowup,
@@ -21,7 +22,8 @@ from sdcalc.subst import (
     hayano_surgery,
 )
 
-from support import contract_by_kind, detect_by_windows, rand_closed, rand_next, rotate_to_front
+from support import (contract_by_kind, detect_by_windows, rand_chain, rand_closed, rand_next,
+                     rand_primitive, rotate_to_front)
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -487,6 +489,17 @@ BAD_CALLS = ["detect(Circuit(%r, %r))" % case for case in DETECT_BAD] + [
     "switch(Diagram(Circuit(((1, 0), (0, 1), (1, 0, 0, 0)), True), ((1, 1), (0, 1))))",
 ] + ["sdcalc.%s(Circuit((), True))" % name for name in EMPTY_CALLS] + [
     "reported(validate(Circuit((), False)))",
+    # a switch matrix that does not fit, and odd curves under one that does
+    "normalize([(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)], True, ((1,),))",
+    "switch(Diagram(Circuit(((1, 0, 0), (0, 1, 0)), True), ident(3)), -1)",
+    "reported(validate(Circuit(((1, 0, 0),), False)))",
+    # a twisted diagram where the untwisted seam is not closed, and a middle curve of another length
+    "sdcalc.to_blf(Diagram(normalize([(1, 0), (0, 1), (-1, 2)], True, ((1, 0), (1, 1))), ((1, 0), (1, 1))))",
+    "sdcalc.duality_coefficients(Circuit(((1, 0), (0, 1, 0, 0), (-1, 0)), False))",
+    # too short for double and for duality coefficients, and not a circuit for classify
+    "sdcalc.double(Circuit(((1, 0),), False))",
+    "sdcalc.duality_coefficients(AB)",
+    "sdcalc.classify(Circuit(((1, 0), (1, 0)), True))",
 ]
 
 
@@ -525,3 +538,98 @@ def test_bad_input_raises_the_same_under_python_O():
                           capture_output=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 0, proc.stderr.decode()
     assert json.loads(proc.stdout) == here
+
+
+# ---------------------------------------------------- the library boundary
+
+def _normalize(d, *_):
+    circ, mu = d if isinstance(d, Diagram) else (d, None)
+    return normalize(circ.curves, circ.closed, mu)
+
+
+# every public call that reads a circuit, on a hand-built diagram d, a
+# position p, an integer k and a dual class x
+BOUNDARY_CALLS = {
+    "normalize": _normalize,
+    "validate": lambda d, p, k, x: sdcalc.validate(d),
+    "switch": lambda d, p, k, x: sdcalc.switch(d, k),
+    "double": lambda d, p, k, x: sdcalc.double(d),
+    "classify": lambda d, p, k, x: sdcalc.classify(d),
+    "duality_coefficients": lambda d, p, k, x: sdcalc.duality_coefficients(d),
+    "linking_matrix": lambda d, p, k, x: sdcalc.linking_matrix(d).entries,
+    "form_invariants": lambda d, p, k, x: sdcalc.form_invariants(sdcalc.linking_matrix(d)),
+    "euler_characteristics": lambda d, p, k, x: sdcalc.euler_characteristics(d),
+    "emit_kirby": lambda d, p, k, x: sdcalc.emit_kirby(d, p),
+    "to_blf": lambda d, p, k, x: sdcalc.to_blf(d),
+    "mu_tilde_word": lambda d, p, k, x: sdcalc.mu_tilde_word(d),
+    "mu_tilde_matrix": lambda d, p, k, x: sdcalc.mu_tilde_matrix(d),
+    "surgered_action": lambda d, p, k, x: sdcalc.surgered_action(d),
+    "verdict": lambda d, p, k, x: sdcalc.verdict(d),
+    "detect": lambda d, p, k, x: [sdcalc.contract(d, det) for det in sdcalc.detect(d)],
+    "contract": lambda d, p, k, x: sdcalc.contract(d, Detection("Stabilization", p, k=k)),
+    "apply_blowup": lambda d, p, k, x: sdcalc.apply_blowup(d, p, k),
+    "apply_stabilization": lambda d, p, k, x: sdcalc.apply_stabilization(d, p, k),
+    "hayano_surgery": lambda d, p, k, x: sdcalc.hayano_surgery(d, p, x, k),
+}
+
+FAULTS = ("empty", "drop", "odd", "longer", "shorter", "zero", "multiple", "flip", "repeat",
+          "random")
+
+
+def _break(rng, curves, fault):
+    """curves with one fault of hand-built input at a random curve."""
+    if fault == "empty" or not curves:
+        return []
+    i = rng.randrange(len(curves))
+    v = curves[i]
+    new = {"odd": v + (1,), "longer": v + (0, 1), "shorter": v[:-2] or (1,),
+           "zero": (0,) * len(v), "multiple": scale(rng.choice((0, 2, 3)), v),
+           "flip": scale(-1, v), "repeat": curves[i - 1],
+           "random": tuple(rng.randint(-3, 3) for _ in v)}.get(fault)
+    return curves[:i] + curves[i + 1:] if new is None else curves[:i] + [new] + curves[i + 1:]
+
+
+def _switch_matrix(rng, kind, n):
+    """A switch matrix for curves of length n: symplectic, the wrong size,
+    ragged, or not symplectic."""
+    if kind == "twist":
+        return twist_matrix(rand_primitive(rng, max(1, n // 2), 2), rng.choice((-1, 1, 2)))
+    if kind == "size":
+        return ident(rng.choice([m for m in (1, 2, 4, 6) if m != n])) if n != 1 else ident(2)
+    if kind == "ragged":
+        return ident(n)[:-1] + ((1,) * (n + 1),)
+    return tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n))
+
+
+def boundary_case(seed):
+    """(d, p, k, x): a Circuit or Diagram built by hand, valid or broken in up
+    to two ways, with a position, an integer and a dual class to call with."""
+    rng = random.Random(seed)
+    genus, length, closed = rng.randint(1, 3), rng.randint(2, 7), rng.random() < 0.5
+    curves = list((rand_closed if closed else rand_chain)(rng, genus, length, 2).curves)
+    for fault in rng.choices(FAULTS, k=rng.choice((0, 1, 1, 2))):
+        curves = _break(rng, curves, fault)
+    circ = Circuit(tuple(curves), closed)
+    kind = rng.choice((None, None, "twist", "size", "ragged", "random"))
+    d = circ if kind is None and rng.random() < 0.5 else Diagram(
+        circ, kind and _switch_matrix(rng, kind, len(curves[0]) if curves else 2 * genus))
+    x = tuple(rng.randint(-2, 2) for _ in range(2 * genus))
+    return d, rng.randint(-1, length + 2), rng.randint(-3, 3), x
+
+
+def test_boundary_calls_are_the_public_circuit_readers():
+    assert set(EMPTY_CALLS) < set(BOUNDARY_CALLS) <= set(sdcalc.__all__)
+
+
+@settings(max_examples=2000, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32 - 1).map(boundary_case))
+def test_public_calls_give_a_result_or_a_one_line_value_error(case):
+    # validate reports a fault instead of raising it; only classify documents a RuntimeError
+    for name, call in BOUNDARY_CALLS.items():
+        try:
+            call(*case)
+        except ValueError as exc:
+            msg = str(exc)
+            assert name != "validate" and "\n" not in msg and len(msg) <= 300, (name, case, msg)
+        except RuntimeError:
+            assert name == "classify", (name, case)
