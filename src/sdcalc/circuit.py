@@ -125,9 +125,9 @@ class Circuit:
 
 
 class Diagram(_Rec, namedtuple("Diagram", "circuit switch_matrix", defaults=(None,))):
-    """A circuit with an optional switch matrix (None = untwisted).  The matrix's shape is
-    checked where a diagram enters a call; only `cli.parse` checks that it is symplectic,
-    since `is_symplectic` is O(g^3), about 45 pairings at genus 5, on every call."""
+    """A circuit with an optional switch matrix (None = untwisted).  The curves' common length
+    and the matrix's shape are checked where a diagram enters a call (see _unpack); only `cli.parse`
+    checks that it is symplectic: `is_symplectic` would cost O(g^3) per call, about 45 pairings at genus 5."""
 
     __slots__ = ()
 
@@ -154,16 +154,14 @@ def _check_switch(mu, n):
 
 
 def _unpack(d):
-    """(circuit, switch matrix or None) of a Circuit or Diagram; ValueError, in O(1), if the circuit
-    is empty, and in O(c + g) if a switch matrix is not 2g x 2g or the curves' lengths differ."""
+    """(circuit, switch matrix or None) of a Circuit or Diagram; ValueError, in O(c + g), if the
+    circuit is empty, the curves do not share one even length or a switch matrix is not 2g x 2g."""
     circ, mu = d if isinstance(d, Diagram) else (d, None)
     if not circ.curves:
         raise ValueError("empty circuit")
-    if mu is not None:
-        n = 2 * genus_of(circ.curves[0])
-        _check_switch(mu, n)
-        if any(len(v) != n for v in circ.curves):
-            raise ValueError("genus mismatch: curves of different lengths")
+    _check_switch(mu, 2 * genus_of(circ.curves[0]))
+    if len(set(map(len, circ.curves))) > 1:
+        raise ValueError("genus mismatch: curves of different lengths")
     return circ, mu
 
 

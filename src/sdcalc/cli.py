@@ -42,7 +42,8 @@ from itertools import chain
 
 from . import __version__
 # start-up is most of a run: each subcommand imports the rest of what it runs itself
-from .circuit import CLIP, MAX_STEPS, Diagram, _clip, _clip_int, double, generate, normalize, switch, validate
+from .circuit import (CLIP, MAX_STEPS, Diagram, _check_switch, _clip, _clip_int, double, generate, normalize,
+                      switch, validate)
 from .homology import is_symplectic, word_matrix
 
 BANNER = ("homological shadow only: genus >= 2 results are necessary "
@@ -86,16 +87,13 @@ def parse(text) -> Diagram:
         if len(v) != 2 * genus:
             raise ParseError("curve %d: expected %s coefficients, got %d"
                              % (i, _clip_int(2 * genus), len(v)), curve=i)
-    mu = None
-    if rows is not None:
-        if len(rows) != 2 * genus or any(len(r) != 2 * genus for r in rows):
-            raise ParseError("switch matrix must be %dx%d" % (2 * genus, 2 * genus))
-        mu = tuple(tuple(r) for r in rows)
-        if not is_symplectic(mu):
-            raise ParseError("switch matrix does not preserve the pairing")
-        if not closed:
-            raise ParseError("switch matrix needs a closed diagram")
+    mu = None if rows is None else tuple(tuple(r) for r in rows)
     try:
+        _check_switch(mu, 2 * genus)
+        if mu is not None and not is_symplectic(mu):
+            raise ValueError("switch matrix does not preserve the pairing")
+        if mu is not None and not closed:
+            raise ValueError("switch matrix needs a closed diagram")
         circ = normalize(curves, closed, mu)
     except ValueError as exc:
         raise ParseError(str(exc), curve=getattr(exc, "curve", 0)) from exc

@@ -87,7 +87,7 @@ def duality_coefficients(c) -> list:
     since adjacent curves are a basis: the window rule of subst.detect.
     """
     circ = _unpack(c)[0]
-    if any(len(v) != 2 for v in circ.curves):
+    if circ.genus != 1:
         raise ValueError("duality coefficients need genus 1")
     if circ.length < 3:
         raise ValueError("duality coefficients need length >= 3")

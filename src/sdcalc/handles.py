@@ -21,7 +21,7 @@ from itertools import chain
 from operator import add, mul
 
 from .circuit import _Rec, _unpack
-from .homology import genus_of, twist_apply
+from .homology import twist_apply
 
 
 class LinkingMatrix:
@@ -128,13 +128,9 @@ def linking_matrix(c) -> LinkingMatrix:
     diagonal, so the off-diagonal part has rank at most g.  The matrix
     keeps the curves and their framings, O(c g): form_invariants reads
     this structure, rows() yields one row at a time, and the c x c
-    entries are built only when read.  Curves of different or odd lengths raise ValueError, in O(c).
+    entries are built only when read.
     """
-    curves = _unpack(c)[0].curves
-    if len(set(map(len, curves))) > 1:
-        raise ValueError("genus mismatch: curves of different lengths")
-    genus_of(curves[0])  # raises on an odd length
-    return LinkingMatrix(curves)
+    return LinkingMatrix(_unpack(c)[0].curves)
 
 
 def form_invariants(m: LinkingMatrix) -> FormInvariants:

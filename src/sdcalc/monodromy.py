@@ -56,13 +56,14 @@ def mu_tilde_word(c):
 
     The i-th axis is the class of tau_{g_i}(g_{i+1}), i.e.
     g_{i+1} + <g_i, g_{i+1}> g_i, taken cyclically with the eps-signed
-    closing curve and sign-canonicalized (axes are unoriented).  At
-    genus 1 the axis (y0 + p x0, y1 + p x1), p = x0 y1 - x1 y0, is built
+    closing curve and sign-canonicalized (axes are unoriented).  The
+    curves share one length (see _unpack), so the first decides the genus;
+    at genus 1 the axis (y0 + p x0, y1 + p x1), p = x0 y1 - x1 y0, is built
     and canonicalized on scalars.
     """
     ext = _require_untwisted_closed(c).extended(1)
     word = []
-    if set(map(len, ext)) == {2}:  # mixed lengths go below, where pairing names the mismatch
+    if len(ext[0]) == 2:
         x0, x1 = ext[0]
         for y0, y1 in ext[1:]:
             p = x0 * y1 - x1 * y0
@@ -78,8 +79,8 @@ def mu_tilde_word(c):
 
 def mu_tilde_matrix(c):
     """Matrix of the lifted monodromy; fixes g_1 up to (-1)^c eps."""
-    circ = _require_untwisted_closed(c)
-    return word_matrix(mu_tilde_word(circ), circ.genus)
+    word = mu_tilde_word(c)
+    return word_matrix(word, len(word[0][0]) // 2)
 
 
 def surgered_action(c) -> SurgeredAction:

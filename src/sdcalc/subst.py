@@ -78,14 +78,10 @@ def apply_stabilization(d, pos: int, k: int):
     """
     circ, mu = _unpack(d)
     _check_pos(circ, mu, pos)
-    c = circ.length
+    cs = circ.curves
     x, y = circ.extended(1)[pos - 1:pos + 1]
-    xi = twist_apply(y, k, x)
-    if pos < c:
-        raw = list(circ.curves[: pos + 1]) + [xi, y] + list(circ.curves[pos + 1 :])
-    else:
-        # the pattern wraps the seam: (..., g_c | g_1, xi, g_1', g_2, ...)
-        raw = [circ.curves[0], xi, circ.curves[0]] + list(circ.curves[1:])
+    i = pos % len(cs) + 1  # slot of y; past the seam y is g_1: (g_1, xi, g_1, g_2, ...)
+    raw = list(cs[:i]) + [twist_apply(y, k, x), cs[i - 1]] + list(cs[i:])
     return _repack(d, normalize(raw, True, mu))
 
 
@@ -122,13 +118,11 @@ def _norm_window(win):
 def _window_k(x, y, z):
     """k = <x,z> if x + z = k y, else None.
 
-    The pairing comes first, so x and z of different lengths raise its
-    ValueError; a y of another length gives None.  On an oriented window
-    (<x,y> = 1) any k with x + z = k y is <x,z>, so no other multiple can
-    match.
+    On an oriented window (<x,y> = 1) any k with x + z = k y is <x,z>, so
+    no other multiple can match.
     """
     k = pairing(x, z)
-    return k if len(y) == len(x) and all(map(eq, map(add, x, z), map(k.__mul__, y))) else None
+    return k if all(map(eq, map(add, x, z), map(k.__mul__, y))) else None
 
 
 def detect(d):

@@ -173,6 +173,9 @@ def solve_int(rows, b):
 
 
 def rand_primitive(rng, genus, lim=4):
+    """A random primitive class of the given genus, entries in [-lim, lim]."""
+    if genus < 1 or lim < 1:  # no entry or only zeros: no draw is primitive
+        raise ValueError("rand_primitive needs genus >= 1 and lim >= 1, got %r, %r" % (genus, lim))
     while True:
         v = tuple(rng.randint(-lim, lim) for _ in range(2 * genus))
         if any(v) and gcd(*v) == 1:

@@ -116,6 +116,17 @@ def test_parse_switch_matrix():
     open_twisted = "genus 1\ncurve 1 0\ncurve 0 1\nclosed false\nswitchrow 1 0\nswitchrow 0 1\n"
     with pytest.raises(cli.ParseError, match="closed"):
         cli.parse(open_twisted)
+    # two faults each: shape, then symplectic, then closed, then the curves
+    not_sp = "switch matrix does not preserve the pairing"
+    for curves, closed, rows, message in [
+            ("1 0\ncurve 0 1\ncurve -1 2", "true", "2 0\nswitchrow 0 1", not_sp),
+            ("1 0\ncurve 2 2", "true", "1 1", "switch matrix must be 2x2"),
+            ("1 0\ncurve 0 1", "false", "2 0\nswitchrow 0 1", not_sp),
+            ("1 0\ncurve 2 2", "false", "1 0\nswitchrow 0 1", "switch matrix needs a closed diagram")]:
+        text = "genus 1\ncurve %s\nclosed %s\nswitchrow %s\n" % (curves, closed, rows)
+        with pytest.raises(cli.ParseError, match="^%s$" % message) as ei:
+            cli.parse(text)
+        assert ei.value.curve == 0
 
 
 def test_parse_json_type_checks():

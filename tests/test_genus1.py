@@ -78,8 +78,10 @@ def test_duality_needs_genus_one():
     with pytest.raises(ValueError):
         duality_coefficients(rand_chain(random.Random(0), 2, 4))
     # a middle curve of another length, not a broken duality relation
-    with pytest.raises(ValueError, match="^duality coefficients need genus 1$"):
+    with pytest.raises(ValueError, match="^genus mismatch: curves of different lengths$"):
         duality_coefficients(Circuit(((1, 0), (0, 1, 0, 0), (-1, 0)), False))
+    with pytest.raises(ValueError, match="^duality coefficients need genus 1$"):
+        duality_coefficients(Circuit(((1, 0, 0, 0), (0, 1, 0, 0), (-1, 0, 0, 0)), False))
 
 
 def test_sigma_sequence():

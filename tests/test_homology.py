@@ -30,8 +30,8 @@ from sdcalc.homology import (
 from sdcalc.circuit import generate
 from sdcalc.monodromy import mu_tilde_word
 
-from support import (delta_twist_by_product, is_symplectic_by_jmat, jmat, k2_chain, rand_closed, rand_next,
-                     rand_primitive, sp_inv_by_jmat, word_images_generic)
+from support import (delta_twist_by_product, is_symplectic_by_jmat, jmat, k2_chain, rand_chain, rand_closed,
+                     rand_next, rand_primitive, sp_inv_by_jmat, word_images_generic)
 
 A = (1, 0)
 B = (0, 1)
@@ -238,6 +238,15 @@ def test_closed_forms_match_jmat_products(g):
                      (bad_cols[i], bad_cols[j])):
             assert (closed_form_outcome(delta_twist, a, b)
                     == closed_form_outcome(delta_twist_by_product, a, b)), (a, b)
+
+
+@pytest.mark.parametrize("genus, lim", [(0, 4), (1, 0), (-1, 4)])
+def test_random_classes_refuse_a_genus_or_bound_with_no_primitive_class(genus, lim):
+    # each call would draw forever without the check
+    for draw in (rand_primitive, rand_chain, rand_closed):
+        args = (genus, lim) if draw is rand_primitive else (genus, 3, lim)
+        with pytest.raises(ValueError, match="^rand_primitive needs genus >= 1 and lim >= 1"):
+            draw(random.Random(0), *args)
 
 
 def test_apply_word_order():
