@@ -181,6 +181,11 @@ def normalize(raw, closed: bool, switch_matrix=None) -> Circuit:
     diagram closes through its switch matrix: pass it so the closing
     check reads <mu g_c, g_1>; it must be 2g x 2g (see Diagram).
     """
+    return Circuit(_orient(raw, closed, switch_matrix), closed)
+
+
+def _orient(raw, closed, switch_matrix):
+    """normalize's checks and sign pass: the re-signed curves as a tuple."""
     raw = [tuple(v) for v in raw]
     if not raw:
         raise CurveError("empty circuit")
@@ -208,7 +213,7 @@ def normalize(raw, closed: bool, switch_matrix=None) -> Circuit:
         e = pairing(last, out[0])
         if abs(e) != 1:
             raise CurveError("closing pairing %s, need +-1 for a closed circuit" % _clip_int(e))
-    return Circuit(tuple(out), closed)
+    return tuple(out)
 
 
 def validate(d) -> ValidationReport:
@@ -224,7 +229,7 @@ def validate(d) -> ValidationReport:
     curves = circ.curves
     exactness = "Exact" if curves and len(curves[0]) == 2 else "HomologicalOnly"
     try:
-        out = normalize(curves, circ.closed, mu).curves
+        out = _orient(curves, circ.closed, mu)
     except ValueError as exc:
         curve = getattr(exc, "curve", 0)
         reason = str(exc).partition(": ")[2] if curve else str(exc)

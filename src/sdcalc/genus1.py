@@ -167,7 +167,7 @@ def classify(d) -> Classification:
     # sign-free <x,y><y,z><x,z> is that k.
     curves = list(circ.curves)
     ks = [_unoriented_k(curves, i) for i in range(len(curves))]
-    total = SumForm()
+    l = m = n = 0  # the summands, counted
     trace = []
     lo, z = 0, 1  # ks[:lo] holds no +-1, ks[1:z] no 0
     while len(curves) > 2:
@@ -198,9 +198,10 @@ def classify(d) -> Classification:
             ks[i] = _unoriented_k(curves, i)
         lo, z = max(0, j + w - 2), max(1, min(z, j + w - 2))  # after a rotation j = 0
         delta = _DELTAS[det.summand]
-        total = total + delta
+        l, m, n = l + delta.l, m + delta.m, n + delta.n
         trace.append((len(trace) + 1, det, delta))
 
+    total = SumForm(l, m, n)
     forms = frozenset(normalize_sum(total.with_closure(c)) for c in ("Spin0", "NonSpin1"))
     return Classification(canonical_forms=forms, reduction_trace=tuple(trace), counts=total)
 

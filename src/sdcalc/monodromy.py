@@ -9,14 +9,17 @@ images of the quotient basis classes under the lift word; the 2g x 2g
 lift matrix is only built for `mu_tilde_matrix`.  The quotient basis
 comes from two one-row reductions (Euclid with tracked column moves):
 one of <a,.>, whose kernel is a^perp, and one that completes a to a
-basis of that kernel.  A non-identity quotient action obstructs
-trivial monodromy; the converse direction is not decided here, so
-verdicts are worded as necessary conditions.
+basis of that kernel.  At genus 1 the quotient has rank 0: only the
+checks run (g_1 and every axis primitive) and the action is empty.
+A non-identity quotient action obstructs trivial monodromy; the
+converse direction is not decided here, so verdicts are worded as
+necessary conditions.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from math import gcd
 from operator import add, mul
 
 from .circuit import Circuit, _Rec, _unpack
@@ -61,7 +64,13 @@ def mu_tilde_word(c):
     at genus 1 the axis (y0 + p x0, y1 + p x1), p = x0 y1 - x1 y0, is built
     and canonicalized on scalars.
     """
-    ext = _require_untwisted_closed(c).extended(1)
+    return _lift(c)[1]
+
+
+def _lift(c):
+    """(circuit, lift word) of c, unpacked once for mu_tilde_word and surgered_action."""
+    circ = _require_untwisted_closed(c)
+    ext = circ.extended(1)
     word = []
     if len(ext[0]) == 2:
         x0, x1 = ext[0]
@@ -70,11 +79,11 @@ def mu_tilde_word(c):
             a, b = y0 + p * x0, y1 + p * x1
             word.append(((a, b) if a > 0 or not a and b >= 0 else (-a, -b), 1))
             x0, x1 = y0, y1
-        return tuple(word)
+        return circ, tuple(word)
     for x, nxt in zip(ext, ext[1:]):
         p = pairing(x, nxt)
         word.append((canon_sign(tuple(map(add, nxt, map(p.__mul__, x)))), 1))
-    return tuple(word)
+    return circ, tuple(word)
 
 
 def mu_tilde_matrix(c):
@@ -88,8 +97,8 @@ def surgered_action(c) -> SurgeredAction:
     a^perp / <a> with a = g_1: the lift word applied to the deterministic
     basis from quotient_basis, each image read in its coordinates.
     """
-    circ = _require_untwisted_closed(c)
-    return _action_of(circ.curves[0], mu_tilde_word(circ))
+    circ, word = _lift(c)
+    return _action_of(circ.curves[0], word)
 
 
 def _row_reduce(r):
@@ -160,6 +169,14 @@ def quotient_basis(a):
 
 
 def _action_of(a, word) -> SurgeredAction:
+    # at genus 1, a^perp / <a> has rank 2g - 2 = 0: only quotient_basis's and word_images' checks run
+    if len(a) == 2:
+        if gcd(*a) != 1:
+            raise ValueError("quotient base class must be primitive, got %r" % (a,))
+        bad = [v for v, _ in word if gcd(*v) != 1]
+        if bad:
+            raise ValueError("twist axis must be primitive, got %r" % (bad[0],))
+        return SurgeredAction(a, 0, (), ())
     qb, coords = quotient_basis(a)
     matrix = transpose([coords(y) for y in word_images(word, qb)])
     return SurgeredAction(base_class=a, quotient_rank=len(qb), matrix=matrix, basis=tuple(qb))

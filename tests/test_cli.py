@@ -375,6 +375,15 @@ def test_monodromy_reads_the_lift_once(capsys):
     assert pairing.call_count == c == 2  # one lift word: one pairing per curve
 
 
+def test_monodromy_at_genus_one_skips_the_quotient_machinery(capsys):
+    from sdcalc import monodromy
+    with mock.patch.object(monodromy, "quotient_basis", wraps=monodromy.quotient_basis) as qb, \
+            mock.patch.object(monodromy, "word_images", wraps=monodromy.word_images) as wi:
+        assert cli.run(["monodromy", TRI]) == 0
+    capsys.readouterr()
+    assert qb.call_count == wi.call_count == 0
+
+
 def test_monodromy_rejects_twisted(capsys):
     code, _, err = run(capsys, "monodromy", TWISTED)
     assert code == 2

@@ -1,7 +1,9 @@
 import random
+from unittest import mock
 
 import pytest
 
+from sdcalc import monodromy
 from sdcalc.circuit import Circuit, Diagram, double, generate, normalize
 from sdcalc.homology import (
     apply_word,
@@ -305,6 +307,36 @@ def test_surgered_action_genus_one_is_empty():
     act = surgered_action(TRI)
     assert act.quotient_rank == 0
     assert act.matrix == ()
+
+
+def test_genus_one_checks_the_base_class_before_the_axes():
+    # g_1 = (2, 0) and the lift axis (4, -4) are both imprimitive: the surgered
+    # action checks g_1 first, as quotient_basis does, and the lift matrix only has axes
+    bad = Circuit(((2, 0), (0, 1)), True)
+    assert [a for a, _ in mu_tilde_word(bad)][-1] == (4, -4)
+    for f in (surgered_action, verdict):
+        with pytest.raises(ValueError, match=r"^quotient base class must be primitive, got \(2, 0\)$"):
+            f(bad)
+    with pytest.raises(ValueError, match=r"^twist axis must be primitive, got \(4, -4\)$"):
+        mu_tilde_matrix(bad)
+
+
+@pytest.mark.parametrize("circ, calls", [(TRI, 0), (AB, 0), (WITNESS, 1)])
+def test_genus_one_skips_the_quotient_machinery(circ, calls):
+    # patched in monodromy's namespace, so every path to them is counted
+    for f in (surgered_action, verdict):
+        with mock.patch.object(monodromy, "quotient_basis", wraps=monodromy.quotient_basis) as qb, \
+                mock.patch.object(monodromy, "word_images", wraps=monodromy.word_images) as wi:
+            f(circ)
+        assert qb.call_count == wi.call_count == calls, f
+
+
+@pytest.mark.parametrize("circ", [TRI, WITNESS])
+def test_surgered_action_and_verdict_unpack_once(circ):
+    for f in (surgered_action, verdict):
+        with mock.patch.object(monodromy, "_unpack", wraps=monodromy._unpack) as unpack:
+            f(circ)
+        assert unpack.call_count == 1, f
 
 
 def test_doubles_are_never_obstructed():

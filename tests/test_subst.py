@@ -503,6 +503,9 @@ BAD_CALLS = ["detect(Circuit(%r, %r))" % case for case in DETECT_BAD] + [
     "sdcalc.double(Circuit(((1, 0),), False))",
     "sdcalc.duality_coefficients(AB)",
     "sdcalc.classify(Circuit(((1, 0), (1, 0)), True))",
+    # g_1 and the lift axis (4, -4) imprimitive: the genus-1 surgered action checks g_1 first
+    "sdcalc.surgered_action(Circuit(((2, 0), (0, 1)), True))",
+    "sdcalc.verdict(Circuit(((2, 0), (0, 1)), True))",
 ]
 
 
