@@ -30,13 +30,15 @@ def genus_of(x) -> int:
 def pairing(x, y) -> int:
     """Symplectic pairing <x,y> = sum of (n_{ai}(x) n_{bi}(y) - n_{bi}(x) n_{ai}(y)).
 
-    One length check, then genus 1, the common case, in one expression."""
+    One length check, then genus 1, the common case, in one expression;
+    genus_of runs only to reject an empty or odd length."""
     n = len(x)
     if n != len(y):
         raise ValueError("genus mismatch: %d vs %d" % (n, len(y)))
     if n == 2:
         return x[0] * y[1] - x[1] * y[0]
-    genus_of(x)
+    if n == 0 or n % 2:
+        genus_of(x)
     return sum(map(mul, x[::2], y[1::2])) - sum(map(mul, x[1::2], y[::2]))
 
 
@@ -149,9 +151,11 @@ def word_images(word, xs):
 
     The word may be any iterable; it is read once and every factor is
     checked before any image is computed: nonzero exponent, primitive
-    axis of the classes' genus.  Each factor then costs one pairing per
-    class, through the axis's pairing functional, or at genus 1 a few
-    scalar products; with no classes only the checks run.
+    axis of the classes' genus.  At genus 1 each factor costs a few
+    scalar products per class.  Above, each factor builds one functional,
+    that of the exponent-scaled axis, so a class's coefficient is one dot
+    product, and the update x += c * axis runs over the axis's nonzero
+    entries only.  With no classes only the checks run.
     """
     xs = list(xs)
     n = 2 * genus_of(xs[0]) if xs else None
@@ -182,11 +186,13 @@ def word_images(word, xs):
         return images
     images = [list(x) for x in xs]
     for axis, exp in factors:
-        f = pairing_functional(axis)
+        f = pairing_functional(axis if exp == 1 else [exp * t for t in axis])
+        support = [(j, t) for j, t in enumerate(axis) if t]
         for x in images:
-            c = exp * sum(map(mul, f, x))
+            c = sum(map(mul, f, x))
             if c:
-                x[:] = [a + c * b for a, b in zip(x, axis)]
+                for j, t in support:
+                    x[j] += c * t
     return [tuple(x) for x in images]
 
 

@@ -106,15 +106,15 @@ def _row_reduce(r):
 
     Returns (d, U, Ui) with r U = (d, 0, ..., 0) and d >= 0 the gcd of r;
     U is unimodular, given as its list of columns, and Ui = U^-1 as its
-    list of rows.  Each round moves the entry of least absolute value
-    (the first on a tie) to the front and reduces every other entry by
-    its floor quotient, until the rest are zero; then a negative d is
-    negated.
+    list of rows, all fresh lists with no row shared.  Each round moves
+    the entry of least absolute value (the first on a tie) to the front
+    and reduces every other entry by its floor quotient, until the rest
+    are zero; then a negative d is negated.
     """
     n = len(r)
     h = list(r)
-    U = list(ident(n))
-    Ui = list(ident(n))
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    Ui = [row[:] for row in U]
     while any(h[1:]):
         p = min((abs(x), j) for j, x in enumerate(h) if x)[1]
         h[0], h[p] = h[p], h[0]

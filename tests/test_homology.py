@@ -27,8 +27,9 @@ from sdcalc.homology import (
     word_matrix,
 )
 
-from sdcalc.circuit import generate
+from sdcalc.circuit import Circuit, generate
 from sdcalc.monodromy import mu_tilde_word
+from sdcalc.subst import apply_blowup, hayano_surgery
 
 from support import (delta_twist_by_product, is_symplectic_by_jmat, jmat, k2_chain, rand_chain, rand_closed,
                      rand_next, rand_primitive, sp_inv_by_jmat, word_images_generic)
@@ -110,6 +111,9 @@ def test_pairing_and_is_primitive_match_plain_loops():
     ((), (), "coefficient vector must have positive even length, got 0"),
     ((1,), (0,), "coefficient vector must have positive even length, got 1"),
     ((1, 0, 0), (0, 1, 0), "coefficient vector must have positive even length, got 3"),
+    ((1, 0, 0, 0, 2), (0, 1, 0, 0, 0), "coefficient vector must have positive even length, got 5"),
+    ((0,) * 7, (1,) * 7, "coefficient vector must have positive even length, got 7"),
+    ((1, 0, 0, 0), (0, 1, 0, 0, 0, 0), "genus mismatch: 4 vs 6"),
     ((1, 0), (1, 0, 0, 0), "genus mismatch: 2 vs 4"),
     ((1, 0, 0, 0), (1, 0), "genus mismatch: 4 vs 2"),
     ((1, 0), (1,), "genus mismatch: 2 vs 1"),
@@ -350,6 +354,64 @@ def test_word_images_genus_one_branch_matches_the_generic_loop():
         want = word_images_generic(word, xs)
         assert word_images(iter(word), xs) == want
         assert word_images(iter(word), []) == [] == word_images_generic(word, [])
+
+
+def _session_circuits(rng, g, steps):
+    # a short editing session from the dual pair (a_1, b_1): blow-ups and
+    # Hayano surgeries whose duals spread over a few handles, so the lift
+    # axes stay sparse
+    units = ident(2 * g)
+    c = Circuit((units[0], units[1]), True)
+    out = []
+    for _ in range(steps):
+        pos = rng.randint(1, c.length)
+        if rng.random() < 0.5:
+            c = apply_blowup(c, pos, rng.choice((1, -1)))
+        else:
+            x, succ = c.extended(1)[pos - 1:pos + 1]
+            w = tuple(rng.randint(-1, 1) for _ in range(2 * g))
+            dual = tuple(s + t - pairing(x, w) * s for s, t in zip(succ, w))
+            c = hayano_surgery(c, pos, dual, rng.randint(-2, 2))
+        out.append(c)
+    return out
+
+
+def _support_axes(rng, g):
+    # primitive axes with 1, 2 and 2g nonzero entries
+    n = 2 * g
+    i, j = rng.sample(range(n), 2)
+    one = tuple(rng.choice((1, -1)) * (t == i) for t in range(n))
+    two = tuple(rng.choice((1, -1)) * (t == i) + rng.choice((2, -3, 7)) * (t == j) for t in range(n))
+    while True:
+        full = tuple(rng.choice((1, -1)) * rng.randint(1, 5) for _ in range(n))
+        if is_primitive(full):
+            return [one, two, full]
+
+
+def test_word_images_higher_genus_matches_the_generic_loop():
+    # lift words of random closed circuits and of editing sessions, with
+    # axes of every support size spliced in and exponents in
+    # {-3, -2, -1, 1, 2, 5}; word and classes read from iterators, and the
+    # classes, given as lists, left as they were
+    rng = random.Random(47)
+    exps = (-3, -2, -1, 1, 2, 5)
+    for g in (2, 3, 5, 8):
+        circuits = [rand_closed(rng, g, rng.randint(2, 7)) for _ in range(12)]
+        circuits += _session_circuits(rng, g, 10)
+        supports = set()
+        for c in circuits:
+            word = [(axis, rng.choice(exps)) for axis, _ in mu_tilde_word(c)]
+            supports.update(sum(1 for t in axis if t) for axis, _ in word)
+            for axis in _support_axes(rng, g):
+                word.insert(rng.randint(0, len(word)), (axis, rng.choice(exps)))
+            xs = [list(x) for x in ident(2 * g)]
+            xs += [[rng.randint(-9, 9) for _ in range(2 * g)] for _ in range(rng.randint(0, 3))]
+            given = [list(x) for x in xs]
+            want = word_images_generic(word, xs)
+            assert word_images(iter(word), iter(xs)) == want
+            assert xs == given
+            assert word_images(iter(word), iter([])) == [] == word_images_generic(word, [])
+        assert {1, 2, 2 * g} <= supports  # also among the lift axes themselves
 
 
 BAD_FACTORS = [((1, 0), 0), ((2, 0), 1), ((0, 0), -1), ((1, 0, 0, 0), 1), ((1, 0, 1), 1),

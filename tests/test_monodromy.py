@@ -210,7 +210,13 @@ def test_row_reduce_matches_column_echelon():
         lim = rng.choice((1, 3, 20, 10 ** 6, 10 ** 30))
         rows.append([rng.choice((0, rng.randint(-lim, lim))) for _ in range(rng.randint(1, 16))])
     for r in rows:
-        assert _as_lists(*_row_reduce(r)) == _row_reduce_by_echelon(r), r
+        want = _row_reduce_by_echelon(r)
+        d, U, Ui = _row_reduce(r)
+        assert (d, U, Ui) == want, r
+        # fresh lists with no row shared: writing into U leaves Ui as it was
+        for col in U:
+            col[:] = [0] * len(col)
+        assert Ui == want[2], r
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 5, 8])
