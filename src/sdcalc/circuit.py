@@ -13,20 +13,15 @@ Curves are unoriented: every operation here treats a class and its
 negative as the same curve, and `normalize` only adjusts signs.
 """
 
-from __future__ import annotations
-
 import random
-import sys
 from collections import namedtuple
-from itertools import chain
-from math import comb, gcd
+from math import gcd
 
-from .homology import genus_of, ident, mat_pow, matmul, matvec, pairing, scale, sp_inv, twist_apply
+from .homology import genus_of, matvec, pairing, scale, sp_inv, twist_apply
 
 
 CLIP = 40  # longest piece of the input that an error message echoes
 MAX_STEPS = 10**5  # most moves `sdcalc generate` makes, so its work stays bounded
-MAX_POWER_BITS = 2**14  # longest entry of a switch matrix power that `switch` forms at genus >= 2
 
 
 def _clip(s):
@@ -42,6 +37,11 @@ def _clip_int(n):
         a //= 10 ** (int(a.bit_length() * 0.30102999566) - CLIP - 1)
         n = -a if n < 0 else a
     return _clip(str(n))
+
+
+def _matrix_lines(m):
+    """The text rows of an integer matrix, as the CLI's reports print them."""
+    return ("  " + " ".join(["%3d"] * len(r)) % tuple(r) for r in m)
 
 
 class _Rec(tuple):
@@ -255,7 +255,7 @@ def switch(d, k: int = 1):
     forward switches give e^(c-1) mu g_i in every slot, c backward ones
     e mu^-1 g_i.  With |k| = q c + r + 1, 0 <= r < c, this takes one
     single switch (which normalizes the input), the next r at once by
-    that rule, and then mu^(+-q) (see _turns): O(c + log|k|) matrix
+    that rule, and then mu^(+-q) (see sdcalc._power): O(c + log|k|) matrix
     work, not O(|k| c).  Like sp_inv, this reads mu as symplectic; only
     its shape is checked (see Diagram).
     """
@@ -283,60 +283,13 @@ def switch(d, k: int = 1):
             moved = cur[:r] if mu_inv is None else [matvec(mu_inv, v) for v in cur[:r]]
             cur = cur[r:] + [scale(e, v) for v in moved]
         if q:
+            if mu is not None:  # the one path that compiles the power rule
+                from ._power import _turns
+                m = _turns(mu if k > 0 else mu_inv, q, cur)
+                cur = [matvec(m, v) for v in cur]
             sign = e ** (q * (len(cur) - 1) if k > 0 else q)
-            m = None if mu is None else _turns(mu if k > 0 else mu_inv, q, cur)
-            cur = [scale(sign, v if m is None else matvec(m, v)) for v in cur]
+            cur = [scale(sign, v) for v in cur]
     return _repack(d, normalize(cur, True, mu))
-
-
-def _turns(m, q, cur):
-    """m^q for q full turns of the circuit cur, its size decided first.
-
-    Every root of unity that can be an eigenvalue of m has an order that
-    divides L = _period(g).  With q = d L + r and P = m^L, m^q = m^r P^d.
-    If all eigenvalues of m are roots of unity (by Kronecker, if all lie on
-    the unit circle), N = P - 1 is nilpotent and P^d = sum_{i<2g} C(d, i) N^i;
-    that is seen, not assumed: the N^i are formed, at most 2g - 1 products,
-    until one is zero or has a nonzero trace.  Otherwise P^d is formed by
-    squaring.  At genus 1, m in SL(2, Z) then has an eigenvalue l with
-    |l|^L > T - 1, T = |tr P|, and |l|^q < |tr m^q| <= 4 G max|out|, where
-    G = max|x, y| for two adjacent curves x, y of cur, a basis, and out are
-    the switched curves; so once (T - 1)^d >= 4 G 10^limit the result cannot
-    print, and str()'s ValueError comes before any squaring.  At genus >= 2
-    no power of m that is formed may pass MAX_POWER_BITS.
-    """
-    n = len(m)
-    cap = MAX_POWER_BITS if n > 2 else None
-    period = _period(n // 2)
-    d, r = divmod(q, period)
-    out, p = mat_pow(m, r, cap), (mat_pow(m, period, cap) if d else ident(n))  # P^0 = 1
-    if d and out and p:
-        nil = tuple(tuple(x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(p))
-        x, i, total = nil, 1, ident(n)  # total: the sum of the C(d, k) N^k, k < i
-        while any(map(any, x)) and i < n and not sum(x[k][k] for k in range(n)):
-            c = comb(d, i)
-            total = tuple(tuple(a + c * b for a, b in zip(u, v)) for u, v in zip(total, x))
-            x, i = matmul(x, nil), i + 1
-        if any(map(any, x)):  # N is not nilpotent
-            limit = n == 2 and sys.get_int_max_str_digits()
-            top, t = max(map(abs, cur[0] + cur[1])), abs(p[0][0] + p[1][1])
-            if limit and d * ((t - 1).bit_length() - 1) >= (4 * top * 10 ** limit).bit_length():
-                raise ValueError("Exceeds the limit (%d digits) for integer string conversion" % limit)
-            total = mat_pow(p, d, cap)
-        out = total and matmul(out, total)
-    if cap and not (out and p and max(map(abs, chain(*out))).bit_length() <= cap):
-        raise ValueError("switch matrix power past %d bits at genus >= 2" % MAX_POWER_BITS)
-    return out
-
-
-def _period(g):
-    """The lcm of the n with phi(n) <= 2g: the product of the largest prime
-    powers p^a with phi(p^a) = p^(a-1) (p - 1) <= 2g; 12, 120, 2520 at g = 1, 2, 3."""
-    out = 1
-    for p in range(2, 2 * g + 2):
-        if all(p % f for f in range(2, p)):
-            out *= p ** max(a for a in range(1, 2 * g + 1) if p ** (a - 1) * (p - 1) <= 2 * g)
-    return out
 
 
 def double(c: Circuit) -> Circuit:

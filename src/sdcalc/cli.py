@@ -30,8 +30,6 @@ Reports for genus >= 2 input always carry the homological-only notice:
 at that genus every result is a necessary condition, not a certificate.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import json
@@ -42,9 +40,9 @@ from itertools import chain
 
 from . import __version__
 # start-up is most of a run: each subcommand imports the rest of what it runs itself
-from .circuit import (CLIP, MAX_STEPS, Diagram, _check_switch, _clip, _clip_int, double, generate, normalize,
-                      switch, validate)
-from .homology import is_symplectic, word_matrix
+from .circuit import (CLIP, MAX_STEPS, Diagram, _check_switch, _clip, _clip_int, _matrix_lines, double,
+                      normalize, switch, validate)
+from .homology import is_symplectic
 
 BANNER = ("homological shadow only: genus >= 2 results are necessary "
           "conditions, not certificates")
@@ -221,13 +219,6 @@ def _color_enabled(stream):
     return hasattr(stream, "isatty") and stream.isatty()
 
 
-def _matrix_lines(m):
-    return ("  " + " ".join(["%3d"] * len(r)) % tuple(r) for r in m)
-
-
-_ROWS = "\0rows\0"  # the text line and JSON value that info's and kirby's matrix rows replace
-
-
 def _payload(report, text_lines, fmt):
     """The output, as an iterable of strings.  A LinkingMatrix under
     "linking_matrix" is written one row at a time, as json.dumps(indent=2)
@@ -235,6 +226,7 @@ def _payload(report, text_lines, fmt):
     lm = report.get("linking_matrix")
     if lm is None:
         return [emit_json(report) if fmt == "json" else "\n".join(text_lines) + "\n"]
+    from .handles import _ROWS  # the report that holds one was built there
     lm.check_printable()
     if fmt == "text":
         head, _, tail = ("\n".join(text_lines) + "\n").partition(_ROWS + "\n")
@@ -244,27 +236,14 @@ def _payload(report, text_lines, fmt):
     return chain([head + "[", next(rows)], map(",".__add__, rows), ["\n  ]" + tail])
 
 
-def _counts(f):
-    return {"l": f.l, "m": f.m, "n": f.n}
-
-
-def _forms_report(forms, counts):
-    """The canonical forms in report order, and their "forms" and "counts" entries."""
-    forms = sorted(forms)  # CanonicalForm is a tuple (s2xs2, cp2, cp2bar)
-    return forms, {"forms": [dict(f._asdict(), pretty=f.pretty()) for f in forms],
-                   "counts": _counts(counts)}
-
-
-def _framed(v, f):
-    return {"class": v, "framing": f}
-
-
 # ------------------------------------------------------------- subcommands
 #
 # A subcommand returns (report, text lines, exit code, homological).  The
 # driver adds "command" and "homological_only" to the report, and the
 # notice line to the text when homological is true; homological is None
-# for the commands that emit a bare diagram.
+# for the commands that emit a bare diagram.  A report is built next to
+# the call it reports on, in a module that never imports sdcalc.cli:
+# `python -m` runs this file as __main__, and would compile it again.
 
 def _load(path, needs_closed=False, allow_twisted=True):
     if path == "-":
@@ -300,95 +279,28 @@ def _cmd_validate(args):
 
 
 def _cmd_info(args):
-    from .handles import euler_characteristics, form_invariants, linking_matrix
-    d = _load(args.file)
-    circ = d.circuit
-    g = circ.genus
-    lm = linking_matrix(circ)
-    inv = form_invariants(lm)
-    chi_z, chi_x = euler_characteristics(circ)
-    exactness = "Exact" if g == 1 else "HomologicalOnly"
-    framings = list(lm.framings)
-    report = {
-        "genus": g,
-        "length": circ.length,
-        "closed": circ.closed,
-        "twisted": d.switch_matrix is not None,
-        "exactness": exactness,
-        "framings": framings,
-        "linking_matrix": lm,
-        # whether this equals the closed total space's signature is
-        # only verified for genus 1
-        "form_invariants": dict(inv._asdict(), signature_conjectural=g >= 2),
-        "euler": {"disk_piece": chi_z, "total_space": chi_x},
-    }
-    text = ["genus %d, length %d, %s, %s" % (
-        g, circ.length, "closed" if circ.closed else "open", exactness)]
-    text.append("framings: %s" % (framings,))
-    text.append("linking matrix:")
-    text.append(_ROWS)
-    text.append("form: rank %d, signature %d, parity %s%s" % (
-        inv.rank, inv.signature, inv.parity,
-        " (signature conjectural at this genus)" if g >= 2 else ""))
-    text.append("euler: disk piece %d, total space %s" % (chi_z, chi_x))
-    return report, text, 0, g >= 2
+    from .handles import _info_report
+    return _info_report(_load(args.file))
 
 
 def _cmd_classify(args):
-    from .genus1 import classify
-    cl = classify(_load(args.file))
-    forms, report = _forms_report(cl.canonical_forms, cl.counts)
-    report["trace"] = [
-        {"step": step, "kind": det.kind, "position": det.position, "exponent": det.exponent,
-         "k": det.k, "summand": det.summand, "delta": _counts(delta)}
-        for step, det, delta in cl.reduction_trace
-    ]
-    text = ["canonical form%s:" % ("s" if len(forms) > 1 else "")]
-    text += ["  " + f.pretty() for f in forms]
-    if cl.reduction_trace:
-        text.append("reduction:")
-        for step, det, delta in cl.reduction_trace:
-            param = det.exponent if det.kind == "BlowUp" else det.k
-            text.append("  %2d. %s at %d (param %s) -> %s"
-                        % (step, det.kind, det.position, param, det.summand))
-    return report, text, 0, False  # classify only accepts genus 1
-
-
-def _detection_line(t):
-    if t.kind == "BlowUp":
-        return "  BlowUp at %d: exponent %+d, summand %s" % (t.position, t.exponent, t.summand)
-    if t.kind == "Stabilization":
-        return "  Stabilization at %d: k = %d, summand %s" % (t.position, t.k, t.summand)
-    return "  HayanoPattern at %d: dual %s, k = 0" % (t.position, list(t.dual))
+    from .genus1 import _classify_report
+    return _classify_report(_load(args.file))
 
 
 def _cmd_detect(args):
-    from .subst import detect
-    d = _load(args.file, needs_closed=True)
-    dets = detect(d)
-    text = [_detection_line(t) for t in dets] or ["no substitution patterns"]
-    return {"detections": [t._asdict() for t in dets]}, text, 0, d.circuit.genus >= 2
+    from .subst import _detect_report
+    return _detect_report(_load(args.file, needs_closed=True))
 
 
 def _cmd_substitute(args):
-    from .subst import apply_blowup, apply_stabilization, hayano_surgery
+    from .subst import _substituted
     d = _load(args.file, needs_closed=True)
-    notes = []
-    if args.op == "blowup":
-        if args.exp is None:
-            raise UsageError("blowup needs --exp")
-        out = apply_blowup(d, args.pos, args.exp)
-    elif args.op == "stab":
-        if args.k is None:
-            raise UsageError("stab needs --k")
-        out = apply_stabilization(d, args.pos, args.k)
-    else:
-        if args.k is None or args.dual is None:
-            raise UsageError("hayano needs --k and --dual")
-        out = hayano_surgery(d, args.pos, _parse_vector(args.dual), args.k)
-        notes.append("fiber-framed surgery on dual" if args.k % 2 == 0
-                     else "opposite framing (odd twisting)")
-    return _diagram_output(out, notes)
+    needs = {"blowup": ("exp",), "stab": ("k",), "hayano": ("k", "dual")}[args.op]
+    if None in [getattr(args, o) for o in needs]:
+        raise UsageError("%s needs %s" % (args.op, " and ".join("--" + o for o in needs)))
+    dual = _parse_vector(args.dual) if args.op == "hayano" else None
+    return _diagram_output(*_substituted(d, args.op, args.pos, args.exp, args.k, dual))
 
 
 def _parse_vector(s):
@@ -411,73 +323,28 @@ def _cmd_double(args):
 
 
 def _cmd_monodromy(args):
-    from .monodromy import _action_of, _verdict_of, mu_tilde_word
-    circ = _load(args.file, needs_closed=True, allow_twisted=False).circuit
-    word = mu_tilde_word(circ)  # computed once for all four results
-    mat = word_matrix(word, circ.genus)
-    act = _action_of(circ.curves[0], word)
-    ver = _verdict_of(act)
-    report = {
-        "word": [{"axis": a, "exponent": e} for a, e in word],
-        "matrix": mat,
-        "surgered": {"base": act.base_class, "rank": act.quotient_rank,
-                     "basis": act.basis, "matrix": act.matrix},
-        "verdict": dict(ver._asdict(), text=ver.text),
-    }
-    text = ["lift word (rightmost first): %s" % " ".join(str(list(a)) for a, _ in word)]
-    text.append("lift matrix:")
-    text += _matrix_lines(mat)
-    text.append("surgered action: rank %d" % act.quotient_rank)
-    text += _matrix_lines(act.matrix)
-    text.append("verdict: %s" % ver.text)
-    return report, text, 0, circ.genus >= 2
+    from .monodromy import _monodromy_report
+    return _monodromy_report(_load(args.file, needs_closed=True, allow_twisted=False).circuit)
 
 
 def _cmd_blf(args):
-    from .handles import to_blf
-    circ = _load(args.file, needs_closed=True, allow_twisted=False).circuit
-    data = to_blf(circ)
-    report = {"lefschetz_cycles": [_framed(v, f) for v, f in data.lefschetz_cycles],
-              "round_cycle": _framed(*data.round_cycle)}
-    text = ["round cycle: %s framing 0" % (list(data.round_cycle[0]),)]
-    for i, (v, f) in enumerate(data.lefschetz_cycles, start=1):
-        text.append("  lefschetz %d: %s framing %d" % (i, list(v), f))
-    return report, text, 0, circ.genus >= 2
+    from .handles import _blf_report
+    return _blf_report(_load(args.file, needs_closed=True, allow_twisted=False).circuit)
 
 
 def _cmd_kirby(args):
-    from .handles import emit_kirby
-    kd = emit_kirby(_load(args.file, allow_twisted=False).circuit, args.section)
-    report = {
-        "genus": kd.genus,
-        "one_handles": kd.one_handles,
-        "fiber_handle": {"framing": kd.fiber_framing},
-        "fold_handles": [dict(_framed(v, f), position=p) for v, f, p in kd.fold_handles],
-        "last_handle": None if kd.last_handle is None
-        else {"framing": kd.last_handle, "attached": "meridian of fiber handle"},
-        "linking_matrix": kd.linking,
-    }
-    text = ["1-handles (dotted): %s" % ", ".join(kd.one_handles), "fiber handle: framing 0"]
-    for v, f, p in kd.fold_handles:
-        text.append("  fold handle %d: %s framing %d" % (p, list(v), f))
-    if kd.last_handle is not None:
-        text.append("meridian handle: framing %d" % kd.last_handle)
-    text.append("linking matrix:")
-    text.append(_ROWS)
-    return report, text, 0, kd.genus >= 2
+    from .handles import _kirby_report
+    return _kirby_report(_load(args.file, allow_twisted=False).circuit, args.section)
 
 
 def _cmd_generate(args):
-    from .genus1 import normalize_sum
+    from .genus1 import _generated
     if args.steps < 0:
         raise UsageError("--steps must be >= 0")
     if args.steps > MAX_STEPS:
         raise UsageError("--steps must be at most %d" % MAX_STEPS)
-    circ, form = generate(args.seed, args.steps)
-    closures = {normalize_sum(form.with_closure(c)) for c in ("Spin0", "NonSpin1")}
-    forms, expected = _forms_report(closures, form)
-    notes = ["expected: " + " or ".join(f.pretty() for f in forms)]
-    return _diagram_output(Diagram(circ, None), notes, expected=expected)
+    d, notes, expected = _generated(args.seed, args.steps)
+    return _diagram_output(d, notes, expected=expected)
 
 
 def _diagram_output(d: Diagram, notes, **extra):
@@ -528,45 +395,48 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(re.sub(_ECHO, _clip_echo, message))
 
 
-@functools.cache  # once per process; help text is formatted, and wrapped, on use
-def _build_parser():
-    p = _Parser(
-        prog="sdcalc",
-        description="surface-diagram calculus on first homology",
-    )
+# each subcommand: its dispatcher, its help, and the options it takes past
+# FILE (all but generate take one), --format and --out
+_COMMANDS = {
+    "validate": (_cmd_validate, "check circuit and switch invariants", ()),
+    "info": (_cmd_info, "framings, linking matrix, invariants, euler numbers", ()),
+    "classify": (_cmd_classify, "canonical connected sums (genus 1, untwisted)", ()),
+    "detect": (_cmd_detect, "find substitution patterns", ()),
+    "substitute": (_cmd_substitute, "apply a substitution", (
+        ("--op", {"choices": ("blowup", "stab", "hayano"), "required": True}),
+        ("--pos", {"type": int, "required": True, "help": "1-based position"}),
+        ("--exp", {"type": int, "metavar": "{1,-1}", "help": "blow-up exponent"}),
+        ("--k", {"type": int, "help": "twist power for stab/hayano"}),
+        ("--dual", {"help": "dual class for hayano, e.g. '0,1'"}))),
+    "switch": (_cmd_switch, "rotate the reference point", (
+        ("--k", {"type": int, "default": 1, "help": "number of switches (may be negative)"}),)),
+    "double": (_cmd_double, "close off a circuit by doubling", ()),
+    "monodromy": (_cmd_monodromy, "lift word, matrix, surgered action, verdict", ()),
+    "blf": (_cmd_blf, "broken-fibration handle data", ()),
+    "kirby": (_cmd_kirby, "handle-decomposition data", (
+        ("--section", {"type": int, "help": "self-intersection of a section (closed only)"}),)),
+    "generate": (_cmd_generate, "seeded random closed genus-1 circuit with known classification", (
+        ("--seed", {"type": int, "required": True}), ("--steps", {"type": int, "required": True}))),
+}
+
+
+@functools.cache  # once per process and name; help text is formatted, and wrapped, on use
+def _build_parser(only=None):
+    """The parser with the subcommand `only`, which parses its argv as the full one
+    does (tests/test_cli.py compares them), or with all of them when only is None."""
+    p = _Parser(prog="sdcalc", description="surface-diagram calculus on first homology")
     p.add_argument("--version", action="version", version="sdcalc " + __version__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help, file_arg=True):
+    for name in _COMMANDS if only is None else (only,):
+        fn, help, options = _COMMANDS[name]
         sp = sub.add_parser(name, help=help)
-        if file_arg:
+        if name != "generate":
             sp.add_argument("file", help="diagram file (.sd or JSON), or - for stdin")
         sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument("--out", metavar="PATH", help="write the report to PATH")
+        for flag, kwargs in options:
+            sp.add_argument(flag, **kwargs)
         sp.set_defaults(func=fn)
-        return sp
-
-    add("validate", _cmd_validate, "check circuit and switch invariants")
-    add("info", _cmd_info, "framings, linking matrix, invariants, euler numbers")
-    add("classify", _cmd_classify, "canonical connected sums (genus 1, untwisted)")
-    add("detect", _cmd_detect, "find substitution patterns")
-    sp = add("substitute", _cmd_substitute, "apply a substitution")
-    sp.add_argument("--op", choices=("blowup", "stab", "hayano"), required=True)
-    sp.add_argument("--pos", type=int, required=True, help="1-based position")
-    sp.add_argument("--exp", type=int, metavar="{1,-1}", help="blow-up exponent")
-    sp.add_argument("--k", type=int, help="twist power for stab/hayano")
-    sp.add_argument("--dual", help="dual class for hayano, e.g. '0,1'")
-    sp = add("switch", _cmd_switch, "rotate the reference point")
-    sp.add_argument("--k", type=int, default=1, help="number of switches (may be negative)")
-    add("double", _cmd_double, "close off a circuit by doubling")
-    add("monodromy", _cmd_monodromy, "lift word, matrix, surgered action, verdict")
-    add("blf", _cmd_blf, "broken-fibration handle data")
-    sp = add("kirby", _cmd_kirby, "handle-decomposition data")
-    sp.add_argument("--section", type=int, help="self-intersection of a section (closed only)")
-    sp = add("generate", _cmd_generate, "seeded random closed genus-1 circuit with known classification",
-             file_arg=False)
-    sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--steps", type=int, required=True)
     return p
 
 
@@ -580,7 +450,7 @@ def run(argv) -> int:
         return code
 
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
         report, text_lines, code, homological = args.func(args)
         if homological is not None:  # a report rather than a bare diagram
             report.update(command=args.command, homological_only=homological)

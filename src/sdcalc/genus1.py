@@ -11,11 +11,9 @@ ways (a spin and a non-spin closure), so the result is one or two
 connected sums of standard pieces.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
-from .circuit import _Rec, _unpack, normalize, validate
+from .circuit import Diagram, _Rec, _unpack, generate, normalize, validate
 from .subst import Detection, _blowup_summand, _stab_summand, _window_k
 
 _CLOSURES = ("Spin0", "NonSpin1", "Unclosed")
@@ -220,3 +218,40 @@ def _unoriented_k(cs, i):
     n = len(cs)
     (a, b), (p, q), (r, s) = cs[i % n], cs[(i + 1) % n], cs[(i + 2) % n]
     return (a * q - b * p) * (p * s - q * r) * (a * s - b * r)
+
+
+# ---- the reports of `sdcalc classify` and `generate` (see cli)
+def _counts(f):
+    return {"l": f.l, "m": f.m, "n": f.n}
+
+
+def _forms_report(forms, counts):
+    """The canonical forms in report order, and their "forms" and "counts" entries."""
+    forms = sorted(forms)  # CanonicalForm is a tuple (s2xs2, cp2, cp2bar)
+    return forms, {"forms": [dict(f._asdict(), pretty=f.pretty()) for f in forms],
+                   "counts": _counts(counts)}
+
+
+def _classify_report(d):
+    cl = classify(d)
+    forms, report = _forms_report(cl.canonical_forms, cl.counts)
+    report["trace"] = [
+        {"step": step, "kind": det.kind, "position": det.position, "exponent": det.exponent,
+         "k": det.k, "summand": det.summand, "delta": _counts(delta)}
+        for step, det, delta in cl.reduction_trace
+    ]
+    text = ["canonical form%s:" % ("s" if len(forms) > 1 else "")] + ["  " + f.pretty() for f in forms]
+    if cl.reduction_trace:
+        text.append("reduction:")
+    for step, det, _ in cl.reduction_trace:
+        param = det.exponent if det.kind == "BlowUp" else det.k
+        text.append("  %2d. %s at %d (param %s) -> %s" % (step, det.kind, det.position, param, det.summand))
+    return report, text, 0, False  # classify only accepts genus 1
+
+
+def _generated(seed, steps):
+    """The diagram of `sdcalc generate`, its notes and its "expected" entry."""
+    circ, form = generate(seed, steps)
+    closures = {normalize_sum(form.with_closure(c)) for c in ("Spin0", "NonSpin1")}
+    forms, expected = _forms_report(closures, form)
+    return Diagram(circ, None), ["expected: " + " or ".join(f.pretty() for f in forms)], expected

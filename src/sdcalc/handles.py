@@ -12,8 +12,6 @@ Attachment angles are pure index order: curve i is attached before
 curve j exactly when i < j.
 """
 
-from __future__ import annotations
-
 import sys
 from collections import namedtuple
 from functools import cached_property
@@ -320,3 +318,54 @@ def to_blf(c) -> BlfData:
     ext = circ.extended(1)
     cycles = tuple((twist_apply(x, 1, nxt), -1) for x, nxt in zip(ext, ext[1:]))
     return BlfData(lefschetz_cycles=cycles, round_cycle=(ext[0], 0))
+
+
+# ---- the reports of `sdcalc info`, `blf` and `kirby`, compiled by no other CLI run (see cli)
+_ROWS = "\0rows\0"  # the text line and JSON value that info's and kirby's matrix rows replace
+
+
+def _framed(v, f):
+    return {"class": v, "framing": f}
+
+
+def _info_report(d):
+    circ = d.circuit
+    g, c = circ.genus, circ.length
+    lm = linking_matrix(circ)
+    inv = form_invariants(lm)
+    chi_z, chi_x = euler_characteristics(circ)
+    exactness = "Exact" if g == 1 else "HomologicalOnly"
+    framings = list(lm.framings)
+    report = {"genus": g, "length": c, "closed": circ.closed, "twisted": d.switch_matrix is not None,
+              "exactness": exactness, "framings": framings, "linking_matrix": lm,
+              # whether this equals the closed total space's signature is only verified for genus 1
+              "form_invariants": dict(inv._asdict(), signature_conjectural=g >= 2),
+              "euler": {"disk_piece": chi_z, "total_space": chi_x}}
+    text = ["genus %d, length %d, %s, %s" % (g, c, "closed" if circ.closed else "open", exactness),
+            "framings: %s" % (framings,), "linking matrix:", _ROWS,
+            "form: rank %d, signature %d, parity %s%s" % (
+                *inv, " (signature conjectural at this genus)" if g >= 2 else ""),
+            "euler: disk piece %d, total space %s" % (chi_z, chi_x)]
+    return report, text, 0, g >= 2
+
+
+def _blf_report(circ):
+    data = to_blf(circ)
+    report = {"lefschetz_cycles": [_framed(v, f) for v, f in data.lefschetz_cycles],
+              "round_cycle": _framed(*data.round_cycle)}
+    text = ["round cycle: %s framing 0" % (list(data.round_cycle[0]),)] + [
+        "  lefschetz %d: %s framing %d" % (i, list(v), f) for i, (v, f) in enumerate(data.lefschetz_cycles, 1)]
+    return report, text, 0, circ.genus >= 2
+
+
+def _kirby_report(circ, section):
+    kd = emit_kirby(circ, section)
+    last = kd.last_handle
+    meridian = None if last is None else {"framing": last, "attached": "meridian of fiber handle"}
+    report = {"genus": kd.genus, "one_handles": kd.one_handles, "fiber_handle": {"framing": kd.fiber_framing},
+              "fold_handles": [dict(_framed(v, f), position=p) for v, f, p in kd.fold_handles],
+              "last_handle": meridian, "linking_matrix": kd.linking}
+    text = ["1-handles (dotted): %s" % ", ".join(kd.one_handles), "fiber handle: framing 0"]
+    text += ["  fold handle %d: %s framing %d" % (p, list(v), f) for v, f, p in kd.fold_handles]
+    text += [] if last is None else ["meridian handle: framing %d" % last]
+    return report, text + ["linking matrix:", _ROWS], 0, kd.genus >= 2

@@ -11,9 +11,6 @@ word[0] acts first.  Everything here is plain big-int arithmetic --
 no floats, no overflow.
 """
 
-from __future__ import annotations
-
-from itertools import chain
 from math import gcd
 from operator import mul
 
@@ -94,27 +91,6 @@ def ident(n) -> SpMatrix:
 
 def matvec(m, x):
     return tuple(sum(r[j] * x[j] for j in range(len(x))) for r in m)
-
-
-def matmul(a, b):
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(ra[t] * cb[t] for t in range(n)) for cb in bt) for ra in a)
-
-
-def mat_pow(m, q, max_bits=None):
-    """m to the power q >= 0, by repeated squaring; None as soon as a
-    power it forms has an entry longer than max_bits bits."""
-    out = ident(len(m))
-    while q:
-        if q & 1:
-            out = matmul(out, m)
-        q >>= 1
-        if q:
-            m = matmul(m, m)
-        if max_bits is not None and max(map(abs, chain(*out, *m))).bit_length() > max_bits:
-            return None
-    return out
 
 
 def transpose(m):

@@ -16,13 +16,11 @@ converse direction is not decided here, so verdicts are worded as
 necessary conditions.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from math import gcd
 from operator import add, mul
 
-from .circuit import Circuit, _Rec, _unpack
+from .circuit import Circuit, _Rec, _matrix_lines, _unpack
 from .homology import canon_sign, ident, pairing, pairing_functional, transpose, word_images, word_matrix
 
 
@@ -198,3 +196,18 @@ def _verdict_of(act) -> Verdict:
     if not moved:
         return Verdict(kind="HomologicallyTrivial")
     return Verdict(kind="ObstructedOnHomology", witness=moved[0])
+
+
+def _monodromy_report(circ):  # the report of `sdcalc monodromy` (see cli)
+    word = mu_tilde_word(circ)  # computed once for all four results
+    mat = word_matrix(word, circ.genus)
+    act = _action_of(circ.curves[0], word)
+    ver = _verdict_of(act)
+    report = {"word": [{"axis": a, "exponent": e} for a, e in word], "matrix": mat,
+              "surgered": {"base": act.base_class, "rank": act.quotient_rank, "basis": act.basis,
+                           "matrix": act.matrix},
+              "verdict": dict(ver._asdict(), text=ver.text)}
+    text = ["lift word (rightmost first): %s" % " ".join(str(list(a)) for a, _ in word), "lift matrix:",
+            *_matrix_lines(mat), "surgered action: rank %d" % act.quotient_rank, *_matrix_lines(act.matrix),
+            "verdict: %s" % ver.text]
+    return report, text, 0, circ.genus >= 2

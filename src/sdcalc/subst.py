@@ -14,8 +14,6 @@ for genus >= 2 a match is a homological candidate only and is flagged
 as such.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from operator import add, eq
 
@@ -215,3 +213,28 @@ def contract(d, det: Detection):
     if wraps:
         cs, pos = normalize(cs[pos - 1:] + cs[:pos - 1], True).curves, 1
     return _repack(d, normalize(cs[:pos] + cs[pos + w:], True, mu)), _DELTAS[summand(e)]
+
+
+# ---- the reports of `sdcalc detect` and `substitute` (see cli)
+def _detection_line(t):
+    if t.kind == "BlowUp":
+        return "  BlowUp at %d: exponent %+d, summand %s" % (t.position, t.exponent, t.summand)
+    if t.kind == "Stabilization":
+        return "  Stabilization at %d: k = %d, summand %s" % (t.position, t.k, t.summand)
+    return "  HayanoPattern at %d: dual %s, k = 0" % (t.position, list(t.dual))
+
+
+def _detect_report(d):
+    dets = detect(d)
+    text = [_detection_line(t) for t in dets] or ["no substitution patterns"]
+    return {"detections": [t._asdict() for t in dets]}, text, 0, d.circuit.genus >= 2
+
+
+def _substituted(d, op, pos, exp, k, dual):
+    """The diagram and notes of `sdcalc substitute`, whose options the CLI has checked."""
+    if op == "blowup":
+        return apply_blowup(d, pos, exp), []
+    if op == "stab":
+        return apply_stabilization(d, pos, k), []
+    return hayano_surgery(d, pos, dual, k), ["fiber-framed surgery on dual" if k % 2 == 0
+                                            else "opposite framing (odd twisting)"]

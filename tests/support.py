@@ -27,10 +27,11 @@ import random
 from math import gcd
 from operator import mul, sub
 
+from sdcalc._power import matmul
 from sdcalc.circuit import Circuit, Diagram, _repack, _unpack, normalize
 from sdcalc.genus1 import Classification, SumForm, _DELTAS, _index, _unoriented_k, normalize_sum
 from sdcalc.handles import fiber_framing
-from sdcalc.homology import (_require_axis, add, canon_sign, genus_of, ident, matmul, matvec, pairing,
+from sdcalc.homology import (_require_axis, add, canon_sign, genus_of, ident, matvec, pairing,
                              pairing_functional, scale, transpose, twist_apply, twist_matrix)
 from sdcalc.monodromy import SurgeredAction, Verdict, _require_untwisted_closed, mu_tilde_matrix
 from sdcalc.subst import (

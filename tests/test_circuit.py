@@ -4,16 +4,14 @@ from pathlib import Path
 
 import pytest
 
-import sdcalc.circuit
+import sdcalc._power
+from sdcalc._power import MAX_POWER_BITS, _period, _turns, mat_pow, matmul
 from sdcalc.circuit import (
-    MAX_POWER_BITS,
     Circuit,
     CurveError,
     Diagram,
     _clip,
     _clip_int,
-    _period,
-    _turns,
     double,
     generate,
     normalize,
@@ -21,7 +19,7 @@ from sdcalc.circuit import (
     validate,
 )
 from sdcalc.cli import parse
-from sdcalc.homology import (add, canon_sign, ident, is_symplectic, mat_pow, matmul, matvec, pairing, scale,
+from sdcalc.homology import (add, canon_sign, ident, is_symplectic, matvec, pairing, scale,
                              sp_inv, twist_matrix, word_matrix)
 
 from support import generate_by_moves, rand_closed, rand_primitive, rotate_to_front
@@ -265,7 +263,7 @@ def test_turns_at_genus_1_never_reach_the_cap():
 
 def test_turns_reject_only_results_that_cannot_print(monkeypatch):
     limit = 640  # the smallest digit limit str() accepts
-    monkeypatch.setattr(sdcalc.circuit.sys, "get_int_max_str_digits", lambda: limit)
+    monkeypatch.setattr(sdcalc._power.sys, "get_int_max_str_digits", lambda: limit)
     rng = random.Random(29)
     hyperbolic = [m for m in SL2 if abs(m[0][0] + m[1][1]) > 2]
     rejected = 0

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import chain
 from pathlib import Path
 from unittest import mock
 
@@ -18,6 +19,7 @@ from sdcalc import cli
 from sdcalc.circuit import CLIP, MAX_STEPS, Circuit, validate
 
 from support import linking_matrix_eager
+from test_golden import cases
 
 DATA = Path(__file__).parent / "data"
 SCHEMA = json.loads((DATA / "report.schema.json").read_text())
@@ -886,3 +888,98 @@ def test_fuzz_argv_errors_are_one_bounded_line(command, file, options):
     msg = err.getvalue()
     assert code in (0, 1, 2), argv
     assert msg.count("\n") <= 1 and len(msg) <= 300, (argv, msg)
+
+
+# ------------------------------------------------------ one subparser per run
+#
+# A run whose first argument names a subcommand builds the parser with that
+# subparser only (cli._build_parser(only)); every other run builds all of them.
+
+NAMES = ["validate", "info", "classify", "detect", "substitute", "switch", "double", "monodromy",
+         "blf", "kirby", "generate"]
+
+
+def parsed(argv, only):
+    """What the parser built with `only` makes of argv: its namespace, its
+    UsageError text, or the exit code and stdout of -h or --version."""
+    out = io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), redirect_stdout(out):
+        try:
+            return "namespace", vars(cli._build_parser(only).parse_args(list(argv)))
+        except cli.UsageError as exc:
+            return "usage", str(exc)
+        except SystemExit as exc:
+            return "exit", exc.code, out.getvalue()
+
+
+def spy_parsers(monkeypatch):
+    """The list of the parsers that cli.run builds from here on."""
+    built = []
+    build = cli._build_parser
+
+    def spy(only=None):
+        built.append(build(only))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "_build_parser", spy)
+    return built
+
+
+def subcommands(parser):
+    return list(parser._subparsers._group_actions[0].choices)
+
+
+def assert_parsed_as_by_all(argv):
+    if argv and argv[0] in cli._COMMANDS:
+        assert parsed(argv, argv[0]) == parsed(argv, None), argv
+
+
+def test_one_subparser_parses_the_golden_and_usage_error_argvs_as_all_of_them():
+    argvs = {tuple(argv) for _, argv, _ in cases()}
+    argvs |= {tuple(argv) for argv in chain(USAGE_ERRORS.values(), ECHOED.values())}
+    argvs |= {tuple(argv) + (value,) for argv in INT_OPTIONS.values() for value in (BIG, "1e" * 2500, "abc")}
+    assert len(argvs) > 150 and {argv[0] for argv in argvs} >= set(NAMES)
+    kinds = set()
+    for argv in sorted(argvs):
+        assert_parsed_as_by_all(argv)
+        kinds.add(parsed(argv, None)[0])
+    assert kinds == {"namespace", "usage", "exit"}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_one_subparser_prints_the_same_help(name):
+    kind, code, out = parsed([name, "-h"], name)
+    assert (kind, code) == ("exit", 0) and out.startswith("usage: sdcalc %s [-h]" % name)
+    assert parsed([name, "-h"], None) == (kind, code, out)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(command=st.sampled_from(SUBCOMMANDS),
+       file=st.sampled_from([TWO, TRI, GENUS2, OPEN, TWISTED, TRIJSON, "-"]) | ARGV_VALUES,
+       options=st.lists(st.tuples(st.sampled_from(OPTIONS + ["--out", "--version"]), ARGV_VALUES),
+                        max_size=5))
+def test_one_subparser_parses_the_fuzzed_argvs_as_all_of_them(command, file, options):
+    assert_parsed_as_by_all([command] + [file] * (command != "generate") + [t for pair in options for t in pair])
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--version"], ["frobnicate", TWO], ["--format", "json", "info"], []],
+                         ids=["help", "version", "unknown", "option_first", "empty"])
+def test_runs_that_name_no_subcommand_build_all_of_them(capsys, monkeypatch, argv):
+    built = spy_parsers(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert [subcommands(p) for p in built] == [NAMES]
+    if argv == ["-h"]:
+        assert code == 0 and "{%s}" % ",".join(NAMES) in out
+    elif argv == ["--version"]:
+        assert (code, out) == (0, "sdcalc 0.1.0\n")
+    else:
+        assert code == 2
+    if argv[:1] == ["frobnicate"]:
+        assert "(choose from %s)" % ", ".join(map(repr, NAMES)) in err
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_run_that_names_its_subcommand_builds_only_that_one(capsys, monkeypatch, name):
+    built = spy_parsers(monkeypatch)
+    run(capsys, name, "-h")
+    assert [subcommands(p) for p in built] == [[name]]

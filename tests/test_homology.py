@@ -14,8 +14,6 @@ from sdcalc.homology import (
     ident,
     is_primitive,
     is_symplectic,
-    mat_pow,
-    matmul,
     matvec,
     pairing,
     scale,
@@ -27,6 +25,7 @@ from sdcalc.homology import (
     word_matrix,
 )
 
+from sdcalc._power import mat_pow, matmul
 from sdcalc.circuit import Circuit, generate
 from sdcalc.monodromy import mu_tilde_word
 from sdcalc.subst import apply_blowup, hayano_surgery

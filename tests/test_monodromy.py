@@ -378,7 +378,7 @@ def test_verdict_never_says_trivial_for_genus_two():
 def test_surgered_action_conjugation_consistency():
     # the quotient matrix composes: action of m1*m2 = action(m1)*action(m2)
     # whenever both matrices fix the base class up to sign
-    from sdcalc.homology import matmul
+    from sdcalc._power import matmul
 
     rng = random.Random(59)
     for _ in range(40):

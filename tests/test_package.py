@@ -126,28 +126,58 @@ BASE = {"sdcalc.cli", "sdcalc.circuit", "sdcalc.homology"}
 HANDLES = BASE | {"sdcalc.handles"}
 CLASSIFY = BASE | {"sdcalc.subst", "sdcalc.genus1"}
 
-SUBCOMMANDS = [
-    (["validate", "two.sd"], BASE),
-    (["switch", "two.sd", "--k", "2"], BASE),
-    (["double", "open.sd"], BASE),
-    (["detect", "two.sd"], BASE | {"sdcalc.subst"}),
-    (["substitute", "blowup3.sd", "--op", "blowup", "--pos", "1", "--exp", "1"],
-     BASE | {"sdcalc.subst"}),
-    (["classify", "two.sd"], CLASSIFY),
-    (["generate", "--seed", "1", "--steps", "3"], CLASSIFY),
-    (["info", "two.sd"], HANDLES),
-    (["blf", "two.sd"], HANDLES),
-    (["kirby", "two.sd"], HANDLES),
-    (["monodromy", "genus2.sd"], BASE | {"sdcalc.monodromy"}),
-]
+# argv, the sdcalc modules it loads, and the budget of source lines it
+# compiles: those modules' and sdcalc/__init__.py's.  A run that writes no
+# bytecode (PYTHONDONTWRITEBYTECODE=1) compiles every line it loads.  A
+# change may lower a budget; one that raises it says so in CHANGES.md.
+SUBCOMMANDS = {
+    "validate": (["validate", "two.sd"], BASE, 1076),
+    "switch": (["switch", "two.sd", "--k", "2"], BASE, 1076),
+    # full turns: only a twisted diagram loads the matrix powers
+    "switch_turns": (["switch", "two.sd", "--k", "7"], BASE, 1076),
+    "switch_twisted": (["switch", "twisted.sd", "--k", "7"], BASE | {"sdcalc._power"}, 1157),
+    "double": (["double", "open.sd"], BASE, 1076),
+    "detect": (["detect", "two.sd"], BASE | {"sdcalc.subst"}, 1316),
+    "substitute": (["substitute", "blowup3.sd", "--op", "blowup", "--pos", "1", "--exp", "1"],
+                   BASE | {"sdcalc.subst"}, 1316),
+    "classify": (["classify", "two.sd"], CLASSIFY, 1573),
+    "generate": (["generate", "--seed", "1", "--steps", "3"], CLASSIFY, 1573),
+    "info": (["info", "two.sd"], HANDLES, 1447),
+    "blf": (["blf", "two.sd"], HANDLES, 1447),
+    "kirby": (["kirby", "two.sd"], HANDLES, 1447),
+    "monodromy": (["monodromy", "genus2.sd"], BASE | {"sdcalc.monodromy"}, 1289),
+}
 
 
-@pytest.mark.parametrize("argv, loaded", SUBCOMMANDS, ids=[a[0] for a, _ in SUBCOMMANDS])
-def test_each_subcommand_imports_only_what_it_runs(argv, loaded):
-    argv = [str(DATA / a) if a.endswith(".sd") else a for a in argv]
-    proc = python("-c", PROBE.format(statement=RUN.format(argv=argv)))
+def data_argv(argv):
+    return [str(DATA / a) if a.endswith(".sd") else a for a in argv]
+
+
+def source_lines(modules):
+    paths = [SRC / "sdcalc" / "__init__.py"] + [SRC / (m.replace(".", "/") + ".py") for m in modules]
+    return sum(len(p.read_text().splitlines()) for p in paths)
+
+
+@pytest.mark.parametrize("argv, loaded, budget", SUBCOMMANDS.values(), ids=SUBCOMMANDS)
+def test_each_subcommand_imports_only_what_it_runs(argv, loaded, budget):
+    proc = python("-c", PROBE.format(statement=RUN.format(argv=data_argv(argv))))
     assert proc.returncode == 0, proc.stderr.decode()
     assert set(json.loads(proc.stdout)) == loaded
+    assert source_lines(loaded) <= budget
+
+
+IMPORTED = re.compile(r"^import time: +\d+ \| +\d+ \| +(\S+)$", re.M)
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _, _ in SUBCOMMANDS.values()], ids=SUBCOMMANDS)
+def test_module_runs_import_neither_the_cli_nor_future(argv):
+    # under -m the running cli.py is __main__: a module that imported
+    # sdcalc.cli would compile and run it a second time
+    proc = python("-X", "importtime", "-m", "sdcalc.cli", *data_argv(argv))
+    assert proc.returncode == 0, proc.stderr.decode()
+    imported = set(IMPORTED.findall(proc.stderr.decode()))
+    assert {"sdcalc", "sdcalc.circuit"} <= imported
+    assert not imported & {"sdcalc.cli", "__future__"}
 
 
 # records are tuples, so no start-up pays for dataclasses or inspect; and
@@ -163,7 +193,7 @@ seen = {{"import sdcalc.cli": heavy()}}
 for argv in {argvs!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         assert sdcalc.cli.run(argv) == 0
-    seen[argv[0]] = heavy()
+    seen[" ".join(argv)] = heavy()
 print(json.dumps(seen))
 """
 
@@ -172,7 +202,7 @@ def test_no_subcommand_loads_dataclasses_or_inspect():
     bare = python("-c", "import sys; print(sorted(set(sys.modules) & %r))" % (set(HEAVY),))
     if bare.stdout.strip() != b"[]":
         pytest.skip("a bare interpreter already loads %s" % bare.stdout.decode().strip())
-    argvs = [[str(DATA / a) if a.endswith(".sd") else a for a in argv] for argv, _ in SUBCOMMANDS]
+    argvs = [data_argv(argv) for argv, _, _ in SUBCOMMANDS.values()]
     proc = python("-c", HEAVY_PROBE.format(heavy=HEAVY, argvs=argvs))
     assert proc.returncode == 0, proc.stderr.decode()
     seen = json.loads(proc.stdout)
