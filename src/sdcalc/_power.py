@@ -7,7 +7,7 @@ from math import comb
 
 from .homology import ident
 
-MAX_POWER_BITS = 2**14  # longest entry of a switch matrix power that `switch` forms at genus >= 2
+MAX_POWER_BITS = 2**14  # longest entry of a switch matrix power that `switch` forms (see _turns)
 
 
 def matmul(a, b):
@@ -44,11 +44,12 @@ def _turns(m, q, cur):
     |l|^L > T - 1, T = |tr P|, and |l|^q < |tr m^q| <= 4 G max|out|, where
     G = max|x, y| for two adjacent curves x, y of cur, a basis, and out are
     the switched curves; so once (T - 1)^d >= 4 G 10^limit the result cannot
-    print, and str()'s ValueError comes before any squaring.  At genus >= 2
-    no power of m that is formed may pass MAX_POWER_BITS.
+    print, and str()'s ValueError comes before any squaring.  Otherwise, at
+    genus >= 2 or with the limit off (0), no power formed may pass MAX_POWER_BITS.
     """
     n = len(m)
-    cap = MAX_POWER_BITS if n > 2 else None
+    limit = n == 2 and sys.get_int_max_str_digits()
+    cap = None if limit else MAX_POWER_BITS
     period = _period(n // 2)
     d, r = divmod(q, period)
     out, p = mat_pow(m, r, cap), (mat_pow(m, period, cap) if d else ident(n))  # P^0 = 1
@@ -60,14 +61,13 @@ def _turns(m, q, cur):
             total = tuple(tuple(a + c * b for a, b in zip(u, v)) for u, v in zip(total, x))
             x, i = matmul(x, nil), i + 1
         if any(map(any, x)):  # N is not nilpotent
-            limit = n == 2 and sys.get_int_max_str_digits()
             top, t = max(map(abs, cur[0] + cur[1])), abs(p[0][0] + p[1][1])
             if limit and d * ((t - 1).bit_length() - 1) >= (4 * top * 10 ** limit).bit_length():
                 raise ValueError("Exceeds the limit (%d digits) for integer string conversion" % limit)
             total = mat_pow(p, d, cap)
         out = total and matmul(out, total)
     if cap and not (out and p and max(map(abs, chain(*out))).bit_length() <= cap):
-        raise ValueError("switch matrix power past %d bits at genus >= 2" % MAX_POWER_BITS)
+        raise ValueError("switch matrix power past %d bits" % MAX_POWER_BITS + " at genus >= 2" * (n > 2))
     return out
 
 

@@ -249,46 +249,34 @@ def switch(d, k: int = 1):
     matrix itself is unchanged.  Accepts a Circuit or a Diagram and
     returns the same kind.
 
-    The closing sign e = <mu g_c, g_1> is the same after every switch, so
-    on a normalized circuit a forward switch gives (mu g_c, e g_1, ...,
-    e g_{c-1}) and a backward one (g_2, ..., g_c, e mu^-1 g_1), and c
-    forward switches give e^(c-1) mu g_i in every slot, c backward ones
-    e mu^-1 g_i.  With |k| = q c + r + 1, 0 <= r < c, this takes one
-    single switch (which normalizes the input), the next r at once by
-    that rule, and then mu^(+-q) (see sdcalc._power): O(c + log|k|) matrix
-    work, not O(|k| c).  Like sp_inv, this reads mu as symplectic; only
-    its shape is checked (see Diagram).
+    A curve that crosses the seam takes one map: mu going forward, mu^-1 back, none
+    when untwisted.  With |k| = q c + r + 1, 0 <= r < c, this takes one single switch
+    (which checks and normalizes the input), rotates r more slots at once and turns q
+    times by mu^(+-q) (see sdcalc._power): O(c + log|k|) matrix work, not O(|k| c).
+    It signs the first curve only, and the final `normalize` the rest: the closing
+    sign e = <mu g_c, g_1> is the same after every switch, so r forward switches put
+    e^(r-1) on it, and q turns e^(q(c-1)) forward, e^q back.  Like sp_inv, this
+    reads mu as symplectic; only its shape is checked (see Diagram).
     """
     circ, mu = _unpack(d)
     if not circ.closed:
         raise ValueError("switch needs a closed circuit")
     cur = list(circ.curves)
-    mu_inv = None if mu is None or k >= 0 else sp_inv(mu)
     if k:
+        m = mu if mu is None or k > 0 else sp_inv(mu)  # the map a curve takes across the seam
+        cross = list if m is None else (lambda vs: [matvec(m, v) for v in vs])
+        def turn(cur, s):  # s slots in k's direction, 0 < s < c
+            return cross(cur[-s:]) + cur[:-s] if k > 0 else cur[s:] + cross(cur[:s])
         q, r = divmod(abs(k) - 1, len(cur))  # |k| = q c + r + 1, 0 <= r < c
-        if k > 0:
-            last = cur[-1] if mu is None else matvec(mu, cur[-1])
-            cur = [last] + cur[:-1]
-        else:
-            first = cur[0] if mu_inv is None else matvec(mu_inv, cur[0])
-            cur = cur[1:] + [first]
-        cur = list(normalize(cur, True, mu).curves)
-        last = cur[-1] if mu is None else matvec(mu, cur[-1])
-        e = pairing(last, cur[0])
-        if r and k > 0:
-            moved = cur[-r:] if mu is None else [matvec(mu, v) for v in cur[-r:]]
-            s = e ** (r - 1)
-            cur = [scale(s, v) for v in moved] + [scale(s * e, v) for v in cur[:-r]]
-        elif r:
-            moved = cur[:r] if mu_inv is None else [matvec(mu_inv, v) for v in cur[:r]]
-            cur = cur[r:] + [scale(e, v) for v in moved]
-        if q:
-            if mu is not None:  # the one path that compiles the power rule
-                from ._power import _turns
-                m = _turns(mu if k > 0 else mu_inv, q, cur)
-                cur = [matvec(m, v) for v in cur]
-            sign = e ** (q * (len(cur) - 1) if k > 0 else q)
-            cur = [scale(sign, v) for v in cur]
+        cur = list(normalize(turn(cur, 1), True, mu).curves)
+        e = pairing(cur[-1] if mu is None else matvec(mu, cur[-1]), cur[0])
+        sign = e ** (q * (len(cur) - 1) + (r - 1 if r else 0) if k > 0 else q)
+        cur = turn(cur, r) if r else cur
+        if q and m is not None:  # the one path that compiles the power rule
+            from ._power import _turns
+            t = _turns(m, q, cur)
+            cur = [matvec(t, v) for v in cur]
+        cur[0] = scale(sign, cur[0])
     return _repack(d, normalize(cur, True, mu))
 
 

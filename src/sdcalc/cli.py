@@ -22,9 +22,9 @@ Two formats describe a diagram:
 Input format is sniffed (a leading ``{`` means JSON); ``--format``
 selects the output format.  Commands that produce a diagram emit it
 bare in the chosen format so commands compose through pipes.  Exit
-codes: 0 success, 1 invalid input, 2 usage error (including asking for
-an operation the input does not support).  JSON output is key-sorted
-and newline-terminated, so identical invocations are byte-identical.
+codes: 0 success, 1 invalid input or a closed output pipe, 2 usage
+error (including asking for an operation the input does not support).
+JSON output is key-sorted and newline-terminated, so byte-stable.
 
 Reports for genus >= 2 input always carry the homological-only notice:
 at that genus every result is a necessary condition, not a certificate.
@@ -147,6 +147,8 @@ def _parse_json(text):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, col=exc.colno) from exc
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
     except ValueError:
         raise _too_long() from None
     try:  # parse reads JSON only when the text starts with "{", so data is a dict
@@ -478,12 +480,21 @@ def run(argv) -> int:
         except OSError as exc:
             return fail(2, "cannot write %s: %s" % (_clip(args.out), exc.strerror))
     else:
-        sys.stdout.writelines(payload)
+        try:
+            sys.stdout.writelines(payload)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader has gone, as `| head` does
+            return 1
     return code
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # what run left buffered goes to devnull, not to a failed flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -61,9 +61,8 @@ def apply_blowup(d, pos: int, e: int):
         raise ValueError("blow-up exponent must be +1 or -1")
     circ, mu = _unpack(d)
     _check_pos(circ, mu, pos)
-    x, y = circ.extended(1)[pos - 1:pos + 1]
-    xi = twist_apply(y, e, x)
-    raw = list(circ.curves[:pos]) + [xi] + list(circ.curves[pos:])
+    cs = circ.curves  # y = g_1 past the seam: tau_y^e(x) is blind to y's sign eps
+    raw = list(cs[:pos]) + [twist_apply(cs[pos % len(cs)], e, cs[pos - 1])] + list(cs[pos:])
     return _repack(d, normalize(raw, True, mu))
 
 
@@ -77,9 +76,8 @@ def apply_stabilization(d, pos: int, k: int):
     circ, mu = _unpack(d)
     _check_pos(circ, mu, pos)
     cs = circ.curves
-    x, y = circ.extended(1)[pos - 1:pos + 1]
     i = pos % len(cs) + 1  # slot of y; past the seam y is g_1: (g_1, xi, g_1, g_2, ...)
-    raw = list(cs[:i]) + [twist_apply(y, k, x), cs[i - 1]] + list(cs[i:])
+    raw = list(cs[:i]) + [twist_apply(cs[i - 1], k, cs[pos - 1]), cs[i - 1]] + list(cs[i:])
     return _repack(d, normalize(raw, True, mu))
 
 

@@ -16,7 +16,8 @@ the per-kind window matchers `_window_blowup_exponent` and
 `_window_stab_power` in place of subst's one window coefficient, and the
 matrix-product forms of is_symplectic, sp_inv and delta_twist, built on
 the pairing matrix `jmat`, that homology's closed forms are compared
-against.  The general
+against, and the seam-rule forms of apply_blowup and apply_stabilization,
+which read x and y from `Circuit.extended(1)`.  The general
 column-echelon reduction `colreduce` backs `solve_int`, and
 `quotient_basis_by_echelon`, built on two of its passes, is the
 reference for monodromy.quotient_basis.
@@ -37,6 +38,7 @@ from sdcalc.monodromy import SurgeredAction, Verdict, _require_untwisted_closed,
 from sdcalc.subst import (
     Detection,
     _blowup_summand,
+    _check_pos,
     _norm_window,
     _stab_summand,
     _stale,
@@ -525,6 +527,30 @@ def generate_by_moves(seed, steps):
                 n += 1
         states.append(cur)
     return cur, SumForm(l=l, m=m, n=n, closure="Unclosed"), moves, states
+
+
+def apply_blowup_by_extended(d, pos, e):
+    """Reference for subst.apply_blowup: x and y read by the seam rule,
+    so past the seam y is eps g_1."""
+    if e not in (1, -1):
+        raise ValueError("blow-up exponent must be +1 or -1")
+    circ, mu = _unpack(d)
+    _check_pos(circ, mu, pos)
+    x, y = circ.extended(1)[pos - 1:pos + 1]
+    raw = list(circ.curves[:pos]) + [twist_apply(y, e, x)] + list(circ.curves[pos:])
+    return _repack(d, normalize(raw, True, mu))
+
+
+def apply_stabilization_by_extended(d, pos, k):
+    """Reference for subst.apply_stabilization: x and y read by the seam
+    rule; past the seam the pair goes in after g_1: (g_1, xi, g_1, g_2, ...)."""
+    circ, mu = _unpack(d)
+    _check_pos(circ, mu, pos)
+    cs = circ.curves
+    x, y = circ.extended(1)[pos - 1:pos + 1]
+    i = pos % len(cs) + 1
+    raw = list(cs[:i]) + [twist_apply(y, k, x), cs[i - 1]] + list(cs[i:])
+    return _repack(d, normalize(raw, True, mu))
 
 
 def induced_action(a, m) -> SurgeredAction:

@@ -281,6 +281,15 @@ def test_turns_reject_only_results_that_cannot_print(monkeypatch):
     assert 0 < rejected < 300
 
 
+def test_turns_cap_genus_1_when_the_digit_limit_is_off(monkeypatch):
+    # with no limit there is no printability bound, and squaring had no end
+    monkeypatch.setattr(sdcalc._power.sys, "get_int_max_str_digits", lambda: 0)
+    cat, cur = ((2, 1), (1, 1)), [(1, 0), (0, 1)]  # cat^q has 1.39 q bits
+    with pytest.raises(ValueError, match=r"^switch matrix power past %d bits$" % MAX_POWER_BITS):
+        _turns(cat, 10**5, cur)
+    assert _turns(cat, 11000, cur) == mat_pow(cat, 11000)  # 15 270 bits, under the cap
+
+
 def _block_sum(*blocks):
     """The genus-1 blocks on (a_1, b_1), (a_2, b_2), ... in turn."""
     n = 2 * len(blocks)

@@ -323,6 +323,16 @@ def test_switch_caps_the_powers_at_genus_2(capsys, tmp_path):
     assert err == "error: switch matrix power past 16384 bits at genus >= 2\n"
 
 
+def test_switch_caps_the_powers_at_genus_1_with_the_digit_limit_off(tmp_path):
+    path = tmp_path / "hyperbolic.sd"
+    path.write_text(HYPERBOLIC)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), PYTHONINTMAXSTRDIGITS="0")
+    child = subprocess.run([sys.executable, "-m", "sdcalc.cli", "switch", str(path), "--k", "1" + "0" * 29 + "1"],
+                           capture_output=True, env=env, timeout=30)
+    assert (child.returncode, child.stdout) == (2, b"")
+    assert child.stderr == b"error: switch matrix power past 16384 bits\n"
+
+
 def test_switch_turns_an_identity_twist_at_once(capsys, tmp_path):
     path = tmp_path / "identity2.sd"
     rows = "switchrow 1 0 0 0\nswitchrow 0 1 0 0\nswitchrow 0 0 1 0\nswitchrow 0 0 0 1\n"
@@ -593,6 +603,20 @@ def test_long_pairing_message_is_bounded(capsys, monkeypatch, text, match):
     assert err.count("\n") == 1 and len(err) < 120
 
 
+DEEP = '{"genus": 1, "curves": ' + "[" * 200000 + "]" * 200000 + "}"
+
+
+def test_deep_json_nesting_is_a_parse_error(capsys, monkeypatch):
+    code, out, err = _stdin_run(capsys, monkeypatch, DEEP, "validate", "-", "--format", "json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"command": "validate", "exactness": None, "homological_only": False,
+                               "ok": False, "failures": [[0, "JSON nested too deeply"]]}
+    for command in ("validate", "info", "switch"):
+        assert _stdin_run(capsys, monkeypatch, DEEP, command, "-") == (
+            1, "invalid: JSON nested too deeply\n" if command == "validate" else "",
+            "" if command == "validate" else "error: JSON nested too deeply\n")
+
+
 def test_validate_clips_long_pairings():
     a = 10 ** 5000 - 1  # more digits than str() converts
     rep = validate(Circuit(((1, 0), (1, a), (0, 1)), True))
@@ -678,6 +702,36 @@ def test_info_json_streams_in_bounded_memory(capsys, tmp_path):
     assert int(child.stderr.split()[-1]) < 40 * 1024
     payload = dict(json.loads(child.stdout), linking_matrix=linking_matrix_eager(circ))
     assert child.stdout == (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+
+
+def _closed_pipe_run(argv, read_first_line):
+    """A python -m sdcalc.cli child whose reader goes away: after the first
+    line, or before the child writes anything."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    cmd = [sys.executable, "-m", "sdcalc.cli"] + argv
+    if read_first_line:
+        child = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = child.stdout.readline()
+        child.stdout.close()
+    else:
+        r, w = os.pipe()
+        os.close(r)
+        child = subprocess.Popen(cmd, stdout=w, stderr=subprocess.PIPE, env=env)
+        os.close(w)
+        first = b""
+    code = child.wait(timeout=60)
+    return code, first, child.stderr.read()
+
+
+def test_a_closed_output_pipe_is_exit_1_and_nothing_on_stderr(tmp_path):
+    path = tmp_path / "g1000.sd"
+    assert cli.run(["generate", "--seed", "1", "--steps", "1000", "--out", str(path)]) == 0
+    # more than any pipe holds (the linking matrix alone is 1509 x 1509), so the
+    # child is still writing when the reader goes
+    code, first, err = _closed_pipe_run(["info", str(path)], True)
+    assert (code, first, err) == (1, b"genus 1, length 1509, closed, Exact\n", b"")
+    # a few bytes, all buffered until run flushes them
+    assert _closed_pipe_run(["validate", TWO], False) == (1, b"", b"")
 
 
 def test_long_positions_and_duals_are_bounded(capsys):

@@ -22,8 +22,9 @@ from sdcalc.subst import (
     hayano_surgery,
 )
 
-from support import (contract_by_kind, detect_by_windows, rand_chain, rand_closed, rand_next,
-                     rand_primitive, rotate_to_front)
+from support import (apply_blowup_by_extended, apply_stabilization_by_extended, contract_by_kind,
+                     detect_by_windows, rand_chain, rand_closed, rand_next, rand_primitive,
+                     rotate_to_front)
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -64,6 +65,28 @@ def test_apply_blowup_validates():
         apply_blowup(AB, 3, 1)
     with pytest.raises(ValueError):
         apply_blowup(normalize([(1, 0), (0, 1)], False), 1, 1)
+
+
+def test_insertions_match_the_seam_rule_at_every_position():
+    # eps = +-1, and sign flips that leave a circuit unnormalized; a twisted
+    # diagram has no seam substitution (test_twisted_seam_substitution_unsupported)
+    rng = random.Random(43)
+    seen = set()
+    for _ in range(60):
+        circ = rand_closed(rng, rng.randint(1, 3), rng.randint(2, 6))
+        raw = Circuit(tuple(scale(rng.choice((1, -1)), v) for v in circ), True)
+        mu = twist_matrix(circ.curves[0], rng.choice((-2, -1, 1, 3)))  # keeps <mu g_c, g_1>
+        seen.add((raw.eps, raw != circ))
+        c = circ.length
+        for d, last in ((circ, c), (raw, c), (Diagram(raw), c), (Diagram(circ, mu), c - 1),
+                        (Diagram(raw, mu), c - 1)):
+            for pos in range(1, last + 1):
+                for e in (1, -1):
+                    assert apply_blowup(d, pos, e) == apply_blowup_by_extended(d, pos, e), (d, pos)
+                for k in range(-3, 4):
+                    assert (apply_stabilization(d, pos, k)
+                            == apply_stabilization_by_extended(d, pos, k)), (d, pos, k)
+    assert {(-1, True), (-1, False), (1, True)} <= seen
 
 
 def test_apply_stabilization_examples():
