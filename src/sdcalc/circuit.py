@@ -16,6 +16,7 @@ negative as the same curve, and `normalize` only adjusts signs.
 import random
 from collections import namedtuple
 from math import gcd
+from operator import neg
 
 from .homology import genus_of, matvec, pairing, scale, sp_inv, twist_apply
 
@@ -198,22 +199,43 @@ def _orient(raw, closed, switch_matrix):
             raise CurveError("curve %d: genus mismatch" % i, i)
         if gcd(*v) != 1:
             raise CurveError("curve %d: not primitive" % i, i)
-    out = [raw[0]]
-    for i, v in enumerate(raw[1:], start=2):
-        p = pairing(out[-1], v)
-        if p == 1:
-            out.append(v)
-        elif p == -1:
-            out.append(scale(-1, v))
-        else:
-            raise CurveError("curves %d,%d: adjacent pairing %s, need +-1"
-                             % (i - 1, i, _clip_int(p)), i - 1)
+    out, p = _signed(raw)
+    if p is not None:
+        raise CurveError("curves %d,%d: adjacent pairing %s, need +-1"
+                         % (len(out), len(out) + 1, _clip_int(p)), len(out))
     if closed:
         last = out[-1] if switch_matrix is None else matvec(switch_matrix, out[-1])
         e = pairing(last, out[0])
         if abs(e) != 1:
             raise CurveError("closing pairing %s, need +-1 for a closed circuit" % _clip_int(e))
     return tuple(out)
+
+
+def _signed(vs):
+    """The one sign pass: (curves, None), vs[0] and then each curve signed to pair +1 with the one
+    before; or, at the first pair whose pairing p is not +-1, (the curves up to its first, p).  The
+    curves share one length; at genus 1 p = a*y - b*x on scalars; a curve pairing +1 is kept as is."""
+    out = [vs[0]]
+    if len(vs[0]) == 2:
+        a, b = vs[0]
+        for v in vs[1:]:
+            x, y = v
+            p = a * y - b * x
+            if p == -1:
+                v = x, y = -x, -y
+            elif p != 1:
+                return out, p
+            out.append(v)
+            a, b = x, y
+        return out, None
+    for v in vs[1:]:
+        p = pairing(out[-1], v)
+        if p == -1:
+            v = tuple(map(neg, v))
+        elif p != 1:
+            return out, p
+        out.append(v)
+    return out, None
 
 
 def validate(d) -> ValidationReport:
@@ -286,8 +308,7 @@ def double(c: Circuit) -> Circuit:
     l = len(circ.curves)
     if l < 2:
         raise ValueError("double needs length >= 2")
-    raw = list(circ.curves) + [circ.curves[i] for i in range(l - 2, 0, -1)]
-    return normalize(raw, True)
+    return normalize(circ.curves + circ.curves[-2:0:-1], True)
 
 
 def generate(seed: int, steps: int):

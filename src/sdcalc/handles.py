@@ -19,7 +19,7 @@ from itertools import chain
 from operator import add, mul
 
 from .circuit import _Rec, _unpack
-from .homology import twist_apply
+from .homology import genus_of, twist_apply
 
 
 class LinkingMatrix:
@@ -97,9 +97,11 @@ class BlfData(_Rec, namedtuple("BlfData", "lefschetz_cycles round_cycle")):
 
 def fiber_framing(v) -> int:
     """fr(v) = sum of n_{ai} * n_{bi}; sign-invariant in v."""
-    if all(t == 0 for t in v):
+    if len(v) % 2:
+        genus_of(v)  # raises
+    if not any(v):
         raise ValueError("zero class has no framing")
-    return sum(v[i] * v[i + 1] for i in range(0, len(v), 2))
+    return sum(map(mul, v[::2], v[1::2]))
 
 
 def linking(x, i, y, j) -> int:
@@ -113,6 +115,7 @@ def linking(x, i, y, j) -> int:
         raise ValueError("linking needs distinct attachment slots")
     if len(x) != len(y):
         raise ValueError("genus mismatch: %d vs %d" % (len(x), len(y)))
+    genus_of(x)
     if i > j:
         x, y = y, x
     return sum(x[t + 1] * y[t] for t in range(0, len(x), 2))

@@ -12,7 +12,7 @@ no floats, no overflow.
 """
 
 from math import gcd
-from operator import mul
+from operator import add as _plus, mul
 
 SpMatrix = tuple  # tuple of 2g row tuples
 
@@ -57,7 +57,7 @@ def add(x, y):
 
 
 def scale(k, x):
-    return tuple(k * a for a in x)
+    return tuple(map(k.__mul__, x))
 
 
 def canon_sign(x):
@@ -74,10 +74,7 @@ def canon_sign(x):
 
 def twist_apply(v, k, x):
     """Image of x under the k-th power of the twist about v: x + k<v,x>v."""
-    c = k * pairing(v, x)
-    if c == 0:
-        return tuple(x)
-    return tuple(a + c * b for a, b in zip(x, v))
+    return tuple(map(_plus, x, map((k * pairing(v, x)).__mul__, v)))
 
 
 def _require_axis(v):

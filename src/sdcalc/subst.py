@@ -7,7 +7,9 @@ for a chosen dual d.  All three are read off one number per window: on
 an oriented window (x, y, z), <x,y> = 1, so x + z = k y forces
 k = <x, x + z> = <x,z>.  A blow-up is k = +-1 (exponent -k), a Hayano
 pattern k = 0 (z = -x), and a stabilization (x, y, z, w) any k followed
-by k = 0 at the next window (w = -y).
+by k = 0 at the next window (w = -y).  Windows are oriented by the sign
+pass of `normalize`; on the torus every oriented window has x + z = k y,
+so there `detect` checks no relation (see its docstring).
 
 On a genus-1 surface a detected pattern is the geometric configuration;
 for genus >= 2 a match is a homological candidate only and is flagged
@@ -17,8 +19,8 @@ as such.
 from collections import namedtuple
 from operator import add, eq
 
-from .circuit import _Rec, _clip, _clip_int, _repack, _unpack, normalize
-from .homology import canon_sign, matvec, pairing, scale, twist_apply
+from .circuit import _Rec, _clip, _clip_int, _repack, _signed, _unpack, normalize
+from .homology import canon_sign, matvec, pairing, twist_apply
 
 
 class Detection(_Rec, namedtuple("Detection", "kind position exponent k dual summand "
@@ -101,13 +103,10 @@ def hayano_surgery(d, pos: int, dual, k: int):
 
 
 def _norm_window(win):
-    """Orient a window of curves so consecutive pairings are +1."""
-    out = [win[0]]
-    for v in win[1:]:
-        p = pairing(out[-1], v)
-        if abs(p) != 1:
-            raise ValueError("adjacent pairing %s in a window, need +-1" % _clip_int(p))
-        out.append(v if p == 1 else scale(-1, v))
+    """Orient a window of curves so consecutive pairings are +1 (circuit._signed)."""
+    out, p = _signed(win)
+    if p is not None:
+        raise ValueError("adjacent pairing %s in a window, need +-1" % _clip_int(p))
     return out
 
 
@@ -125,19 +124,23 @@ def detect(d):
     """All substitution patterns in a closed diagram, ascending position.
 
     Every oriented 3-window (x, y, z) gets one k, _window_k: <x,z> when
-    x + z = k y, else None.  k = +-1 is a blow-up of exponent -k; k = 0
-    (z = -x) a Hayano pattern, reported with the minimal-|k|
-    representative (k = 0, dual = the middle curve); a window with any k
-    followed by a window with k = 0 (w = -y) is a stabilization with
-    that k.  Overlapping patterns are all reported.  For a twisted
-    diagram only seam-free windows are scanned.
+    x + z = k y, else None (never at genus 1, see below).  k = +-1 is a
+    blow-up of exponent -k; k = 0 (z = -x) a Hayano pattern, reported
+    with the minimal-|k| representative (k = 0, dual = the middle
+    curve); a window with any k followed by a window with k = 0 (w = -y)
+    is a stabilization with that k.  Overlapping patterns are all
+    reported.  For a twisted diagram only seam-free windows are scanned.
 
-    The curves are oriented once, as one chain, and every window is a
-    slice of it.  A window oriented on its own differs from that slice
-    by at most an overall sign, which changes no match, exponent or
-    canonical dual.  The chain also covers the pairings no window reads,
-    as at c < 3; for a twisted diagram it stops at g_c, and the seam
-    <mu g_c, g_1> is checked on its own.
+    The curves are oriented once, as one chain, by the one sign pass
+    circuit._signed, and every window is a slice of it.  A window
+    oriented on its own differs from that slice by at most an overall
+    sign, which changes no match, exponent or canonical dual.  The chain
+    also covers the pairings no window reads, as at c < 3; for a twisted
+    diagram it stops at g_c, and the seam <mu g_c, g_1> is checked alone.
+
+    At genus 1 no window's relation is checked, since none can fail:
+    <x,y> = 1 makes (x, y) a basis, and z = s x + t y with <y,z> = 1
+    gives s = -1, so x + z = t y with t = <x,z>, which is k.
     """
     circ, mu = _unpack(d)
     if not circ.closed:
@@ -151,7 +154,8 @@ def detect(d):
     chain = _norm_window(ext[:max(n3 + 2, n4 + 3, c + 1)])
     if mu is not None:  # the seam window (mu g_c, g_1)
         _norm_window([matvec(mu, circ.curves[-1]), circ.curves[0]])
-    ks = [_window_k(*chain[i:i + 3]) for i in range(len(chain) - 2)]
+    ks = ([_window_k(*chain[i:i + 3]) for i in range(len(chain) - 2)] if homological
+          else [a * q - b * p for (a, b), (p, q) in zip(chain, chain[2:])])  # k = <x,z>
     out = []
     for i in range(n3):
         k = ks[i]

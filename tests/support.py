@@ -17,7 +17,10 @@ the per-kind window matchers `_window_blowup_exponent` and
 matrix-product forms of is_symplectic, sp_inv and delta_twist, built on
 the pairing matrix `jmat`, that homology's closed forms are compared
 against, and the seam-rule forms of apply_blowup and apply_stabilization,
-which read x and y from `Circuit.extended(1)`.  The general
+which read x and y from `Circuit.extended(1)`, and the sign pass of
+normalize and of subst's windows on the generic pairing
+(`orient_by_pairing`, `norm_window_by_pairing`) that circuit._signed,
+with its genus-1 branch on scalars, is compared against.  The general
 column-echelon reduction `colreduce` backs `solve_int`, and
 `quotient_basis_by_echelon`, built on two of its passes, is the
 reference for monodromy.quotient_basis.
@@ -29,7 +32,8 @@ from math import gcd
 from operator import mul, sub
 
 from sdcalc._power import matmul
-from sdcalc.circuit import Circuit, Diagram, _repack, _unpack, normalize
+from sdcalc.circuit import (Circuit, CurveError, Diagram, _check_switch, _clip_int, _repack, _unpack,
+                            normalize)
 from sdcalc.genus1 import Classification, SumForm, _DELTAS, _index, _unoriented_k, normalize_sum
 from sdcalc.handles import fiber_framing
 from sdcalc.homology import (_require_axis, add, canon_sign, genus_of, ident, matvec, pairing,
@@ -39,7 +43,6 @@ from sdcalc.subst import (
     Detection,
     _blowup_summand,
     _check_pos,
-    _norm_window,
     _stab_summand,
     _stale,
     apply_blowup,
@@ -194,6 +197,27 @@ def rand_next(rng, x, lim=3):
     return y
 
 
+def rand_paired(rng, x, p, lim=3):
+    """A random primitive y with pairing(x, y) == p, for a primitive x."""
+    y0, kernel = solve_int([pairing_functional(x)], [p])
+    for _ in range(1000):
+        y = y0
+        for k in kernel:
+            y = add(y, scale(rng.randint(-lim, lim), k))
+        if gcd(*y) == 1:
+            return y
+    raise AssertionError("no primitive class pairs %d with %r" % (p, x))
+
+
+def result_or_error(f, *args):
+    """f(*args), or the type, message and `curve` attribute (None if absent) of
+    the ValueError it raised: what differential tests of error paths compare."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "curve", None)
+
+
 def rand_chain(rng, genus, length, lim=3):
     curves = [rand_primitive(rng, genus, lim)]
     while len(curves) < length:
@@ -217,6 +241,51 @@ def rand_closed(rng, genus, length, lim=3) -> Circuit:
             continue
         return normalize(list(chain.curves) + [last], True)
     raise AssertionError("could not close a circuit (genus %d, length %d)" % (genus, length))
+
+
+def orient_by_pairing(raw, closed, switch_matrix):
+    """Reference for circuit._orient (normalize's checks and sign pass): one
+    generic `pairing` call per adjacent pair at every genus, and a
+    `scale(-1, v)` for each curve it flips."""
+    raw = [tuple(v) for v in raw]
+    if not raw:
+        raise CurveError("empty circuit")
+    if closed and len(raw) < 2:
+        raise CurveError("closed circuit needs at least 2 curves")
+    n = 2 * genus_of(raw[0])
+    _check_switch(switch_matrix, n)
+    for i, v in enumerate(raw, start=1):
+        if len(v) != n:
+            raise CurveError("curve %d: genus mismatch" % i, i)
+        if gcd(*v) != 1:
+            raise CurveError("curve %d: not primitive" % i, i)
+    out = [raw[0]]
+    for i, v in enumerate(raw[1:], start=2):
+        p = pairing(out[-1], v)
+        if p == 1:
+            out.append(v)
+        elif p == -1:
+            out.append(scale(-1, v))
+        else:
+            raise CurveError("curves %d,%d: adjacent pairing %s, need +-1"
+                             % (i - 1, i, _clip_int(p)), i - 1)
+    if closed:
+        last = out[-1] if switch_matrix is None else matvec(switch_matrix, out[-1])
+        e = pairing(last, out[0])
+        if abs(e) != 1:
+            raise CurveError("closing pairing %s, need +-1 for a closed circuit" % _clip_int(e))
+    return tuple(out)
+
+
+def norm_window_by_pairing(win):
+    """Reference for subst._norm_window, on the same generic `pairing`."""
+    out = [win[0]]
+    for v in win[1:]:
+        p = pairing(out[-1], v)
+        if abs(p) != 1:
+            raise ValueError("adjacent pairing %s in a window, need +-1" % _clip_int(p))
+        out.append(v if p == 1 else scale(-1, v))
+    return out
 
 
 def linking_matrix_eager(c):
@@ -612,7 +681,7 @@ def contract_by_kind(d, det: Detection):
     if det.kind == "BlowUp":
         if c < 3 or (mu is not None and pos + 2 > c):
             raise _stale(det)  # seam windows are never detected on twisted input
-        e = _window_blowup_exponent(*_norm_window(circ.extended(2)[pos - 1:pos + 2]))
+        e = _window_blowup_exponent(*norm_window_by_pairing(circ.extended(2)[pos - 1:pos + 2]))
         if e is None or e != det.exponent:
             raise _stale(det)
         if pos + 2 <= c:
@@ -625,7 +694,7 @@ def contract_by_kind(d, det: Detection):
     if det.kind == "Stabilization":
         if c < 4 or (mu is not None and pos + 3 > c):
             raise _stale(det)
-        k = _window_stab_power(*_norm_window(circ.extended(3)[pos - 1:pos + 3]))
+        k = _window_stab_power(*norm_window_by_pairing(circ.extended(3)[pos - 1:pos + 3]))
         if k is None or k != det.k:
             raise _stale(det)
         if pos + 3 <= c:

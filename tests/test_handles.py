@@ -31,6 +31,15 @@ TRI = normalize([(1, 0), (1, -1), (0, 1)], True)
 AB = normalize([(1, 0), (0, 1)], True)
 
 
+def test_odd_length_classes_are_one_value_error():
+    msg = "^coefficient vector must have positive even length, got 3$"
+    with pytest.raises(ValueError, match=msg):
+        fiber_framing((1, 2, 3))
+    with pytest.raises(ValueError, match=msg):
+        linking((1, 2, 3), 1, (1, 2, 3), 2)
+    assert linking((1, 2), 1, (3, 4), 2) == 6 and fiber_framing([0, 0, 2, 3]) == 6
+
+
 def test_fiber_framing():
     assert [fiber_framing(v) for v in TRI] == [0, -1, 0]
     assert fiber_framing((2, 3)) == 6

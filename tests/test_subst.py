@@ -9,12 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sdcalc
+import sdcalc.circuit
+import sdcalc.subst
 from sdcalc.circuit import Circuit, Diagram, generate, normalize, switch, validate
 from sdcalc.cli import parse
 from sdcalc.handles import form_invariants, linking_matrix
-from sdcalc.homology import add, canon_sign, ident, pairing, scale, twist_apply, twist_matrix
+from sdcalc.homology import (add, canon_sign, ident, pairing, scale, twist_apply, twist_matrix,
+                             word_matrix)
 from sdcalc.subst import (
     Detection,
+    _norm_window,
     apply_blowup,
     apply_stabilization,
     contract,
@@ -23,8 +27,8 @@ from sdcalc.subst import (
 )
 
 from support import (apply_blowup_by_extended, apply_stabilization_by_extended, contract_by_kind,
-                     detect_by_windows, rand_chain, rand_closed, rand_next, rand_primitive,
-                     rotate_to_front)
+                     detect_by_windows, k2_chain, norm_window_by_pairing, rand_chain, rand_closed,
+                     rand_next, rand_paired, rand_primitive, result_or_error, rotate_to_front)
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -319,6 +323,76 @@ def test_detect_matches_window_oracle_on_twisted_diagrams():
         diagrams += [Diagram(circ, mu), Diagram(flipped(rng, circ), mu)]
     for d in diagrams:
         assert detect(d) == detect_by_windows(d), d
+
+
+def test_detect_at_genus_1_matches_window_oracle():
+    """The genus-1 windows, read without the relation check, against the
+    oracle that checks every window: generator circuits, sign-flipped
+    circuits built by hand, c = 2, 3, 4, and twisted diagrams, including
+    switch matrices that break the seam (compared by the error's type)."""
+    rng = random.Random(24)
+    diagrams = []
+    for seed in range(40):
+        circ, _ = generate(seed, seed % 23)
+        diagrams += [circ, flipped(rng, circ)]
+    for c in (2, 3, 4):
+        for _ in range(15):
+            circ = rand_closed(rng, 1, c)
+            diagrams += [circ, flipped(rng, circ), substituted(rng, circ, 1)]
+    for _ in range(40):
+        circ = substituted(rng, rand_closed(rng, 1, rng.randint(2, 6)), rng.randint(0, 3))
+        word = [((1, 0), rng.choice((-2, -1, 1, 2))), ((0, 1), rng.choice((-2, -1, 1, 2)))]
+        for mu in (twist_matrix(circ.curves[0], rng.choice((-2, 1, 3))), word_matrix(word, 1)):
+            diagrams += [Diagram(circ, mu), Diagram(flipped(rng, circ), mu)]
+    raised = 0
+    for d in diagrams:
+        got, want = outcome(detect, d), outcome(detect_by_windows, d)
+        assert got == want, d
+        raised += isinstance(want, type)
+    assert 0 < raised < len(diagrams) // 4
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_window_sign_pass_matches_the_pairing_oracle(genus):
+    """_norm_window against the generic sign loop: the re-signed window, or
+    the error's type and message, with a bad pair first, in the middle or
+    last, and with the curves given as lists."""
+    rng = random.Random(90 + genus)
+    for _ in range(30):
+        chain = rand_chain(rng, genus, rng.randint(1, 6)).curves
+        win = [scale(rng.choice((1, -1)), v) for v in chain]
+        cases = [win]
+        for j in sorted({1, len(win) // 2, len(win) - 1} - {0}):
+            cases.append(win[:j] + [rand_paired(rng, win[j - 1], rng.choice((0, 2, -5)))] + win[j + 1:])
+        for w in cases + [[list(v) for v in w] for w in cases]:
+            got, want = result_or_error(_norm_window, w), result_or_error(norm_window_by_pairing, w)
+            assert got == want, w
+
+
+def test_genus_1_windows_and_signs_skip_the_generic_kernels(monkeypatch):
+    """At genus 1 detect checks no window relation and normalize pairs only the
+    closing pair by the generic pairing; at genus 2 both are still called."""
+    circ, genus2 = k2_chain(100), rand_closed(random.Random(2), 2, 6)
+    raw = [scale(-1, v) if i % 3 else v for i, v in enumerate(circ.curves)]
+    calls = {"_window_k": 0, "pairing": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(sdcalc.subst, "_window_k")
+    counted(sdcalc.circuit, "pairing")
+    assert normalize(raw, True) == circ
+    assert calls["pairing"] <= 1
+    assert [t.kind for t in detect(circ)] == ["BlowUp"] * 2
+    assert calls["_window_k"] == 0
+    normalize(genus2.curves, True)
+    detect(genus2)
+    assert calls["pairing"] > 5 and calls["_window_k"] > 0
 
 
 def contract_outcome(f, d, det):
