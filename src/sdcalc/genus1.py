@@ -13,7 +13,7 @@ connected sums of standard pieces.
 
 from collections import namedtuple
 
-from .circuit import Diagram, _Rec, _unpack, generate, normalize, validate
+from .circuit import CLIP, Diagram, _Rec, _clip, _clip_int, _unpack, generate, validate
 from .subst import Detection, _blowup_summand, _stab_summand, _window_k
 
 _CLOSURES = ("Spin0", "NonSpin1", "Unclosed")
@@ -89,12 +89,10 @@ def duality_coefficients(c) -> list:
         raise ValueError("duality coefficients need genus 1")
     if circ.length < 3:
         raise ValueError("duality coefficients need length >= 3")
-    ks = []
-    for i in range(3, circ.length + 1):
-        ks.append(_window_k(*circ.curves[i - 3:i]))  # g_i + g_{i-2} = k_i g_{i-1}, or None
-        if ks[-1] is None:
-            raise ValueError("curve %d does not satisfy the duality relation; "
-                             "is the circuit normalized?" % i)
+    ks = [_window_k(*circ.curves[i - 3:i]) for i in range(3, circ.length + 1)]  # or None
+    if None in ks:  # g_i + g_{i-2} = k_i g_{i-1} fails
+        raise ValueError("curve %d does not satisfy the duality relation; "
+                         "is the circuit normalized?" % (ks.index(None) + 3))
     return ks
 
 
@@ -120,33 +118,34 @@ def normalize_sum(f: SumForm) -> CanonicalForm:
     """
     if f.closure == "Unclosed":
         raise ValueError("cannot normalize an unclosed sum form")
-    if f.m == 0 and f.n == 0:
-        if f.closure == "Spin0":
-            return CanonicalForm(s2xs2=f.l + 1)
-        return CanonicalForm(cp2=f.l + 1, cp2bar=f.l + 1)
+    if f.m == f.n == 0 and f.closure == "Spin0":
+        return CanonicalForm(s2xs2=f.l + 1)
     return CanonicalForm(cp2=f.m + f.l + 1, cp2bar=f.n + f.l + 1)
 
 
 def classify(d) -> Classification:
     """Reduce a closed genus-1 circuit to length 2 and name the manifold.
 
-    Prefers blow-up contractions (some cyclic coefficient is +-1) and
-    falls back to stabilizations (a zero coefficient); a closed circuit
-    of length >= 3 always admits one of the two, so anything else raises
-    RuntimeError rather than guessing.  Both closures of the final
-    length-2 circuit are materialized and deduplicated, giving one or
-    two canonical forms.
+    Prefers a blow-up (a cyclic coefficient +-1) to a stabilization (a
+    zero); a closed circuit of length >= 3 always admits one, so anything
+    else raises RuntimeError rather than guessing.  Both closures of the
+    final two curves are normalized and deduplicated: one or two forms.
 
-    The reduction runs in one pass over two lists: the curves and ks,
-    ks[j] being the coefficient of the cyclic window (j, j+1, j+2).  A
-    window's coefficient is <x,y><y,z><x,z> whatever the curves' signs,
-    so nothing is renormalized.  A contraction removes w curves (1 for a
-    blow-up, 2 for a stabilization) and changes only the two windows
-    that span the gap, as blowing down a Hirzebruch-Jung string does.
-    A pattern that wraps the seam is rotated to the front first, as
-    `contract` does, so the trace replays through `contract`.  The windows
-    before a gap keep their coefficients, so each search for the first +-1
-    or 0 resumes at the last gap: linear in c behind a long untouched run.
+    After its checks no curve is read: the reduction blows down ks[j] =
+    <x,y><y,z><x,z>, (x, y, z) = (g_j, g_{j+1}, g_{j+2}) cyclically.  No sign
+    flip changes it, and with <x,y> = <y,z> = 1, x + z = ks[j] y (subst.detect).
+    A blow-up at j, e = ks[j] = +-1, removes g_{j+1} = e (g_j + g_{j+2}):
+    <g_j, g_{j+2}> = e and g_{j-1} = (ks[j-1] - e) g_j - e g_{j+2}, so
+    (g_{j-1}, g_j, g_{j+2}) reads ks[j-1] - e, and (g_j, g_{j+2}, g_{j+3})
+    likewise ks[j+1] - e.  A stabilization at j (ks[j+1] = 0, so g_{j+3} =
+    -g_{j+1}) removes g_{j+2} and g_{j+3}: g_{j+4} = g_j - (ks[j] + ks[j+2])
+    g_{j+1}, so (g_j, g_{j+1}, g_{j+4}) reads ks[j] + ks[j+2] and (g_{j+1},
+    g_{j+4}, g_{j+5}) still ks[j+3].  A pattern that wraps the seam is
+    rotated to the front first, as `contract` does, so the trace replays.
+
+    ks[:g] is on `left` and ks[g:] reversed on `right`, a gap buffer that each
+    contraction pops.  Neither holds a +-1 but at its top and in the unread
+    right[:u], and ks[1:z] no 0: `_seek` reads each entry about once.
     """
     circ, mu = _unpack(d)
     if mu is not None:
@@ -159,42 +158,40 @@ def classify(d) -> Classification:
     if not report.ok:
         raise ValueError("invalid circuit: %s" % (report.failures[0],))
 
-    # At genus 1 a window (x, y, z) with <x,y> = <y,z> = 1 has <y, x+z> = 0,
-    # so z = k y - x with k = <x,z>: validate has checked the duality relation.
-    # The seam windows read eps g_1, which pairs +1 on both sides, and the
-    # sign-free <x,y><y,z><x,z> is that k.
-    curves = list(circ.curves)
-    ks = [_unoriented_k(curves, i) for i in range(len(curves))]
-    l = m = n = 0  # the summands, counted
-    trace = []
-    lo, z = 0, 1  # ks[:lo] holds no +-1, ks[1:z] no 0
-    while len(curves) > 2:
-        c = len(curves)
-        j = _index(ks, -1, _index(ks, 1, c, lo), lo)
-        if j < c:
-            w = 1
-            det = Detection(kind="BlowUp", position=j + 1, exponent=-ks[j],
-                            summand=_blowup_summand(-ks[j]))
+    cs = circ.curves
+    left, right = [], [(a * q - b * p) * (p * s - q * r) * (a * s - b * r)
+                       for (a, b), (p, q), (r, s) in zip(cs, cs[1:] + cs[:1], cs[2:] + cs[:2])][::-1]
+    c = u = len(right)
+    trace, z, l, m, n = [], 1, 0, 0, 0  # l, m, n count the summands
+    while c > 2:  # right keeps >= 2 entries: its top is ks[g], its bottom ks[c - 1]
+        w, g = 1, len(left)
+        j = g - 1 if left and left[-1] in (1, -1) else g if right[-1] in (1, -1) else -1
+        if j < 0:
+            j = _seek(left, right, c - min(u, len(right)), (1, -1))
+            u = max(c - 1 - j, 0)
+        if j == c:  # no +-1: the first j with ks[j + 1] == 0, or c - 1 when only ks[0] is
+            w, z = 2, _seek(left, right, z, (0,))
+            j = z - 1
+            if z == c and (left[0] if left else right[-1]):
+                shown = " ".join(map(_clip_int, (left + right[::-1])[:CLIP]))
+                raise RuntimeError("closed genus-1 circuit of length %d has no coefficient in {-1, 0, 1}"
+                                   ", against reducibility; coefficients %s" % (c, _clip(shown)))
+        if j + w + 2 > c:  # the pattern wraps the seam: an O(c) copy, a few per circuit
+            seq = left + right[::-1]
+            left, right, u, z = [], (seq[j:] + seq[:j])[::-1], 0, 1
+        e = (left if j < len(left) else right).pop()
+        if w == 1:
+            right[-1] -= e
+            if left:
+                left[-1] -= e
+            else:  # ks[j - 1] is ks[c - 1], the bottom of right: read it again
+                right[0], u = right[0] - e, u or 1
+            det = tuple.__new__(Detection, ("BlowUp", j + 1, -e, None, None, _blowup_summand(-e), False))
         else:
-            w = 2
-            z = _index(ks, 0, c, z)
-            j = z - 1  # the first j with ks[j + 1] == 0
-            if j == c - 1 and ks[0] != 0:
-                raise RuntimeError(
-                    "closed genus-1 circuit of length %d with no coefficient in "
-                    "{-1, 0, 1}; this contradicts the reducibility guarantee: %r"
-                    % (c, normalize(curves, True).curves)
-                )
-            det = Detection(kind="Stabilization", position=j + 1, k=ks[j],
-                            summand=_stab_summand(ks[j]))
-        if j + w + 2 > c:  # the pattern wraps the seam
-            curves = curves[j:] + curves[:j]
-            ks = ks[j:] + ks[:j]
-            j = 0
-        del curves[j + w:j + 2 * w], ks[j + w:j + 2 * w]
-        for i in (j + w - 2, j + w - 1):
-            ks[i] = _unoriented_k(curves, i)
-        lo, z = max(0, j + w - 2), max(1, min(z, j + w - 2))  # after a rotation j = 0
+            right.pop()
+            right[-1] += e
+            det = tuple.__new__(Detection, ("Stabilization", j + 1, None, e, None, _stab_summand(e), False))
+        c, z = c - w, max(1, min(z, j + w - 2))
         delta = _DELTAS[det.summand]
         l, m, n = l + delta.l, m + delta.m, n + delta.n
         trace.append((len(trace) + 1, det, delta))
@@ -204,20 +201,23 @@ def classify(d) -> Classification:
     return Classification(canonical_forms=forms, reduction_trace=tuple(trace), counts=total)
 
 
-def _index(seq, v, hi, lo=0):
-    """The first index of v in seq[lo:hi], or hi when there is none."""
-    try:
-        return seq.index(v, lo, hi)
-    except ValueError:
-        return hi
-
-
-def _unoriented_k(cs, i):
-    """Coefficient of the cyclic window of genus-1 curves cs starting at i,
-    as <x,y><y,z><x,z>, which no sign flip of x, y or z changes."""
-    n = len(cs)
-    (a, b), (p, q), (r, s) = cs[i % n], cs[(i + 1) % n], cs[(i + 2) % n]
-    return (a * q - b * p) * (p * s - q * r) * (a * s - b * r)
+def _seek(left, right, lo, hit):
+    """The first p >= lo with ks[p] in hit, ks = left + right[::-1], or len(ks).
+    The gap moves to p by slices, unless p is one of the last two positions,
+    which classify rotates to the front.  classify searches and moves only here."""
+    g, n = len(left), len(right)
+    for p in range(lo, g):
+        if left[p] in hit:
+            right.extend(left[:p - 1:-1])  # lo >= 1, so p >= 1
+            del left[p:]
+            return p
+    for i in range(g + n - 1 - max(lo, g), -1, -1):
+        if right[i] in hit:
+            if i > 1:
+                left.extend(right[:i:-1])
+                del right[i + 1:]
+            return g + n - 1 - i
+    return g + n
 
 
 # ---- the reports of `sdcalc classify` and `generate` (see cli)

@@ -294,14 +294,8 @@ def emit_kirby(c, section_k=None) -> KirbyData:
     labels = tuple(s % i for i in range(1, g + 1) for s in ("a%d", "b%d"))
     lm = linking_matrix(circ)
     folds = tuple(zip(lm.curves, lm.framings, range(1, circ.length + 1)))
-    return KirbyData(
-        genus=g,
-        one_handles=labels,
-        fiber_framing=0,
-        fold_handles=folds,
-        last_handle=section_k,
-        linking=lm,
-    )
+    return KirbyData(genus=g, one_handles=labels, fiber_framing=0, fold_handles=folds,
+                     last_handle=section_k, linking=lm)
 
 
 def to_blf(c) -> BlfData:
@@ -319,7 +313,11 @@ def to_blf(c) -> BlfData:
     if not circ.closed:
         raise ValueError("broken-fibration data needs a closed circuit")
     ext = circ.extended(1)
-    cycles = tuple((twist_apply(x, 1, nxt), -1) for x, nxt in zip(ext, ext[1:]))
+    if circ.genus == 1:  # tau_x(y) = y + <x,y> x on two ints
+        cycles = tuple(((p + k * a, q + k * b), -1)
+                       for (a, b), (p, q) in zip(ext, ext[1:]) for k in [a * q - b * p])
+    else:
+        cycles = tuple((twist_apply(x, 1, nxt), -1) for x, nxt in zip(ext, ext[1:]))
     return BlfData(lefschetz_cycles=cycles, round_cycle=(ext[0], 0))
 
 

@@ -4,7 +4,10 @@ Curves meeting the next curve once are produced by solving the pairing
 equation over the integers, so chains and closed circuits of any genus
 can be sampled without rejection storms.  Also the reference
 classifiers that genus1.classify is compared against, with the
-three-curve duality check `_window_coefficients` they read, the
+three-curve duality check `_window_coefficients` they read and, for
+`classify_by_rescan`, the list search `_index` and the curve-reading
+window coefficient `_unoriented_k`, kept here so that the oracle runs
+none of the code it checks; the
 move-by-move reference for the seeded generator, the eager linking
 matrix, the fraction-free (Bareiss) rank and signature that the Schur
 sweep of handles.form_invariants is compared against, the genus-2
@@ -34,7 +37,7 @@ from operator import mul, sub
 from sdcalc._power import matmul
 from sdcalc.circuit import (Circuit, CurveError, Diagram, _check_switch, _clip_int, _repack, _unpack,
                             normalize)
-from sdcalc.genus1 import Classification, SumForm, _DELTAS, _index, _unoriented_k, normalize_sum
+from sdcalc.genus1 import Classification, SumForm, _DELTAS, normalize_sum
 from sdcalc.handles import fiber_framing
 from sdcalc.homology import (_require_axis, add, canon_sign, genus_of, ident, matvec, pairing,
                              pairing_functional, scale, transpose, twist_apply, twist_matrix)
@@ -446,6 +449,22 @@ def classify_by_contract(circ) -> Classification:
     return Classification(
         canonical_forms=forms, reduction_trace=tuple(trace), counts=total
     )
+
+
+def _index(seq, v, hi, lo=0):
+    """The first index of v in seq[lo:hi], or hi when there is none."""
+    try:
+        return seq.index(v, lo, hi)
+    except ValueError:
+        return hi
+
+
+def _unoriented_k(cs, i):
+    """Coefficient of the cyclic window of genus-1 curves cs starting at i,
+    as <x,y><y,z><x,z>, which no sign flip of x, y or z changes."""
+    n = len(cs)
+    (a, b), (p, q), (r, s) = cs[i % n], cs[(i + 1) % n], cs[(i + 2) % n]
+    return (a * q - b * p) * (p * s - q * r) * (a * s - b * r)
 
 
 def classify_by_rescan(circ) -> Classification:

@@ -1,7 +1,9 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from sdcalc import genus1
 from sdcalc.circuit import Circuit, Diagram, generate, normalize
 from sdcalc.genus1 import (
     CanonicalForm,
@@ -209,18 +211,104 @@ def test_classify_matches_contract_oracle():
         assert classify(x) == classify_by_contract(x)
 
 
-@pytest.mark.parametrize("c", [51, 301, 1001])
+@pytest.mark.parametrize("c", list(range(3, 13)) + [31, 51, 301, 1001])
 def test_classify_on_k2_chain_matches_both_oracles(c):
     # a long run of coefficient 2 that the searches skip after each gap;
-    # the rotations move the run across the seam
+    # the rotations move the run across the seam, every one of them up to c = 31
     circ = k2_chain(c)
-    for r in (0, 1, c // 3, c // 2, c - 2, c - 1):
+    for r in range(c) if c <= 31 else (0, 1, c // 3, c // 2, c - 2, c - 1):
         x = rotate_to_front(circ, r)
         got = classify(x)
         assert got == classify_by_rescan(x), r
         if c < 1001 or r in (0, c // 2):  # the contract loop takes over a second at c = 1001
             assert got == classify_by_contract(x), r
-    assert got.counts == SumForm(m=c - 2)  # c - 2 blow-ups of exponent -1, each a CP2
+        assert got.counts == SumForm(m=c - 2)  # c - 2 blow-ups of exponent -1, each a CP2
+
+
+def from_coefficients(ks):
+    """The closed genus-1 circuit whose cyclic windows have coefficients ks:
+    g_1 = (1, 0), g_2 = (0, 1), g_{i+2} = k_i g_{i+1} - g_i."""
+    cs = [(1, 0), (0, 1)]
+    for k in ks[:-2]:
+        cs.append(tuple(k * y - x for x, y in zip(cs[-2], cs[-1])))
+    circ = normalize(cs, True)
+    assert [pairing(x, y) * pairing(y, z) * pairing(x, z)
+            for x, y, z in zip(cs, cs[1:] + cs[:1], cs[2:] + cs[:2])] == list(ks)
+    return circ
+
+
+# coefficients and the first contraction (kind, j from 0): a blow-up at
+# j >= c - 2 and a stabilization at j >= c - 3 wrap the seam and are rotated
+# to the front, a blow-up at c - 3 is the last that is not; and the c = 3
+# and c = 4 ends
+SEAM_CASES = {
+    "blowup_c5_j3": ((-2, 0, 3, 1, 1), "BlowUp", 3),
+    "blowup_c6_j4": ((-2, 0, 3, 0, -1, 0), "BlowUp", 4),
+    "blowup_c6_j5": ((0, -2, 0, 3, 0, -1), "BlowUp", 5),
+    "blowup_c7_j5": ((-2, 0, 0, 0, 3, 1, 1), "BlowUp", 5),
+    "blowup_c7_j6": ((-2, 0, 3, -2, 0, 3, 1), "BlowUp", 6),
+    "blowup_c4_j1": ((0, -1, 0, 1), "BlowUp", 1),
+    "stab_c4_j1": ((0, -2, 0, 2), "Stabilization", 1),
+    "stab_c4_j0": ((0, 0, 0, 0), "Stabilization", 0),
+    "blowup_c3_plus": ((1, 1, 1), "BlowUp", 0),
+    "blowup_c3_minus": ((-1, -1, -1), "BlowUp", 0),
+}
+
+
+@pytest.mark.parametrize("ks, kind, j", SEAM_CASES.values(), ids=SEAM_CASES)
+def test_classify_at_the_seam_matches_both_oracles(ks, kind, j):
+    circ = from_coefficients(ks)
+    det = classify(circ).reduction_trace[0][1]
+    assert (det.kind, det.position - 1) == (kind, j)
+    for r in range(len(ks)):  # every rotation moves the seam through the pattern
+        x = rotate_to_front(circ, r)
+        assert classify(x) == classify_by_rescan(x) == classify_by_contract(x), r
+
+
+def test_classify_on_generator_circuits_matches_both_oracles():
+    # whole Classifications: _Rec equality also compares the record types
+    for steps in range(61):
+        circ, _ = generate(1000 + steps, steps)
+        assert classify(circ) == classify_by_rescan(circ) == classify_by_contract(circ), steps
+    circ, _ = generate(5, 3000)  # c = 4500: the contract loop needs over 50 s
+    assert classify(circ) == classify_by_rescan(circ)
+
+
+WORK_CASES = {"k2_chain_3001": lambda: k2_chain(3001),
+              "generate_1_3000": lambda: generate(1, 3000)[0],
+              "generate_2_9000": lambda: generate(2, 9000)[0]}
+
+
+@pytest.mark.parametrize("make", WORK_CASES.values(), ids=WORK_CASES)
+def test_classify_reads_and_moves_at_most_4c_entries(monkeypatch, make):
+    # every search and gap move of classify is one _seek call: count the
+    # entries it reads (lo up to the hit, or to the end) and the entries it moves
+    seek, work = genus1._seek, []
+
+    def counted(left, right, lo, hit):
+        g, c = len(left), len(left) + len(right)
+        p = seek(left, right, lo, hit)
+        work.append(max(0, min(p + 1, c) - lo) + abs(len(left) - g))
+        return p
+
+    monkeypatch.setattr(genus1, "_seek", counted)
+    circ = make()
+    classify(circ)
+    assert work and sum(work) <= 4 * len(circ)
+
+
+def test_classify_without_a_contraction_is_one_bounded_line(monkeypatch):
+    # an all-2 chain marked closed without closing: every window reads 2 but
+    # the two across the seam, which read (c - 1)(c - 2), so nothing contracts
+    cs = [(1, 0), (0, 1)]
+    while len(cs) < 3000:
+        cs.append(tuple(2 * y - x for x, y in zip(cs[-2], cs[-1])))
+    monkeypatch.setattr(genus1, "validate", lambda d: SimpleNamespace(ok=True, failures=()))
+    with pytest.raises(RuntimeError) as exc:
+        classify(Circuit(tuple(cs), True))
+    msg = str(exc.value)
+    assert "\n" not in msg and len(msg) <= 200, msg
+    assert "length 3000" in msg and "2 2 2" in msg
 
 
 def test_classify_long_circuit():

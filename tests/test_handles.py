@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sdcalc.circuit import Circuit, Diagram, generate, normalize, switch
 from sdcalc.handles import (
+    BlfData,
     KirbyData,
     LinkingMatrix,
     _sweep_invariants,
@@ -21,7 +22,7 @@ from sdcalc.handles import (
     suffix_spanners,
     to_blf,
 )
-from sdcalc.homology import add, pairing, scale
+from sdcalc.homology import add, pairing, scale, twist_apply
 from sdcalc.subst import apply_blowup, apply_stabilization
 
 from support import (far_pivot_family, generate_by_moves, linking_by_halves, linking_matrix_eager,
@@ -447,6 +448,19 @@ def test_to_blf_cycle_count_and_closing():
     e = TRI.eps
     expect = add(scale(e, TRI[0]), scale(pairing(TRI[-1], scale(e, TRI[0])), TRI[-1]))
     assert data.lefschetz_cycles[-1][0] == expect
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_to_blf_matches_the_generic_twist(genus):
+    # genus 1 computes tau_x(y) on two ints; every genus must agree with twist_apply
+    rng = random.Random(60 + genus)
+    circs = [rand_closed(rng, genus, rng.randint(2, 12), lim=5) for _ in range(60)]
+    if genus == 1:
+        circs += [generate(seed, steps)[0] for seed, steps in [(1, 0), (2, 40), (3, 300)]]
+    for c in circs:
+        ext = c.extended(1)
+        want = tuple((twist_apply(x, 1, y), -1) for x, y in zip(ext, ext[1:]))
+        assert to_blf(c) == BlfData(lefschetz_cycles=want, round_cycle=(ext[0], 0))
 
 
 def test_to_blf_requires_closed():
