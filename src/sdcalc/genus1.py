@@ -154,13 +154,13 @@ def classify(d) -> Classification:
         raise ValueError("classifier requires genus 1")
     if not circ.closed:
         raise ValueError("classifier requires a closed circuit")
-    report = validate(circ)
-    if not report.ok:
+    cs = circ.curves  # validate only when a pairing <g_i, g_i+1> (the last one closing) fails
+    prs = [a * q - b * p for (a, b), (p, q) in zip(cs, cs[1:] + cs[:1])]
+    report = validate(circ) if prs[-1] not in (1, -1) or prs[:-1].count(1) < len(cs) - 1 else None
+    if report and not report.ok:
         raise ValueError("invalid circuit: %s" % (report.failures[0],))
-
-    cs = circ.curves
-    left, right = [], [(a * q - b * p) * (p * s - q * r) * (a * s - b * r)
-                       for (a, b), (p, q), (r, s) in zip(cs, cs[1:] + cs[:1], cs[2:] + cs[:2])][::-1]
+    left, right = [], [x * y * (a * s - b * r)
+                       for x, y, (a, b), (r, s) in zip(prs, prs[1:] + prs[:1], cs, cs[2:] + cs[:2])][::-1]
     c = u = len(right)
     trace, z, l, m, n = [], 1, 0, 0, 0  # l, m, n count the summands
     while c > 2:  # right keeps >= 2 entries: its top is ks[g], its bottom ks[c - 1]

@@ -1,21 +1,17 @@
-"""Handle data for the 4-manifold a circuit presents over the disk.
-
-The fiber framing of a curve, pairwise linking numbers of the fold
-handles, the symmetric linking matrix with its rank/signature/parity,
-Euler characteristic bookkeeping, Kirby-diagram data, and the
-conversion to broken-fibration handle data (Lefschetz cycles plus a
-round cycle).  Rank and signature come from a Schur sweep over the
-curves, which needs the suffix spanners of the a-coordinates; it is
-the only elimination, so form_invariants takes a LinkingMatrix.
-
-Attachment angles are pure index order: curve i is attached before
-curve j exactly when i < j.
+"""Handle data for the 4-manifold a circuit presents over the disk: fiber framings,
+linking numbers of the fold handles, the symmetric linking matrix with its
+rank/signature/parity, Euler characteristics, Kirby-diagram data, and broken-fibration
+handle data (Lefschetz cycles plus a round cycle).  Rank and signature come from a
+Schur sweep over the curves, the only elimination, so form_invariants takes a
+LinkingMatrix: O(c) on ints at genus 1, O(c g^2) above, where it reads the suffix
+spanners of the a-coordinates.  Attachment angles are pure index order: curve i is
+attached before curve j exactly when i < j.
 """
 
 import sys
 from collections import namedtuple
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from operator import add, mul
 
 from .circuit import _Rec, _unpack
@@ -23,18 +19,16 @@ from .homology import genus_of, twist_apply
 
 
 class LinkingMatrix:
-    """Symmetric c x c integer matrix of a circuit: framings on the
-    diagonal, linking numbers off it.
+    """Symmetric c x c integer matrix of a circuit: framings on the diagonal, linking
+    numbers off it.  It keeps the curves and their framings, a*b on two ints at genus 1
+    in O(c) and fiber_framing above in O(c g); rows() computes each row from the closed
+    form in O(c g), and entries, the tuple of all rows, is built on first access.
+    Equality, hash and repr are those of the entries."""
 
-    It keeps the curves and their framings: rows() computes each row from
-    the closed form in O(c g), and entries, the tuple of all rows, is
-    built on first access.  Equality, hash and repr are those of the
-    entries.
-    """
-
-    def __init__(self, curves):
+    def __init__(self, curves):  # fiber_framing raises on a zero class at every genus
         self.curves = curves
-        self.framings = tuple(map(fiber_framing, curves))
+        self.framings = tuple([a * b if a or b else fiber_framing((a, b)) for a, b in curves]
+                              if curves and len(curves[0]) == 2 else map(fiber_framing, curves))
 
     @cached_property
     def entries(self) -> tuple:
@@ -116,9 +110,7 @@ def linking(x, i, y, j) -> int:
     if len(x) != len(y):
         raise ValueError("genus mismatch: %d vs %d" % (len(x), len(y)))
     genus_of(x)
-    if i > j:
-        x, y = y, x
-    return sum(x[t + 1] * y[t] for t in range(0, len(x), 2))
+    return sum(map(mul, x[1::2], y[::2])) if i < j else sum(map(mul, y[1::2], x[::2]))
 
 
 def linking_matrix(c) -> LinkingMatrix:
@@ -137,11 +129,12 @@ def linking_matrix(c) -> LinkingMatrix:
 def form_invariants(m: LinkingMatrix) -> FormInvariants:
     """Rank, signature and parity of a linking matrix.
 
-    Rank and signature come from a Schur sweep over the curves in
-    O(c g^2) (see _sweep_invariants), parity from the framings, and no
-    entry is built.  Parity is Even iff every diagonal entry is even.
+    Rank and signature come from a Schur sweep over the curves, in O(c) on
+    ints at genus 1 (_sweep_torus) and O(c g^2) above (_sweep_invariants),
+    parity from the framings, and no entry is built.  Parity is Even iff
+    every diagonal entry is even.
     """
-    rank, sig, _ = _sweep_invariants(m.curves)
+    rank, sig, _ = (_sweep_torus if m.curves and len(m.curves[0]) == 2 else _sweep_invariants)(m.curves)
     parity = "Even" if all(t % 2 == 0 for t in m.framings) else "Odd"
     return FormInvariants(rank=rank, signature=sig, parity=parity)
 
@@ -247,6 +240,37 @@ def _sweep_invariants(curves):
         d = s * s // d
         k += 2 if j == k + 1 else 1
     return rank, sig, len(done)
+
+
+def _sweep_torus(curves):
+    """_sweep_invariants at genus 1, case for case, on ints: num, d, u = d b~_k and w = d b~_j.
+
+    The suffix spanners are the last row l with a_l != 0, so row k is zero past k+1 iff
+    u = 0 or l <= k+1; else the far row j is the first i > k+1 with a_i != 0, and a_i = 0
+    for k < i < j.  Its fix moves such a b~_i by -b~_k y / s, y = b~_i a_j and s = b~_k a_j,
+    to 0: the rows that a far pivot passes are zero, and the sweep goes on after j.
+    """
+    a, b = [v[0] for v in curves], [v[1] for v in curves]
+    c, last = len(a), max(compress(range(len(a)), a), default=-1)
+    num, d, rank, sig, far, k = 0, 1, 0, 0, 0, 0
+    while k < c:
+        u = d * b[k] - num * a[k]
+        p = u * a[k]
+        if p:  # a 1x1 pivot
+            sp = 1 if p > 0 else -1
+            rank, sig, num, d, k = rank + 1, sig + sp, sp * (p * num + u * u) // d, abs(p), k + 1
+            continue
+        j = k + 1
+        s = u * a[j] if j < c else 0
+        if not s and u and last > j:  # a far pivot
+            j = next(i for i in range(k + 2, c) if a[i])
+            s, far = u * a[j], far + 1
+        if s:  # the 2x2 pivot at (k, j)
+            w = d * b[j] - num * a[j]
+            num = (s * s * num - w * a[j] * u * u + 2 * s * u * w) // (d * d)
+            rank, d, k = rank + 2, s * s // d, j
+        k += 1  # past the pivot, or past a zero row
+    return rank, sig, far
 
 
 def suffix_spanners(vectors):

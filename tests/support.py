@@ -23,7 +23,9 @@ against, and the seam-rule forms of apply_blowup and apply_stabilization,
 which read x and y from `Circuit.extended(1)`, and the sign pass of
 normalize and of subst's windows on the generic pairing
 (`orient_by_pairing`, `norm_window_by_pairing`) that circuit._signed,
-with its genus-1 branch on scalars, is compared against.  The general
+with its genus-1 branch on scalars, is compared against, with the
+inputs `sign_pass_cases` that normalize and classify's own pairing
+checks are compared on.  The general
 column-echelon reduction `colreduce` backs `solve_int`, and
 `quotient_basis_by_echelon`, built on two of its passes, is the
 reference for monodromy.quotient_basis.
@@ -278,6 +280,32 @@ def orient_by_pairing(raw, closed, switch_matrix):
         if abs(e) != 1:
             raise CurveError("closing pairing %s, need +-1 for a closed circuit" % _clip_int(e))
     return tuple(out)
+
+
+def sign_pass_cases(rng, genus):
+    """(raw, closed, switch matrix) inputs for normalize at one genus: valid
+    sign-flipped circuits, each failure of the sign pass (an adjacent pairing
+    not +-1 at the first, a middle and the last pair, a closing pairing, a
+    closing pairing through mu), and each of them with its curves as lists."""
+    cases = []
+    for _ in range(12):
+        c = rng.randint(2, 9)
+        raw = [scale(rng.choice((1, -1)), v) for v in rand_closed(rng, genus, c).curves]
+        cases += [(raw, True, None), (raw, False, None)]
+        for j in sorted({1, (c + 1) // 2, c - 1}):  # raw[j] breaks the pair (j, j + 1)
+            bad = raw[:j] + [rand_paired(rng, raw[j - 1], rng.choice((0, 2, -3, 7)))] + raw[j + 1:]
+            cases += [(bad, True, None), (bad, False, None)]
+        if c > 2:  # at c = 2 the closing pairing is -<g_1, g_2> = -1
+            for _ in range(100):
+                last = rand_next(rng, raw[-2])
+                if abs(pairing(last, raw[0])) != 1:
+                    cases.append((raw[:-1] + [last], True, None))
+                    break
+        # the twist about g_1 keeps <mu g_c, g_1>; one about a random axis breaks it
+        for axis in (raw[0], rand_primitive(rng, genus)):
+            mu = twist_matrix(axis, rng.choice((-2, 3)))
+            cases += [(raw, True, mu), (raw, False, mu)]
+    return cases + [([list(v) for v in raw], closed, mu) for raw, closed, mu in cases]
 
 
 def norm_window_by_pairing(win):

@@ -22,8 +22,8 @@ from sdcalc.cli import parse
 from sdcalc.homology import (add, canon_sign, ident, is_symplectic, matvec, pairing, scale,
                              sp_inv, twist_matrix, word_matrix)
 
-from support import (generate_by_moves, orient_by_pairing, rand_closed, rand_next, rand_paired,
-                     rand_primitive, result_or_error, rotate_to_front)
+from support import (generate_by_moves, orient_by_pairing, rand_closed, rand_primitive, result_or_error,
+                     rotate_to_front, sign_pass_cases)
 
 DATA = Path(__file__).parent / "data"
 TRI = normalize([(1, 0), (1, -1), (0, 1)], True)
@@ -51,32 +51,6 @@ def test_normalize_errors():
     # closing pairing must be a unit for closed circuits
     with pytest.raises(ValueError, match="closing"):
         normalize([(1, 0), (1, 1), (1, 2)], True)
-
-
-def sign_pass_cases(rng, genus):
-    """(raw, closed, switch matrix) inputs for normalize at one genus: valid
-    sign-flipped circuits, each failure of the sign pass (an adjacent pairing
-    not +-1 at the first, a middle and the last pair, a closing pairing, a
-    closing pairing through mu), and each of them with its curves as lists."""
-    cases = []
-    for _ in range(12):
-        c = rng.randint(2, 9)
-        raw = [scale(rng.choice((1, -1)), v) for v in rand_closed(rng, genus, c).curves]
-        cases += [(raw, True, None), (raw, False, None)]
-        for j in sorted({1, (c + 1) // 2, c - 1}):  # raw[j] breaks the pair (j, j + 1)
-            bad = raw[:j] + [rand_paired(rng, raw[j - 1], rng.choice((0, 2, -3, 7)))] + raw[j + 1:]
-            cases += [(bad, True, None), (bad, False, None)]
-        if c > 2:  # at c = 2 the closing pairing is -<g_1, g_2> = -1
-            for _ in range(100):
-                last = rand_next(rng, raw[-2])
-                if abs(pairing(last, raw[0])) != 1:
-                    cases.append((raw[:-1] + [last], True, None))
-                    break
-        # the twist about g_1 keeps <mu g_c, g_1>; one about a random axis breaks it
-        for axis in (raw[0], rand_primitive(rng, genus)):
-            mu = twist_matrix(axis, rng.choice((-2, 3)))
-            cases += [(raw, True, mu), (raw, False, mu)]
-    return cases + [([list(v) for v in raw], closed, mu) for raw, closed, mu in cases]
 
 
 @pytest.mark.parametrize("genus", [1, 2, 3])

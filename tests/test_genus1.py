@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import pytest
 
 from sdcalc import genus1
-from sdcalc.circuit import Circuit, Diagram, generate, normalize
+from sdcalc.circuit import Circuit, Diagram, generate, normalize, validate
 from sdcalc.genus1 import (
     CanonicalForm,
     SumForm,
@@ -16,7 +16,7 @@ from sdcalc.genus1 import (
 from sdcalc.homology import add, pairing, scale, twist_matrix
 
 from support import (classify_by_contract, classify_by_rescan, k2_chain, rand_chain, rand_closed,
-                     rotate_to_front)
+                     result_or_error, rotate_to_front, sign_pass_cases)
 
 TRI = normalize([(1, 0), (1, -1), (0, 1)], True)
 AB = normalize([(1, 0), (0, 1)], True)
@@ -139,6 +139,43 @@ def test_classify_rejections():
         classify(normalize([(1, 0), (0, 1)], False))
     with pytest.raises(ValueError, match="untwisted"):
         classify(Diagram(AB, twist_matrix((1, 0), 1)))
+
+
+def classify_behind_validate(circ):
+    """classify behind validate's whole sign pass, the check it ran on every call before
+    it read the adjacent pairings itself: the reference for its error paths."""
+    report = validate(circ)
+    if not report.ok:
+        raise ValueError("invalid circuit: %s" % (report.failures[0],))
+    return classify(circ)
+
+
+def test_classify_checks_pairings_as_validate_does(monkeypatch):
+    """On each failure of the sign pass classify raises validate's error, byte for byte;
+    on a normalized circuit it classifies without calling validate."""
+    calls = []
+    monkeypatch.setattr(genus1, "validate", lambda d: calls.append(d) or validate(d))
+    kinds = set()
+    # closing pairings 0 and -2, a closed c = 1, and a valid c = 2
+    by_hand = [([(1, 0), (0, 1), (-1, 0)], True, None), ([(1, 0), (0, 1), (-1, 2)], True, None),
+               ([(1, 0)], True, None), ([(1, 0), (2, 1)], True, None)]
+    for raw, closed, mu in sign_pass_cases(random.Random(72), 1) + by_hand:
+        if not closed or mu is not None:  # classify refuses both before any pairing
+            continue
+        circ = Circuit(tuple(raw), True)
+        want = result_or_error(classify_behind_validate, circ)
+        assert result_or_error(classify, circ) == want, raw
+        if want[0] is ValueError:
+            curve, reason = validate(circ).failures[0]
+            where = {0: None, 1: "first", len(raw) - 1: "last"}.get(curve, "middle")
+            words = reason.replace(",", "").split()  # adjacent or closing, "pairing", its value
+            kinds.add((words[0], abs(int(words[2])) if curve else None, where))
+        fixed = result_or_error(normalize, raw, True)
+        if isinstance(fixed, Circuit):
+            del calls[:]
+            assert classify(fixed) == classify_behind_validate(fixed) and not calls
+    assert {("adjacent", p, at) for p in (0, 2, 3, 7) for at in ("first", "middle", "last")} \
+        | {("adjacent", 1, "first"), ("closing", None, None)} <= kinds, sorted(kinds)
 
 
 def test_classify_accepts_diagram_wrapper():

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sdcalc.handles
 from sdcalc.circuit import Circuit, Diagram, generate, normalize, switch
 from sdcalc.handles import (
     BlfData,
     KirbyData,
     LinkingMatrix,
     _sweep_invariants,
+    _sweep_torus,
     emit_kirby,
     euler_characteristics,
     fiber_framing,
@@ -26,7 +28,7 @@ from sdcalc.homology import add, pairing, scale, twist_apply
 from sdcalc.subst import apply_blowup, apply_stabilization
 
 from support import (far_pivot_family, generate_by_moves, linking_by_halves, linking_matrix_eager,
-                     rand_chain, rand_closed, symmetric_invariants)
+                     rand_chain, rand_closed, result_or_error, symmetric_invariants)
 
 TRI = normalize([(1, 0), (1, -1), (0, 1)], True)
 AB = normalize([(1, 0), (0, 1)], True)
@@ -333,6 +335,83 @@ def test_far_pivot_family_is_linear():
     elapsed = time.perf_counter() - start
     assert (inv.rank, inv.signature) == (2004, -2002)
     assert elapsed < 2.0, elapsed
+
+
+def _torus_sweep(curves):
+    """_sweep_torus's (rank, signature, far pivots), once it equals _sweep_invariants'
+    and the Bareiss oracle's on the entries L_ij = b_min(i,j) a_max(i,j), which a zero
+    class in an unvalidated list does not stop."""
+    got = _sweep_torus(curves)
+    n = len(curves)
+    entries = [[curves[min(i, j)][1] * curves[max(i, j)][0] for j in range(n)] for i in range(n)]
+    assert got == _sweep_invariants(curves) and got[:2] == symmetric_invariants(entries), curves
+    return got
+
+
+def test_torus_sweep_matches_the_generic_sweep_on_generator_circuits():
+    long_g1 = [generate(s, 40 + s % 61)[0] for s in range(72)]  # c about 60 to 150
+    for circ in long_g1 + [generate(100 + steps, steps)[0] for steps in range(61)]:
+        rank, sig, _ = _torus_sweep(circ.curves)
+        assert rank == circ.length - 2  # each generator move adds its curves to the rank
+
+
+TORUS_PATHS = [p for p in SWEEP_PATHS if len(p[1][0]) == 2]
+
+
+@pytest.mark.parametrize("name,curves,rank,sig,far", TORUS_PATHS, ids=[p[0] for p in TORUS_PATHS])
+def test_torus_sweep_paths(name, curves, rank, sig, far):
+    assert _torus_sweep(curves) == (rank, sig, far)
+
+
+@st.composite
+def torus_lists(draw):
+    """Genus-1 curve lists, zero classes included, whose a-entries are often 0: far pivots."""
+    curve = st.tuples(st.sampled_from((0, 0, 1, -1, 2)), st.integers(-3, 3))
+    return draw(st.lists(curve, min_size=1, max_size=12))
+
+
+def test_torus_sweep_matches_the_generic_sweep_on_sparse_lists():
+    far = []
+
+    @settings(max_examples=600, derandomize=True, database=None, deadline=None)
+    @given(torus_lists())
+    def check(curves):
+        far.append(_torus_sweep(curves)[2])
+
+    check()
+    assert any(far)  # some example took a far pivot
+
+
+def test_genus_1_framings_are_fiber_framings():
+    rng = random.Random(12)
+    lists = [[(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(1, 9))]
+             for _ in range(300)]
+    lists += [[list(v) for v in vs] for vs in lists[:50]] + [[(0, 0), (1, 0)], [(1, 0), (0, 0)]]
+    zero = 0
+    for curves in lists:
+        want = result_or_error(lambda: tuple(map(fiber_framing, curves)))
+        assert result_or_error(lambda: LinkingMatrix(curves).framings) == want, curves
+        zero += want == (ValueError, "zero class has no framing", None)
+    assert 2 < zero < len(lists) - 100
+    with pytest.raises(ValueError, match="^zero class has no framing$"):
+        linking_matrix(Circuit(((0, 0), (1, 0)), False))
+
+
+def test_genus_1_form_invariants_skip_the_generic_kernels(monkeypatch):
+    """At genus 1 form_invariants(linking_matrix(.)) calls neither the generic sweep,
+    nor suffix_spanners, nor fiber_framing; at genus 2 it calls all three."""
+    calls = dict.fromkeys(("_sweep_invariants", "suffix_spanners", "fiber_framing"), 0)
+    for name in calls:
+        def counted(*args, name=name, real=getattr(sdcalc.handles, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(sdcalc.handles, name, counted)
+    circ = generate(3, 80)[0]
+    assert circ.length >= 100
+    assert form_invariants(linking_matrix(circ)).rank == circ.length - 2
+    assert calls == dict.fromkeys(calls, 0)
+    inv = form_invariants(linking_matrix(far_pivot_family(20)))
+    assert (inv.rank, inv.signature) == (20, -18) and all(calls.values()), calls
 
 
 def test_suffix_spanners_span_every_suffix():

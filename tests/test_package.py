@@ -142,9 +142,9 @@ SUBCOMMANDS = {
                    BASE | {"sdcalc.subst"}, 1335),
     "classify": (["classify", "two.sd"], CLASSIFY, 1592),
     "generate": (["generate", "--seed", "1", "--steps", "3"], CLASSIFY, 1592),
-    "info": (["info", "two.sd"], HANDLES, 1465),
-    "blf": (["blf", "two.sd"], HANDLES, 1465),
-    "kirby": (["kirby", "two.sd"], HANDLES, 1465),
+    "info": (["info", "two.sd"], HANDLES, 1489),
+    "blf": (["blf", "two.sd"], HANDLES, 1489),
+    "kirby": (["kirby", "two.sd"], HANDLES, 1489),
     "monodromy": (["monodromy", "genus2.sd"], BASE | {"sdcalc.monodromy"}, 1306),
 }
 
