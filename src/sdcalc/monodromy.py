@@ -7,10 +7,12 @@ descends to the rank-(2g-2) quotient of its perp lattice -- the
 homology of the surgered surface.  That action is read from the
 images of the quotient basis classes under the lift word; the 2g x 2g
 lift matrix is only built for `mu_tilde_matrix`.  The quotient basis
-comes from two one-row reductions (Euclid with tracked column moves):
-one of <a,.>, whose kernel is a^perp, and one that completes a to a
-basis of that kernel.  At genus 1 the quotient has rank 0: only the
-checks run (g_1 and every axis primitive) and the action is empty.
+comes from two one-row reductions (Euclid carrying its column moves and
+their inverse row moves): one of <a,.>, whose kernel is a^perp, and one
+that completes a to a basis of that kernel, carrying the first's kernel
+basis and coordinate rows, so no matrix product is formed; `coords`
+reads its rows as (index, value) pairs.  At genus 1 the quotient has
+rank 0: only the checks run (g_1 and every axis primitive).
 A non-identity quotient action obstructs trivial monodromy; the
 converse direction is not decided here, so verdicts are worded as
 necessary conditions.
@@ -99,27 +101,27 @@ def surgered_action(c) -> SurgeredAction:
     return _action_of(circ.curves[0], word)
 
 
-def _row_reduce(r):
-    """Euclid on one integer row r, tracking the column moves.
+def _row_reduce(r, U, Ui):
+    """Euclid on one integer row r, carrying its column moves into U and
+    their inverses into Ui; returns (d, U, Ui) with d >= 0 the gcd of r.
 
-    Returns (d, U, Ui) with r U = (d, 0, ..., 0) and d >= 0 the gcd of r;
-    U is unimodular, given as its list of columns, and Ui = U^-1 as its
-    list of rows, all fresh lists with no row shared.  Each round moves
-    the entry of least absolute value (the first on a tie) to the front
-    and reduces every other entry by its floor quotient, until the rest
-    are zero; then a negative d is negated.
+    Each round moves the entry of least absolute value (the first on a
+    tie) to the front and reduces every other entry by its floor quotient,
+    until the rest are zero; then a negative d is negated.  U and Ui hold
+    len(r) rows each and are updated in place: their rows are replaced,
+    never written into, so rows may be tuples or shared.  From identities,
+    r U = (d, 0, ..., 0), U unimodular as its columns, Ui = U^-1 as its
+    rows; from lists A and B, the results are that U applied to A (row i
+    is sum_k U[i][k] A[k]) and that Ui applied to B (sum_k Ui[i][k] B[k]).
     """
-    n = len(r)
     h = list(r)
-    U = [[int(i == j) for j in range(n)] for i in range(n)]
-    Ui = [row[:] for row in U]
     while any(h[1:]):
         p = min((abs(x), j) for j, x in enumerate(h) if x)[1]
         h[0], h[p] = h[p], h[0]
         U[0], U[p] = U[p], U[0]
         Ui[0], Ui[p] = Ui[p], Ui[0]
         d = h[0]
-        for j in range(1, n):
+        for j in range(1, len(h)):
             q = h[j] // d
             if q:
                 h[j] -= q * d
@@ -138,32 +140,30 @@ def quotient_basis(a):
     Returns (qbasis, coords): qbasis is a list of len(a)-2 classes whose
     images form a basis of the quotient, and coords maps any x with
     <a,x> = 0 to its coefficient vector over that basis (discarding the
-    a-component).  Deterministic: reducing <a,.> gives a basis U whose
-    columns after the first span a^perp; reducing a's coordinates over
-    those columns completes a to a basis of a^perp, a first.
+    a-component).  Deterministic: reducing <a,.> from two identities gives
+    a basis K = U[1:] of a^perp and coordinate rows Ki = Ui[1:] over it.
+    Reducing a's coordinate row, carrying Ki and K, completes a to a basis
+    of a^perp, a first: the column moves V turn Ki into the coordinate
+    rows V^T Ki, and their inverse row moves turn K into that basis.
     """
     n = len(a)
-    d, U, Ui = _row_reduce(pairing_functional(a))
-    if d != 1:
-        # <a,.> is onto Z exactly when a is primitive
+    d, U, Ui = _row_reduce(pairing_functional(a), list(ident(n)), list(ident(n)))
+    if d != 1:  # <a,.> is onto Z exactly when a is primitive
         raise ValueError("quotient base class must be primitive, got %r" % (a,))
-    K, Ki = U[1:], Ui[1:]  # a^perp has basis K; Ki gives coordinates over it
-    # a is primitive in the saturated lattice a^perp, so this gcd is 1 and
-    # row 0 of Vi is a's coordinate row: the basis K Vi^T of a^perp starts with a
-    _, V, Vi = _row_reduce([sum(map(mul, row, a)) for row in Ki])
-    KP = [tuple(sum(map(mul, v, k)) for k in zip(*K)) for v in Vi]
-    # coordinates of x: row 0 of Ui is <a,.>, the other rows are V^T Ki without a's row
-    rows = [Ui[0]] + [[sum(map(mul, v, k)) for k in zip(*Ki)] for v in V[1:]]
+    # a is primitive in the saturated lattice a^perp, so this gcd is 1 and the basis starts with a
+    _, rows, KP = _row_reduce([sum(map(mul, row, a)) for row in Ui[1:]], Ui[1:], U[1:])
+    # coords reads <a,.>, then every coordinate row but a's, as (index, value) pairs
+    rows = [[(j, v) for j, v in enumerate(row) if v] for row in [Ui[0], *rows[1:]]]
 
     def coords(x):
         if len(x) != n:
             raise ValueError("genus mismatch")
-        w = [sum(map(mul, row, x)) for row in rows]
+        w = [sum([v * x[j] for j, v in row]) for row in rows]
         if w[0]:
             raise ValueError("class %r does not pair to zero with %r" % (x, a))
         return tuple(w[1:])
 
-    return KP[1:], coords
+    return [tuple(k) for k in KP[1:]], coords
 
 
 def _action_of(a, word) -> SurgeredAction:
