@@ -275,10 +275,11 @@ def switch(d, k: int = 1):
     when untwisted.  With |k| = q c + r + 1, 0 <= r < c, this takes one single switch
     (which checks and normalizes the input), rotates r more slots at once and turns q
     times by mu^(+-q) (see sdcalc._power): O(c + log|k|) matrix work, not O(|k| c).
-    It signs the first curve only, and the final `normalize` the rest: the closing
-    sign e = <mu g_c, g_1> is the same after every switch, so r forward switches put
-    e^(r-1) on it, and q turns e^(q(c-1)) forward, e^q back.  Like sp_inv, this
-    reads mu as symplectic; only its shape is checked (see Diagram).
+    The closing sign e = <mu g_c, g_1> is the same after every switch, so r forward
+    switches put e^(r-1) on the first curve, and q turns e^(q(c-1)) forward, e^q back.
+    Twisted, the final `normalize` signs the rest; untwisted, no second `normalize`
+    runs: the head of the rotation, up to the old seam, takes that sign, and the rest
+    e times it.  Like sp_inv, this reads mu as symplectic; only its shape is checked.
     """
     circ, mu = _unpack(d)
     if not circ.closed:
@@ -294,12 +295,19 @@ def switch(d, k: int = 1):
         e = pairing(cur[-1] if mu is None else matvec(mu, cur[-1]), cur[0])
         sign = e ** (q * (len(cur) - 1) + (r - 1 if r else 0) if k > 0 else q)
         cur = turn(cur, r) if r else cur
-        if q and m is not None:  # the one path that compiles the power rule
+        if m is None:  # the rotation pairs +1 in turn, but e across the old seam after slot t (c if r = 0)
+            t = r if k > 0 and r else len(cur) - r
+            return _repack(d, Circuit(_signs(sign, cur[:t]) + _signs(sign * e, cur[t:]), True))
+        if q:  # the one path that compiles the power rule
             from ._power import _turns
             t = _turns(m, q, cur)
             cur = [matvec(t, v) for v in cur]
         cur[0] = scale(sign, cur[0])
     return _repack(d, normalize(cur, True, mu))
+
+
+def _signs(s, vs):  # the curves vs times s = +-1, as a tuple
+    return tuple(vs) if s == 1 else tuple([scale(s, v) for v in vs])
 
 
 def double(c: Circuit) -> Circuit:

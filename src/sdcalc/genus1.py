@@ -48,6 +48,12 @@ _DELTAS = {"CP2": SumForm(m=1), "CP2bar": SumForm(n=1), "S2xS2": SumForm(l=1),
            "CP2+CP2bar": SumForm(m=1, n=1)}
 
 
+# classify's rows (summand, delta, its l, m, n): a blow-down by e = -exponent, a stabilization by k % 2
+_ROWS = {s: (s, d, d.l, d.m, d.n) for s, d in _DELTAS.items()}
+_BLOWDOWNS = {e: _ROWS[_blowup_summand(-e)] for e in (1, -1)}
+_STABS = (_ROWS[_stab_summand(0)], _ROWS[_stab_summand(1)])
+
+
 class CanonicalForm(_Rec, namedtuple("CanonicalForm", "s2xs2 cp2 cp2bar", defaults=(0, 0, 0))):
     """Either t*(S2xS2) or m*CP2 # n*CP2bar, never a mixture."""
 
@@ -186,14 +192,14 @@ def classify(d) -> Classification:
                 left[-1] -= e
             else:  # ks[j - 1] is ks[c - 1], the bottom of right: read it again
                 right[0], u = right[0] - e, u or 1
-            det = tuple.__new__(Detection, ("BlowUp", j + 1, -e, None, None, _blowup_summand(-e), False))
+            summand, delta, dl, dm, dn = _BLOWDOWNS[e]
+            det = tuple.__new__(Detection, ("BlowUp", j + 1, -e, None, None, summand, False))
         else:
             right.pop()
             right[-1] += e
-            det = tuple.__new__(Detection, ("Stabilization", j + 1, None, e, None, _stab_summand(e), False))
-        c, z = c - w, max(1, min(z, j + w - 2))
-        delta = _DELTAS[det.summand]
-        l, m, n = l + delta.l, m + delta.m, n + delta.n
+            summand, delta, dl, dm, dn = _STABS[e % 2]
+            det = tuple.__new__(Detection, ("Stabilization", j + 1, None, e, None, summand, False))
+        c, z, l, m, n = c - w, max(1, min(z, j + w - 2)), l + dl, m + dm, n + dn
         trace.append((len(trace) + 1, det, delta))
 
     total = SumForm(l, m, n)

@@ -12,7 +12,9 @@ their inverse row moves): one of <a,.>, whose kernel is a^perp, and one
 that completes a to a basis of that kernel, carrying the first's kernel
 basis and coordinate rows, so no matrix product is formed; `coords`
 reads its rows as (index, value) pairs.  At genus 1 the quotient has
-rank 0: only the checks run (g_1 and every axis primitive).
+rank 0: only the checks run (g_1 and every axis primitive), and
+`mu_tilde_matrix` builds no word: it folds each axis's twist at once
+into a 2 x 2 matrix held in four ints.
 A non-identity quotient action obstructs trivial monodromy; the
 converse direction is not decided here, so verdicts are worded as
 necessary conditions.
@@ -64,13 +66,11 @@ def mu_tilde_word(c):
     at genus 1 the axis (y0 + p x0, y1 + p x1), p = x0 y1 - x1 y0, is built
     and canonicalized on scalars.
     """
-    return _lift(c)[1]
+    return _lift(_require_untwisted_closed(c).extended(1))
 
 
-def _lift(c):
-    """(circuit, lift word) of c, unpacked once for mu_tilde_word and surgered_action."""
-    circ = _require_untwisted_closed(c)
-    ext = circ.extended(1)
+def _lift(ext):
+    """The lift word of an unpacked circuit's curves ext = circ.extended(1)."""
     word = []
     if len(ext[0]) == 2:
         x0, x1 = ext[0]
@@ -79,17 +79,34 @@ def _lift(c):
             a, b = y0 + p * x0, y1 + p * x1
             word.append(((a, b) if a > 0 or not a and b >= 0 else (-a, -b), 1))
             x0, x1 = y0, y1
-        return circ, tuple(word)
+        return tuple(word)
     for x, nxt in zip(ext, ext[1:]):
         p = pairing(x, nxt)
         word.append((canon_sign(tuple(map(add, nxt, map(p.__mul__, x)))), 1))
-    return circ, tuple(word)
+    return tuple(word)
+
+
+def _imprimitive(a, b):
+    return ValueError("twist axis must be primitive, got %r" % (canon_sign((a, b)),))
 
 
 def mu_tilde_matrix(c):
-    """Matrix of the lifted monodromy; fixes g_1 up to (-1)^c eps."""
-    word = mu_tilde_word(c)
-    return word_matrix(word, len(word[0][0]) // 2)
+    """Matrix of the lifted monodromy; fixes g_1 up to (-1)^c eps.  At genus 1 no word is
+    built: each axis (a, b) = y + p x, p = <x,y>, twists the columns (m00, m10) and (m01, m11)
+    at once, and its gcd is read only when p is not +-1 (see _torus_checks)."""
+    ext = _require_untwisted_closed(c).extended(1)
+    if len(ext[0]) != 2:
+        return word_matrix(_lift(ext), len(ext[0]) // 2)
+    (x0, x1), m00, m01, m10, m11 = ext[0], 1, 0, 0, 1
+    for y0, y1 in ext[1:]:
+        p = x0 * y1 - x1 * y0
+        a, b = y0 + p * x0, y1 + p * x1
+        if p != 1 and p != -1 and gcd(a, b) != 1:
+            raise _imprimitive(a, b)
+        t, u = a * m10 - b * m00, a * m11 - b * m01
+        m00, m10, m01, m11 = m00 + t * a, m10 + t * b, m01 + u * a, m11 + u * b
+        x0, x1 = y0, y1
+    return (m00, m01), (m10, m11)
 
 
 def surgered_action(c) -> SurgeredAction:
@@ -97,8 +114,7 @@ def surgered_action(c) -> SurgeredAction:
     a^perp / <a> with a = g_1: the lift word applied to the deterministic
     basis from quotient_basis, each image read in its coordinates.
     """
-    circ, word = _lift(c)
-    return _action_of(circ.curves[0], word)
+    return _action_of(_require_untwisted_closed(c))
 
 
 def _row_reduce(r, U, Ui):
@@ -166,17 +182,27 @@ def quotient_basis(a):
     return [tuple(k) for k in KP[1:]], coords
 
 
-def _action_of(a, word) -> SurgeredAction:
-    # at genus 1, a^perp / <a> has rank 2g - 2 = 0: only quotient_basis's and word_images' checks run
-    if len(a) == 2:
-        if gcd(*a) != 1:
-            raise ValueError("quotient base class must be primitive, got %r" % (a,))
-        bad = [v for v, _ in word if gcd(*v) != 1]
-        if bad:
-            raise ValueError("twist axis must be primitive, got %r" % (bad[0],))
+def _torus_checks(circ):
+    """quotient_basis's and word_images' checks at genus 1: g_1, then every lift axis, primitive.
+    An axis y + p x, p = <x,y>, pairs p with x, so only p not +-1 calls for its gcd."""
+    a = circ.curves[0]
+    if gcd(*a) != 1:
+        raise ValueError("quotient base class must be primitive, got %r" % (a,))
+    ext = circ.extended(1)
+    for (x0, x1), (y0, y1) in zip(ext, ext[1:]):
+        p = x0 * y1 - x1 * y0
+        if p != 1 and p != -1 and gcd(y0 + p * x0, y1 + p * x1) != 1:
+            raise _imprimitive(y0 + p * x0, y1 + p * x1)
+
+
+def _action_of(circ, word=None) -> SurgeredAction:
+    """The surgered action of an unpacked circuit, from its lift word (built here if not passed)."""
+    a = circ.curves[0]
+    if len(a) == 2:  # a^perp / <a> has rank 2g - 2 = 0: only the checks run
+        _torus_checks(circ)
         return SurgeredAction(a, 0, (), ())
     qb, coords = quotient_basis(a)
-    matrix = transpose([coords(y) for y in word_images(word, qb)])
+    matrix = transpose([coords(y) for y in word_images(word or _lift(circ.extended(1)), qb)])
     return SurgeredAction(base_class=a, quotient_rank=len(qb), matrix=matrix, basis=tuple(qb))
 
 
@@ -201,7 +227,7 @@ def _verdict_of(act) -> Verdict:
 def _monodromy_report(circ):  # the report of `sdcalc monodromy` (see cli)
     word = mu_tilde_word(circ)  # computed once for all four results
     mat = word_matrix(word, circ.genus)
-    act = _action_of(circ.curves[0], word)
+    act = _action_of(circ, word)
     ver = _verdict_of(act)
     report = {"word": [{"axis": a, "exponent": e} for a, e in word], "matrix": mat,
               "surgered": {"base": act.base_class, "rank": act.quotient_rank, "basis": act.basis,

@@ -156,18 +156,16 @@ def detect(d):
         _norm_window([matvec(mu, circ.curves[-1]), circ.curves[0]])
     ks = ([_window_k(*chain[i:i + 3]) for i in range(len(chain) - 2)] if homological
           else [a * q - b * p for (a, b), (p, q) in zip(chain, chain[2:])])  # k = <x,z>
-    out = []
+    out, new = [], tuple.__new__  # records by position, in Detection's field order
     for i in range(n3):
         k = ks[i]
-        if k in (1, -1):
-            out.append(Detection(kind="BlowUp", position=i + 1, exponent=-k,
-                                 summand=_blowup_summand(-k), homological_only=homological))
-        if k == 0:
-            out.append(Detection(kind="HayanoPattern", position=i + 1, k=0,
-                                 dual=canon_sign(chain[i + 1]), homological_only=homological))
+        if k == 1 or k == -1:
+            out.append(new(Detection, ("BlowUp", i + 1, -k, None, None, _blowup_summand(-k), homological)))
+        elif k == 0:
+            out.append(new(Detection, ("HayanoPattern", i + 1, None, 0, canon_sign(chain[i + 1]), None,
+                                       homological)))
         if i < n4 and k is not None and ks[i + 1] == 0:
-            out.append(Detection(kind="Stabilization", position=i + 1, k=k,
-                                 summand=_stab_summand(k), homological_only=homological))
+            out.append(new(Detection, ("Stabilization", i + 1, None, k, None, _stab_summand(k), homological)))
     return out
 
 

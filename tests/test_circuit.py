@@ -243,6 +243,39 @@ def test_switch_matches_step_loop():
         c = d.circuit.length
         for k in range(-3 * c, 3 * c + 1):
             assert switch(d, k) == _switch_by_steps(d, k), (d, k)
+    # untwisted, sign-scrambled: the rotation is signed without a second normalize.
+    # 2c single switches are the identity on a normalized circuit, so a long k
+    # steps by the k' = +-(1 + (|k| - 1) mod 2c) of its direction
+    for genus in (1, 2):
+        for _ in range(10):
+            circ = rand_closed(rng, genus, rng.randint(2, 7))
+            d = Diagram(Circuit(tuple(scale(rng.choice((1, -1)), v) for v in circ), True))
+            c = circ.length
+            for k in [*range(1, c + 2), 3 * c + 2, 10 ** 30]:
+                for s in (1, -1):
+                    want = _switch_by_steps(d, s * (1 + (k - 1) % (2 * c)))
+                    assert switch(d, s * k) == want, (d, s * k)
+                    assert switch(d.circuit, s * k) == want.circuit, (d, s * k)
+
+
+def test_untwisted_switch_raises_the_first_single_switchs_error():
+    # the single switch that checks the input is the only check: for every k != 0
+    # an invalid circuit raises what the step loop's first switch raises
+    rng = random.Random(12)
+    bad = [Circuit(((1, 0), (2, 1), (0, 1)), True), Circuit(((1, 0), (0, 1), (1, 1), (2, 0)), True),
+           Circuit(((1, 0), (1, 1), (0, 1), (-1, 1), (1, 0)), True)]
+    for genus in (1, 2):
+        for raw, closed, mu in sign_pass_cases(rng, genus):
+            if closed and mu is None and not isinstance(result_or_error(normalize, raw, True), Circuit):
+                bad.append(Circuit(tuple(raw), True))
+    assert len(bad) > 20
+    for d in bad:
+        c = d.length
+        for k in [*range(1, c + 2), 3 * c + 2, 10 ** 30]:
+            for s in (1, -1):
+                got = result_or_error(switch, d, s * k)
+                assert got == result_or_error(_switch_by_steps, Diagram(d), s), (d, s * k)
+                assert got[0] is CurveError, got
 
 
 def test_switch_closed_form_matches_step_loop_on_random_twisted_diagrams():

@@ -4,7 +4,7 @@ from unittest import mock
 
 import pytest
 
-from sdcalc import monodromy
+from sdcalc import homology, monodromy
 from sdcalc.circuit import Circuit, Diagram, double, generate, normalize
 from sdcalc.homology import (
     apply_word,
@@ -36,6 +36,7 @@ from support import (
     mu_tilde_word_generic,
     quotient_basis_by_echelon,
     rand_chain,
+    result_or_error,
     rand_closed,
     rand_next,
     rand_primitive,
@@ -344,6 +345,57 @@ def test_genus_one_checks_the_base_class_before_the_axes():
         mu_tilde_matrix(bad)
 
 
+def torus_action_by_matrix(c):
+    """surgered_action_by_matrix with g_1 checked first, as quotient_basis does."""
+    quotient_basis_by_echelon(c.curves[0])
+    return surgered_action_by_matrix(c)
+
+
+def torus_verdict_by_matrix(c):
+    quotient_basis_by_echelon(c.curves[0])
+    return verdict_by_matrix(c)
+
+
+def torus_fold_cases():
+    """Genus-1 circuits: 72 generator circuits of mean length 100, steps 0-60,
+    the same with scrambled signs, and hand-built ones whose adjacent pairings
+    need not be +-1, with imprimitive curves and axes among them."""
+    rng = random.Random(61)
+    circs = [generate(s, 40 + s % 61)[0] for s in range(72)] + [generate(s, s)[0] for s in range(61)]
+    circs += [Circuit(tuple(scale(rng.choice((1, -1)), v) for v in c), True) for c in circs]
+    for _ in range(300):
+        curves = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(1, 6))]
+        circs.append(Circuit(tuple(curves), True))
+    return circs
+
+
+def test_torus_lift_matrix_and_checks_match_the_word_oracles():
+    # the folded 2x2 matrix against the generic word's; the checks against the
+    # matrix oracles, errors compared by type and message
+    def lift_by_word(c):
+        return word_matrix(mu_tilde_word_generic(c), 1)
+
+    errors = set()
+    for c in torus_fold_cases():
+        got = [result_or_error(f, c) for f in (mu_tilde_matrix, surgered_action, verdict)]
+        assert got == [result_or_error(f, c) for f in (lift_by_word, torus_action_by_matrix,
+                                                       torus_verdict_by_matrix)], c
+        errors.update(r[1].partition(", got")[0] if r[0] is ValueError else None for r in got)
+    assert errors == {None, "twist axis must be primitive", "quotient base class must be primitive"}
+
+
+def test_torus_errors_name_the_canonical_axis_and_check_g1_first():
+    # <x,y> = -2: the axis y - 2x = (-2, -2) is named by its canonical sign
+    bad = Circuit(((1, 0), (0, -2), (1, 1)), True)
+    for f in (mu_tilde_matrix, surgered_action, verdict):
+        with pytest.raises(ValueError, match=r"^twist axis must be primitive, got \(2, 2\)$"):
+            f(bad)
+    both = Circuit(((3, 0), (0, -2)), True)
+    for f in (surgered_action, verdict):
+        with pytest.raises(ValueError, match=r"^quotient base class must be primitive, got \(3, 0\)$"):
+            f(both)
+
+
 @pytest.mark.parametrize("circ, calls", [(TRI, 0), (AB, 0), (WITNESS, 1)])
 def test_genus_one_skips_the_quotient_machinery(circ, calls):
     # patched in monodromy's namespace, so every path to them is counted
@@ -352,11 +404,16 @@ def test_genus_one_skips_the_quotient_machinery(circ, calls):
                 mock.patch.object(monodromy, "word_images", wraps=monodromy.word_images) as wi:
             f(circ)
         assert qb.call_count == wi.call_count == calls, f
+    # the lift matrix builds no word at genus 1; word_matrix calls homology's word_images
+    with mock.patch.object(monodromy, "_lift", wraps=monodromy._lift) as lift, \
+            mock.patch.object(homology, "word_images", wraps=homology.word_images) as wi:
+        mu_tilde_matrix(circ)
+    assert lift.call_count == wi.call_count == calls
 
 
 @pytest.mark.parametrize("circ", [TRI, WITNESS])
 def test_surgered_action_and_verdict_unpack_once(circ):
-    for f in (surgered_action, verdict):
+    for f in (surgered_action, verdict, mu_tilde_matrix):
         with mock.patch.object(monodromy, "_unpack", wraps=monodromy._unpack) as unpack:
             f(circ)
         assert unpack.call_count == 1, f

@@ -325,6 +325,28 @@ def test_detect_matches_window_oracle_on_twisted_diagrams():
         assert detect(d) == detect_by_windows(d), d
 
 
+@pytest.mark.parametrize("genus", [1, 2, 5])
+def test_detect_records_equal_keyword_built_ones(genus):
+    # detect builds its records by position: each must be the Detection the
+    # oracle builds by keywords, field by field, untwisted and twisted
+    rng = random.Random(130 + genus)
+    if genus == 1:
+        circs = [generate(seed, 20 + seed)[0] for seed in range(30)]
+    else:
+        circs = [substituted(rng, rand_closed(rng, genus, rng.randint(2, 7)), rng.randint(1, 4))
+                 for _ in range(30)]
+    kinds = set()
+    for circ in circs:
+        mu = twist_matrix(circ.curves[0], rng.choice((-2, -1, 1, 3)))
+        for d in (circ, flipped(rng, circ), Diagram(circ, mu), Diagram(flipped(rng, circ), mu)):
+            got, want = detect(d), detect_by_windows(d)
+            assert got == want, d
+            for x, y in zip(got, want):
+                assert type(x) is Detection and x._asdict() == y._asdict(), (d, x)
+                kinds.add(x.kind)
+    assert kinds == {"BlowUp", "Stabilization", "HayanoPattern"}
+
+
 def test_detect_at_genus_1_matches_window_oracle():
     """The genus-1 windows, read without the relation check, against the
     oracle that checks every window: generator circuits, sign-flipped
