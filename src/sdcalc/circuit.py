@@ -90,6 +90,8 @@ class Circuit:
 
     @property
     def genus(self) -> int:
+        if not self.curves:
+            raise ValueError("empty circuit")
         return genus_of(self.curves[0])
 
     @property
@@ -99,6 +101,8 @@ class Circuit:
     @property
     def eps(self) -> int:
         """Closing sign <g_c, g_1> of a closed circuit."""
+        if not self.curves:
+            raise ValueError("empty circuit")
         if not self.closed:
             raise ValueError("open circuit has no closing sign")
         return pairing(self.curves[-1], self.curves[0])
@@ -158,12 +162,14 @@ def _unpack(d):
     """(circuit, switch matrix or None) of a Circuit or Diagram; ValueError, in O(c + g), if the
     circuit is empty, the curves do not share one even length or a switch matrix is not 2g x 2g."""
     circ, mu = d if isinstance(d, Diagram) else (d, None)
-    if not circ.curves:
-        raise ValueError("empty circuit")
-    _check_switch(mu, 2 * genus_of(circ.curves[0]))
-    if len(set(map(len, circ.curves))) > 1:
-        raise ValueError("genus mismatch: curves of different lengths")
+    _check_switch(mu, 2 * circ.genus)  # circ.genus raises on an empty circuit
+    _same_length(circ.curves)
     return circ, mu
+
+
+def _same_length(curves):
+    if len(set(map(len, curves))) > 1:
+        raise ValueError("genus mismatch: curves of different lengths")
 
 
 def _repack(d, circ):

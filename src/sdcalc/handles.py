@@ -3,18 +3,18 @@ linking numbers of the fold handles, the symmetric linking matrix with its
 rank/signature/parity, Euler characteristics, Kirby-diagram data, and broken-fibration
 handle data (Lefschetz cycles plus a round cycle).  Rank and signature come from a
 Schur sweep over the curves, the only elimination, so form_invariants takes a
-LinkingMatrix: O(c) on ints at genus 1, O(c g^2) above, where it reads the suffix
-spanners of the a-coordinates.  Attachment angles are pure index order: curve i is
-attached before curve j exactly when i < j.
+LinkingMatrix: O(c) at genus 1, where it keeps only the last pivot row, O(c g^2)
+above, where it reads the suffix spanners of the a-coordinates.  Attachment angles
+are pure index order: curve i is attached before curve j exactly when i < j.
 """
 
 import sys
 from collections import namedtuple
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain
 from operator import add, mul
 
-from .circuit import _Rec, _unpack
+from .circuit import _Rec, _same_length, _unpack
 from .homology import genus_of, twist_apply
 
 
@@ -26,6 +26,7 @@ class LinkingMatrix:
     Equality, hash and repr are those of the entries."""
 
     def __init__(self, curves):  # fiber_framing raises on a zero class at every genus
+        _same_length(curves)
         self.curves = curves
         self.framings = tuple([a * b if a or b else fiber_framing((a, b)) for a, b in curves]
                               if curves and len(curves[0]) == 2 else map(fiber_framing, curves))
@@ -44,8 +45,8 @@ class LinkingMatrix:
         prints anything.  Every entry is at most g max|coef|^2, so the
         rows are read only when that bound is too long."""
         limit = sys.get_int_max_str_digits()
-        top = max(map(abs, chain.from_iterable(self.curves)))
-        if limit and len(self.curves[0]) // 2 * top * top >= 10 ** limit:
+        top = max(map(abs, chain.from_iterable(self.curves)), default=0)
+        if limit and top and len(self.curves[0]) // 2 * top * top >= 10 ** limit:
             for r in self.rows():
                 str(min(r)), str(max(r))
 
@@ -129,8 +130,8 @@ def linking_matrix(c) -> LinkingMatrix:
 def form_invariants(m: LinkingMatrix) -> FormInvariants:
     """Rank, signature and parity of a linking matrix.
 
-    Rank and signature come from a Schur sweep over the curves, in O(c) on
-    ints at genus 1 (_sweep_torus) and O(c g^2) above (_sweep_invariants),
+    Rank and signature come from a Schur sweep over the curves, in O(c) from
+    the last pivot row at genus 1 (_sweep_torus), O(c g^2) above (_sweep_invariants),
     parity from the framings, and no entry is built.  Parity is Even iff
     every diagonal entry is even.
     """
@@ -243,33 +244,34 @@ def _sweep_invariants(curves):
 
 
 def _sweep_torus(curves):
-    """_sweep_invariants at genus 1, case for case, on ints: num, d, u = d b~_k and w = d b~_j.
+    """_sweep_invariants at genus 1, from the last pivot row (x, y) alone.
 
-    The suffix spanners are the last row l with a_l != 0, so row k is zero past k+1 iff
-    u = 0 or l <= k+1; else the far row j is the first i > k+1 with a_i != 0, and a_i = 0
-    for k < i < j.  Its fix moves such a b~_i by -b~_k y / s, y = b~_i a_j and s = b~_k a_j,
-    to 0: the rows that a far pivot passes are zero, and the sweep goes on after j.
+    M is a scalar, and a pivot sets it to b/a of its last row: a 1x1 pivot on row e
+    gives M + b~_e^2 / (b~_e a_e) = b_e / a_e, a 2x2 one on (k, j), s = b~_k a_j and
+    t = b~_j a_j, gives M + (t b~_k^2 - 2 s b~_k b~_j) / -s^2 = b_j / a_j.  So
+    M = y / x from (x, y) = (1, 0), and S_kk = p a_k / x with p = x b_k - y a_k:
+    * a_k != 0: a 1x1 pivot of sign sign(p a_k x) if p != 0, else b~_k = 0 and
+      the row is zero; either way (x, y) becomes g_k;
+    * a_k = 0 != b_k: S_kl = b_k a_l, a 2x2 pivot with the first j > k with
+      a_j != 0, far if j > k + 1, and (x, y) becomes g_j.  Each row i between has
+      b~_i = b_i, which the fix moves by -b~_k b_i a_j / s = -b_i: it is zero.
+      With no such j, row k and all after it are zero;
+    * otherwise the row is zero.
     """
-    a, b = [v[0] for v in curves], [v[1] for v in curves]
-    c, last = len(a), max(compress(range(len(a)), a), default=-1)
-    num, d, rank, sig, far, k = 0, 1, 0, 0, 0, 0
-    while k < c:
-        u = d * b[k] - num * a[k]
-        p = u * a[k]
-        if p:  # a 1x1 pivot
-            sp = 1 if p > 0 else -1
-            rank, sig, num, d, k = rank + 1, sig + sp, sp * (p * num + u * u) // d, abs(p), k + 1
-            continue
-        j = k + 1
-        s = u * a[j] if j < c else 0
-        if not s and u and last > j:  # a far pivot
-            j = next(i for i in range(k + 2, c) if a[i])
-            s, far = u * a[j], far + 1
-        if s:  # the 2x2 pivot at (k, j)
-            w = d * b[j] - num * a[j]
-            num = (s * s * num - w * a[j] * u * u + 2 * s * u * w) // (d * d)
-            rank, d, k = rank + 2, s * s // d, j
-        k += 1  # past the pivot, or past a zero row
+    x, y, rank, sig, far, rows = 1, 0, 0, 0, 0, iter(curves)
+    for a, b in rows:
+        if a:
+            p = x * b - y * a
+            if p:
+                rank, sig = rank + 1, sig + (1 if p * a * x > 0 else -1)
+            x, y = a, b
+        elif b:  # read on to row j, which becomes (x, y)
+            for gap, (x, y) in enumerate(rows):
+                if x:
+                    break
+            else:
+                break
+            rank, far = rank + 2, far + (gap > 0)
     return rank, sig, far
 
 

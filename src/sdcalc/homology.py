@@ -124,11 +124,10 @@ def word_images(word, xs):
 
     The word may be any iterable; it is read once and every factor is
     checked before any image is computed: nonzero exponent, primitive
-    axis of the classes' genus.  At genus 1 each factor costs a few
-    scalar products per class.  Above, each factor builds one functional,
-    that of the exponent-scaled axis, so a class's coefficient is one dot
-    product, and the update x += c * axis runs over the axis's nonzero
-    entries only.  With no classes only the checks run.
+    axis of the classes' genus.  Each factor then becomes the functional
+    of the exponent-scaled axis, so a class's coefficient is one dot
+    product, and the axis's nonzero entries, the only ones the update
+    x += c * axis reads.  One path serves every genus.
     """
     xs = list(xs)
     n = 2 * genus_of(xs[0]) if xs else None
@@ -143,24 +142,11 @@ def word_images(word, xs):
             raise ValueError("word exponents must be nonzero")
         if not xs:  # with classes, len(axis) == n has checked it
             genus_of(axis)
-        if gcd(*axis) != 1:
-            raise ValueError("twist axis must be primitive, got %r" % (axis,))
-        factors.append((axis, exp))
-    if not xs:
-        return []
-    if n == 2:  # x -> x + e <v, x> v on scalars
-        images = []
-        for x0, x1 in xs:
-            for (a, b), e in factors:
-                t = e * (a * x1 - b * x0)
-                x0 += t * a
-                x1 += t * b
-            images.append((x0, x1))
-        return images
+        _require_axis(axis)
+        factors.append((pairing_functional(axis if exp == 1 else [exp * t for t in axis]),
+                        [(j, t) for j, t in enumerate(axis) if t]))
     images = [list(x) for x in xs]
-    for axis, exp in factors:
-        f = pairing_functional(axis if exp == 1 else [exp * t for t in axis])
-        support = [(j, t) for j, t in enumerate(axis) if t]
+    for f, support in factors:
         for x in images:
             c = sum(map(mul, f, x))
             if c:

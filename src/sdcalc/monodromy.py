@@ -21,11 +21,11 @@ necessary conditions.
 """
 
 from collections import namedtuple
-from math import gcd
 from operator import add, mul
 
 from .circuit import Circuit, _Rec, _matrix_lines, _unpack
-from .homology import canon_sign, ident, pairing, pairing_functional, transpose, word_images, word_matrix
+from .homology import (_require_axis, canon_sign, ident, is_primitive, pairing, pairing_functional, transpose,
+                       word_images, word_matrix)
 
 
 class SurgeredAction(_Rec, namedtuple("SurgeredAction", "base_class quotient_rank matrix basis")):
@@ -86,14 +86,10 @@ def _lift(ext):
     return tuple(word)
 
 
-def _imprimitive(a, b):
-    return ValueError("twist axis must be primitive, got %r" % (canon_sign((a, b)),))
-
-
 def mu_tilde_matrix(c):
     """Matrix of the lifted monodromy; fixes g_1 up to (-1)^c eps.  At genus 1 no word is
     built: each axis (a, b) = y + p x, p = <x,y>, twists the columns (m00, m10) and (m01, m11)
-    at once, and its gcd is read only when p is not +-1 (see _torus_checks)."""
+    at once, and it is checked only when p is not +-1 (see _torus_checks)."""
     ext = _require_untwisted_closed(c).extended(1)
     if len(ext[0]) != 2:
         return word_matrix(_lift(ext), len(ext[0]) // 2)
@@ -101,8 +97,8 @@ def mu_tilde_matrix(c):
     for y0, y1 in ext[1:]:
         p = x0 * y1 - x1 * y0
         a, b = y0 + p * x0, y1 + p * x1
-        if p != 1 and p != -1 and gcd(a, b) != 1:
-            raise _imprimitive(a, b)
+        if p != 1 and p != -1:
+            _require_axis(canon_sign((a, b)))
         t, u = a * m10 - b * m00, a * m11 - b * m01
         m00, m10, m01, m11 = m00 + t * a, m10 + t * b, m01 + u * a, m11 + u * b
         x0, x1 = y0, y1
@@ -184,15 +180,15 @@ def quotient_basis(a):
 
 def _torus_checks(circ):
     """quotient_basis's and word_images' checks at genus 1: g_1, then every lift axis, primitive.
-    An axis y + p x, p = <x,y>, pairs p with x, so only p not +-1 calls for its gcd."""
+    An axis y + p x, p = <x,y>, pairs p with x, so only p not +-1 calls for a check."""
     a = circ.curves[0]
-    if gcd(*a) != 1:
+    if not is_primitive(a):
         raise ValueError("quotient base class must be primitive, got %r" % (a,))
     ext = circ.extended(1)
     for (x0, x1), (y0, y1) in zip(ext, ext[1:]):
         p = x0 * y1 - x1 * y0
-        if p != 1 and p != -1 and gcd(y0 + p * x0, y1 + p * x1) != 1:
-            raise _imprimitive(y0 + p * x0, y1 + p * x1)
+        if p != 1 and p != -1:
+            _require_axis(canon_sign((y0 + p * x0, y1 + p * x1)))
 
 
 def _action_of(circ, word=None) -> SurgeredAction:

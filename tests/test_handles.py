@@ -144,6 +144,17 @@ def test_linking_matrix_needs_curves():
         LinkingMatrix(entries=((0,),))
 
 
+# without a length check the first two read rank 0, and rank 2 parity Odd, through zip's
+# truncation, and the third failed to unpack its second curve
+MIXED_LENGTHS = [[(1, 0, 0, 1), (1, 0)], [(0, 1, 0, 0), (1, 0, 0, 0, 1, 1)], [(1, 0), (1, 0, 0, 1)]]
+
+
+@pytest.mark.parametrize("curves", MIXED_LENGTHS)
+def test_linking_matrix_needs_curves_of_one_length(curves):
+    with pytest.raises(ValueError, match="^genus mismatch: curves of different lengths$"):
+        LinkingMatrix(curves)
+
+
 def test_linking_requires_distinct_positions():
     with pytest.raises(ValueError):
         linking((1, 0), 1, (0, 1), 1)
@@ -188,6 +199,7 @@ def test_form_invariants_examples():
         ((), (), (0, 0, "Even")),
     ]:
         m = LinkingMatrix(curves)
+        m.check_printable()  # with no curves too
         assert m.entries == entries and _inv(m) == inv
 
 
@@ -349,10 +361,15 @@ def _torus_sweep(curves):
 
 
 def test_torus_sweep_matches_the_generic_sweep_on_generator_circuits():
-    long_g1 = [generate(s, 40 + s % 61)[0] for s in range(72)]  # c about 60 to 150
-    for circ in long_g1 + [generate(100 + steps, steps)[0] for steps in range(61)]:
+    long_g1 = [generate(s, 40 + s % 61) for s in range(72)]  # c about 60 to 150
+    for circ, form in long_g1 + [generate(100 + steps, steps) for steps in range(61)]:
         rank, sig, _ = _torus_sweep(circ.curves)
         assert rank == circ.length - 2  # each generator move adds its curves to the rank
+        assert sig == form.m - form.n  # and its summand's signature
+    for seed in range(3):  # c about 4500: the c x c Bareiss oracle is too slow here
+        circ, form = generate(seed, 3000)
+        got = _sweep_torus(circ.curves)
+        assert got == _sweep_invariants(circ.curves) and got[:2] == (circ.length - 2, form.m - form.n)
 
 
 TORUS_PATHS = [p for p in SWEEP_PATHS if len(p[1][0]) == 2]

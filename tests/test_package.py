@@ -131,21 +131,21 @@ CLASSIFY = BASE | {"sdcalc.subst", "sdcalc.genus1"}
 # bytecode (PYTHONDONTWRITEBYTECODE=1) compiles every line it loads.  A
 # change may lower a budget; one that raises it says so in CHANGES.md.
 SUBCOMMANDS = {
-    "validate": (["validate", "two.sd"], BASE, 1101),
-    "switch": (["switch", "two.sd", "--k", "2"], BASE, 1101),
+    "validate": (["validate", "two.sd"], BASE, 1093),
+    "switch": (["switch", "two.sd", "--k", "2"], BASE, 1093),
     # full turns: only a twisted diagram loads the matrix powers
-    "switch_turns": (["switch", "two.sd", "--k", "7"], BASE, 1101),
-    "switch_twisted": (["switch", "twisted.sd", "--k", "7"], BASE | {"sdcalc._power"}, 1182),
-    "double": (["double", "open.sd"], BASE, 1101),
-    "detect": (["detect", "two.sd"], BASE | {"sdcalc.subst"}, 1341),
+    "switch_turns": (["switch", "two.sd", "--k", "7"], BASE, 1093),
+    "switch_twisted": (["switch", "twisted.sd", "--k", "7"], BASE | {"sdcalc._power"}, 1174),
+    "double": (["double", "open.sd"], BASE, 1093),
+    "detect": (["detect", "two.sd"], BASE | {"sdcalc.subst"}, 1333),
     "substitute": (["substitute", "blowup3.sd", "--op", "blowup", "--pos", "1", "--exp", "1"],
-                   BASE | {"sdcalc.subst"}, 1341),
-    "classify": (["classify", "two.sd"], CLASSIFY, 1604),
-    "generate": (["generate", "--seed", "1", "--steps", "3"], CLASSIFY, 1604),
-    "info": (["info", "two.sd"], HANDLES, 1497),
-    "blf": (["blf", "two.sd"], HANDLES, 1497),
-    "kirby": (["kirby", "two.sd"], HANDLES, 1497),
-    "monodromy": (["monodromy", "genus2.sd"], BASE | {"sdcalc.monodromy"}, 1340),
+                   BASE | {"sdcalc.subst"}, 1333),
+    "classify": (["classify", "two.sd"], CLASSIFY, 1596),
+    "generate": (["generate", "--seed", "1", "--steps", "3"], CLASSIFY, 1596),
+    "info": (["info", "two.sd"], HANDLES, 1491),
+    "blf": (["blf", "two.sd"], HANDLES, 1491),
+    "kirby": (["kirby", "two.sd"], HANDLES, 1491),
+    "monodromy": (["monodromy", "genus2.sd"], BASE | {"sdcalc.monodromy"}, 1328),
 }
 
 

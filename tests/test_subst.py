@@ -576,6 +576,9 @@ def test_empty_circuit_is_one_value_error(closed):
     for name in EMPTY_CALLS:
         with pytest.raises(ValueError, match="^empty circuit$"):
             getattr(sdcalc, name)(Circuit((), closed))
+    for read in (lambda c: c.genus, lambda c: c.eps, lambda c: c.extended(1)):
+        with pytest.raises(ValueError, match="^empty circuit$"):
+            read(Circuit((), closed))
     rep = validate(Circuit((), closed))
     assert not rep.ok and rep.failures[0] == (0, "empty circuit")
 
