@@ -61,11 +61,8 @@ def scale(k, x):
 
 
 def canon_sign(x):
-    """Flip the sign so the first nonzero entry is positive.
-
-    Twist axes are unoriented (tau_v = tau_{-v}), so this picks a
-    deterministic representative.
-    """
+    """Flip the sign so the first nonzero entry is positive: twist axes are
+    unoriented (tau_v = tau_{-v}), so this picks a deterministic representative."""
     for v in x:
         if v:
             return x if v > 0 else scale(-1, x)
@@ -83,7 +80,7 @@ def _require_axis(v):
 
 
 def ident(n) -> SpMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n))
 
 
 def matvec(m, x):
@@ -122,12 +119,9 @@ def twist_matrix(v, k) -> SpMatrix:
 def word_images(word, xs):
     """Images of the classes xs under a twist word, rightmost (index 0) first.
 
-    The word may be any iterable; it is read once and every factor is
-    checked before any image is computed: nonzero exponent, primitive
-    axis of the classes' genus.  Each factor then becomes the functional
-    of the exponent-scaled axis, so a class's coefficient is one dot
-    product, and the axis's nonzero entries, the only ones the update
-    x += c * axis reads.  One path serves every genus.
+    The word may be any iterable; it is read once and every factor is checked
+    before _images runs it (nonzero exponent, primitive axis of the classes'
+    genus) and becomes the exponent-scaled axis's functional and its support.
     """
     xs = list(xs)
     n = 2 * genus_of(xs[0]) if xs else None
@@ -145,6 +139,12 @@ def word_images(word, xs):
         _require_axis(axis)
         factors.append((pairing_functional(axis if exp == 1 else [exp * t for t in axis]),
                         [(j, t) for j, t in enumerate(axis) if t]))
+    return _images(factors, xs)
+
+
+def _images(factors, xs):
+    """Images of xs under twist factors (f, support), index 0 first: the twist x += k<v,x> v
+    reads k<v,x> as the dot product f . x and touches only the (j, v_j) in support."""
     images = [list(x) for x in xs]
     for f, support in factors:
         for x in images:

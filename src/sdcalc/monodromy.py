@@ -5,27 +5,27 @@ rightmost factor first, with the closing step using the eps-signed
 first curve.  It fixes the first curve up to the sign (-1)^c eps, hence
 descends to the rank-(2g-2) quotient of its perp lattice -- the
 homology of the surgered surface.  That action is read from the
-images of the quotient basis classes under the lift word; the 2g x 2g
-lift matrix is only built for `mu_tilde_matrix`.  The quotient basis
-comes from two one-row reductions (Euclid carrying its column moves and
-their inverse row moves): one of <a,.>, whose kernel is a^perp, and one
-that completes a to a basis of that kernel, carrying the first's kernel
-basis and coordinate rows, so no matrix product is formed; `coords`
-reads its rows as (index, value) pairs.  At genus 1 the quotient has
-rank 0: only the checks run (g_1 and every axis primitive), and
-`mu_tilde_matrix` builds no word: it folds each axis's twist at once
-into a 2 x 2 matrix held in four ints.
+images of the quotient basis classes under the lift's twist factors,
+made from the curves' axes with no word in between; the 2g x 2g lift
+matrix is only built for `mu_tilde_matrix`.  The quotient basis comes
+from two one-row reductions (Euclid carrying its column moves and their
+inverse row moves): one of <a,.>, whose kernel is a^perp, and one that
+completes a to a basis of that kernel, carrying the first's kernel basis
+and coordinate rows, so no matrix product is formed; `coords` reads its
+rows as (index, value) pairs.  At genus 1 the quotient has rank 0: only
+the checks run (g_1 and every axis primitive), and `mu_tilde_matrix`
+folds each axis's twist at once into a 2 x 2 matrix held in four ints.
 A non-identity quotient action obstructs trivial monodromy; the
 converse direction is not decided here, so verdicts are worded as
 necessary conditions.
 """
 
 from collections import namedtuple
-from operator import add, mul
+from operator import add, mul, sub
 
 from .circuit import Circuit, _Rec, _matrix_lines, _unpack
-from .homology import (_require_axis, canon_sign, ident, is_primitive, pairing, pairing_functional, transpose,
-                       word_images, word_matrix)
+from .homology import (_images, _require_axis, canon_sign, ident, is_primitive, pairing_functional, transpose,
+                       word_matrix)
 
 
 class SurgeredAction(_Rec, namedtuple("SurgeredAction", "base_class quotient_rank matrix basis")):
@@ -64,35 +64,54 @@ def mu_tilde_word(c):
     closing curve and sign-canonicalized (axes are unoriented).  The
     curves share one length (see _unpack), so the first decides the genus;
     at genus 1 the axis (y0 + p x0, y1 + p x1), p = x0 y1 - x1 y0, is built
-    and canonicalized on scalars.
+    and canonicalized on scalars, above it comes from _axes.
     """
     return _lift(_require_untwisted_closed(c).extended(1))
 
 
-def _lift(ext):
-    """The lift word of an unpacked circuit's curves ext = circ.extended(1)."""
+def _lift(ext, axes=None):
+    """The lift word of ext = circ.extended(1); above genus 1, its axes (built if not passed)."""
+    if len(ext[0]) != 2:
+        return tuple([(canon_sign(v), 1) for v, _ in axes or _axes(ext)])
     word = []
-    if len(ext[0]) == 2:
-        x0, x1 = ext[0]
-        for y0, y1 in ext[1:]:
-            p = x0 * y1 - x1 * y0
-            a, b = y0 + p * x0, y1 + p * x1
-            word.append(((a, b) if a > 0 or not a and b >= 0 else (-a, -b), 1))
-            x0, x1 = y0, y1
-        return tuple(word)
-    for x, nxt in zip(ext, ext[1:]):
-        p = pairing(x, nxt)
-        word.append((canon_sign(tuple(map(add, nxt, map(p.__mul__, x)))), 1))
+    x0, x1 = ext[0]
+    for y0, y1 in ext[1:]:
+        p = x0 * y1 - x1 * y0
+        a, b = y0 + p * x0, y1 + p * x1
+        word.append(((a, b) if a > 0 or not a and b >= 0 else (-a, -b), 1))
+        x0, x1 = y0, y1
     return tuple(word)
 
 
+def _axes(ext):
+    """(y + p x, p) for consecutive curves x, y of ext, p = <x,y> = pairing_functional(x) . y."""
+    axes, f = [], pairing_functional(ext[0])
+    for x, y in zip(ext, ext[1:]):
+        p = sum(map(mul, f, y))
+        axes.append((tuple(map(add, y, x) if p == 1 else map(sub, y, x) if p == -1
+                           else map(add, y, map(p.__mul__, x))), p))
+        f = pairing_functional(y)
+    return axes
+
+
+def _factors(axes):
+    """Each axis's functional and nonzero entries, for _images.  y + p x pairs p with x, so only
+    p not +-1 calls for the check (see _torus_checks); its message names the canonical axis."""
+    factors = []
+    for v, p in axes:
+        if p != 1 and p != -1:
+            _require_axis(canon_sign(v))
+        factors.append((pairing_functional(v), [(j, t) for j, t in enumerate(v) if t]))
+    return factors
+
+
 def mu_tilde_matrix(c):
-    """Matrix of the lifted monodromy; fixes g_1 up to (-1)^c eps.  At genus 1 no word is
-    built: each axis (a, b) = y + p x, p = <x,y>, twists the columns (m00, m10) and (m01, m11)
-    at once, and it is checked only when p is not +-1 (see _torus_checks)."""
+    """Matrix of the lifted monodromy; fixes g_1 up to (-1)^c eps.  No word is built: above genus 1
+    it is _images of the basis; at genus 1 each axis (a, b) = y + p x, p = <x,y>, twists the
+    columns (m00, m10) and (m01, m11) at once, checked only when p is not +-1 (see _torus_checks)."""
     ext = _require_untwisted_closed(c).extended(1)
     if len(ext[0]) != 2:
-        return word_matrix(_lift(ext), len(ext[0]) // 2)
+        return transpose(_images(_factors(_axes(ext)), ident(len(ext[0]))))
     (x0, x1), m00, m01, m10, m11 = ext[0], 1, 0, 0, 1
     for y0, y1 in ext[1:]:
         p = x0 * y1 - x1 * y0
@@ -191,14 +210,14 @@ def _torus_checks(circ):
             _require_axis(canon_sign((y0 + p * x0, y1 + p * x1)))
 
 
-def _action_of(circ, word=None) -> SurgeredAction:
-    """The surgered action of an unpacked circuit, from its lift word (built here if not passed)."""
+def _action_of(circ, factors=None) -> SurgeredAction:
+    """The surgered action of an unpacked circuit, from its lift factors (built here if not passed)."""
     a = circ.curves[0]
     if len(a) == 2:  # a^perp / <a> has rank 2g - 2 = 0: only the checks run
         _torus_checks(circ)
         return SurgeredAction(a, 0, (), ())
     qb, coords = quotient_basis(a)
-    matrix = transpose([coords(y) for y in word_images(word or _lift(circ.extended(1)), qb)])
+    matrix = transpose([coords(y) for y in _images(factors or _factors(_axes(circ.extended(1))), qb)])
     return SurgeredAction(base_class=a, quotient_rank=len(qb), matrix=matrix, basis=tuple(qb))
 
 
@@ -221,9 +240,12 @@ def _verdict_of(act) -> Verdict:
 
 
 def _monodromy_report(circ):  # the report of `sdcalc monodromy` (see cli)
-    word = mu_tilde_word(circ)  # computed once for all four results
-    mat = word_matrix(word, circ.genus)
-    act = _action_of(circ, word)
+    ext = _require_untwisted_closed(circ).extended(1)
+    axes = _axes(ext) if circ.genus > 1 else None  # read once for the word, matrix and action
+    factors = axes and _factors(axes)
+    word = _lift(ext, axes)
+    mat = transpose(_images(factors, ident(len(ext[0])))) if axes else word_matrix(word, 1)
+    act = _action_of(circ, factors)
     ver = _verdict_of(act)
     report = {"word": [{"axis": a, "exponent": e} for a, e in word], "matrix": mat,
               "surgered": {"base": act.base_class, "rank": act.quotient_rank, "basis": act.basis,

@@ -377,23 +377,25 @@ def test_monodromy_report(capsys):
 
 def test_monodromy_reads_the_lift_once(capsys):
     from sdcalc import monodromy
-    c = len(cli.parse(Path(GENUS2).read_bytes()).circuit.curves)
     # patched in monodromy's namespace, so every path to them is counted
     with mock.patch.object(monodromy, "quotient_basis", wraps=monodromy.quotient_basis) as qb, \
-            mock.patch.object(monodromy, "pairing", wraps=monodromy.pairing) as pairing:
+            mock.patch.object(monodromy, "_axes", wraps=monodromy._axes) as axes, \
+            mock.patch.object(monodromy, "_images", wraps=monodromy._images) as images:
         assert cli.run(["monodromy", GENUS2]) == 0
     capsys.readouterr()
     assert qb.call_count == 1  # one surgered action
-    assert pairing.call_count == c == 2  # one lift word: one pairing per curve
+    assert axes.call_count == 1  # one pass over the curves for the word, matrix and action
+    assert images.call_count == 2  # the matrix and the action, on the same factors
 
 
 def test_monodromy_at_genus_one_skips_the_quotient_machinery(capsys):
     from sdcalc import monodromy
     with mock.patch.object(monodromy, "quotient_basis", wraps=monodromy.quotient_basis) as qb, \
-            mock.patch.object(monodromy, "word_images", wraps=monodromy.word_images) as wi:
+            mock.patch.object(monodromy, "_axes", wraps=monodromy._axes) as axes, \
+            mock.patch.object(monodromy, "_images", wraps=monodromy._images) as images:
         assert cli.run(["monodromy", TRI]) == 0
     capsys.readouterr()
-    assert qb.call_count == wi.call_count == 0
+    assert qb.call_count == axes.call_count == images.call_count == 0
 
 
 def test_monodromy_rejects_twisted(capsys):

@@ -4,7 +4,7 @@ from unittest import mock
 
 import pytest
 
-from sdcalc import homology, monodromy
+from sdcalc import monodromy
 from sdcalc.circuit import Circuit, Diagram, double, generate, normalize
 from sdcalc.homology import (
     apply_word,
@@ -327,6 +327,74 @@ def test_surgered_action_rejects_hand_built_circuits():
             f(off)
 
 
+def matrix_by_word(c):
+    return transpose(word_images_generic(mu_tilde_word(c), ident(2 * c.genus)))
+
+
+def action_by_word(c):
+    """The surgered action as the word path reads it: the quotient basis's
+    images under the canonical lift word, through the generic kernel."""
+    a = c.curves[0]
+    qb, coords = quotient_basis(a)
+    images = word_images_generic(mu_tilde_word(c), qb)
+    return monodromy.SurgeredAction(a, len(qb), transpose([coords(y) for y in images]), tuple(qb))
+
+
+def verdict_of(act):
+    moved = [b for b, col, e in zip(act.basis, zip(*act.matrix), ident(act.quotient_rank)) if col != e]
+    return monodromy.Verdict(*(("ObstructedOnHomology", moved[0]) if moved else ("HomologicallyTrivial",)))
+
+
+def report_by_word(c):
+    """The `sdcalc monodromy` payload from the word path: word, then the matrix
+    (an imprimitive axis raises here), then the action."""
+    word, mat, act = mu_tilde_word(c), matrix_by_word(c), action_by_word(c)
+    ver = verdict_of(act)
+    return {"word": [{"axis": a, "exponent": e} for a, e in word], "matrix": mat,
+            "surgered": {"base": act.base_class, "rank": act.quotient_rank, "basis": act.basis,
+                         "matrix": act.matrix},
+            "verdict": dict(ver._asdict(), text=ver.text)}
+
+
+def lift_factor_cases():
+    """Genus 2-6: normalized circuits, the same with scrambled signs, and hand-built
+    closed circuits whose adjacent pairings need not be +-1."""
+    rng = random.Random(64)
+    circs = [WITNESS] + [rand_closed(rng, g, rng.randint(2, 8)) for g in range(2, 7) for _ in range(16)]
+    circs += [Circuit(tuple(scale(rng.choice((1, -1)), v) for v in c), True) for c in circs]
+    dense, sparse = range(-3, 4), (0, 0, 0, 0, 1, -1, 2)
+    while len(circs) < 1000:  # sparse ones with a unit closing pairing, which the lift needs, may pass
+        n, entries = 2 * rng.randint(2, 6), dense if len(circs) < 500 else sparse
+        c = Circuit(tuple(tuple(rng.choice(entries) for _ in range(n)) for _ in range(rng.randint(1, 7))), True)
+        if entries is dense or c.eps in (1, -1):
+            circs.append(c)
+    return circs
+
+
+LIFT_ERRORS = ("twist axis must be primitive", "quotient base class must be primitive", "does not pair to zero")
+
+
+def test_lift_factors_match_the_word_path():
+    # matrix, action, verdict and report against the canonical word run through the
+    # generic kernel: equal results, or errors of one type and message
+    def report(c):
+        return monodromy._monodromy_report(c)[0]
+
+    errors, passed_off_units = set(), 0
+    for c in lift_factor_cases():
+        got = [result_or_error(f, c) for f in (mu_tilde_matrix, surgered_action, verdict, report)]
+        want = [result_or_error(f, c) for f in (matrix_by_word, action_by_word,
+                                                lambda c: verdict_of(action_by_word(c)), report_by_word)]
+        assert got == want, c
+        errors.update(next(k for k in LIFT_ERRORS if k in r[1]) if isinstance(r, tuple) and r[0] is ValueError
+                      else None for r in got)
+        ext = c.extended(1)
+        passed_off_units += isinstance(got[1], monodromy.SurgeredAction) and \
+            any(pairing(x, y) not in (1, -1) for x, y in zip(ext, ext[1:]))
+    assert errors == {None, *LIFT_ERRORS}
+    assert passed_off_units
+
+
 def test_surgered_action_genus_one_is_empty():
     act = surgered_action(TRI)
     assert act.quotient_rank == 0
@@ -401,14 +469,26 @@ def test_genus_one_skips_the_quotient_machinery(circ, calls):
     # patched in monodromy's namespace, so every path to them is counted
     for f in (surgered_action, verdict):
         with mock.patch.object(monodromy, "quotient_basis", wraps=monodromy.quotient_basis) as qb, \
-                mock.patch.object(monodromy, "word_images", wraps=monodromy.word_images) as wi:
+                mock.patch.object(monodromy, "_axes", wraps=monodromy._axes) as axes, \
+                mock.patch.object(monodromy, "_images", wraps=monodromy._images) as images:
             f(circ)
-        assert qb.call_count == wi.call_count == calls, f
-    # the lift matrix builds no word at genus 1; word_matrix calls homology's word_images
-    with mock.patch.object(monodromy, "_lift", wraps=monodromy._lift) as lift, \
-            mock.patch.object(homology, "word_images", wraps=homology.word_images) as wi:
+        assert qb.call_count == axes.call_count == images.call_count == calls, f
+    # the lift matrix builds no axes and runs no kernel at genus 1
+    with mock.patch.object(monodromy, "_axes", wraps=monodromy._axes) as axes, \
+            mock.patch.object(monodromy, "_images", wraps=monodromy._images) as images:
         mu_tilde_matrix(circ)
-    assert lift.call_count == wi.call_count == calls
+    assert axes.call_count == images.call_count == calls
+
+
+def test_lift_factors_skip_canon_sign_when_every_pairing_is_a_unit():
+    # every adjacent pairing of a normalized circuit is +-1, so no axis is checked or
+    # canonicalized; only the word canonicalizes
+    rng = random.Random(63)
+    for c in [WITNESS] + [rand_closed(rng, g, rng.randint(2, 7)) for g in (2, 3, 5) for _ in range(4)]:
+        for f in (mu_tilde_matrix, surgered_action, verdict):
+            with mock.patch.object(monodromy, "canon_sign", wraps=canon_sign) as canon:
+                f(c)
+            assert canon.call_count == 0, (f, c)
 
 
 @pytest.mark.parametrize("circ", [TRI, WITNESS])

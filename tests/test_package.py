@@ -142,10 +142,10 @@ SUBCOMMANDS = {
                    BASE | {"sdcalc.subst"}, 1333),
     "classify": (["classify", "two.sd"], CLASSIFY, 1596),
     "generate": (["generate", "--seed", "1", "--steps", "3"], CLASSIFY, 1596),
-    "info": (["info", "two.sd"], HANDLES, 1491),
-    "blf": (["blf", "two.sd"], HANDLES, 1491),
-    "kirby": (["kirby", "two.sd"], HANDLES, 1491),
-    "monodromy": (["monodromy", "genus2.sd"], BASE | {"sdcalc.monodromy"}, 1328),
+    "info": (["info", "two.sd"], HANDLES, 1496),
+    "blf": (["blf", "two.sd"], HANDLES, 1496),
+    "kirby": (["kirby", "two.sd"], HANDLES, 1496),
+    "monodromy": (["monodromy", "genus2.sd"], BASE | {"sdcalc.monodromy"}, 1350),
 }
 
 
