@@ -25,15 +25,11 @@ class LinkingMatrix:
     form in O(c g), and entries, the tuple of all rows, is built on first access.
     Equality, hash and repr are those of the entries."""
 
-    def __init__(self, curves):
+    def __init__(self, curves):  # fiber_framing raises on a zero class at every genus
         _same_length(curves)
-        self._keep(curves)
-
-    def _keep(self, curves):  # curves of one length; fiber_framing raises on a zero class at every genus
         self.curves = curves
         self.framings = tuple([a * b if a or b else fiber_framing((a, b)) for a, b in curves]
                               if curves and len(curves[0]) == 2 else map(fiber_framing, curves))
-        return self
 
     @cached_property
     def entries(self) -> tuple:
@@ -126,10 +122,9 @@ def linking_matrix(c) -> LinkingMatrix:
     diagonal, so the off-diagonal part has rank at most g.  The matrix
     keeps the curves and their framings, O(c g): form_invariants reads
     this structure, rows() yields one row at a time, and the c x c
-    entries are built only when read.  _unpack checks the curve lengths
-    once; the matrix is kept without LinkingMatrix's own check.
+    entries are built only when read.
     """
-    return object.__new__(LinkingMatrix)._keep(_unpack(c)[0].curves)
+    return LinkingMatrix(_unpack(c)[0].curves)
 
 
 def form_invariants(m: LinkingMatrix) -> FormInvariants:

@@ -61,8 +61,11 @@ def scale(k, x):
 
 
 def canon_sign(x):
-    """Flip the sign so the first nonzero entry is positive: twist axes are
-    unoriented (tau_v = tau_{-v}), so this picks a deterministic representative."""
+    """Flip the sign so the first nonzero entry is positive.
+
+    Twist axes are unoriented (tau_v = tau_{-v}), so this picks a
+    deterministic representative.
+    """
     for v in x:
         if v:
             return x if v > 0 else scale(-1, x)

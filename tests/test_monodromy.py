@@ -4,7 +4,7 @@ from unittest import mock
 
 import pytest
 
-from sdcalc import monodromy
+from sdcalc import homology, monodromy
 from sdcalc.circuit import Circuit, Diagram, double, generate, normalize
 from sdcalc.homology import (
     apply_word,
@@ -328,15 +328,15 @@ def test_surgered_action_rejects_hand_built_circuits():
 
 
 def matrix_by_word(c):
-    return transpose(word_images_generic(mu_tilde_word(c), ident(2 * c.genus)))
+    return transpose(word_images_generic(mu_tilde_word_generic(c), ident(2 * c.genus)))
 
 
 def action_by_word(c):
     """The surgered action as the word path reads it: the quotient basis's
-    images under the canonical lift word, through the generic kernel."""
+    images under the generic lift word, through the generic kernel."""
     a = c.curves[0]
     qb, coords = quotient_basis(a)
-    images = word_images_generic(mu_tilde_word(c), qb)
+    images = word_images_generic(mu_tilde_word_generic(c), qb)
     return monodromy.SurgeredAction(a, len(qb), transpose([coords(y) for y in images]), tuple(qb))
 
 
@@ -348,7 +348,7 @@ def verdict_of(act):
 def report_by_word(c):
     """The `sdcalc monodromy` payload from the word path: word, then the matrix
     (an imprimitive axis raises here), then the action."""
-    word, mat, act = mu_tilde_word(c), matrix_by_word(c), action_by_word(c)
+    word, mat, act = mu_tilde_word_generic(c), matrix_by_word(c), action_by_word(c)
     ver = verdict_of(act)
     return {"word": [{"axis": a, "exponent": e} for a, e in word], "matrix": mat,
             "surgered": {"base": act.base_class, "rank": act.quotient_rank, "basis": act.basis,
@@ -375,16 +375,18 @@ LIFT_ERRORS = ("twist axis must be primitive", "quotient base class must be prim
 
 
 def test_lift_factors_match_the_word_path():
-    # matrix, action, verdict and report against the canonical word run through the
-    # generic kernel: equal results, or errors of one type and message
+    # word, matrix, action, verdict and report against the generic lift word run
+    # through the generic kernel: equal results, or errors of one type and message
     def report(c):
         return monodromy._monodromy_report(c)[0]
 
     errors, passed_off_units = set(), 0
     for c in lift_factor_cases():
-        got = [result_or_error(f, c) for f in (mu_tilde_matrix, surgered_action, verdict, report)]
+        got = [result_or_error(f, c) for f in (mu_tilde_matrix, surgered_action, verdict, report,
+                                               mu_tilde_word)]
         want = [result_or_error(f, c) for f in (matrix_by_word, action_by_word,
-                                                lambda c: verdict_of(action_by_word(c)), report_by_word)]
+                                                lambda c: verdict_of(action_by_word(c)), report_by_word,
+                                                mu_tilde_word_generic)]
         assert got == want, c
         errors.update(next(k for k in LIFT_ERRORS if k in r[1]) if isinstance(r, tuple) and r[0] is ValueError
                       else None for r in got)
@@ -466,18 +468,20 @@ def test_torus_errors_name_the_canonical_axis_and_check_g1_first():
 
 @pytest.mark.parametrize("circ, calls", [(TRI, 0), (AB, 0), (WITNESS, 1)])
 def test_genus_one_skips_the_quotient_machinery(circ, calls):
-    # patched in monodromy's namespace, so every path to them is counted
-    for f in (surgered_action, verdict):
+    # patched in monodromy's namespace and in homology's, so every path to the kernel is
+    # counted: monodromy's own _images, and word_images or word_matrix through homology's
+    for f in (surgered_action, verdict, mu_tilde_matrix):
         with mock.patch.object(monodromy, "quotient_basis", wraps=monodromy.quotient_basis) as qb, \
+                mock.patch.object(monodromy, "_lift", wraps=monodromy._lift) as lift, \
                 mock.patch.object(monodromy, "_axes", wraps=monodromy._axes) as axes, \
-                mock.patch.object(monodromy, "_images", wraps=monodromy._images) as images:
+                mock.patch.object(monodromy, "_images", wraps=monodromy._images) as images, \
+                mock.patch.object(homology, "word_images", wraps=homology.word_images) as wi, \
+                mock.patch.object(homology, "_images", wraps=homology._images) as kernel:
             f(circ)
-        assert qb.call_count == axes.call_count == images.call_count == calls, f
-    # the lift matrix builds no axes and runs no kernel at genus 1
-    with mock.patch.object(monodromy, "_axes", wraps=monodromy._axes) as axes, \
-            mock.patch.object(monodromy, "_images", wraps=monodromy._images) as images:
-        mu_tilde_matrix(circ)
-    assert axes.call_count == images.call_count == calls
+        # no word at any genus; above genus 1 one axis pass and one kernel run
+        assert lift.call_count == wi.call_count == kernel.call_count == 0, f
+        assert axes.call_count == images.call_count == calls, f
+        assert qb.call_count == (0 if f is mu_tilde_matrix else calls), f
 
 
 def test_lift_factors_skip_canon_sign_when_every_pairing_is_a_unit():
