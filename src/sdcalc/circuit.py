@@ -115,9 +115,10 @@ class Circuit:
         (0-based) continues the circuit cyclically.  Twisted diagrams
         close through their switch matrix instead and never read these
         entries.
+        eps = 1 reuses curves[:k] as they are; any other eps scales each.
         """
-        e = self.eps
-        return self.curves + tuple(scale(e, v) for v in self.curves[:k])
+        e, cs = self.eps, self.curves
+        return cs + (cs[:k] if e == 1 else tuple([scale(e, v) for v in cs[:k]]))
 
     def __iter__(self):
         return iter(self.curves)
@@ -159,11 +160,17 @@ def _check_switch(mu, n):
 
 
 def _unpack(d):
-    """(circuit, switch matrix or None) of a Circuit or Diagram; ValueError, in O(c + g), if the
-    circuit is empty, the curves do not share one even length or a switch matrix is not 2g x 2g."""
+    """(circuit, switch matrix or None) of a Circuit or Diagram, reading the curves once; ValueError,
+    in O(c + g), if the circuit is empty, the first curve's length is odd or zero, a switch matrix is
+    not 2g x 2g or the curves do not share one length, in that order."""
     circ, mu = d if isinstance(d, Diagram) else (d, None)
-    _check_switch(mu, 2 * circ.genus)  # circ.genus raises on an empty circuit
-    _same_length(circ.curves)
+    cs = circ.curves
+    n = len(cs[0]) if cs else 0
+    if n % 2 or not n:
+        circ.genus  # raises "empty circuit" or genus_of's message
+    if mu is not None:
+        _check_switch(mu, n)
+    _same_length(cs)
     return circ, mu
 
 
@@ -266,7 +273,7 @@ def validate(d) -> ValidationReport:
         i = next((i for i, (u, v) in enumerate(zip(out, curves)) if u != tuple(v)), 0)
         if i:
             return ValidationReport(False, exactness, ((i, "adjacent pairing -1, need +1"),))
-    return ValidationReport(True, exactness)
+    return tuple.__new__(ValidationReport, (True, exactness, ()))
 
 
 def switch(d, k: int = 1):

@@ -124,9 +124,9 @@ def normalize_sum(f: SumForm) -> CanonicalForm:
     """
     if f.closure == "Unclosed":
         raise ValueError("cannot normalize an unclosed sum form")
-    if f.m == f.n == 0 and f.closure == "Spin0":
-        return CanonicalForm(s2xs2=f.l + 1)
-    return CanonicalForm(cp2=f.m + f.l + 1, cp2bar=f.n + f.l + 1)
+    if f.m == f.n == 0 and f.closure == "Spin0":  # a SumForm's counts are >= 0: either form is valid
+        return tuple.__new__(CanonicalForm, (f.l + 1, 0, 0))
+    return tuple.__new__(CanonicalForm, (0, f.m + f.l + 1, f.n + f.l + 1))
 
 
 def classify(d) -> Classification:
@@ -202,9 +202,9 @@ def classify(d) -> Classification:
         c, z, l, m, n = c - w, max(1, min(z, j + w - 2)), l + dl, m + dm, n + dn
         trace.append((len(trace) + 1, det, delta))
 
-    total = SumForm(l, m, n)
-    forms = frozenset(normalize_sum(total.with_closure(c)) for c in ("Spin0", "NonSpin1"))
-    return Classification(canonical_forms=forms, reduction_trace=tuple(trace), counts=total)
+    total = tuple.__new__(SumForm, (l, m, n, "Unclosed"))  # l, m, n count summands: >= 0
+    forms = frozenset(normalize_sum(tuple.__new__(SumForm, (l, m, n, c))) for c in ("Spin0", "NonSpin1"))
+    return tuple.__new__(Classification, (forms, tuple(trace), total))
 
 
 def _seek(left, right, lo, hit):

@@ -137,7 +137,7 @@ def form_invariants(m: LinkingMatrix) -> FormInvariants:
     """
     rank, sig, _ = (_sweep_torus if m.curves and len(m.curves[0]) == 2 else _sweep_invariants)(m.curves)
     parity = "Even" if all(t % 2 == 0 for t in m.framings) else "Odd"
-    return FormInvariants(rank=rank, signature=sig, parity=parity)
+    return tuple.__new__(FormInvariants, (rank, sig, parity))
 
 
 def _dot(x, y):
@@ -344,7 +344,7 @@ def to_blf(c) -> BlfData:
                        for (a, b), (p, q) in zip(ext, ext[1:]) for k in [a * q - b * p])
     else:
         cycles = tuple((twist_apply(x, 1, nxt), -1) for x, nxt in zip(ext, ext[1:]))
-    return BlfData(lefschetz_cycles=cycles, round_cycle=(ext[0], 0))
+    return tuple.__new__(BlfData, (cycles, (ext[0], 0)))
 
 
 # ---- the reports of `sdcalc info`, `blf` and `kirby`, compiled by no other CLI run (see cli)

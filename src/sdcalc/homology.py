@@ -163,12 +163,6 @@ def apply_word(word, x):
     return word_images(word, [x])[0]
 
 
-def word_matrix(word, genus) -> SpMatrix:
-    """Matrix of a twist word (rightmost factor applied first): its
-    columns are the images of the 2g basis vectors, O(c g^2) for c factors."""
-    return transpose(word_images(word, ident(2 * genus)))
-
-
 def delta_twist(a, b) -> SpMatrix:
     """(T_a T_b)^3 for a dual pair: -identity on span(a,b), identity on its
     complement, so x -> x - 2e(<x,b> a - <x,a> b) with e = <a,b> = +-1."""

@@ -24,8 +24,8 @@ from collections import namedtuple
 from operator import add, mul, sub
 
 from .circuit import Circuit, _Rec, _matrix_lines, _unpack
-from .homology import (_images, _require_axis, canon_sign, ident, is_primitive, pairing_functional, transpose,
-                       word_matrix)
+from .homology import (_images, _require_axis, canon_sign, genus_of, ident, is_primitive, pairing_functional,
+                       transpose)
 
 
 class SurgeredAction(_Rec, namedtuple("SurgeredAction", "base_class quotient_rank matrix basis")):
@@ -177,7 +177,7 @@ def quotient_basis(a):
     of a^perp, a first: the column moves V turn Ki into the coordinate
     rows V^T Ki, and their inverse row moves turn K into that basis.
     """
-    n = len(a)
+    n = 2 * genus_of(a)
     d, U, Ui = _row_reduce(pairing_functional(a), list(ident(n)), list(ident(n)))
     if d != 1:  # <a,.> is onto Z exactly when a is primitive
         raise ValueError("quotient base class must be primitive, got %r" % (a,))
@@ -215,10 +215,10 @@ def _action_of(circ, factors=None) -> SurgeredAction:
     a = circ.curves[0]
     if len(a) == 2:  # a^perp / <a> has rank 2g - 2 = 0: only the checks run
         _torus_checks(circ)
-        return SurgeredAction(a, 0, (), ())
+        return tuple.__new__(SurgeredAction, (a, 0, (), ()))
     qb, coords = quotient_basis(a)
     matrix = transpose([coords(y) for y in _images(factors or _factors(_axes(circ.extended(1))), qb)])
-    return SurgeredAction(base_class=a, quotient_rank=len(qb), matrix=matrix, basis=tuple(qb))
+    return tuple.__new__(SurgeredAction, (a, len(qb), matrix, tuple(qb)))
 
 
 def verdict(c) -> Verdict:
@@ -235,8 +235,8 @@ def _verdict_of(act) -> Verdict:
     cols = zip(*act.matrix)
     moved = [b for b, col, e in zip(act.basis, cols, ident(act.quotient_rank)) if col != e]
     if not moved:
-        return Verdict(kind="HomologicallyTrivial")
-    return Verdict(kind="ObstructedOnHomology", witness=moved[0])
+        return tuple.__new__(Verdict, ("HomologicallyTrivial", None))
+    return tuple.__new__(Verdict, ("ObstructedOnHomology", moved[0]))
 
 
 def _monodromy_report(circ):  # the report of `sdcalc monodromy` (see cli)
@@ -244,7 +244,7 @@ def _monodromy_report(circ):  # the report of `sdcalc monodromy` (see cli)
     axes = _axes(ext) if circ.genus > 1 else None  # read once for the word, matrix and action
     factors = axes and _factors(axes)
     word = _lift(ext, axes)
-    mat = transpose(_images(factors, ident(len(ext[0])))) if axes else word_matrix(word, 1)
+    mat = transpose(_images(factors, ident(len(ext[0])))) if axes else mu_tilde_matrix(circ)  # the torus fold
     act = _action_of(circ, factors)
     ver = _verdict_of(act)
     report = {"word": [{"axis": a, "exponent": e} for a, e in word], "matrix": mat,

@@ -42,8 +42,8 @@ from sdcalc.circuit import (Circuit, CurveError, Diagram, _check_switch, _clip_i
 from sdcalc.genus1 import Classification, SumForm, _DELTAS, normalize_sum
 from sdcalc.handles import fiber_framing
 from sdcalc.homology import (_require_axis, add, canon_sign, genus_of, ident, matvec, pairing,
-                             pairing_functional, scale, transpose, twist_apply, twist_matrix)
-from sdcalc.monodromy import SurgeredAction, Verdict, _require_untwisted_closed, mu_tilde_matrix
+                             pairing_functional, scale, transpose, twist_apply, twist_matrix, word_images)
+from sdcalc.monodromy import SurgeredAction, Verdict, _require_untwisted_closed
 from sdcalc.subst import (
     Detection,
     _blowup_summand,
@@ -686,8 +686,8 @@ def induced_action(a, m) -> SurgeredAction:
 
 def surgered_action_by_matrix(c) -> SurgeredAction:
     """Reference for monodromy.surgered_action: the induced action of the
-    whole 2g x 2g lift matrix."""
-    return induced_action(c.curves[0], mu_tilde_matrix(c))
+    whole 2g x 2g lift matrix, as matrix_by_word builds it."""
+    return induced_action(c.curves[0], matrix_by_word(c))
 
 
 def verdict_by_matrix(c) -> Verdict:
@@ -818,6 +818,20 @@ def word_images_generic(word, xs):
             if c:
                 x[:] = [a + c * b for a, b in zip(x, axis)]
     return [tuple(x) for x in images]
+
+
+def word_matrix(word, genus):
+    """Matrix of a twist word, rightmost factor first: its columns are the
+    images of the 2g basis vectors under homology.word_images.  The library
+    reads no such matrix; the lift matrix is monodromy.mu_tilde_matrix."""
+    return transpose(word_images(word, ident(2 * genus)))
+
+
+def matrix_by_word(c):
+    """Reference for monodromy.mu_tilde_matrix: the generic lift word's images of
+    the 2g basis vectors through the generic kernel, so it runs none of the lift
+    code (_axes, _factors, _lift, the genus-1 fold) and not homology._images."""
+    return transpose(word_images_generic(mu_tilde_word_generic(c), ident(2 * c.genus)))
 
 
 def mu_tilde_word_generic(c):

@@ -24,13 +24,12 @@ from sdcalc.homology import (
     scale,
     twist_apply,
     twist_matrix,
-    word_matrix,
 )
 from sdcalc.monodromy import mu_tilde_matrix, surgered_action, verdict
 from sdcalc.subst import apply_blowup, apply_stabilization, detect, hayano_surgery
 
 from support import (generate_by_moves, induced_action, rand_chain, rand_closed, rand_next,
-                     rand_primitive, solve_int)
+                     rand_primitive, solve_int, word_matrix)
 
 CORPUS_SIZE = 1000
 MAX_STEPS = 30

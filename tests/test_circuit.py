@@ -20,10 +20,10 @@ from sdcalc.circuit import (
 )
 from sdcalc.cli import parse
 from sdcalc.homology import (add, canon_sign, ident, is_symplectic, matvec, pairing, scale,
-                             sp_inv, twist_matrix, word_matrix)
+                             sp_inv, twist_matrix)
 
 from support import (generate_by_moves, orient_by_pairing, rand_closed, rand_primitive, result_or_error,
-                     rotate_to_front, sign_pass_cases)
+                     rotate_to_front, sign_pass_cases, word_matrix)
 
 DATA = Path(__file__).parent / "data"
 TRI = normalize([(1, 0), (1, -1), (0, 1)], True)
@@ -103,6 +103,21 @@ def test_extended_continues_past_the_seam():
         assert all(pairing(ext[j], ext[j + 1]) == 1 for j in range(len(ext) - 1))
     with pytest.raises(ValueError):
         normalize([(1, 0), (0, 1)], False).extended(1)
+
+
+def test_extended_reuses_or_scales_the_first_curves_by_any_eps():
+    # eps = 1 reuses curves[:k]; any other closing pairing, as a hand-built circuit may
+    # have, scales them: both against the rule for every k from 0 to c
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(400):
+        g, c = rng.randint(1, 3), rng.randint(1, 6)
+        circ = Circuit(tuple(tuple(rng.randint(-2, 2) for _ in range(2 * g)) for _ in range(c)), True)
+        e = circ.eps
+        seen.add(e)
+        for k in range(c + 1):
+            assert circ.extended(k) == circ.curves + tuple(scale(e, v) for v in circ.curves[:k]), (circ, k)
+    assert seen >= {1, -1, 0, 2}
 
 
 def test_eps_exposed():

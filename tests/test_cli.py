@@ -389,13 +389,16 @@ def test_monodromy_reads_the_lift_once(capsys):
 
 
 def test_monodromy_at_genus_one_skips_the_quotient_machinery(capsys):
-    from sdcalc import monodromy
+    # the lift matrix is mu_tilde_matrix's fold: no word kernel runs, by any path through homology
+    from sdcalc import homology, monodromy
     with mock.patch.object(monodromy, "quotient_basis", wraps=monodromy.quotient_basis) as qb, \
             mock.patch.object(monodromy, "_axes", wraps=monodromy._axes) as axes, \
-            mock.patch.object(monodromy, "_images", wraps=monodromy._images) as images:
+            mock.patch.object(monodromy, "_images", wraps=monodromy._images) as images, \
+            mock.patch.object(homology, "word_images", wraps=homology.word_images) as wi, \
+            mock.patch.object(homology, "_images", wraps=homology._images) as kernel:
         assert cli.run(["monodromy", TRI]) == 0
     capsys.readouterr()
-    assert qb.call_count == axes.call_count == images.call_count == 0
+    assert qb.call_count == axes.call_count == images.call_count == wi.call_count == kernel.call_count == 0
 
 
 def test_monodromy_rejects_twisted(capsys):

@@ -22,7 +22,6 @@ from sdcalc.homology import (
     twist_apply,
     twist_matrix,
     word_images,
-    word_matrix,
 )
 
 from sdcalc._power import mat_pow, matmul
@@ -31,7 +30,7 @@ from sdcalc.monodromy import mu_tilde_word
 from sdcalc.subst import apply_blowup, hayano_surgery
 
 from support import (delta_twist_by_product, is_symplectic_by_jmat, jmat, k2_chain, rand_chain, rand_closed,
-                     rand_next, rand_primitive, sp_inv_by_jmat, word_images_generic)
+                     rand_next, rand_primitive, sp_inv_by_jmat, word_images_generic, word_matrix)
 
 A = (1, 0)
 B = (0, 1)

@@ -1,5 +1,7 @@
 import random
+import sys
 import time
+from contextlib import ExitStack
 from unittest import mock
 
 import pytest
@@ -18,7 +20,6 @@ from sdcalc.homology import (
     scale,
     transpose,
     twist_matrix,
-    word_matrix,
 )
 from sdcalc.monodromy import (
     _row_reduce,
@@ -29,10 +30,12 @@ from sdcalc.monodromy import (
     verdict,
 )
 
+import support
 from support import (
     colreduce,
     induced_action,
     k2_chain,
+    matrix_by_word,
     mu_tilde_word_generic,
     quotient_basis_by_echelon,
     rand_chain,
@@ -44,6 +47,7 @@ from support import (
     surgered_action_by_matrix,
     verdict_by_matrix,
     word_images_generic,
+    word_matrix,
 )
 
 TRI = normalize([(1, 0), (1, -1), (0, 1)], True)
@@ -266,6 +270,12 @@ def test_quotient_basis_matches_echelon_oracle(g):
             assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("a", [(), (1,), (1, 0, 0)])
+def test_quotient_basis_needs_a_class_of_positive_even_length(a):
+    with pytest.raises(ValueError, match="^coefficient vector must have positive even length, got %d$" % len(a)):
+        quotient_basis(a)
+
+
 def test_induced_action_rejects_imprimitive_base():
     with pytest.raises(ValueError):
         induced_action((2, 0, 0, 0), ident(4))
@@ -325,10 +335,6 @@ def test_surgered_action_rejects_hand_built_circuits():
             f(bad)
         with pytest.raises(ValueError, match="does not pair to zero"):
             f(off)
-
-
-def matrix_by_word(c):
-    return transpose(word_images_generic(mu_tilde_word_generic(c), ident(2 * c.genus)))
 
 
 def action_by_word(c):
@@ -442,16 +448,36 @@ def torus_fold_cases():
 def test_torus_lift_matrix_and_checks_match_the_word_oracles():
     # the folded 2x2 matrix against the generic word's; the checks against the
     # matrix oracles, errors compared by type and message
-    def lift_by_word(c):
-        return word_matrix(mu_tilde_word_generic(c), 1)
-
     errors = set()
     for c in torus_fold_cases():
         got = [result_or_error(f, c) for f in (mu_tilde_matrix, surgered_action, verdict)]
-        assert got == [result_or_error(f, c) for f in (lift_by_word, torus_action_by_matrix,
+        assert got == [result_or_error(f, c) for f in (matrix_by_word, torus_action_by_matrix,
                                                        torus_verdict_by_matrix)], c
         errors.update(r[1].partition(", got")[0] if r[0] is ValueError else None for r in got)
     assert errors == {None, "twist axis must be primitive", "quotient base class must be primitive"}
+
+
+# the lift code that the oracles check, and the kernel that homology.word_images shares with it
+LIFT_CODE = ("mu_tilde_matrix", "_axes", "_factors", "_lift", "_torus_checks", "_images")
+
+
+def test_lift_oracles_run_none_of_the_lift_code():
+    # every oracle of the lift, its matrix, action, verdict and report, still runs with
+    # the lift code patched to fail wherever it is bound, so none of them shares it
+    def ran(*args):
+        raise AssertionError("an oracle ran the lift code")
+
+    oracles = (matrix_by_word, surgered_action_by_matrix, verdict_by_matrix, torus_action_by_matrix,
+               torus_verdict_by_matrix, action_by_word, report_by_word, mu_tilde_word_generic)
+    circs = torus_fold_cases()[::7] + lift_factor_cases()[::10]
+    assert {c.genus for c in circs} >= {1, 2}
+    want = [[result_or_error(f, c) for f in oracles] for c in circs]
+    with ExitStack() as stack:
+        for module in (monodromy, homology, support, sys.modules[__name__]):
+            for name in LIFT_CODE:
+                if name in vars(module):
+                    stack.enter_context(mock.patch.object(module, name, ran))
+        assert [[result_or_error(f, c) for f in oracles] for c in circs] == want
 
 
 def test_torus_errors_name_the_canonical_axis_and_check_g1_first():
@@ -469,7 +495,7 @@ def test_torus_errors_name_the_canonical_axis_and_check_g1_first():
 @pytest.mark.parametrize("circ, calls", [(TRI, 0), (AB, 0), (WITNESS, 1)])
 def test_genus_one_skips_the_quotient_machinery(circ, calls):
     # patched in monodromy's namespace and in homology's, so every path to the kernel is
-    # counted: monodromy's own _images, and word_images or word_matrix through homology's
+    # counted: monodromy's own _images, and word_images or _images through homology's
     for f in (surgered_action, verdict, mu_tilde_matrix):
         with mock.patch.object(monodromy, "quotient_basis", wraps=monodromy.quotient_basis) as qb, \
                 mock.patch.object(monodromy, "_lift", wraps=monodromy._lift) as lift, \

@@ -8,15 +8,18 @@ the frozen dataclasses they replaced.
 """
 
 from collections import namedtuple
+from itertools import product
 
 import pytest
 
-from sdcalc.circuit import Circuit, Diagram, ValidationReport, _Rec, normalize
-from sdcalc.genus1 import CanonicalForm, Classification, SumForm, classify
+from sdcalc.circuit import Circuit, Diagram, ValidationReport, _Rec, generate, normalize, validate
+from sdcalc.genus1 import CanonicalForm, Classification, SumForm, classify, normalize_sum
 from sdcalc.handles import (BlfData, FormInvariants, KirbyData, emit_kirby, form_invariants,
                             linking_matrix, to_blf)
-from sdcalc.monodromy import SurgeredAction, Verdict, surgered_action
+from sdcalc.monodromy import SurgeredAction, Verdict, surgered_action, verdict
 from sdcalc.subst import Detection
+
+from support import k2_chain
 
 TRI = normalize([(1, 0), (1, -1), (0, 1)], True)
 G2 = normalize([(1, 0, 0, 0), (0, 1, 0, 0)], True)
@@ -153,7 +156,36 @@ def test_defaults():
     (lambda: CanonicalForm(cp2bar=1), "non-spin canonical form needs both CP2 counts >= 1"),
     (lambda: CanonicalForm(2)._replace(cp2=1), "canonical form mixes"),
     (lambda: SumForm(closure="Spin0") + SumForm(closure="NonSpin1"), "cannot add two closed sum forms"),
+    (lambda: SumForm().with_closure("x"), r"closure must be one of \('Spin0', 'NonSpin1', 'Unclosed'\)"),
 ])
 def test_checked_records_keep_their_messages(make, message):
     with pytest.raises(ValueError, match="^" + message):
         make()
+
+
+# genus-2 circuits whose verdicts are of both kinds
+G2_OBSTRUCTED = normalize([(-1, 1, -2, -2), (-7, 2, -2, 0), (-2, 1, -2, -2), (5, 0, 1, -2)], True)
+
+
+def built_by_position(c):
+    """(record type, record) for each record the library builds past its checks, on c."""
+    act = surgered_action(c)
+    out = [(ValidationReport, validate(c)), (FormInvariants, form_invariants(linking_matrix(c))),
+           (BlfData, to_blf(c)), (SurgeredAction, act), (Verdict, verdict(c))]
+    if len(c.curves[0]) == 2:
+        cl = classify(c)
+        out += [(Classification, cl), (SumForm, cl.counts)]
+        out += [(CanonicalForm, f) for f in cl.canonical_forms]
+        out += [(Detection, det) for _, det, _ in cl.reduction_trace]
+    return out
+
+
+def test_records_built_by_position_are_what_their_checked_constructors_build():
+    circs = [generate(s, s)[0] for s in range(61)] + [k2_chain(c) for c in range(3, 40)]
+    assert {verdict(c).kind for c in (G2, G2_OBSTRUCTED)} == {"HomologicallyTrivial", "ObstructedOnHomology"}
+    for c in circs + [G2, G2_OBSTRUCTED]:
+        for kind, x in built_by_position(c):
+            assert type(x) is kind and x == kind(**x._asdict()), (c, x)
+    for l, m, n, closure in product(range(3), range(3), range(3), ("Spin0", "NonSpin1")):
+        f = normalize_sum(SumForm(l, m, n, closure))
+        assert type(f) is CanonicalForm and f == CanonicalForm(**f._asdict())

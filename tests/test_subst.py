@@ -14,8 +14,7 @@ import sdcalc.subst
 from sdcalc.circuit import Circuit, Diagram, generate, normalize, switch, validate
 from sdcalc.cli import parse
 from sdcalc.handles import form_invariants, linking_matrix
-from sdcalc.homology import (add, canon_sign, ident, pairing, scale, twist_apply, twist_matrix,
-                             word_matrix)
+from sdcalc.homology import add, canon_sign, ident, pairing, scale, twist_apply, twist_matrix
 from sdcalc.subst import (
     Detection,
     _norm_window,
@@ -28,7 +27,7 @@ from sdcalc.subst import (
 
 from support import (apply_blowup_by_extended, apply_stabilization_by_extended, contract_by_kind,
                      detect_by_windows, k2_chain, norm_window_by_pairing, rand_chain, rand_closed,
-                     rand_next, rand_paired, rand_primitive, result_or_error, rotate_to_front)
+                     rand_next, rand_paired, rand_primitive, result_or_error, rotate_to_front, word_matrix)
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -583,6 +582,24 @@ def test_empty_circuit_is_one_value_error(closed):
     assert not rep.ok and rep.failures[0] == (0, "empty circuit")
 
 
+# hand-built input that every public circuit reader rejects where it unpacks it, with the message:
+# an empty circuit, an odd or zero first length, a switch matrix not 2g x 2g and curves of mixed
+# lengths, checked in that order, so of two faults the first raises
+SHAPE_FAULTS = {
+    "Circuit((), True)": "empty circuit",
+    "Circuit(((1, 0, 0), (0, 1, 0)), True)": "coefficient vector must have positive even length, got 3",
+    "Circuit(((), (1, 0)), True)": "coefficient vector must have positive even length, got 0",
+    "Diagram(AB, ident(4))": "switch matrix must be 2x2",
+    "Circuit(((1, 0), (0, 1, 0, 0)), True)": "genus mismatch: curves of different lengths",
+    "Diagram(Circuit((), True), ident(2))": "empty circuit",
+    "Diagram(Circuit(((1, 0, 0), (0, 1, 0)), True), ident(2))":
+        "coefficient vector must have positive even length, got 3",
+    "Diagram(Circuit(((1, 0), (0, 1, 0, 0)), True), ident(4))": "switch matrix must be 2x2",
+}
+READERS = ["sdcalc.%s(%%s)" % name for name in EMPTY_CALLS] + [
+    "sdcalc.double(%s)", "sdcalc.contract(%s, Detection('BlowUp', 1, exponent=1))", "sdcalc.apply_blowup(%s, 1, 1)",
+    "sdcalc.apply_stabilization(%s, 1, 0)", "sdcalc.hayano_surgery(%s, 1, (0, 1), 0)"]
+
 # the bad-input calls of this module as source, so that a python -O
 # interpreter, which strips assert statements, can make them too
 BAD_CALLS = ["detect(Circuit(%r, %r))" % case for case in DETECT_BAD] + [
@@ -609,7 +626,7 @@ BAD_CALLS = ["detect(Circuit(%r, %r))" % case for case in DETECT_BAD] + [
     # an odd curve length, and curves of different lengths under a 2x2 switch matrix
     "linking_matrix(Circuit(((1, 0, 0),), False))",
     "switch(Diagram(Circuit(((1, 0), (0, 1), (1, 0, 0, 0)), True), ((1, 1), (0, 1))))",
-] + ["sdcalc.%s(Circuit((), True))" % name for name in EMPTY_CALLS] + [
+] + [read % fault for read in READERS for fault in SHAPE_FAULTS] + [
     "reported(validate(Circuit((), False)))",
     # a switch matrix that does not fit, and odd curves under one that does
     "normalize([(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)], True, ((1,),))",
@@ -628,7 +645,19 @@ BAD_CALLS = ["detect(Circuit(%r, %r))" % case for case in DETECT_BAD] + [
     # g_1 and the lift axis (4, -4) imprimitive: the genus-1 surgered action checks g_1 first
     "sdcalc.surgered_action(Circuit(((2, 0), (0, 1)), True))",
     "sdcalc.verdict(Circuit(((2, 0), (0, 1)), True))",
+    # a base class whose length is not positive and even
+    "sdcalc.monodromy.quotient_basis(())",
+    "sdcalc.monodromy.quotient_basis((1,))",
+    "sdcalc.monodromy.quotient_basis((1, 0, 0))",
 ]
+
+
+def test_every_reader_checks_the_shape_first_in_one_order():
+    for read in READERS:
+        for fault, message in SHAPE_FAULTS.items():
+            with pytest.raises(ValueError) as exc:
+                eval(read % fault, globals())
+            assert str(exc.value) == message, read % fault
 
 
 def reported(report):
