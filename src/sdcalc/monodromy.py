@@ -66,13 +66,9 @@ def mu_tilde_word(c):
     at genus 1 the axis (y0 + p x0, y1 + p x1), p = x0 y1 - x1 y0, is built
     and canonicalized on scalars, above it comes from _axes.
     """
-    return _lift(_require_untwisted_closed(c).extended(1))
-
-
-def _lift(ext, axes=None):
-    """The lift word of ext = circ.extended(1); above genus 1, its axes (built if not passed)."""
+    ext = _require_untwisted_closed(c).extended(1)
     if len(ext[0]) != 2:
-        return tuple([(canon_sign(v), 1) for v, _ in axes or _axes(ext)])
+        return tuple([(canon_sign(v), 1) for v, _ in _axes(ext)])
     word = []
     x0, x1 = ext[0]
     for y0, y1 in ext[1:]:
@@ -96,7 +92,7 @@ def _axes(ext):
 
 def _factors(axes):
     """Each axis's functional and nonzero entries, for _images.  y + p x pairs p with x, so only
-    p not +-1 calls for the check (see _torus_checks); its message names the canonical axis."""
+    p not +-1 calls for the check (see surgered_action); its message names the canonical axis."""
     factors = []
     for v, p in axes:
         if p != 1 and p != -1:
@@ -108,7 +104,7 @@ def _factors(axes):
 def mu_tilde_matrix(c):
     """Matrix of the lifted monodromy; fixes g_1 up to (-1)^c eps.  No word is built: above genus 1
     it is _images of the basis; at genus 1 each axis (a, b) = y + p x, p = <x,y>, twists the
-    columns (m00, m10) and (m01, m11) at once, checked only when p is not +-1 (see _torus_checks)."""
+    columns (m00, m10) and (m01, m11) at once, checked only when p is not +-1 (see surgered_action)."""
     ext = _require_untwisted_closed(c).extended(1)
     if len(ext[0]) != 2:
         return transpose(_images(_factors(_axes(ext)), ident(len(ext[0]))))
@@ -122,14 +118,6 @@ def mu_tilde_matrix(c):
         m00, m10, m01, m11 = m00 + t * a, m10 + t * b, m01 + u * a, m11 + u * b
         x0, x1 = y0, y1
     return (m00, m01), (m10, m11)
-
-
-def surgered_action(c) -> SurgeredAction:
-    """The lifted monodromy's action on the surgered surface's homology,
-    a^perp / <a> with a = g_1: the lift word applied to the deterministic
-    basis from quotient_basis, each image read in its coordinates.
-    """
-    return _action_of(_require_untwisted_closed(c))
 
 
 def _row_reduce(r, U, Ui):
@@ -197,27 +185,24 @@ def quotient_basis(a):
     return [tuple(k) for k in KP[1:]], coords
 
 
-def _torus_checks(circ):
-    """quotient_basis's and word_images' checks at genus 1: g_1, then every lift axis, primitive.
-    An axis y + p x, p = <x,y>, pairs p with x, so only p not +-1 calls for a check."""
+def surgered_action(c) -> SurgeredAction:
+    """The lifted monodromy's action on the surgered surface's homology,
+    a^perp / <a> with a = g_1: the lift word applied to the deterministic
+    basis from quotient_basis, each image read in its coordinates.
+    """
+    circ = _require_untwisted_closed(c)
     a = circ.curves[0]
-    if not is_primitive(a):
-        raise ValueError("quotient base class must be primitive, got %r" % (a,))
-    ext = circ.extended(1)
-    for (x0, x1), (y0, y1) in zip(ext, ext[1:]):
-        p = x0 * y1 - x1 * y0
-        if p != 1 and p != -1:
-            _require_axis(canon_sign((y0 + p * x0, y1 + p * x1)))
-
-
-def _action_of(circ, factors=None) -> SurgeredAction:
-    """The surgered action of an unpacked circuit, from its lift factors (built here if not passed)."""
-    a = circ.curves[0]
-    if len(a) == 2:  # a^perp / <a> has rank 2g - 2 = 0: only the checks run
-        _torus_checks(circ)
+    if len(a) == 2:  # rank 2g - 2 = 0: only the checks of quotient_basis and word_images run
+        if not is_primitive(a):
+            raise ValueError("quotient base class must be primitive, got %r" % (a,))
+        ext = circ.extended(1)
+        for (x0, x1), (y0, y1) in zip(ext, ext[1:]):
+            p = x0 * y1 - x1 * y0
+            if p != 1 and p != -1:  # the axis y + p x pairs p with x
+                _require_axis(canon_sign((y0 + p * x0, y1 + p * x1)))
         return tuple.__new__(SurgeredAction, (a, 0, (), ()))
     qb, coords = quotient_basis(a)
-    matrix = transpose([coords(y) for y in _images(factors or _factors(_axes(circ.extended(1))), qb)])
+    matrix = transpose([coords(y) for y in _images(_factors(_axes(circ.extended(1))), qb)])
     return tuple.__new__(SurgeredAction, (a, len(qb), matrix, tuple(qb)))
 
 
@@ -240,12 +225,7 @@ def _verdict_of(act) -> Verdict:
 
 
 def _monodromy_report(circ):  # the report of `sdcalc monodromy` (see cli)
-    ext = _require_untwisted_closed(circ).extended(1)
-    axes = _axes(ext) if circ.genus > 1 else None  # read once for the word, matrix and action
-    factors = axes and _factors(axes)
-    word = _lift(ext, axes)
-    mat = transpose(_images(factors, ident(len(ext[0])))) if axes else mu_tilde_matrix(circ)  # the torus fold
-    act = _action_of(circ, factors)
+    word, mat, act = mu_tilde_word(circ), mu_tilde_matrix(circ), surgered_action(circ)
     ver = _verdict_of(act)
     report = {"word": [{"axis": a, "exponent": e} for a, e in word], "matrix": mat,
               "surgered": {"base": act.base_class, "rank": act.quotient_rank, "basis": act.basis,

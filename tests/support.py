@@ -830,7 +830,7 @@ def word_matrix(word, genus):
 def matrix_by_word(c):
     """Reference for monodromy.mu_tilde_matrix: the generic lift word's images of
     the 2g basis vectors through the generic kernel, so it runs none of the lift
-    code (_axes, _factors, _lift, the genus-1 fold) and not homology._images."""
+    code (_axes, _factors, mu_tilde_word, the genus-1 fold) and not homology._images."""
     return transpose(word_images_generic(mu_tilde_word_generic(c), ident(2 * c.genus)))
 
 

@@ -384,8 +384,8 @@ def test_monodromy_reads_the_lift_once(capsys):
         assert cli.run(["monodromy", GENUS2]) == 0
     capsys.readouterr()
     assert qb.call_count == 1  # one surgered action
-    assert axes.call_count == 1  # one pass over the curves for the word, matrix and action
-    assert images.call_count == 2  # the matrix and the action, on the same factors
+    assert axes.call_count == 3  # one pass over the curves for each of the word, matrix and action
+    assert images.call_count == 2  # the matrix and the action
 
 
 def test_monodromy_at_genus_one_skips_the_quotient_machinery(capsys):

@@ -351,6 +351,11 @@ def verdict_of(act):
     return monodromy.Verdict(*(("ObstructedOnHomology", moved[0]) if moved else ("HomologicallyTrivial",)))
 
 
+def report(c):
+    """The `sdcalc monodromy` payload, for comparison with report_by_word."""
+    return monodromy._monodromy_report(c)[0]
+
+
 def report_by_word(c):
     """The `sdcalc monodromy` payload from the word path: word, then the matrix
     (an imprimitive axis raises here), then the action."""
@@ -383,9 +388,6 @@ LIFT_ERRORS = ("twist axis must be primitive", "quotient base class must be prim
 def test_lift_factors_match_the_word_path():
     # word, matrix, action, verdict and report against the generic lift word run
     # through the generic kernel: equal results, or errors of one type and message
-    def report(c):
-        return monodromy._monodromy_report(c)[0]
-
     errors, passed_off_units = set(), 0
     for c in lift_factor_cases():
         got = [result_or_error(f, c) for f in (mu_tilde_matrix, surgered_action, verdict, report,
@@ -447,18 +449,19 @@ def torus_fold_cases():
 
 def test_torus_lift_matrix_and_checks_match_the_word_oracles():
     # the folded 2x2 matrix against the generic word's; the checks against the
-    # matrix oracles, errors compared by type and message
+    # matrix oracles; the report against the word path's; errors compared by type and message
     errors = set()
     for c in torus_fold_cases():
-        got = [result_or_error(f, c) for f in (mu_tilde_matrix, surgered_action, verdict)]
+        got = [result_or_error(f, c) for f in (mu_tilde_matrix, surgered_action, verdict, report)]
         assert got == [result_or_error(f, c) for f in (matrix_by_word, torus_action_by_matrix,
-                                                       torus_verdict_by_matrix)], c
-        errors.update(r[1].partition(", got")[0] if r[0] is ValueError else None for r in got)
+                                                       torus_verdict_by_matrix, report_by_word)], c
+        errors.update(r[1].partition(", got")[0] if isinstance(r, tuple) and r[0] is ValueError else None
+                      for r in got)
     assert errors == {None, "twist axis must be primitive", "quotient base class must be primitive"}
 
 
 # the lift code that the oracles check, and the kernel that homology.word_images shares with it
-LIFT_CODE = ("mu_tilde_matrix", "_axes", "_factors", "_lift", "_torus_checks", "_images")
+LIFT_CODE = ("mu_tilde_word", "mu_tilde_matrix", "surgered_action", "_axes", "_factors", "_images")
 
 
 def test_lift_oracles_run_none_of_the_lift_code():
@@ -498,14 +501,14 @@ def test_genus_one_skips_the_quotient_machinery(circ, calls):
     # counted: monodromy's own _images, and word_images or _images through homology's
     for f in (surgered_action, verdict, mu_tilde_matrix):
         with mock.patch.object(monodromy, "quotient_basis", wraps=monodromy.quotient_basis) as qb, \
-                mock.patch.object(monodromy, "_lift", wraps=monodromy._lift) as lift, \
+                mock.patch.object(monodromy, "mu_tilde_word", wraps=monodromy.mu_tilde_word) as word, \
                 mock.patch.object(monodromy, "_axes", wraps=monodromy._axes) as axes, \
                 mock.patch.object(monodromy, "_images", wraps=monodromy._images) as images, \
                 mock.patch.object(homology, "word_images", wraps=homology.word_images) as wi, \
                 mock.patch.object(homology, "_images", wraps=homology._images) as kernel:
             f(circ)
         # no word at any genus; above genus 1 one axis pass and one kernel run
-        assert lift.call_count == wi.call_count == kernel.call_count == 0, f
+        assert word.call_count == wi.call_count == kernel.call_count == 0, f
         assert axes.call_count == images.call_count == calls, f
         assert qb.call_count == (0 if f is mu_tilde_matrix else calls), f
 

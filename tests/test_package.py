@@ -145,7 +145,7 @@ SUBCOMMANDS = {
     "info": (["info", "two.sd"], HANDLES, 1495),
     "blf": (["blf", "two.sd"], HANDLES, 1495),
     "kirby": (["kirby", "two.sd"], HANDLES, 1495),
-    "monodromy": (["monodromy", "genus2.sd"], BASE | {"sdcalc.monodromy"}, 1354),
+    "monodromy": (["monodromy", "genus2.sd"], BASE | {"sdcalc.monodromy"}, 1334),
 }
 
 
@@ -244,6 +244,14 @@ def test_every_imported_name_is_used(path):
 
 
 SOURCES = sorted((SRC / "sdcalc").glob("*.py"))
+
+# the lines of src/sdcalc/*.py: a change may lower this bound; one that
+# raises it says so in CHANGES.md, as for the budgets above
+SRC_LINES = 2316
+
+
+def test_src_does_not_grow():
+    assert sum(len(p.read_text().splitlines()) for p in SOURCES) <= SRC_LINES
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
