@@ -1,31 +1,26 @@
 """The boundary monodromy of a closed circuit, on homology.
 
-The lift is the product of twists about the curves tau_{g_i}(g_{i+1}),
-rightmost factor first, with the closing step using the eps-signed
-first curve.  It fixes the first curve up to the sign (-1)^c eps, hence
-descends to the rank-(2g-2) quotient of its perp lattice -- the
-homology of the surgered surface.  That action is read from the
-images of the quotient basis classes under the lift's twist factors,
-made from the curves' axes with no word in between; the 2g x 2g lift
-matrix is only built for `mu_tilde_matrix`.  The quotient basis comes
-from two one-row reductions (Euclid carrying its column moves and their
-inverse row moves): one of <a,.>, whose kernel is a^perp, and one that
-completes a to a basis of that kernel, carrying the first's kernel basis
-and coordinate rows, so no matrix product is formed; `coords` reads its
-rows as (index, value) pairs.  At genus 1 the quotient has rank 0: only
-the checks run (g_1 and every axis primitive), and `mu_tilde_matrix`
-folds each axis's twist at once into a 2 x 2 matrix held in four ints.
-A non-identity quotient action obstructs trivial monodromy; the
-converse direction is not decided here, so verdicts are worded as
-necessary conditions.
+The lift is the product of twists about the curves tau_{g_i}(g_{i+1}), rightmost factor first,
+with the closing step using the eps-signed first curve.  It fixes the first curve up to the sign
+(-1)^c eps, hence descends to the rank-(2g-2) quotient of its perp lattice -- the homology of the
+surgered surface.  Above genus 1 one pass over the curves, `_axes`, makes the lift's twists and the
+growth bound of their entries, with no word in between; the quotient basis, or for
+`mu_tilde_matrix` the identity, is packed into one vector of big ints that runs through each twist
+once (see homology._run).  The action's coordinate rows are read off that vector once; `verdict`
+decodes nothing, reading the first moved class off the lowest set bit.  The quotient basis and its
+coordinate rows come from two one-row reductions (Euclid carrying its column moves and their
+inverse row moves), so no matrix product is formed.  At genus 1 the quotient has rank 0: only the
+checks run (g_1 and every axis primitive), and `mu_tilde_matrix` folds each axis's twist into four
+ints.  A non-identity quotient action obstructs trivial monodromy; the converse direction is not
+decided here, so verdicts are worded as necessary conditions.
 """
 
 from collections import namedtuple
 from operator import add, mul, sub
 
 from .circuit import Circuit, _Rec, _matrix_lines, _unpack
-from .homology import (_images, _require_axis, canon_sign, genus_of, ident, is_primitive, pairing_functional,
-                       transpose)
+from .homology import (_decode, _pack, _require_axis, _run, _width, canon_sign, genus_of, ident, is_primitive,
+                       pairing)
 
 
 class SurgeredAction(_Rec, namedtuple("SurgeredAction", "base_class quotient_rank matrix basis")):
@@ -57,19 +52,17 @@ def _require_untwisted_closed(c) -> Circuit:
 
 
 def mu_tilde_word(c):
-    """Twist word of the lifted monodromy, rightmost factor first.
-
-    The i-th axis is the class of tau_{g_i}(g_{i+1}), i.e.
-    g_{i+1} + <g_i, g_{i+1}> g_i, taken cyclically with the eps-signed
-    closing curve and sign-canonicalized (axes are unoriented).  The
-    curves share one length (see _unpack), so the first decides the genus;
-    at genus 1 the axis (y0 + p x0, y1 + p x1), p = x0 y1 - x1 y0, is built
-    and canonicalized on scalars, above it comes from _axes.
-    """
-    ext = _require_untwisted_closed(c).extended(1)
+    """Twist word of the lifted monodromy, rightmost factor first.  The i-th axis is the class of
+    tau_{g_i}(g_{i+1}), i.e. g_{i+1} + <g_i, g_{i+1}> g_i, taken cyclically with the eps-signed closing
+    curve and sign-canonicalized (axes are unoriented).  The curves share one length (see _unpack), so
+    the first decides the genus; at genus 1 each axis is built and canonicalized on scalars."""
+    ext, word = _require_untwisted_closed(c).extended(1), []
     if len(ext[0]) != 2:
-        return tuple([(canon_sign(v), 1) for v, _ in _axes(ext)])
-    word = []
+        for x, y in zip(ext, ext[1:]):
+            p = pairing(x, y)
+            word.append((canon_sign(tuple(map(add, y, x) if p == 1 else map(sub, y, x) if p == -1
+                                          else map(add, y, map(p.__mul__, x)))), 1))
+        return tuple(word)
     x0, x1 = ext[0]
     for y0, y1 in ext[1:]:
         p = x0 * y1 - x1 * y0
@@ -80,34 +73,33 @@ def mu_tilde_word(c):
 
 
 def _axes(ext):
-    """(y + p x, p) for consecutive curves x, y of ext, p = <x,y> = pairing_functional(x) . y."""
-    axes, f = [], pairing_functional(ext[0])
+    """The lift's twists (y + p x, 1) for consecutive curves x, y of ext, p = <x,y>, and the
+    growth prod (1 + |v|_1 |v|_inf) over their axes v that homology._run's width needs.  y + p x
+    pairs p with x, so only p not +-1 calls for the check, which names the canonical axis."""
+    twists, growth = [], 1
     for x, y in zip(ext, ext[1:]):
-        p = sum(map(mul, f, y))
-        axes.append((tuple(map(add, y, x) if p == 1 else map(sub, y, x) if p == -1
-                           else map(add, y, map(p.__mul__, x))), p))
-        f = pairing_functional(y)
-    return axes
-
-
-def _factors(axes):
-    """Each axis's functional and nonzero entries, for _images.  y + p x pairs p with x, so only
-    p not +-1 calls for the check (see surgered_action); its message names the canonical axis."""
-    factors = []
-    for v, p in axes:
-        if p != 1 and p != -1:
+        p = pairing(x, y)
+        if p == 1 or p == -1:
+            v = tuple(map(add if p == 1 else sub, y, x))
+        else:
+            v = tuple(map(add, y, map(p.__mul__, x)))
             _require_axis(canon_sign(v))
-        factors.append((pairing_functional(v), [(j, t) for j, t in enumerate(v) if t]))
-    return factors
+        twists.append((v, 1))
+        growth *= 1 + sum(map(abs, v)) * max(map(abs, v))
+    return twists, growth
 
 
 def mu_tilde_matrix(c):
     """Matrix of the lifted monodromy; fixes g_1 up to (-1)^c eps.  No word is built: above genus 1
-    it is _images of the basis; at genus 1 each axis (a, b) = y + p x, p = <x,y>, twists the
-    columns (m00, m10) and (m01, m11) at once, checked only when p is not +-1 (see surgered_action)."""
+    the packed identity, slot j the basis vector e_j, runs through the twists once and decodes into
+    the rows; at genus 1 each axis (a, b) = y + p x, p = <x,y>, twists the columns (m00, m10) and
+    (m01, m11) at once, checked only when p is not +-1 (see _axes)."""
     ext = _require_untwisted_closed(c).extended(1)
-    if len(ext[0]) != 2:
-        return transpose(_images(_factors(_axes(ext)), ident(len(ext[0]))))
+    n = len(ext[0])
+    if n != 2:
+        twists, growth = _axes(ext)
+        w = _width(growth)  # the identity's entries are at most 1
+        return tuple(_decode(_run(twists, [1 << i * w for i in range(n)]), w, n))
     (x0, x1), m00, m01, m10, m11 = ext[0], 1, 0, 0, 1
     for y0, y1 in ext[1:]:
         p = x0 * y1 - x1 * y0
@@ -153,46 +145,33 @@ def _row_reduce(r, U, Ui):
     return h[0], U, Ui
 
 
-def quotient_basis(a):
-    """Basis of the lattice a^perp / <a> for primitive a, with coordinates.
-
-    Returns (qbasis, coords): qbasis is a list of len(a)-2 classes whose
-    images form a basis of the quotient, and coords maps any x with
-    <a,x> = 0 to its coefficient vector over that basis (discarding the
-    a-component).  Deterministic: reducing <a,.> from two identities gives
-    a basis K = U[1:] of a^perp and coordinate rows Ki = Ui[1:] over it.
-    Reducing a's coordinate row, carrying Ki and K, completes a to a basis
-    of a^perp, a first: the column moves V turn Ki into the coordinate
-    rows V^T Ki, and their inverse row moves turn K into that basis.
-    """
+def _quotient(a):
+    """(qbasis, rows) for primitive a: qbasis is len(a) - 2 classes whose images are a basis of the
+    lattice a^perp / <a>; rows[0] reads <a,.>, and rows[1:] map any x with <a,x> = 0 to its
+    coefficients over qbasis (dropping the a-component), each row as (index, value) pairs.
+    Deterministic: reducing <a,.> from two identities gives a basis K = U[1:] of a^perp and
+    coordinate rows Ki = Ui[1:] over it.  Reducing a's coordinate row, carrying Ki and K, completes
+    a to a basis of a^perp, a first: the column moves V turn Ki into the coordinate rows V^T Ki,
+    and their inverse row moves turn K into that basis."""
     n = 2 * genus_of(a)
-    d, U, Ui = _row_reduce(pairing_functional(a), list(ident(n)), list(ident(n)))
+    f = [t for i in range(0, n, 2) for t in (-a[i + 1], a[i])]  # <a,.> as a row
+    d, U, Ui = _row_reduce(f, list(ident(n)), list(ident(n)))
     if d != 1:  # <a,.> is onto Z exactly when a is primitive
         raise ValueError("quotient base class must be primitive, got %r" % (a,))
     # a is primitive in the saturated lattice a^perp, so this gcd is 1 and the basis starts with a
     _, rows, KP = _row_reduce([sum(map(mul, row, a)) for row in Ui[1:]], Ui[1:], U[1:])
-    # coords reads <a,.>, then every coordinate row but a's, as (index, value) pairs
+    # <a,.>, then every coordinate row but a's, as (index, value) pairs
     rows = [[(j, v) for j, v in enumerate(row) if v] for row in [Ui[0], *rows[1:]]]
-
-    def coords(x):
-        if len(x) != n:
-            raise ValueError("genus mismatch")
-        w = [sum([v * x[j] for j, v in row]) for row in rows]
-        if w[0]:
-            raise ValueError("class %r does not pair to zero with %r" % (x, a))
-        return tuple(w[1:])
-
-    return [tuple(k) for k in KP[1:]], coords
+    return [tuple(k) for k in KP[1:]], rows
 
 
-def surgered_action(c) -> SurgeredAction:
-    """The lifted monodromy's action on the surgered surface's homology,
-    a^perp / <a> with a = g_1: the lift word applied to the deterministic
-    basis from quotient_basis, each image read in its coordinates.
-    """
+def _lifted_coords(c):
+    """(a, qbasis, rows, w): a = g_1, qbasis from _quotient and the surgered action's rows packed,
+    slot j (w bits) of row r the r-th coordinate of the lift's image of qbasis[j].  A nonzero <a,.>
+    row names the first image outside a^perp.  At genus 1 only the checks run (g_1, then every axis)."""
     circ = _require_untwisted_closed(c)
     a = circ.curves[0]
-    if len(a) == 2:  # rank 2g - 2 = 0: only the checks of quotient_basis and word_images run
+    if len(a) == 2:
         if not is_primitive(a):
             raise ValueError("quotient base class must be primitive, got %r" % (a,))
         ext = circ.extended(1)
@@ -200,9 +179,26 @@ def surgered_action(c) -> SurgeredAction:
             p = x0 * y1 - x1 * y0
             if p != 1 and p != -1:  # the axis y + p x pairs p with x
                 _require_axis(canon_sign((y0 + p * x0, y1 + p * x1)))
-        return tuple.__new__(SurgeredAction, (a, 0, (), ()))
-    qb, coords = quotient_basis(a)
-    matrix = transpose([coords(y) for y in _images(_factors(_axes(circ.extended(1))), qb)])
+        return a, (), (), 8  # rank 0: nothing is packed
+    qb, rows = _quotient(a)
+    twists, growth = _axes(circ.extended(1))
+    growth *= max([max(map(abs, q)) for q in qb]) * max([sum([abs(v) for _, v in row]) for row in rows])
+    w = _width(growth)
+    X = _run(twists, _pack(qb, w))
+    off, *rows = [sum([v * X[j] for j, v in row]) for row in rows]
+    if off:
+        x = tuple(r[((off & -off).bit_length() - 1) // w] for r in _decode(X, w, len(qb)))
+        raise ValueError("class %r does not pair to zero with %r" % (x, a))
+    return a, qb, rows, w
+
+
+def surgered_action(c) -> SurgeredAction:
+    """The lifted monodromy's action on the surgered surface's homology,
+    a^perp / <a> with a = g_1: the lift applied to the deterministic basis
+    from _quotient, each image read in its coordinates (see _lifted_coords).
+    """
+    a, qb, rows, w = _lifted_coords(c)
+    matrix = tuple(_decode(rows, w, len(qb))) if qb else ()  # rank 0 at genus 1
     return tuple.__new__(SurgeredAction, (a, len(qb), matrix, tuple(qb)))
 
 
@@ -211,17 +207,20 @@ def verdict(c) -> Verdict:
 
     HomologicallyTrivial when the induced quotient action is the
     identity (read: "not obstructed on homology"); otherwise the first
-    moved basis class is returned as a witness.
+    moved basis class is returned as a witness.  Nothing is decoded: packed
+    row r is the identity's when it is 2^(r w), and the first moved class is
+    the lowest slot set in any difference (see homology._run).
     """
-    return _verdict_of(surgered_action(c))
+    _, qb, rows, w = _lifted_coords(c)
+    moved = [((d & -d).bit_length() - 1) // w for r, x in enumerate(rows) if (d := x - (1 << r * w))]
+    kind = ("ObstructedOnHomology", qb[min(moved)]) if moved else ("HomologicallyTrivial", None)
+    return tuple.__new__(Verdict, kind)
 
 
-def _verdict_of(act) -> Verdict:
-    cols = zip(*act.matrix)
-    moved = [b for b, col, e in zip(act.basis, cols, ident(act.quotient_rank)) if col != e]
-    if not moved:
-        return tuple.__new__(Verdict, ("HomologicallyTrivial", None))
-    return tuple.__new__(Verdict, ("ObstructedOnHomology", moved[0]))
+def _verdict_of(act) -> Verdict:  # the report's verdict, read off its decoded action
+    moved = [b for b, col, e in zip(act.basis, zip(*act.matrix), ident(act.quotient_rank)) if col != e]
+    kind = ("ObstructedOnHomology", moved[0]) if moved else ("HomologicallyTrivial", None)
+    return tuple.__new__(Verdict, kind)
 
 
 def _monodromy_report(circ):  # the report of `sdcalc monodromy` (see cli)

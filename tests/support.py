@@ -28,22 +28,29 @@ inputs `sign_pass_cases` that normalize and classify's own pairing
 checks are compared on.  The general
 column-echelon reduction `colreduce` backs `solve_int`, and
 `quotient_basis_by_echelon`, built on two of its passes, is the
-reference for monodromy.quotient_basis.
+reference for `quotient_basis`, monodromy._quotient's basis with the
+coordinate reader `coords` on its rows.  `pairing_functional` is the row
+form of the pairing that the echelon references reduce, and
+`recorded_widths` records the slot widths of homology's packed kernel so
+that tests can hold every true entry below 2^(w-1).
 """
 
 import operator
 import random
+from contextlib import contextmanager
 from math import gcd
 from operator import mul, sub
+from unittest import mock
 
+from sdcalc import homology, monodromy
 from sdcalc._power import matmul
 from sdcalc.circuit import (Circuit, CurveError, Diagram, _check_switch, _clip_int, _repack, _unpack,
                             normalize)
 from sdcalc.genus1 import Classification, SumForm, _DELTAS, normalize_sum
 from sdcalc.handles import fiber_framing
-from sdcalc.homology import (_require_axis, add, canon_sign, genus_of, ident, matvec, pairing,
-                             pairing_functional, scale, transpose, twist_apply, twist_matrix, word_images)
-from sdcalc.monodromy import SurgeredAction, Verdict, _require_untwisted_closed
+from sdcalc.homology import (_require_axis, add, canon_sign, genus_of, ident, matvec, pairing, scale, transpose,
+                             twist_apply, twist_matrix, word_images)
+from sdcalc.monodromy import SurgeredAction, Verdict, _quotient, _require_untwisted_closed
 from sdcalc.subst import (
     Detection,
     _blowup_summand,
@@ -115,6 +122,45 @@ def colreduce(rows):
             col += 1
         row += 1
     return H, U, Ui
+
+
+def pairing_functional(x):
+    """Row vector of <x, .> so that pairing(x, y) = row . y."""
+    r = []
+    for i in range(0, len(x), 2):
+        r.extend([-x[i + 1], x[i]])
+    return r
+
+
+def quotient_basis(a):
+    """monodromy._quotient's basis with coordinates: (qbasis, coords), where
+    coords maps any x with <a,x> = 0 to its coefficient vector over qbasis
+    by the rows of _quotient, and names x when <a,x> != 0."""
+    qb, rows = _quotient(a)
+
+    def coords(x):
+        if len(x) != len(a):
+            raise ValueError("genus mismatch")
+        w = [sum([v * x[j] for j, v in row]) for row in rows]
+        if w[0]:
+            raise ValueError("class %r does not pair to zero with %r" % (x, a))
+        return tuple(w[1:])
+
+    return qb, coords
+
+
+@contextmanager
+def recorded_widths():
+    """Record every slot width that homology._width returns, through homology's binding and
+    monodromy's, so that a test can hold the packed kernel's entries to 2^(w-1)."""
+    seen, width = [], homology._width
+
+    def record(bound):
+        seen.append(width(bound))
+        return seen[-1]
+
+    with mock.patch.object(homology, "_width", record), mock.patch.object(monodromy, "_width", record):
+        yield seen
 
 
 def quotient_basis_by_echelon(a):

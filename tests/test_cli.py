@@ -378,27 +378,27 @@ def test_monodromy_report(capsys):
 def test_monodromy_reads_the_lift_once(capsys):
     from sdcalc import monodromy
     # patched in monodromy's namespace, so every path to them is counted
-    with mock.patch.object(monodromy, "quotient_basis", wraps=monodromy.quotient_basis) as qb, \
+    with mock.patch.object(monodromy, "_quotient", wraps=monodromy._quotient) as qb, \
             mock.patch.object(monodromy, "_axes", wraps=monodromy._axes) as axes, \
-            mock.patch.object(monodromy, "_images", wraps=monodromy._images) as images:
+            mock.patch.object(monodromy, "_run", wraps=monodromy._run) as kernel:
         assert cli.run(["monodromy", GENUS2]) == 0
     capsys.readouterr()
     assert qb.call_count == 1  # one surgered action
-    assert axes.call_count == 3  # one pass over the curves for each of the word, matrix and action
-    assert images.call_count == 2  # the matrix and the action
+    assert axes.call_count == 2  # one pass over the curves for each of the matrix and action; the word has its own
+    assert kernel.call_count == 2  # the matrix and the action, each one packed run
 
 
 def test_monodromy_at_genus_one_skips_the_quotient_machinery(capsys):
     # the lift matrix is mu_tilde_matrix's fold: no word kernel runs, by any path through homology
     from sdcalc import homology, monodromy
-    with mock.patch.object(monodromy, "quotient_basis", wraps=monodromy.quotient_basis) as qb, \
+    with mock.patch.object(monodromy, "_quotient", wraps=monodromy._quotient) as qb, \
             mock.patch.object(monodromy, "_axes", wraps=monodromy._axes) as axes, \
-            mock.patch.object(monodromy, "_images", wraps=monodromy._images) as images, \
+            mock.patch.object(monodromy, "_run", wraps=monodromy._run) as runs, \
             mock.patch.object(homology, "word_images", wraps=homology.word_images) as wi, \
-            mock.patch.object(homology, "_images", wraps=homology._images) as kernel:
+            mock.patch.object(homology, "_run", wraps=homology._run) as kernel:
         assert cli.run(["monodromy", TRI]) == 0
     capsys.readouterr()
-    assert qb.call_count == axes.call_count == images.call_count == wi.call_count == kernel.call_count == 0
+    assert qb.call_count == axes.call_count == runs.call_count == wi.call_count == kernel.call_count == 0
 
 
 def test_monodromy_rejects_twisted(capsys):

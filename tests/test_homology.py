@@ -2,7 +2,7 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
 from sdcalc.homology import (
@@ -30,7 +30,7 @@ from sdcalc.monodromy import mu_tilde_word
 from sdcalc.subst import apply_blowup, hayano_surgery
 
 from support import (delta_twist_by_product, is_symplectic_by_jmat, jmat, k2_chain, rand_chain, rand_closed,
-                     rand_next, rand_primitive, sp_inv_by_jmat, word_images_generic, word_matrix)
+                     rand_next, rand_primitive, recorded_widths, sp_inv_by_jmat, word_images_generic, word_matrix)
 
 A = (1, 0)
 B = (0, 1)
@@ -410,6 +410,45 @@ def test_word_images_higher_genus_matches_the_generic_loop():
             assert xs == given
             assert word_images(iter(word), iter([])) == [] == word_images_generic(word, [])
         assert {1, 2, 2 * g} <= supports  # also among the lift axes themselves
+
+
+@st.composite
+def big_words(draw):
+    # a genus 1-4 word of up to six factors, exponents +-1 to +-5, axes with entries up to 10^6
+    # (primitive but for a few) or small ones, and up to five classes with entries up to 10^6
+    n = 2 * draw(st.integers(1, 4))
+    big, small = st.integers(-10 ** 6, 10 ** 6), st.integers(-3, 3)
+    axis = st.one_of(st.tuples(*[big] * n), st.tuples(*[small] * n))
+    exp = st.sampled_from((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5))
+    return draw(st.lists(st.tuples(axis, exp), max_size=6)), draw(st.lists(st.tuples(*[big] * n), max_size=5))
+
+
+BIG = (10 ** 6 - 1, 999_983, -10 ** 6, 3, 17, -999_331)
+BIG_WORD = [(BIG[i:] + BIG[:i], (-5, 5, -4, 4, 3, -2)[i]) for i in range(6)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(big_words())
+@example((BIG_WORD, [BIG, BIG[::-1], (1, 0, 0, 0, 0, 0)]))
+def test_packed_word_images_match_the_generic_loop(case):
+    # the packed kernel against one dot product per class and factor: equal images, or
+    # errors of one type and message; w is the least multiple of 8 with 2^(w-1) above the
+    # a-priori bound, and every true image entry is below 2^(w-1)
+    word, xs = case
+    with recorded_widths() as widths:
+        got = _outcome(word_images, iter(word), iter(xs))
+    want = _outcome(word_images_generic, word, xs)
+    assert got == want
+    if xs and isinstance(want, list):
+        (w,) = widths
+        target(float(w))
+        bound = max(abs(t) for x in xs for t in x)
+        for axis, exp in word:
+            bound *= 1 + abs(exp) * sum(map(abs, axis)) * max(map(abs, axis))
+        assert w % 8 == 0 and bound < 2 ** (w - 1) <= bound * 2 ** 8
+        assert all(abs(e) < 2 ** (w - 1) for y in want for e in y)
+        if word == BIG_WORD:  # six factors of about 44 bits of growth each
+            assert w >= 256
 
 
 BAD_FACTORS = [((1, 0), 0), ((2, 0), 1), ((0, 0), -1), ((1, 0, 0, 0), 1), ((1, 0, 1), 1),

@@ -5,6 +5,7 @@ from contextlib import ExitStack
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdcalc import homology, monodromy
 from sdcalc.circuit import Circuit, Diagram, double, generate, normalize
@@ -16,7 +17,6 @@ from sdcalc.homology import (
     is_symplectic,
     matvec,
     pairing,
-    pairing_functional,
     scale,
     transpose,
     twist_matrix,
@@ -25,7 +25,6 @@ from sdcalc.monodromy import (
     _row_reduce,
     mu_tilde_matrix,
     mu_tilde_word,
-    quotient_basis,
     surgered_action,
     verdict,
 )
@@ -37,12 +36,15 @@ from support import (
     k2_chain,
     matrix_by_word,
     mu_tilde_word_generic,
+    pairing_functional,
+    quotient_basis,
     quotient_basis_by_echelon,
     rand_chain,
     result_or_error,
     rand_closed,
     rand_next,
     rand_primitive,
+    recorded_widths,
     solve_int,
     surgered_action_by_matrix,
     verdict_by_matrix,
@@ -424,7 +426,7 @@ def test_genus_one_checks_the_base_class_before_the_axes():
 
 
 def torus_action_by_matrix(c):
-    """surgered_action_by_matrix with g_1 checked first, as quotient_basis does."""
+    """surgered_action_by_matrix with g_1 checked first, as monodromy._quotient does."""
     quotient_basis_by_echelon(c.curves[0])
     return surgered_action_by_matrix(c)
 
@@ -460,8 +462,10 @@ def test_torus_lift_matrix_and_checks_match_the_word_oracles():
     assert errors == {None, "twist axis must be primitive", "quotient base class must be primitive"}
 
 
-# the lift code that the oracles check, and the kernel that homology.word_images shares with it
-LIFT_CODE = ("mu_tilde_word", "mu_tilde_matrix", "surgered_action", "_axes", "_factors", "_images")
+# the lift code that the oracles check, and the packed kernel (width, packer, run and decoder)
+# that homology.word_images shares with it
+LIFT_CODE = ("mu_tilde_word", "mu_tilde_matrix", "surgered_action", "verdict", "_axes", "_lifted_coords",
+             "_width", "_pack", "_run", "_decode")
 
 
 def test_lift_oracles_run_none_of_the_lift_code():
@@ -495,21 +499,101 @@ def test_torus_errors_name_the_canonical_axis_and_check_g1_first():
             f(both)
 
 
+@st.composite
+def packed_lift_cases(draw):
+    """Genus 2-6: random closed circuits with c < 2g or c >= 2g, and unvalidated closed circuits,
+    dense or sparse, whose adjacent pairings need not be +-1."""
+    g = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(("c < 2g", "c >= 2g", "dense", "sparse")))
+    if kind == "c < 2g":
+        return rand_closed(random.Random(draw(st.integers(0, 10 ** 9))), g, draw(st.integers(2, 2 * g - 1)))
+    if kind == "c >= 2g":
+        return rand_closed(random.Random(draw(st.integers(0, 10 ** 9))), g, draw(st.integers(2 * g, 2 * g + 4)))
+    entry = st.integers(-3, 3) if kind == "dense" else st.sampled_from((0, 0, 0, 0, 1, -1, 2))
+    return Circuit(tuple(draw(st.lists(st.tuples(*[entry] * (2 * g)), min_size=1, max_size=7))), True)
+
+
+def _bound(f, c):
+    """The a-priori bound on a call's packed slots: the growth prod (1 + |v|_1 |v|_inf) over the lift
+    axes, and for the action and verdict max |q| over the quotient basis and max |r|_1 over its rows."""
+    bound = 1
+    for v, _ in mu_tilde_word_generic(c):
+        bound *= 1 + sum(map(abs, v)) * max(map(abs, v))
+    if f is mu_tilde_matrix:
+        return bound
+    qb, rows = monodromy._quotient(c.curves[0])
+    return bound * max(abs(t) for q in qb for t in q) * max(sum(abs(v) for _, v in row) for row in rows)
+
+
+def _true_entries(f, c, got):
+    """The entries a call's packed slots hold, read from the oracles: the lift matrix's, or for the
+    action and verdict the lift's images of the quotient basis and their coordinates."""
+    if f is mu_tilde_matrix:
+        return [e for row in got for e in row]
+    lift, act = matrix_by_word(c), surgered_action_by_matrix(c)
+    return [e for q in act.basis for e in matvec(lift, q)] + [e for row in act.matrix for e in row]
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_lift_cases())
+def test_packed_lift_matches_the_matrix_oracles(c):
+    # matrix, action and verdict on the packed kernel against the whole lift matrix from the
+    # generic word: equal results, or errors of one type and message ("does not pair to zero"
+    # among them); a packed run's w is the least multiple of 8 with 2^(w-1) above the a-priori
+    # bound, and on every result each true entry of a slot is below 2^(w-1)
+    for f, oracle in ((mu_tilde_matrix, matrix_by_word), (surgered_action, torus_action_by_matrix),
+                      (verdict, torus_verdict_by_matrix)):
+        with recorded_widths() as widths:
+            got = result_or_error(f, c)
+        assert got == result_or_error(oracle, c), f
+        if widths:  # the call reached its one packed run
+            (w,), bound = widths, _bound(f, c)
+            assert w % 8 == 0 and bound < 2 ** (w - 1) <= bound * 2 ** 8, f
+        if not (isinstance(got, tuple) and got[0] is ValueError):
+            assert all(abs(e) < 2 ** (w - 1) for e in _true_entries(f, c, got)), f
+
+
+def _padded(c, g, at):
+    """c carried by handles at, at + 1, ... of a genus-g surface, zero on the others."""
+    before, after = (0,) * (2 * at), (0,) * (2 * g - 2 * at - len(c.curves[0]))
+    return normalize([before + x + after for x in c.curves], True)
+
+
+def test_verdict_witness_at_large_genus_matches_the_matrix_oracle():
+    # six curves at g = 60, carried by handles past the first ones, so no early quotient basis
+    # class moves and the witness is a late slot; the action's rows first move at different
+    # slots, so the witness is the least of them.  A doubled chain is never obstructed.
+    rng = random.Random(34)
+    g = rng.randint(3, 6)
+    base = rand_closed(rng, g, 6, rng.choice((1, 2)))
+    for at in (40, 60 - g):
+        c = _padded(base, 60, at)
+        v, act = verdict(c), torus_action_by_matrix(c)
+        assert v == verdict_of(act)
+        firsts = {next(j for j, e in enumerate(row) if e != (j == r)) for r, row in enumerate(act.matrix)
+                  if row != ident(act.quotient_rank)[r]}
+        assert len(firsts) > 1
+        assert act.basis.index(v.witness) == min(firsts) >= 70
+    d = double(rand_chain(random.Random(60), 60, 4))
+    assert d.length == 6
+    assert verdict(d) == verdict_by_matrix(d) == monodromy.Verdict("HomologicallyTrivial")
+
+
 @pytest.mark.parametrize("circ, calls", [(TRI, 0), (AB, 0), (WITNESS, 1)])
 def test_genus_one_skips_the_quotient_machinery(circ, calls):
     # patched in monodromy's namespace and in homology's, so every path to the kernel is
-    # counted: monodromy's own _images, and word_images or _images through homology's
+    # counted: monodromy's own _run, and word_images or _run through homology's
     for f in (surgered_action, verdict, mu_tilde_matrix):
-        with mock.patch.object(monodromy, "quotient_basis", wraps=monodromy.quotient_basis) as qb, \
+        with mock.patch.object(monodromy, "_quotient", wraps=monodromy._quotient) as qb, \
                 mock.patch.object(monodromy, "mu_tilde_word", wraps=monodromy.mu_tilde_word) as word, \
                 mock.patch.object(monodromy, "_axes", wraps=monodromy._axes) as axes, \
-                mock.patch.object(monodromy, "_images", wraps=monodromy._images) as images, \
+                mock.patch.object(monodromy, "_run", wraps=monodromy._run) as runs, \
                 mock.patch.object(homology, "word_images", wraps=homology.word_images) as wi, \
-                mock.patch.object(homology, "_images", wraps=homology._images) as kernel:
+                mock.patch.object(homology, "_run", wraps=homology._run) as kernel:
             f(circ)
         # no word at any genus; above genus 1 one axis pass and one kernel run
         assert word.call_count == wi.call_count == kernel.call_count == 0, f
-        assert axes.call_count == images.call_count == calls, f
+        assert axes.call_count == runs.call_count == calls, f
         assert qb.call_count == (0 if f is mu_tilde_matrix else calls), f
 
 

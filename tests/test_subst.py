@@ -646,9 +646,9 @@ BAD_CALLS = ["detect(Circuit(%r, %r))" % case for case in DETECT_BAD] + [
     "sdcalc.surgered_action(Circuit(((2, 0), (0, 1)), True))",
     "sdcalc.verdict(Circuit(((2, 0), (0, 1)), True))",
     # a base class whose length is not positive and even
-    "sdcalc.monodromy.quotient_basis(())",
-    "sdcalc.monodromy.quotient_basis((1,))",
-    "sdcalc.monodromy.quotient_basis((1, 0, 0))",
+    "sdcalc.monodromy._quotient(())",
+    "sdcalc.monodromy._quotient((1,))",
+    "sdcalc.monodromy._quotient((1, 0, 0))",
 ]
 
 
