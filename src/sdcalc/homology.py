@@ -1,16 +1,23 @@
 """Exact arithmetic on H_1 of a closed oriented genus-g surface.
 
-A class is a tuple of 2g integers, its coefficients (n_{a1}, n_{b1}, ..., n_{ag}, n_{bg}) over
-the standard symplectic basis, so genus is implicit in the length; <a_i, b_i> = +1 and all other
-basis pairings are zero.  Matrices are tuples of row tuples acting on column vectors.  Twist words
-are sequences of (axis, exponent) pairs, word[0] acting first.  Many classes run through twists as
-one packed vector of big ints, each twist once (_pack, _run, _decode).  Plain big-int arithmetic
-throughout: no floats, no overflow.
+A class is a tuple of 2g integers, the coefficients
+(n_{a1}, n_{b1}, ..., n_{ag}, n_{bg}) with respect to the standard
+symplectic basis, so genus is implicit in the length.  The pairing is
+fixed by <a_i, b_i> = +1 and all other basis pairings zero.
+
+Matrices are tuples of row tuples acting on column vectors.  Twist
+words are sequences of (axis, exponent) pairs composed rightmost-first:
+word[0] acts first.  Many classes run through twists as one packed
+vector of big ints, each twist once (_pack, _run, _decode).  Everything
+here is plain big-int arithmetic -- no floats, no overflow.
 """
 
 from itertools import compress
 from math import gcd
 from operator import add as _plus, mul
+
+SpMatrix = tuple  # tuple of 2g row tuples
+
 
 def genus_of(x) -> int:
     """Genus carried by a coefficient vector (half its length)."""
@@ -20,8 +27,10 @@ def genus_of(x) -> int:
 
 
 def pairing(x, y) -> int:
-    """Symplectic pairing <x,y> = sum of (n_{ai}(x) n_{bi}(y) - n_{bi}(x) n_{ai}(y)): one length
-    check, then genus 1 in one expression; genus_of runs only to reject an empty or odd length."""
+    """Symplectic pairing <x,y> = sum of (n_{ai}(x) n_{bi}(y) - n_{bi}(x) n_{ai}(y)).
+
+    One length check, then genus 1, the common case, in one expression;
+    genus_of runs only to reject an empty or odd length."""
     n = len(x)
     if n != len(y):
         raise ValueError("genus mismatch: %d vs %d" % (n, len(y)))
@@ -30,6 +39,14 @@ def pairing(x, y) -> int:
     if n == 0 or n % 2:
         genus_of(x)
     return sum(map(mul, x[::2], y[1::2])) - sum(map(mul, x[1::2], y[::2]))
+
+
+def pairing_functional(x):
+    """Row vector of <x, .> so that pairing(x, y) = row . y."""
+    r = []
+    for i in range(0, len(x), 2):
+        r.extend([-x[i + 1], x[i]])
+    return r
 
 
 def is_primitive(x) -> bool:
@@ -46,7 +63,11 @@ def scale(k, x):
 
 
 def canon_sign(x):
-    """Flip the sign so the first nonzero entry is positive: one sign per axis, as tau_v = tau_{-v}."""
+    """Flip the sign so the first nonzero entry is positive.
+
+    Twist axes are unoriented (tau_v = tau_{-v}), so this picks a
+    deterministic representative.
+    """
     for v in x:
         if v:
             return x if v > 0 else scale(-1, x)
@@ -63,7 +84,7 @@ def _require_axis(v):
         raise ValueError("twist axis must be primitive, got %r" % (v,))
 
 
-def ident(n):
+def ident(n) -> SpMatrix:
     return tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n))
 
 
@@ -76,28 +97,37 @@ def transpose(m):
 
 
 def is_symplectic(m) -> bool:
-    """Check M^T J M = J: columns i < j pair as <e_i, e_j> does, 1 at (a_t, b_t), else 0."""
+    """Check M^T J M = J: the columns pair as the basis vectors do, which for
+    i < j (the pairing is alternating) is <e_i, e_j> = 1 at (a_t, b_t), else 0."""
     cols = transpose(m)
     return all(pairing(cols[i], cols[j]) == (j == i + 1 and i % 2 == 0)
                for i in range(len(cols)) for j in range(i + 1, len(cols)))
 
 
 def sp_inv(m):
-    """Inverse of a symplectic integer matrix, M^-1 = -J M^T J: entry (i, j) is (-1)^(i+j) M[j^1][i^1]."""
+    """Inverse of a symplectic integer matrix, M^{-1} = -J M^T J, read off
+    entry by entry: entry (i, j) is (-1)^(i+j) M[j^1][i^1]."""
     n = len(m)
     return tuple(tuple(m[j ^ 1][i ^ 1] * (-1) ** (i + j) for j in range(n)) for i in range(n))
 
 
-def twist_matrix(v, k):
-    """Matrix of the k-th twist power about v, x -> x + k<v,x>v: the same for -v, inverse to k -> -k."""
+def twist_matrix(v, k) -> SpMatrix:
+    """Matrix of the k-th twist power about v: x -> x + k<v,x>v.
+
+    Independent of the sign of v; twist_matrix(v, k) and
+    twist_matrix(v, -k) are inverse.
+    """
     _require_axis(v)
     return transpose([twist_apply(v, k, e) for e in ident(len(v))])
 
 
 def word_images(word, xs):
-    """Images of the classes xs under a twist word, index 0 first.  The word may be any iterable: each
-    factor is checked once (nonzero exponent, primitive axis of the classes' genus) and grows the
-    bound on the entries (see _run); then the classes, packed, run through it once."""
+    """Images of the classes xs under a twist word, rightmost (index 0) first.
+
+    The word may be any iterable; it is read once and every factor is checked
+    (nonzero exponent, primitive axis of the classes' genus) and grows the
+    bound on the entries (see _run); then the classes, packed, run through it once.
+    """
     xs = list(xs)
     n = 2 * genus_of(xs[0]) if xs else None
     for x in xs:
@@ -142,11 +172,9 @@ def _run(twists, X):
     base-2^w digit e + 2^(w-1) lies in [0, 2^w), and a nonzero sum_j e_j 2^(j w), all |e_j| <= 2^(w-1),
     has its lowest set bit in the first slot with e_j != 0, whose 2-adic valuation is below w."""
     for v, k in twists:
-        c = k * pairing(v, X)
-        if c:
-            for j, t in enumerate(v):
-                if t:
-                    X[j] += c * t
+        if c := k * pairing(v, X):
+            for j in compress(range(len(v)), v):
+                X[j] += c * v[j]
     return X
 
 
@@ -163,8 +191,9 @@ def apply_word(word, x):
     return word_images(word, [x])[0]
 
 
-def delta_twist(a, b):
-    """(T_a T_b)^3 for a dual pair, -1 on span(a,b), 1 off it: x - 2e(<x,b> a - <x,a> b), e = <a,b>."""
+def delta_twist(a, b) -> SpMatrix:
+    """(T_a T_b)^3 for a dual pair: -identity on span(a,b), identity on its
+    complement, so x -> x - 2e(<x,b> a - <x,a> b) with e = <a,b> = +-1."""
     e = pairing(a, b)
     if abs(e) != 1:
         raise ValueError("delta twist needs |<a,b>| = 1, got %d" % e)

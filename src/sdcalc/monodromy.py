@@ -3,8 +3,8 @@
 The lift is the product of twists about the curves tau_{g_i}(g_{i+1}), rightmost factor first,
 with the closing step using the eps-signed first curve.  It fixes the first curve up to the sign
 (-1)^c eps, hence descends to the rank-(2g-2) quotient of its perp lattice -- the homology of the
-surgered surface.  Above genus 1 one pass over the curves, `_axes`, makes the lift's twists and the
-growth bound of their entries, with no word in between; the quotient basis, or for
+surgered surface.  Above genus 1 one pass over the curves, `_axes`, makes the lift's axes, and
+`_twists` their twists and growth bound, with no word in between; the quotient basis, or for
 `mu_tilde_matrix` the identity, is packed into one vector of big ints that runs through each twist
 once (see homology._run).  The action's coordinate rows are read off that vector once; `verdict`
 decodes nothing, reading the first moved class off the lowest set bit.  The quotient basis and its
@@ -20,7 +20,7 @@ from operator import add, mul, sub
 
 from .circuit import Circuit, _Rec, _matrix_lines, _unpack
 from .homology import (_decode, _pack, _require_axis, _run, _width, canon_sign, genus_of, ident, is_primitive,
-                       pairing)
+                       pairing, pairing_functional)
 
 
 class SurgeredAction(_Rec, namedtuple("SurgeredAction", "base_class quotient_rank matrix basis")):
@@ -52,17 +52,19 @@ def _require_untwisted_closed(c) -> Circuit:
 
 
 def mu_tilde_word(c):
-    """Twist word of the lifted monodromy, rightmost factor first.  The i-th axis is the class of
-    tau_{g_i}(g_{i+1}), i.e. g_{i+1} + <g_i, g_{i+1}> g_i, taken cyclically with the eps-signed closing
-    curve and sign-canonicalized (axes are unoriented).  The curves share one length (see _unpack), so
-    the first decides the genus; at genus 1 each axis is built and canonicalized on scalars."""
-    ext, word = _require_untwisted_closed(c).extended(1), []
+    """Twist word of the lifted monodromy, rightmost factor first.
+
+    The i-th axis is the class of tau_{g_i}(g_{i+1}), i.e.
+    g_{i+1} + <g_i, g_{i+1}> g_i, taken cyclically with the eps-signed
+    closing curve and sign-canonicalized (axes are unoriented).  The
+    curves share one length (see _unpack), so the first decides the genus;
+    at genus 1 the axis (y0 + p x0, y1 + p x1), p = x0 y1 - x1 y0, is built
+    and canonicalized on scalars, above it comes from _axes.
+    """
+    ext = _require_untwisted_closed(c).extended(1)
     if len(ext[0]) != 2:
-        for x, y in zip(ext, ext[1:]):
-            p = pairing(x, y)
-            word.append((canon_sign(tuple(map(add, y, x) if p == 1 else map(sub, y, x) if p == -1
-                                          else map(add, y, map(p.__mul__, x)))), 1))
-        return tuple(word)
+        return tuple([(canon_sign(v), 1) for v, _ in _axes(ext)])
+    word = []
     x0, x1 = ext[0]
     for y0, y1 in ext[1:]:
         p = x0 * y1 - x1 * y0
@@ -73,16 +75,21 @@ def mu_tilde_word(c):
 
 
 def _axes(ext):
-    """The lift's twists (y + p x, 1) for consecutive curves x, y of ext, p = <x,y>, and the
-    growth prod (1 + |v|_1 |v|_inf) over their axes v that homology._run's width needs.  y + p x
-    pairs p with x, so only p not +-1 calls for the check, which names the canonical axis."""
-    twists, growth = [], 1
+    """(y + p x, p) for consecutive curves x, y of ext, p = <x,y>."""
+    axes = []
     for x, y in zip(ext, ext[1:]):
         p = pairing(x, y)
-        if p == 1 or p == -1:
-            v = tuple(map(add if p == 1 else sub, y, x))
-        else:
-            v = tuple(map(add, y, map(p.__mul__, x)))
+        axes.append((tuple(map(add, y, x) if p == 1 else map(sub, y, x) if p == -1
+                           else map(add, y, map(p.__mul__, x))), p))
+    return axes
+
+
+def _twists(axes):
+    """The twists (v, 1) of the axes (v, p) and the growth prod (1 + |v|_1 |v|_inf) of homology._run's
+    width; y + p x pairs p with x, so only p not +-1 calls for the check, which names the canonical axis."""
+    twists, growth = [], 1
+    for v, p in axes:
+        if p != 1 and p != -1:
             _require_axis(canon_sign(v))
         twists.append((v, 1))
         growth *= 1 + sum(map(abs, v)) * max(map(abs, v))
@@ -93,11 +100,11 @@ def mu_tilde_matrix(c):
     """Matrix of the lifted monodromy; fixes g_1 up to (-1)^c eps.  No word is built: above genus 1
     the packed identity, slot j the basis vector e_j, runs through the twists once and decodes into
     the rows; at genus 1 each axis (a, b) = y + p x, p = <x,y>, twists the columns (m00, m10) and
-    (m01, m11) at once, checked only when p is not +-1 (see _axes)."""
+    (m01, m11) at once, checked only when p is not +-1 (see _twists)."""
     ext = _require_untwisted_closed(c).extended(1)
     n = len(ext[0])
     if n != 2:
-        twists, growth = _axes(ext)
+        twists, growth = _twists(_axes(ext))
         w = _width(growth)  # the identity's entries are at most 1
         return tuple(_decode(_run(twists, [1 << i * w for i in range(n)]), w, n))
     (x0, x1), m00, m01, m10, m11 = ext[0], 1, 0, 0, 1
@@ -154,8 +161,7 @@ def _quotient(a):
     a to a basis of a^perp, a first: the column moves V turn Ki into the coordinate rows V^T Ki,
     and their inverse row moves turn K into that basis."""
     n = 2 * genus_of(a)
-    f = [t for i in range(0, n, 2) for t in (-a[i + 1], a[i])]  # <a,.> as a row
-    d, U, Ui = _row_reduce(f, list(ident(n)), list(ident(n)))
+    d, U, Ui = _row_reduce(pairing_functional(a), list(ident(n)), list(ident(n)))
     if d != 1:  # <a,.> is onto Z exactly when a is primitive
         raise ValueError("quotient base class must be primitive, got %r" % (a,))
     # a is primitive in the saturated lattice a^perp, so this gcd is 1 and the basis starts with a
@@ -181,7 +187,7 @@ def _lifted_coords(c):
                 _require_axis(canon_sign((y0 + p * x0, y1 + p * x1)))
         return a, (), (), 8  # rank 0: nothing is packed
     qb, rows = _quotient(a)
-    twists, growth = _axes(circ.extended(1))
+    twists, growth = _twists(_axes(circ.extended(1)))
     growth *= max([max(map(abs, q)) for q in qb]) * max([sum([abs(v) for _, v in row]) for row in rows])
     w = _width(growth)
     X = _run(twists, _pack(qb, w))
@@ -193,34 +199,30 @@ def _lifted_coords(c):
 
 
 def surgered_action(c) -> SurgeredAction:
-    """The lifted monodromy's action on the surgered surface's homology,
-    a^perp / <a> with a = g_1: the lift applied to the deterministic basis
-    from _quotient, each image read in its coordinates (see _lifted_coords).
-    """
+    """The lifted monodromy's action on the surgered surface's homology, a^perp / <a> with a = g_1:
+    the lift applied to the deterministic basis of _quotient, each image in its coordinates."""
     a, qb, rows, w = _lifted_coords(c)
     matrix = tuple(_decode(rows, w, len(qb))) if qb else ()  # rank 0 at genus 1
     return tuple.__new__(SurgeredAction, (a, len(qb), matrix, tuple(qb)))
 
 
 def verdict(c) -> Verdict:
-    """Necessary-condition check for trivial monodromy.
-
-    HomologicallyTrivial when the induced quotient action is the
-    identity (read: "not obstructed on homology"); otherwise the first
-    moved basis class is returned as a witness.  Nothing is decoded: packed
-    row r is the identity's when it is 2^(r w), and the first moved class is
-    the lowest slot set in any difference (see homology._run).
-    """
+    """Necessary-condition check for trivial monodromy: HomologicallyTrivial when the induced
+    quotient action is the identity (read: "not obstructed on homology"), otherwise the first moved
+    basis class as a witness.  Nothing is decoded: packed row r is the identity's when it is 2^(r w),
+    and the first moved class is the lowest slot set in any difference (see homology._run)."""
     _, qb, rows, w = _lifted_coords(c)
     moved = [((d & -d).bit_length() - 1) // w for r, x in enumerate(rows) if (d := x - (1 << r * w))]
     kind = ("ObstructedOnHomology", qb[min(moved)]) if moved else ("HomologicallyTrivial", None)
     return tuple.__new__(Verdict, kind)
 
 
-def _verdict_of(act) -> Verdict:  # the report's verdict, read off its decoded action
-    moved = [b for b, col, e in zip(act.basis, zip(*act.matrix), ident(act.quotient_rank)) if col != e]
-    kind = ("ObstructedOnHomology", moved[0]) if moved else ("HomologicallyTrivial", None)
-    return tuple.__new__(Verdict, kind)
+def _verdict_of(act) -> Verdict:  # the report's, read off the action it prints (verdict skips the decode)
+    cols = zip(*act.matrix)
+    moved = [b for b, col, e in zip(act.basis, cols, ident(act.quotient_rank)) if col != e]
+    if not moved:
+        return tuple.__new__(Verdict, ("HomologicallyTrivial", None))
+    return tuple.__new__(Verdict, ("ObstructedOnHomology", moved[0]))
 
 
 def _monodromy_report(circ):  # the report of `sdcalc monodromy` (see cli)

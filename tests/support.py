@@ -29,10 +29,9 @@ checks are compared on.  The general
 column-echelon reduction `colreduce` backs `solve_int`, and
 `quotient_basis_by_echelon`, built on two of its passes, is the
 reference for `quotient_basis`, monodromy._quotient's basis with the
-coordinate reader `coords` on its rows.  `pairing_functional` is the row
-form of the pairing that the echelon references reduce, and
-`recorded_widths` records the slot widths of homology's packed kernel so
-that tests can hold every true entry below 2^(w-1).
+coordinate reader `coords` on its rows.  `recorded_widths` records the
+slot widths of homology's packed kernel so that tests can hold every
+true entry below 2^(w-1).
 """
 
 import operator
@@ -48,8 +47,8 @@ from sdcalc.circuit import (Circuit, CurveError, Diagram, _check_switch, _clip_i
                             normalize)
 from sdcalc.genus1 import Classification, SumForm, _DELTAS, normalize_sum
 from sdcalc.handles import fiber_framing
-from sdcalc.homology import (_require_axis, add, canon_sign, genus_of, ident, matvec, pairing, scale, transpose,
-                             twist_apply, twist_matrix, word_images)
+from sdcalc.homology import (_require_axis, add, canon_sign, genus_of, ident, matvec, pairing,
+                             pairing_functional, scale, transpose, twist_apply, twist_matrix, word_images)
 from sdcalc.monodromy import SurgeredAction, Verdict, _quotient, _require_untwisted_closed
 from sdcalc.subst import (
     Detection,
@@ -122,14 +121,6 @@ def colreduce(rows):
             col += 1
         row += 1
     return H, U, Ui
-
-
-def pairing_functional(x):
-    """Row vector of <x, .> so that pairing(x, y) = row . y."""
-    r = []
-    for i in range(0, len(x), 2):
-        r.extend([-x[i + 1], x[i]])
-    return r
 
 
 def quotient_basis(a):
@@ -876,7 +867,7 @@ def word_matrix(word, genus):
 def matrix_by_word(c):
     """Reference for monodromy.mu_tilde_matrix: the generic lift word's images of
     the 2g basis vectors through the generic kernel, so it runs none of the lift
-    code (_axes, _factors, mu_tilde_word, the genus-1 fold) and not homology._images."""
+    code (_axes, _twists, mu_tilde_word, the genus-1 fold) and not homology's packed kernel."""
     return transpose(word_images_generic(mu_tilde_word_generic(c), ident(2 * c.genus)))
 
 

@@ -384,7 +384,7 @@ def test_monodromy_reads_the_lift_once(capsys):
         assert cli.run(["monodromy", GENUS2]) == 0
     capsys.readouterr()
     assert qb.call_count == 1  # one surgered action
-    assert axes.call_count == 2  # one pass over the curves for each of the matrix and action; the word has its own
+    assert axes.call_count == 3  # one pass over the curves for each of the word, matrix and action
     assert kernel.call_count == 2  # the matrix and the action, each one packed run
 
 

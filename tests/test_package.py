@@ -131,21 +131,21 @@ CLASSIFY = BASE | {"sdcalc.subst", "sdcalc.genus1"}
 # bytecode (PYTHONDONTWRITEBYTECODE=1) compiles every line it loads.  A
 # change may lower a budget; one that raises it says so in CHANGES.md.
 SUBCOMMANDS = {
-    "validate": (["validate", "two.sd"], BASE, 1096),
-    "switch": (["switch", "two.sd", "--k", "2"], BASE, 1096),
+    "validate": (["validate", "two.sd"], BASE, 1125),
+    "switch": (["switch", "two.sd", "--k", "2"], BASE, 1125),
     # full turns: only a twisted diagram loads the matrix powers
-    "switch_turns": (["switch", "two.sd", "--k", "7"], BASE, 1096),
-    "switch_twisted": (["switch", "twisted.sd", "--k", "7"], BASE | {"sdcalc._power"}, 1177),
-    "double": (["double", "open.sd"], BASE, 1096),
-    "detect": (["detect", "two.sd"], BASE | {"sdcalc.subst"}, 1336),
+    "switch_turns": (["switch", "two.sd", "--k", "7"], BASE, 1125),
+    "switch_twisted": (["switch", "twisted.sd", "--k", "7"], BASE | {"sdcalc._power"}, 1206),
+    "double": (["double", "open.sd"], BASE, 1125),
+    "detect": (["detect", "two.sd"], BASE | {"sdcalc.subst"}, 1365),
     "substitute": (["substitute", "blowup3.sd", "--op", "blowup", "--pos", "1", "--exp", "1"],
-                   BASE | {"sdcalc.subst"}, 1336),
-    "classify": (["classify", "two.sd"], CLASSIFY, 1599),
-    "generate": (["generate", "--seed", "1", "--steps", "3"], CLASSIFY, 1599),
-    "info": (["info", "two.sd"], HANDLES, 1494),
-    "blf": (["blf", "two.sd"], HANDLES, 1494),
-    "kirby": (["kirby", "two.sd"], HANDLES, 1494),
-    "monodromy": (["monodromy", "genus2.sd"], BASE | {"sdcalc.monodromy"}, 1332),
+                   BASE | {"sdcalc.subst"}, 1365),
+    "classify": (["classify", "two.sd"], CLASSIFY, 1628),
+    "generate": (["generate", "--seed", "1", "--steps", "3"], CLASSIFY, 1628),
+    "info": (["info", "two.sd"], HANDLES, 1523),
+    "blf": (["blf", "two.sd"], HANDLES, 1523),
+    "kirby": (["kirby", "two.sd"], HANDLES, 1523),
+    "monodromy": (["monodromy", "genus2.sd"], BASE | {"sdcalc.monodromy"}, 1363),
 }
 
 
@@ -247,7 +247,7 @@ SOURCES = sorted((SRC / "sdcalc").glob("*.py"))
 
 # the lines of src/sdcalc/*.py: a change may lower this bound; one that
 # raises it says so in CHANGES.md, as for the budgets above
-SRC_LINES = 2314
+SRC_LINES = 2345
 
 
 def test_src_does_not_grow():
