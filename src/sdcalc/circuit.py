@@ -207,12 +207,14 @@ def _orient(raw, closed, switch_matrix):
         raise CurveError("closed circuit needs at least 2 curves")
     n = 2 * genus_of(raw[0])
     _check_switch(switch_matrix, n)
-    for i, v in enumerate(raw, start=1):
-        if len(v) != n:
-            raise CurveError("curve %d: genus mismatch" % i, i)
-        if gcd(*v) != 1:
-            raise CurveError("curve %d: not primitive" % i, i)
-    out, p = _signed(raw)
+    out, p = _signed(raw) if len(raw) > 1 and len(set(map(len, raw))) == 1 else (raw, 0)
+    if p is not None:  # gcd(x) divides <x,y> = +-1, so only a failed pass needs the per-curve checks
+        for i, v in enumerate(raw, start=1):
+            if len(v) != n:
+                raise CurveError("curve %d: genus mismatch" % i, i)
+            if gcd(*v) != 1:
+                raise CurveError("curve %d: not primitive" % i, i)
+        out, p = _signed(raw)
     if p is not None:
         raise CurveError("curves %d,%d: adjacent pairing %s, need +-1"
                          % (len(out), len(out) + 1, _clip_int(p)), len(out))

@@ -142,10 +142,10 @@ def word_images(word, xs):
         if not xs:  # with classes, len(axis) == n has checked it
             genus_of(axis)
         _require_axis(axis)
-        bound *= 1 + abs(exp) * sum(map(abs, axis)) * max(map(abs, axis))
+        bound *= 1 + abs(exp) * sum(map(mul, axis, axis))
     if not xs:
         return []
-    w = _width(bound * max([max(map(abs, x)) for x in xs]))
+    w = _width(bound * max([sum(map(abs, x)) for x in xs]))
     return list(zip(*_decode(_run(word, _pack(xs, w)), w, len(xs))))
 
 
@@ -166,11 +166,11 @@ def _pack(xs, w):
 def _run(twists, X):
     """Apply the twists (v, k), index 0 first, to packed classes X in place: X += k<v,X> v.  Exact: a
     twist is Z-linear, so on X = sum_j x_j 2^(j w) it gives sum_j y_j 2^(j w), y_j the image of x_j,
-    and so does an integer row r read off X after.  No slot spills: |<v,x>| <= |v|_1 |x|_inf, so a
-    twist grows |x|_inf at most (1 + |k| |v|_1 |v|_inf)-fold and r grows it |r|_1-fold; w = _width
-    of that product times max |x_j|_inf makes every slot |e| < 2^(w-1).  So with _decode's bias every
-    base-2^w digit e + 2^(w-1) lies in [0, 2^w), and a nonzero sum_j e_j 2^(j w), all |e_j| <= 2^(w-1),
-    has its lowest set bit in the first slot with e_j != 0, whose 2-adic valuation is below w."""
+    and so does an integer row r read off X after.  No slot spills: <v,.> is v signed and permuted, so
+    |I + k v <v,.>|_2 <= 1 + |k| |v|_2^2, |y|_inf <= |y|_2 <= prod (1 + |k| |v|_2^2) |x|_1 and |r.y| <=
+    |r|_1 |y|_inf; w = _width of that product times max |x_j|_1 (and max |r|_1) makes every slot
+    |e| < 2^(w-1).  So with _decode's bias every base-2^w digit e + 2^(w-1) lies in [0, 2^w), and a
+    nonzero sum_j e_j 2^(j w), all |e_j| <= 2^(w-1), has its lowest set bit in the first slot e_j != 0."""
     for v, k in twists:
         if c := k * pairing(v, X):
             for j in compress(range(len(v)), v):

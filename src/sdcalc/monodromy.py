@@ -4,15 +4,15 @@ The lift is the product of twists about the curves tau_{g_i}(g_{i+1}), rightmost
 with the closing step using the eps-signed first curve.  It fixes the first curve up to the sign
 (-1)^c eps, hence descends to the rank-(2g-2) quotient of its perp lattice -- the homology of the
 surgered surface.  Above genus 1 one pass over the curves, `_axes`, makes the lift's axes, and
-`_twists` their twists and growth bound, with no word in between; the quotient basis, or for
+`_twists` their twists and l2 growth bound, with no word in between; the quotient basis, or for
 `mu_tilde_matrix` the identity, is packed into one vector of big ints that runs through each twist
 once (see homology._run).  The action's coordinate rows are read off that vector once; `verdict`
 decodes nothing, reading the first moved class off the lowest set bit.  The quotient basis and its
-coordinate rows come from two one-row reductions (Euclid carrying its column moves and their
-inverse row moves), so no matrix product is formed.  At genus 1 the quotient has rank 0: only the
-checks run (g_1 and every axis primitive), and `mu_tilde_matrix` folds each axis's twist into four
-ints.  A non-identity quotient action obstructs trivial monodromy; the converse direction is not
-decided here, so verdicts are worded as necessary conditions.
+coordinate rows come from two one-row reductions on sparse rows (Euclid carrying its column moves
+and their inverse row moves), so no identity or matrix product is formed.  At genus 1 the quotient
+has rank 0: only the checks run (g_1 and every axis primitive), and `mu_tilde_matrix` folds each
+axis's twist into four ints.  A non-identity quotient action obstructs trivial monodromy; the
+converse direction is not decided here, so verdicts are worded as necessary conditions.
 """
 
 from collections import namedtuple
@@ -85,14 +85,14 @@ def _axes(ext):
 
 
 def _twists(axes):
-    """The twists (v, 1) of the axes (v, p) and the growth prod (1 + |v|_1 |v|_inf) of homology._run's
+    """The twists (v, 1) of the axes (v, p) and the growth prod (1 + |v|_2^2) of homology._run's
     width; y + p x pairs p with x, so only p not +-1 calls for the check, which names the canonical axis."""
     twists, growth = [], 1
     for v, p in axes:
         if p != 1 and p != -1:
             _require_axis(canon_sign(v))
         twists.append((v, 1))
-        growth *= 1 + sum(map(abs, v)) * max(map(abs, v))
+        growth *= 1 + sum(map(mul, v, v))
     return twists, growth
 
 
@@ -105,7 +105,7 @@ def mu_tilde_matrix(c):
     n = len(ext[0])
     if n != 2:
         twists, growth = _twists(_axes(ext))
-        w = _width(growth)  # the identity's entries are at most 1
+        w = _width(growth)  # |e_i|_1 = 1
         return tuple(_decode(_run(twists, [1 << i * w for i in range(n)]), w, n))
     (x0, x1), m00, m01, m10, m11 = ext[0], 1, 0, 0, 1
     for y0, y1 in ext[1:]:
@@ -125,50 +125,56 @@ def _row_reduce(r, U, Ui):
 
     Each round moves the entry of least absolute value (the first on a
     tie) to the front and reduces every other entry by its floor quotient,
-    until the rest are zero; then a negative d is negated.  U and Ui hold
-    len(r) rows each and are updated in place: their rows are replaced,
-    never written into, so rows may be tuples or shared.  From identities,
-    r U = (d, 0, ..., 0), U unimodular as its columns, Ui = U^-1 as its
-    rows; from lists A and B, the results are that U applied to A (row i
-    is sum_k U[i][k] A[k]) and that Ui applied to B (sum_k Ui[i][k] B[k]).
-    """
+    until the rest are zero; then a negative d is negated.  U and Ui hold len(r) sparse rows
+    {index: value} each (a value may be 0), updated in place: their rows are replaced, never
+    written into, so rows may be shared, and a move costs the entries of the rows it reads.
+    From identities {i: 1}, r U = (d, 0, ..., 0), U unimodular as its columns, Ui = U^-1 as its
+    rows; from rows A and B, the results are that U applied to A (row i is sum_k U[i][k] A[k])
+    and that Ui applied to B (sum_k Ui[i][k] B[k])."""
     h = list(r)
     while any(h[1:]):
         p = min((abs(x), j) for j, x in enumerate(h) if x)[1]
         h[0], h[p] = h[p], h[0]
         U[0], U[p] = U[p], U[0]
         Ui[0], Ui[p] = Ui[p], Ui[0]
-        d = h[0]
+        d, acc = h[0], dict(Ui[0])
         for j in range(1, len(h)):
             q = h[j] // d
             if q:
                 h[j] -= q * d
-                U[j] = [x - q * y for x, y in zip(U[j], U[0])]
-                Ui[0] = [x + q * y for x, y in zip(Ui[0], Ui[j])]
+                U[j] = {**U[j], **{k: U[j].get(k, 0) - q * t for k, t in U[0].items()}}
+                for k, t in Ui[j].items():
+                    acc[k] = acc.get(k, 0) + q * t
+        Ui[0] = acc
     if h[0] < 0:
         h[0] = -h[0]
-        U[0] = [-x for x in U[0]]
-        Ui[0] = [-x for x in Ui[0]]
+        U[0] = {k: -x for k, x in U[0].items()}
+        Ui[0] = {k: -x for k, x in Ui[0].items()}
     return h[0], U, Ui
 
 
 def _quotient(a):
     """(qbasis, rows) for primitive a: qbasis is len(a) - 2 classes whose images are a basis of the
     lattice a^perp / <a>; rows[0] reads <a,.>, and rows[1:] map any x with <a,x> = 0 to its
-    coefficients over qbasis (dropping the a-component), each row as (index, value) pairs.
-    Deterministic: reducing <a,.> from two identities gives a basis K = U[1:] of a^perp and
-    coordinate rows Ki = Ui[1:] over it.  Reducing a's coordinate row, carrying Ki and K, completes
-    a to a basis of a^perp, a first: the column moves V turn Ki into the coordinate rows V^T Ki,
-    and their inverse row moves turn K into that basis."""
+    coefficients over qbasis (dropping the a-component), each row as (index, value) pairs, index
+    ascending.  Deterministic: reducing <a,.> from two sparse identities gives a basis K = U[1:] of
+    a^perp and coordinate rows Ki = Ui[1:] over it.  Reducing a's coordinate row, carrying Ki and K,
+    completes a to a basis of a^perp, a first: the column moves V turn Ki into the coordinate rows
+    V^T Ki, and their inverse row moves turn K into that basis."""
     n = 2 * genus_of(a)
-    d, U, Ui = _row_reduce(pairing_functional(a), list(ident(n)), list(ident(n)))
+    d, U, Ui = _row_reduce(pairing_functional(a), [{i: 1} for i in range(n)], [{i: 1} for i in range(n)])
     if d != 1:  # <a,.> is onto Z exactly when a is primitive
         raise ValueError("quotient base class must be primitive, got %r" % (a,))
     # a is primitive in the saturated lattice a^perp, so this gcd is 1 and the basis starts with a
-    _, rows, KP = _row_reduce([sum(map(mul, row, a)) for row in Ui[1:]], Ui[1:], U[1:])
-    # <a,.>, then every coordinate row but a's, as (index, value) pairs
-    rows = [[(j, v) for j, v in enumerate(row) if v] for row in [Ui[0], *rows[1:]]]
-    return [tuple(k) for k in KP[1:]], rows
+    _, rows, KP = _row_reduce([sum([v * a[i] for i, v in row.items()]) for row in Ui[1:]], Ui[1:], U[1:])
+    qb = []
+    for k in KP[1:]:
+        q = [0] * n
+        for i, v in k.items():
+            q[i] = v
+        qb.append(tuple(q))
+    # <a,.>, then every coordinate row but a's, their nonzero entries
+    return qb, [[(j, v) for j, v in sorted(row.items()) if v] for row in [Ui[0], *rows[1:]]]
 
 
 def _lifted_coords(c):
@@ -188,7 +194,7 @@ def _lifted_coords(c):
         return a, (), (), 8  # rank 0: nothing is packed
     qb, rows = _quotient(a)
     twists, growth = _twists(_axes(circ.extended(1)))
-    growth *= max([max(map(abs, q)) for q in qb]) * max([sum([abs(v) for _, v in row]) for row in rows])
+    growth *= max([sum(map(abs, q)) for q in qb]) * max([sum([abs(v) for _, v in row]) for row in rows])
     w = _width(growth)
     X = _run(twists, _pack(qb, w))
     off, *rows = [sum([v * X[j] for j, v in row]) for row in rows]

@@ -25,7 +25,8 @@ normalize and of subst's windows on the generic pairing
 (`orient_by_pairing`, `norm_window_by_pairing`) that circuit._signed,
 with its genus-1 branch on scalars, is compared against, with the
 inputs `sign_pass_cases` that normalize and classify's own pairing
-checks are compared on.  The general
+checks are compared on, and `curve_fault_cases`, per-curve faults a
+sign pass stops short of or never reaches.  The general
 column-echelon reduction `colreduce` backs `solve_int`, and
 `quotient_basis_by_echelon`, built on two of its passes, is the
 reference for `quotient_basis`, monodromy._quotient's basis with the
@@ -342,6 +343,27 @@ def sign_pass_cases(rng, genus):
         for axis in (raw[0], rand_primitive(rng, genus)):
             mu = twist_matrix(axis, rng.choice((-2, 3)))
             cases += [(raw, True, mu), (raw, False, mu)]
+    return cases + [([list(v) for v in raw], closed, mu) for raw, closed, mu in cases]
+
+
+def curve_fault_cases(rng, genus):
+    """(raw, closed, switch matrix) inputs for normalize with a per-curve fault
+    that a sign pass stops short of or never reaches: a non-primitive or zero
+    curve before and after an adjacent pairing not +-1, a curve of another
+    length after one, a lone non-primitive or zero curve in an open circuit,
+    a lone valid one, and each of them with its curves as lists."""
+    cases = []
+    for _ in range(12):
+        c = rng.randint(2, 9)
+        raw = [scale(rng.choice((1, -1)), v) for v in rand_closed(rng, genus, c).curves]
+        cases += [(raw[:1], False, None), ([scale(rng.choice((2, -5, 0)), raw[0])], False, None)]
+        for j in sorted({1, (c + 1) // 2, c - 1}):  # raw[j] breaks the pair (j, j + 1)
+            bad = raw[:j] + [rand_paired(rng, raw[j - 1], rng.choice((0, 2, -3, 7)))] + raw[j + 1:]
+            before, after = rng.randrange(j), rng.randrange(j + 1, c + 1)
+            for i, v in ((before, scale(rng.choice((2, -3, 0)), raw[rng.randrange(c)])),
+                         (after, scale(rng.choice((2, -3, 0)), raw[rng.randrange(c)])),
+                         (after, raw[rng.randrange(c)] + (1, 0))):
+                cases.append((bad[:i] + [v] + bad[i:], rng.choice((True, False)), None))
     return cases + [([list(v) for v in raw], closed, mu) for raw, closed, mu in cases]
 
 

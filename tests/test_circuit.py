@@ -22,8 +22,8 @@ from sdcalc.cli import parse
 from sdcalc.homology import (add, canon_sign, ident, is_symplectic, matvec, pairing, scale,
                              sp_inv, twist_matrix)
 
-from support import (generate_by_moves, orient_by_pairing, rand_closed, rand_primitive, result_or_error,
-                     rotate_to_front, sign_pass_cases, word_matrix)
+from support import (curve_fault_cases, generate_by_moves, orient_by_pairing, rand_closed, rand_primitive,
+                     result_or_error, rotate_to_front, sign_pass_cases, word_matrix)
 
 DATA = Path(__file__).parent / "data"
 TRI = normalize([(1, 0), (1, -1), (0, 1)], True)
@@ -57,16 +57,24 @@ def test_normalize_errors():
 def test_sign_pass_matches_the_pairing_oracle(genus):
     """normalize against the generic sign loop: the re-signed curves, or the
     error's type, message and curve."""
-    kinds = set()
-    for raw, closed, mu in sign_pass_cases(random.Random(70 + genus), genus):
+    kinds, faults = set(), set()
+    for raw, closed, mu in (sign_pass_cases(random.Random(70 + genus), genus)
+                            + curve_fault_cases(random.Random(80 + genus), genus)):
         got = result_or_error(lambda: normalize(raw, closed, mu).curves)
         want = result_or_error(orient_by_pairing, raw, closed, mu)
         assert got == want, (raw, closed, mu)
         if isinstance(want, tuple) and want[0] is CurveError:
             at = {1: "first", len(raw) - 1: "last"}.get(want[2], "middle")
             kinds.add((want[1].split()[0], at if want[2] else None, mu is not None))
+            # a per-curve fault at the first pair that is not +-1, past it, or on a lone curve
+            bad = [i for i in range(1, len(raw))
+                   if len(raw[i - 1]) != len(raw[i]) or abs(pairing(raw[i - 1], raw[i])) != 1]
+            where = "past" if bad and want[2] > bad[0] + 1 else "at" if bad else "lone"
+            faults.add((want[1].partition(": ")[2], where))
     assert {("curves", "first", False), ("curves", "middle", False), ("curves", "last", False),
             ("closing", None, False), ("closing", None, True)} <= kinds
+    assert {("not primitive", "at"), ("not primitive", "past"), ("not primitive", "lone"),
+            ("genus mismatch", "past")} <= faults
 
 
 @pytest.mark.parametrize("raw,closed,curve", [

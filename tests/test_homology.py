@@ -443,9 +443,9 @@ def test_packed_word_images_match_the_generic_loop(case):
     if xs and isinstance(want, list):
         (w,) = widths
         target(float(w))
-        bound = max(abs(t) for x in xs for t in x)
+        bound = max(sum(map(abs, x)) for x in xs)
         for axis, exp in word:
-            bound *= 1 + abs(exp) * sum(map(abs, axis)) * max(map(abs, axis))
+            bound *= 1 + abs(exp) * sum(t * t for t in axis)
         assert w == bound.bit_length() + 8 & -8 and bound < 2 ** (w - 1)
         assert all(abs(e) < 2 ** (w - 1) for y in want for e in y)
         if word == BIG_WORD:  # six factors of about 44 bits of growth each

@@ -211,7 +211,16 @@ ROWS = [
 ]
 
 
+def _sparse(rows):
+    return [{k: v for k, v in enumerate(row) if v} for row in rows]
+
+
+def _dense(rows, m):
+    return [[row.get(k, 0) for k in range(m)] for row in rows]
+
+
 def test_row_reduce_matches_column_echelon():
+    # _row_reduce carries sparse rows {index: value}; they are read as dense lists here
     rng = random.Random(90)
     rows = list(ROWS)
     for _ in range(600):
@@ -221,25 +230,28 @@ def test_row_reduce_matches_column_echelon():
         n = len(r)
         want = _row_reduce_by_echelon(r)
         # from two separately built identities, U and Ui = U^-1 themselves
-        d, U, Ui = _row_reduce(r, [list(e) for e in ident(n)], [list(e) for e in ident(n)])
+        d, SU, SUi = _row_reduce(r, _sparse(ident(n)), _sparse(ident(n)))
+        U, Ui = _dense(SU, n), _dense(SUi, n)
         assert (d, U, Ui) == want, r
-        # the carry law: from lists A (read as columns) and B (read as rows),
+        # the carry law: from rows A (read as columns) and B (read as rows),
         # the result is the identity run's U applied to A and its Ui applied to B
         m = rng.randint(1, 4)
         A = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
         B = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
-        outer_a, outer_b, before = list(A), list(B), [row[:] for row in A + B]
+        SA, SB = _sparse(A), _sparse(B)
+        outer_a, outer_b, before = list(SA), list(SB), [dict(row) for row in SA + SB]
         got = _row_reduce(r, outer_a, outer_b)
-        assert got == (d,
-                       [[sum(u[k] * A[k][t] for k in range(n)) for t in range(m)] for u in U],
-                       [[sum(v[k] * B[k][t] for k in range(n)) for t in range(m)] for v in Ui]), r
+        assert (got[0], _dense(got[1], m), _dense(got[2], m)) == (
+            d,
+            [[sum(u[k] * A[k][t] for k in range(n)) for t in range(m)] for u in U],
+            [[sum(v[k] * B[k][t] for k in range(n)) for t in range(m)] for v in Ui]), r
         # in place: the outer lists are updated, and the rows they held are replaced, never written into
         assert got[1] is outer_a and got[2] is outer_b, r
-        assert A + B == before, r
+        assert SA + SB == before, r
         # no row shared between U and Ui: writing into U leaves Ui as it was
-        for col in U:
-            col[:] = [0] * len(col)
-        assert Ui == want[2], r
+        for col in SU:
+            col.clear()
+        assert _dense(SUi, n) == want[2], r
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 5, 8, 25, 50])
@@ -270,6 +282,38 @@ def test_quotient_basis_matches_echelon_oracle(g):
             with pytest.raises(ValueError) as want:
                 quotient_basis_by_echelon(b)
             assert str(got.value) == str(want.value)
+
+
+# two classes whose reductions cancel entries of a sparse row to zero
+CANCELLING = [(9, 11, -9, -37, 17, -47), (10, -31, 20, -18, -36, -15, -30, 46)]
+
+
+@pytest.mark.parametrize("a", [rand_primitive(random.Random(300), 300, 3), *CANCELLING],
+                         ids=["g300", "cancelling_g3", "cancelling_g4"])
+def test_sparse_quotient_builds_no_identity(a):
+    # the reductions start from sparse identities {i: 1}: with ident patched to raise, _quotient
+    # still gives 2g - 2 classes in a^perp whose coordinate rows, nonzero entries in ascending
+    # index, read each as its unit vector, and the same errors for a zero, non-primitive or
+    # odd-length class; deterministic, at g = 300 and on the two cancelling classes
+    g = len(a) // 2
+    with mock.patch.object(monodromy, "ident", side_effect=AssertionError), \
+            mock.patch.object(homology, "ident", side_effect=AssertionError):
+        qb, rows = monodromy._quotient(a)
+        errors = [result_or_error(monodromy._quotient, b)
+                  for b in ((0,) * 2 * g, tuple(6 * t for t in a), a[:-1])]
+    assert len(qb) == 2 * g - 2 == len(rows) - 1
+    assert all(len(q) == 2 * g and pairing(a, q) == 0 for q in qb)
+    cols = list(zip(*qb))  # cols[j]: the j-th entry of every class
+    for r, row in enumerate(rows):
+        assert [j for j, _ in row] == sorted({j for j, v in row if v}), r
+        read = [0] * len(qb)
+        for j, v in row:
+            read = [x + v * y for x, y in zip(read, cols[j])]
+        assert read == [int(r == s + 1) for s in range(len(qb))], r  # row 0 reads <a,.> = 0
+    assert errors == [
+        (ValueError, "quotient base class must be primitive, got %r" % ((0,) * 2 * g,), None),
+        (ValueError, "quotient base class must be primitive, got %r" % (tuple(6 * t for t in a),), None),
+        (ValueError, "coefficient vector must have positive even length, got %d" % (2 * g - 1), None)]
 
 
 @pytest.mark.parametrize("a", [(), (1,), (1, 0, 0)])
@@ -514,15 +558,23 @@ def packed_lift_cases(draw):
 
 
 def _bound(f, c):
-    """The a-priori bound on a call's packed slots: the growth prod (1 + |v|_1 |v|_inf) over the lift
-    axes, and for the action and verdict max |q| over the quotient basis and max |r|_1 over its rows."""
+    """The a-priori bound on a call's packed slots: the growth prod (1 + |v|_2^2) over the lift axes,
+    and for the action and verdict max |q|_1 over the quotient basis and max |r|_1 over its rows."""
     bound = 1
     for v, _ in mu_tilde_word_generic(c):
-        bound *= 1 + sum(map(abs, v)) * max(map(abs, v))
+        bound *= 1 + sum(t * t for t in v)
     if f is mu_tilde_matrix:
         return bound
     qb, rows = monodromy._quotient(c.curves[0])
-    return bound * max(abs(t) for q in qb for t in q) * max(sum(abs(v) for _, v in row) for row in rows)
+    return bound * max(sum(map(abs, q)) for q in qb) * max(sum(abs(v) for _, v in row) for row in rows)
+
+
+def _l1_linf_width(c):
+    """The lift matrix's width under the rule the l2 bound replaced, prod (1 + |v|_1 |v|_inf)."""
+    bound = 1
+    for v, _ in mu_tilde_word_generic(c):
+        bound *= 1 + sum(map(abs, v)) * max(map(abs, v))
+    return bound.bit_length() + 8 & -8
 
 
 def _true_entries(f, c, got):
@@ -540,7 +592,8 @@ def test_packed_lift_matches_the_matrix_oracles(c):
     # matrix, action and verdict on the packed kernel against the whole lift matrix from the
     # generic word: equal results, or errors of one type and message ("does not pair to zero"
     # among them); a packed run's w is the least multiple of 8 with 2^(w-1) above the a-priori
-    # bound, and on every result each true entry of a slot is below 2^(w-1)
+    # bound, the lift matrix's never wider than under the l1-linf rule, and on every result each
+    # true entry of a slot is below 2^(w-1)
     for f, oracle in ((mu_tilde_matrix, matrix_by_word), (surgered_action, torus_action_by_matrix),
                       (verdict, torus_verdict_by_matrix)):
         with recorded_widths() as widths:
@@ -549,6 +602,7 @@ def test_packed_lift_matches_the_matrix_oracles(c):
         if widths:  # the call reached its one packed run
             (w,), bound = widths, _bound(f, c)
             assert w == bound.bit_length() + 8 & -8 and bound < 2 ** (w - 1), f
+            assert f is not mu_tilde_matrix or w <= _l1_linf_width(c)
         if not (isinstance(got, tuple) and got[0] is ValueError):
             assert all(abs(e) < 2 ** (w - 1) for e in _true_entries(f, c, got)), f
 
