@@ -7,9 +7,10 @@ fixed by <a_i, b_i> = +1 and all other basis pairings zero.
 
 Matrices are tuples of row tuples acting on column vectors.  Twist
 words are sequences of (axis, exponent) pairs composed rightmost-first:
-word[0] acts first.  Many classes run through twists as one packed
-vector of big ints, each twist once (_pack, _run, _decode).  Everything
-here is plain big-int arithmetic -- no floats, no overflow.
+word[0] acts first; apply_word runs one on a class.  The lift in
+monodromy runs many classes through its twists, each of exponent 1, as
+one packed vector of big ints, each twist once (_pack, _run, _decode).
+Everything here is plain big-int arithmetic -- no floats, no overflow.
 """
 
 from itertools import compress
@@ -121,34 +122,6 @@ def twist_matrix(v, k) -> SpMatrix:
     return transpose([twist_apply(v, k, e) for e in ident(len(v))])
 
 
-def word_images(word, xs):
-    """Images of the classes xs under a twist word, rightmost (index 0) first.
-
-    The word may be any iterable; it is read once and every factor is checked
-    (nonzero exponent, primitive axis of the classes' genus) and grows the
-    bound on the entries (see _run); then the classes, packed, run through it once.
-    """
-    xs = list(xs)
-    n = 2 * genus_of(xs[0]) if xs else None
-    for x in xs:
-        if len(x) != n:
-            raise ValueError("genus mismatch: %d vs %d" % (len(x), n))
-    word, bound = list(word), 1
-    for axis, exp in word:
-        if xs and len(axis) != n:
-            raise ValueError("genus mismatch in word: axis %r on %r" % (axis, xs[0]))
-        if exp == 0:
-            raise ValueError("word exponents must be nonzero")
-        if not xs:  # with classes, len(axis) == n has checked it
-            genus_of(axis)
-        _require_axis(axis)
-        bound *= 1 + abs(exp) * sum(map(mul, axis, axis))
-    if not xs:
-        return []
-    w = _width(bound * max([sum(map(abs, x)) for x in xs]))
-    return list(zip(*_decode(_run(word, _pack(xs, w)), w, len(xs))))
-
-
 def _width(bound):
     """The least multiple w of 8 with 2^(w-1) > bound: the slot width for entries |e| <= bound."""
     return bound.bit_length() + 8 & -8
@@ -163,16 +136,16 @@ def _pack(xs, w):
     return X
 
 
-def _run(twists, X):
-    """Apply the twists (v, k), index 0 first, to packed classes X in place: X += k<v,X> v.  Exact: a
+def _run(axes, X):
+    """Twist the packed classes X in place about each axis v, index 0 first: X += <v,X> v.  Exact: a
     twist is Z-linear, so on X = sum_j x_j 2^(j w) it gives sum_j y_j 2^(j w), y_j the image of x_j,
     and so does an integer row r read off X after.  No slot spills: <v,.> is v signed and permuted, so
-    |I + k v <v,.>|_2 <= 1 + |k| |v|_2^2, |y|_inf <= |y|_2 <= prod (1 + |k| |v|_2^2) |x|_1 and |r.y| <=
-    |r|_1 |y|_inf; w = _width of that product times max |x_j|_1 (and max |r|_1) makes every slot
-    |e| < 2^(w-1).  So with _decode's bias every base-2^w digit e + 2^(w-1) lies in [0, 2^w), and a
-    nonzero sum_j e_j 2^(j w), all |e_j| <= 2^(w-1), has its lowest set bit in the first slot e_j != 0."""
-    for v, k in twists:
-        if c := k * pairing(v, X):
+    |I + v <v,.>|_2 <= 1 + |v|_2^2, |y|_inf <= |y|_2 <= prod (1 + |v|_2^2) |x|_1 and
+    |r.y| <= |r|_1 |y|_inf; w = _width of that product times max |x_j|_1 (and max |r|_1) makes every
+    slot |e| < 2^(w-1).  So with _decode's bias every base-2^w digit e + 2^(w-1) lies in [0, 2^w), and
+    a nonzero sum_j e_j 2^(j w), all |e_j| <= 2^(w-1), has its lowest set bit in the first e_j != 0."""
+    for v in axes:
+        if c := pairing(v, X):
             for j in compress(range(len(v)), v):
                 X[j] += c * v[j]
     return X
@@ -187,8 +160,19 @@ def _decode(Ps, w, m):
 
 
 def apply_word(word, x):
-    """Evaluate a twist word on a class, rightmost (index 0) first."""
-    return word_images(word, [x])[0]
+    """Evaluate a twist word on a class, rightmost (index 0) first.  The word, any iterable, is read
+    once, and every factor is checked (axis of x's genus, nonzero exponent, primitive) before any acts."""
+    n, word = 2 * genus_of(x), list(word)
+    for axis, exp in word:
+        if len(axis) != n:
+            raise ValueError("genus mismatch in word: axis %r on %r" % (axis, x))
+        if exp == 0:
+            raise ValueError("word exponents must be nonzero")
+        _require_axis(axis)
+    x = tuple(x)
+    for axis, exp in word:
+        x = twist_apply(axis, exp, x)
+    return x
 
 
 def delta_twist(a, b) -> SpMatrix:

@@ -4,7 +4,7 @@ The lift is the product of twists about the curves tau_{g_i}(g_{i+1}), rightmost
 with the closing step using the eps-signed first curve.  It fixes the first curve up to the sign
 (-1)^c eps, hence descends to the rank-(2g-2) quotient of its perp lattice -- the homology of the
 surgered surface.  Above genus 1 one pass over the curves, `_axes`, makes the lift's axes, and
-`_twists` their twists and l2 growth bound, with no word in between; the quotient basis, or for
+`_twists` their checks and l2 growth bound, with no word in between; the quotient basis, or for
 `mu_tilde_matrix` the identity, is packed into one vector of big ints that runs through each twist
 once (see homology._run).  The action's coordinate rows are read off that vector once; `verdict`
 decodes nothing, reading the first moved class off the lowest set bit.  The quotient basis and its
@@ -85,15 +85,14 @@ def _axes(ext):
 
 
 def _twists(axes):
-    """The twists (v, 1) of the axes (v, p) and the growth prod (1 + |v|_2^2) of homology._run's
-    width; y + p x pairs p with x, so only p not +-1 calls for the check, which names the canonical axis."""
-    twists, growth = [], 1
+    """The vectors v of the axes (v, p), as homology._run takes them, and the growth prod (1 + |v|_2^2) of
+    its width; y + p x pairs p with x, so only p not +-1 calls for the check, naming the canonical axis."""
+    growth = 1
     for v, p in axes:
         if p != 1 and p != -1:
             _require_axis(canon_sign(v))
-        twists.append((v, 1))
         growth *= 1 + sum(map(mul, v, v))
-    return twists, growth
+    return [v for v, _ in axes], growth
 
 
 def mu_tilde_matrix(c):
@@ -104,9 +103,9 @@ def mu_tilde_matrix(c):
     ext = _require_untwisted_closed(c).extended(1)
     n = len(ext[0])
     if n != 2:
-        twists, growth = _twists(_axes(ext))
+        vs, growth = _twists(_axes(ext))
         w = _width(growth)  # |e_i|_1 = 1
-        return tuple(_decode(_run(twists, [1 << i * w for i in range(n)]), w, n))
+        return tuple(_decode(_run(vs, [1 << i * w for i in range(n)]), w, n))
     (x0, x1), m00, m01, m10, m11 = ext[0], 1, 0, 0, 1
     for y0, y1 in ext[1:]:
         p = x0 * y1 - x1 * y0
@@ -193,10 +192,10 @@ def _lifted_coords(c):
                 _require_axis(canon_sign((y0 + p * x0, y1 + p * x1)))
         return a, (), (), 8  # rank 0: nothing is packed
     qb, rows = _quotient(a)
-    twists, growth = _twists(_axes(circ.extended(1)))
+    vs, growth = _twists(_axes(circ.extended(1)))
     growth *= max([sum(map(abs, q)) for q in qb]) * max([sum([abs(v) for _, v in row]) for row in rows])
     w = _width(growth)
-    X = _run(twists, _pack(qb, w))
+    X = _run(vs, _pack(qb, w))
     off, *rows = [sum([v * X[j] for j, v in row]) for row in rows]
     if off:
         x = tuple(r[((off & -off).bit_length() - 1) // w] for r in _decode(X, w, len(qb)))

@@ -31,7 +31,7 @@ column-echelon reduction `colreduce` backs `solve_int`, and
 `quotient_basis_by_echelon`, built on two of its passes, is the
 reference for `quotient_basis`, monodromy._quotient's basis with the
 coordinate reader `coords` on its rows.  `recorded_widths` records the
-slot widths of homology's packed kernel so that tests can hold every
+slot widths of monodromy's packed lift so that tests can hold every
 true entry below 2^(w-1).
 """
 
@@ -42,14 +42,14 @@ from math import gcd
 from operator import mul, sub
 from unittest import mock
 
-from sdcalc import homology, monodromy
+from sdcalc import monodromy
 from sdcalc._power import matmul
 from sdcalc.circuit import (Circuit, CurveError, Diagram, _check_switch, _clip_int, _repack, _unpack,
                             normalize)
 from sdcalc.genus1 import Classification, SumForm, _DELTAS, normalize_sum
 from sdcalc.handles import fiber_framing
 from sdcalc.homology import (_require_axis, add, canon_sign, genus_of, ident, matvec, pairing,
-                             pairing_functional, scale, transpose, twist_apply, twist_matrix, word_images)
+                             pairing_functional, scale, transpose, twist_apply, twist_matrix)
 from sdcalc.monodromy import SurgeredAction, Verdict, _quotient, _require_untwisted_closed
 from sdcalc.subst import (
     Detection,
@@ -143,15 +143,15 @@ def quotient_basis(a):
 
 @contextmanager
 def recorded_widths():
-    """Record every slot width that homology._width returns, through homology's binding and
-    monodromy's, so that a test can hold the packed kernel's entries to 2^(w-1)."""
-    seen, width = [], homology._width
+    """Record every slot width that monodromy's binding of homology._width returns, so that a test
+    can hold the packed lift's entries to 2^(w-1)."""
+    seen, width = [], monodromy._width
 
     def record(bound):
         seen.append(width(bound))
         return seen[-1]
 
-    with mock.patch.object(homology, "_width", record), mock.patch.object(monodromy, "_width", record):
+    with mock.patch.object(monodromy, "_width", record):
         yield seen
 
 
@@ -850,9 +850,10 @@ def delta_twist_by_product(a, b):
 
 
 def word_images_generic(word, xs):
-    """Reference for homology.word_images: its checks and factor loop as
-    they were before the genus-1 branch, one pairing functional per
-    factor at every genus."""
+    """Images of the classes xs under a twist word, rightmost (index 0)
+    first: the reference for homology.apply_word, one class at a time,
+    and for the packed kernel (_pack, _run, _decode).  Every factor is
+    checked first, then one pairing functional per factor at every genus."""
     xs = list(xs)
     n = 2 * genus_of(xs[0]) if xs else None
     for x in xs:
@@ -881,16 +882,17 @@ def word_images_generic(word, xs):
 
 def word_matrix(word, genus):
     """Matrix of a twist word, rightmost factor first: its columns are the
-    images of the 2g basis vectors under homology.word_images.  The library
-    reads no such matrix; the lift matrix is monodromy.mu_tilde_matrix."""
-    return transpose(word_images(word, ident(2 * genus)))
+    images of the 2g basis vectors under word_images_generic, so it runs
+    none of the code it checks.  The library reads no such matrix; the
+    lift matrix is monodromy.mu_tilde_matrix."""
+    return transpose(word_images_generic(word, ident(2 * genus)))
 
 
 def matrix_by_word(c):
     """Reference for monodromy.mu_tilde_matrix: the generic lift word's images of
     the 2g basis vectors through the generic kernel, so it runs none of the lift
     code (_axes, _twists, mu_tilde_word, the genus-1 fold) and not homology's packed kernel."""
-    return transpose(word_images_generic(mu_tilde_word_generic(c), ident(2 * c.genus)))
+    return word_matrix(mu_tilde_word_generic(c), c.genus)
 
 
 def mu_tilde_word_generic(c):

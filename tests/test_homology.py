@@ -1,5 +1,7 @@
 import random
+from contextlib import ExitStack
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, target
@@ -21,16 +23,16 @@ from sdcalc.homology import (
     transpose,
     twist_apply,
     twist_matrix,
-    word_images,
 )
 
+from sdcalc import homology
 from sdcalc._power import mat_pow, matmul
 from sdcalc.circuit import Circuit, generate
 from sdcalc.monodromy import mu_tilde_word
 from sdcalc.subst import apply_blowup, hayano_surgery
 
 from support import (delta_twist_by_product, is_symplectic_by_jmat, jmat, k2_chain, rand_chain, rand_closed,
-                     rand_next, rand_primitive, recorded_widths, sp_inv_by_jmat, word_images_generic, word_matrix)
+                     rand_next, rand_primitive, sp_inv_by_jmat, word_images_generic, word_matrix)
 
 A = (1, 0)
 B = (0, 1)
@@ -298,7 +300,13 @@ def test_word_matrix_equals_dense_product():
             assert word_matrix(iter(word), g) == dense
 
 
+def _generic(word, x):
+    """The image of one class under word_images_generic, the reference for apply_word."""
+    return word_images_generic(word, [x])[0]
+
+
 def test_word_images_match_twist_apply_loop():
+    # apply_word on each class against the generic loop, the word as a list and as an iterator
     rng = random.Random(13)
     for g in (1, 2, 3, 5):
         for _ in range(40):
@@ -307,28 +315,26 @@ def test_word_images_match_twist_apply_loop():
                 v = tuple(rng.randint(-4, 4) for _ in range(2 * g))
                 if is_primitive(v):
                     word.append((v, rng.choice((-3, -1, 1, 2))))
-            xs = [tuple(rng.randint(-9, 9) for _ in range(2 * g)) for _ in range(rng.randint(0, 4))]
-            want = []
-            for x in xs:
-                for axis, exp in word:
-                    x = twist_apply(axis, exp, x)
-                want.append(x)
-            assert word_images(word, xs) == want
-            assert word_images(iter(word), iter(xs)) == want
+            for x in [tuple(rng.randint(-9, 9) for _ in range(2 * g)) for _ in range(rng.randint(0, 4))]:
+                want = _generic(word, x)
+                assert apply_word(word, x) == want
+                assert apply_word(iter(word), x) == want
 
 
 def test_word_images_validates_whole_word():
-    # every factor is checked, also with no classes to move
+    # every factor is checked before any acts, also one after a valid factor
     with pytest.raises(ValueError, match="nonzero"):
-        word_images([(A, 1), (B, 0)], [])
+        apply_word([(A, 1), (B, 0)], A)
     with pytest.raises(ValueError, match="primitive"):
-        word_images(iter([(A, 1), ((2, 0), 1)]), [])
+        apply_word(iter([(A, 1), ((2, 0), 1)]), A)
     with pytest.raises(ValueError, match="genus mismatch in word"):
-        word_images([(A, 1), ((1, 0, 0, 0), 1)], [B])
-    with pytest.raises(ValueError, match="genus mismatch"):
-        word_images([(A, 1)], [B, (0, 1, 0, 0)])
+        apply_word([(A, 1), ((1, 0, 0, 0), 1)], B)
+    with pytest.raises(ValueError, match="genus mismatch in word"):
+        apply_word([(A, 1)], (0, 1, 0, 0))
+    with pytest.raises(ValueError, match="genus mismatch in word"):
+        apply_word([((1, 0, 1), 1)], A)
     with pytest.raises(ValueError, match="even length"):
-        word_images([((1, 0, 1), 1)], [])
+        apply_word([(A, 1)], (1, 0, 1))
 
 
 def _outcome(f, *args):
@@ -349,9 +355,8 @@ def test_word_images_genus_one_branch_matches_the_generic_loop():
         word = [(axis, rng.choice((-3, -2, -1, 1, 1, 2, 5))) for axis, _ in mu_tilde_word(c)]
         xs = [list(x) for x in ident(2)]
         xs += [[rng.randint(-9, 9), rng.randint(-9, 9)] for _ in range(rng.randint(0, 3))]
-        want = word_images_generic(word, xs)
-        assert word_images(iter(word), xs) == want
-        assert word_images(iter(word), []) == [] == word_images_generic(word, [])
+        for x in xs:
+            assert apply_word(iter(word), x) == _generic(word, x)
 
 
 def _session_circuits(rng, g, steps):
@@ -389,8 +394,8 @@ def _support_axes(rng, g):
 def test_word_images_higher_genus_matches_the_generic_loop():
     # lift words of random closed circuits and of editing sessions, with
     # axes of every support size spliced in and exponents in
-    # {-3, -2, -1, 1, 2, 5}; word and classes read from iterators, and the
-    # classes, given as lists, left as they were
+    # {-3, -2, -1, 1, 2, 5}; words read from iterators, the classes, given
+    # as lists, left as they were, and each image a tuple
     rng = random.Random(47)
     exps = (-3, -2, -1, 1, 2, 5)
     for g in (2, 3, 5, 8):
@@ -405,66 +410,82 @@ def test_word_images_higher_genus_matches_the_generic_loop():
             xs = [list(x) for x in ident(2 * g)]
             xs += [[rng.randint(-9, 9) for _ in range(2 * g)] for _ in range(rng.randint(0, 3))]
             given = [list(x) for x in xs]
-            want = word_images_generic(word, xs)
-            assert word_images(iter(word), iter(xs)) == want
+            for x in xs:
+                got = apply_word(iter(word), x)
+                assert type(got) is tuple and got == _generic(word, x)
             assert xs == given
-            assert word_images(iter(word), iter([])) == [] == word_images_generic(word, [])
         assert {1, 2, 2 * g} <= supports  # also among the lift axes themselves
 
 
 @st.composite
 def big_words(draw):
-    # a genus 1-4 word of up to six factors, exponents +-1 to +-5, axes with entries up to 10^6
-    # (primitive but for a few) or small ones, and up to five classes with entries up to 10^6
+    # a genus 1-4 word of up to six primitive axes, with entries up to 10^6 or small ones, and one
+    # to five classes with entries up to 10^6
     n = 2 * draw(st.integers(1, 4))
     big, small = st.integers(-10 ** 6, 10 ** 6), st.integers(-3, 3)
-    axis = st.one_of(st.tuples(*[big] * n), st.tuples(*[small] * n))
-    exp = st.sampled_from((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5))
-    return draw(st.lists(st.tuples(axis, exp), max_size=6)), draw(st.lists(st.tuples(*[big] * n), max_size=5))
+    axis = st.one_of(st.tuples(*[big] * n), st.tuples(*[small] * n)).filter(is_primitive)
+    return draw(st.lists(axis, max_size=6)), draw(st.lists(st.tuples(*[big] * n), min_size=1, max_size=5))
 
 
 BIG = (10 ** 6 - 1, 999_983, -10 ** 6, 3, 17, -999_331)
-BIG_WORD = [(BIG[i:] + BIG[:i], (-5, 5, -4, 4, 3, -2)[i]) for i in range(6)]
+BIG_AXES = [BIG[i:] + BIG[:i] for i in range(6)]
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(big_words())
-@example((BIG_WORD, [BIG, BIG[::-1], (1, 0, 0, 0, 0, 0)]))
+@example((BIG_AXES, [BIG, BIG[::-1], (1, 0, 0, 0, 0, 0)]))
 @example(([], [(0, 0)]))  # every class zero: bound 0, w = 8
 def test_packed_word_images_match_the_generic_loop(case):
-    # the packed kernel against one dot product per class and factor: equal images, or
-    # errors of one type and message; w is the least multiple of 8 with 2^(w-1) above the
+    # the packed kernel (_pack, _run, _decode), whose words have exponent 1, against one dot
+    # product per class and factor; w is the least multiple of 8 with 2^(w-1) above the
     # a-priori bound, and every true image entry is below 2^(w-1)
-    word, xs = case
-    with recorded_widths() as widths:
-        got = _outcome(word_images, iter(word), iter(xs))
-    want = _outcome(word_images_generic, word, xs)
-    assert got == want
-    if xs and isinstance(want, list):
-        (w,) = widths
-        target(float(w))
-        bound = max(sum(map(abs, x)) for x in xs)
-        for axis, exp in word:
-            bound *= 1 + abs(exp) * sum(t * t for t in axis)
-        assert w == bound.bit_length() + 8 & -8 and bound < 2 ** (w - 1)
-        assert all(abs(e) < 2 ** (w - 1) for y in want for e in y)
-        if word == BIG_WORD:  # six factors of about 44 bits of growth each
-            assert w >= 256
+    axes, xs = case
+    bound = max(sum(map(abs, x)) for x in xs)
+    for v in axes:
+        bound *= 1 + sum(t * t for t in v)
+    w = homology._width(bound)
+    target(float(w))
+    want = word_images_generic([(v, 1) for v in axes], xs)
+    assert homology._decode(homology._run(axes, homology._pack(xs, w)), w, len(xs)) == list(zip(*want))
+    assert w == bound.bit_length() + 8 & -8 and bound < 2 ** (w - 1)
+    assert all(abs(e) < 2 ** (w - 1) for y in want for e in y)
+    if axes == BIG_AXES:  # six factors of about 42 bits of growth each
+        assert w >= 256
 
 
 BAD_FACTORS = [((1, 0), 0), ((2, 0), 1), ((0, 0), -1), ((1, 0, 0, 0), 1), ((1, 0, 1), 1),
                ((), 1), ((2, 4), 0), ((0, 0, 0), 0), ((2, 0, 0, 0), 1), ((1,), 2)]
 
 
-@pytest.mark.parametrize("xs", [[], [A], [list(B), (3, 1)], [(0, 1, 0, 0)], [(1, 0, 0)], [(1, 0), (1, 0, 0, 0)]])
+@pytest.mark.parametrize("xs", [[(0, 0)], [A], [list(B), (3, 1)], [(0, 1, 0, 0)], [(1, 0, 0)],
+                                [(1, 0), (1, 0, 0, 0)]])
 def test_word_images_errors_match_the_generic_loop(xs):
     # zero exponent, non-primitive axis, zero axis, genus mismatch and odd
-    # length, alone and in pairs: the first fault wins, with the same message
-    good = [(A, 1), ((1, -1), 2)] if not xs or len(xs[0]) == 2 else [((1, 0, 1, 1), -1)]
+    # length, alone and in pairs, on each class: the first fault wins, with the same message
+    good = [(A, 1), ((1, -1), 2)] if len(xs[0]) == 2 else [((1, 0, 1, 1), -1)]
     for i, bad in enumerate(BAD_FACTORS):
         for other in [None] + BAD_FACTORS[i:]:
             word = good + [bad] + ([other] if other else [])
-            assert _outcome(word_images, iter(word), iter(xs)) == _outcome(word_images_generic, word, xs)
+            for x in xs:
+                assert _outcome(apply_word, iter(word), x) == _outcome(_generic, word, x)
+
+
+def test_apply_word_runs_none_of_the_packed_kernel():
+    # apply_word twists its class factor by factor: with the packed kernel patched to fail in
+    # homology, it gives the same images and errors
+    def ran(*args):
+        raise AssertionError("apply_word ran the packed kernel")
+
+    rng = random.Random(53)
+    cases = [([(axis, rng.choice((-2, 1, 3))) for axis, _ in mu_tilde_word(rand_closed(rng, g, 4))],
+              rand_primitive(rng, g)) for g in (1, 2, 3) for _ in range(5)]
+    cases += [([(A, 1), bad], A) for bad in BAD_FACTORS] + [([], [3, -1]), ([(A, 2)], (1, 0, 0))]
+    want = [_outcome(apply_word, word, x) for word, x in cases]
+    assert want == [_outcome(_generic, word, x) for word, x in cases]
+    with ExitStack() as stack:
+        for name in ("_pack", "_run", "_decode", "_width"):
+            stack.enter_context(mock.patch.object(homology, name, ran))
+        assert [_outcome(apply_word, word, x) for word, x in cases] == want
 
 
 def test_word_matrix_validates():

@@ -507,19 +507,24 @@ def test_torus_lift_matrix_and_checks_match_the_word_oracles():
 
 
 # the lift code that the oracles check, and the packed kernel (width, packer, run and decoder)
-# that homology.word_images shares with it
+# in homology that it runs
 LIFT_CODE = ("mu_tilde_word", "mu_tilde_matrix", "surgered_action", "verdict", "_axes", "_twists",
              "_lifted_coords", "_width", "_pack", "_run", "_decode")
 
 
 def test_lift_oracles_run_none_of_the_lift_code():
-    # every oracle of the lift, its matrix, action, verdict and report, still runs with
-    # the lift code patched to fail wherever it is bound, so none of them shares it
+    # every oracle of the lift, its matrix, action, verdict and report, and word_matrix on the
+    # lift's word with other exponents, still runs with the lift code patched to fail wherever
+    # it is bound, so none of them shares it
     def ran(*args):
         raise AssertionError("an oracle ran the lift code")
 
+    def word_matrix_at_minus_two(c):
+        return word_matrix([(v, -2) for v, _ in mu_tilde_word_generic(c)], c.genus)
+
     oracles = (matrix_by_word, surgered_action_by_matrix, verdict_by_matrix, torus_action_by_matrix,
-               torus_verdict_by_matrix, action_by_word, report_by_word, mu_tilde_word_generic)
+               torus_verdict_by_matrix, action_by_word, report_by_word, mu_tilde_word_generic,
+               word_matrix_at_minus_two)
     circs = torus_fold_cases()[::7] + lift_factor_cases()[::10]
     assert {c.genus for c in circs} >= {1, 2}
     want = [[result_or_error(f, c) for f in oracles] for c in circs]
@@ -636,17 +641,16 @@ def test_verdict_witness_at_large_genus_matches_the_matrix_oracle():
 @pytest.mark.parametrize("circ, calls", [(TRI, 0), (AB, 0), (WITNESS, 1)])
 def test_genus_one_skips_the_quotient_machinery(circ, calls):
     # patched in monodromy's namespace and in homology's, so every path to the kernel is
-    # counted: monodromy's own _run, and word_images or _run through homology's
+    # counted: monodromy's own _run, and _run through homology's
     for f in (surgered_action, verdict, mu_tilde_matrix):
         with mock.patch.object(monodromy, "_quotient", wraps=monodromy._quotient) as qb, \
                 mock.patch.object(monodromy, "mu_tilde_word", wraps=monodromy.mu_tilde_word) as word, \
                 mock.patch.object(monodromy, "_axes", wraps=monodromy._axes) as axes, \
                 mock.patch.object(monodromy, "_run", wraps=monodromy._run) as runs, \
-                mock.patch.object(homology, "word_images", wraps=homology.word_images) as wi, \
                 mock.patch.object(homology, "_run", wraps=homology._run) as kernel:
             f(circ)
         # no word at any genus; above genus 1 one axis pass and one kernel run
-        assert word.call_count == wi.call_count == kernel.call_count == 0, f
+        assert word.call_count == kernel.call_count == 0, f
         assert axes.call_count == runs.call_count == calls, f
         assert qb.call_count == (0 if f is mu_tilde_matrix else calls), f
 
