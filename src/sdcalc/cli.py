@@ -30,13 +30,12 @@ Reports for genus >= 2 input always carry the homological-only notice:
 at that genus every result is a necessary condition, not a certificate.
 """
 
-import argparse
 import functools
-import json
 import os
 import re
 import sys
 from itertools import chain
+from types import SimpleNamespace
 
 from . import __version__
 # start-up is most of a run: each subcommand imports the rest of what it runs itself
@@ -143,6 +142,7 @@ def _sd_ints(args, lineno, message):
 
 
 def _parse_json(text):
+    import json  # loaded only by the runs that read or write JSON
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -181,7 +181,8 @@ def _is_json_int(t):
 
 
 def _is_int(s):
-    return re.fullmatch(r"[+-]?\d+", s) is not None
+    # an optional sign, then digits of Unicode category Nd (str.isdecimal), all of which int() reads
+    return (s[1:] if s[:1] in "+-" else s).isdecimal()
 
 
 _OVERLONG = "integer string conversion"  # in the ValueError of str() past the limit
@@ -212,6 +213,7 @@ def emit_sd(d: Diagram, notes=()) -> str:
 
 
 def emit_json(payload: dict) -> str:
+    import json
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -233,6 +235,7 @@ def _payload(report, text_lines, fmt):
     if fmt == "text":
         head, _, tail = ("\n".join(text_lines) + "\n").partition(_ROWS + "\n")
         return chain([head], map("{}\n".format, _matrix_lines(lm.rows())), [tail])
+    import json
     head, _, tail = emit_json(dict(report, linking_matrix=_ROWS)).partition(json.dumps(_ROWS))
     rows = ("\n    [\n      " + ",\n      ".join(map(str, r)) + "\n    ]" for r in lm.rows())
     return chain([head + "[", next(rows)], map(",".__add__, rows), ["\n  ]" + tail])
@@ -378,65 +381,89 @@ def _clip_echo(m):
     return m[0][0] + s + m[0][0]  # a quoted value keeps its quotes
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse whose errors raise UsageError, one line with each echoed
-    argv value cut by _clip, taking the unrecognized arguments as one value."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # no option starts with - and a digit, so such an argument is a value: --dual -1,0
-        self._negative_number_matcher = re.compile(r"-\d")
-
-    def parse_args(self, args=None, namespace=None):
-        args, extras = self.parse_known_args(args, namespace)
-        if extras:
-            self.error("unrecognized arguments: %s" % _clip(" ".join(extras)))
-        return args
-
-    def error(self, message):
-        raise UsageError(re.sub(_ECHO, _clip_echo, message))
-
-
-# each subcommand: its dispatcher, its help, and the options it takes past
-# FILE (all but generate take one), --format and --out
+# each subcommand: its dispatcher, its help, and its arguments as -h lists them: FILE (all but
+# generate), --format, --out, its own options.  _read parses a scripted run's argv from this table;
+# only the runs it leaves, -h, --version and every usage error among them, load argparse
+_OUTPUT = (("--format", {"choices": ("text", "json"), "default": "text"}),
+           ("--out", {"metavar": "PATH", "help": "write the report to PATH"}))
+_READ = (("file", {"help": "diagram file (.sd or JSON), or - for stdin"}), *_OUTPUT)
 _COMMANDS = {
-    "validate": (_cmd_validate, "check circuit and switch invariants", ()),
-    "info": (_cmd_info, "framings, linking matrix, invariants, euler numbers", ()),
-    "classify": (_cmd_classify, "canonical connected sums (genus 1, untwisted)", ()),
-    "detect": (_cmd_detect, "find substitution patterns", ()),
+    "validate": (_cmd_validate, "check circuit and switch invariants", _READ),
+    "info": (_cmd_info, "framings, linking matrix, invariants, euler numbers", _READ),
+    "classify": (_cmd_classify, "canonical connected sums (genus 1, untwisted)", _READ),
+    "detect": (_cmd_detect, "find substitution patterns", _READ),
     "substitute": (_cmd_substitute, "apply a substitution", (
-        ("--op", {"choices": ("blowup", "stab", "hayano"), "required": True}),
+        *_READ, ("--op", {"choices": ("blowup", "stab", "hayano"), "required": True}),
         ("--pos", {"type": int, "required": True, "help": "1-based position"}),
         ("--exp", {"type": int, "metavar": "{1,-1}", "help": "blow-up exponent"}),
         ("--k", {"type": int, "help": "twist power for stab/hayano"}),
         ("--dual", {"help": "dual class for hayano, e.g. '0,1'"}))),
     "switch": (_cmd_switch, "rotate the reference point", (
-        ("--k", {"type": int, "default": 1, "help": "number of switches (may be negative)"}),)),
-    "double": (_cmd_double, "close off a circuit by doubling", ()),
-    "monodromy": (_cmd_monodromy, "lift word, matrix, surgered action, verdict", ()),
-    "blf": (_cmd_blf, "broken-fibration handle data", ()),
+        *_READ, ("--k", {"type": int, "default": 1, "help": "number of switches (may be negative)"}))),
+    "double": (_cmd_double, "close off a circuit by doubling", _READ),
+    "monodromy": (_cmd_monodromy, "lift word, matrix, surgered action, verdict", _READ),
+    "blf": (_cmd_blf, "broken-fibration handle data", _READ),
     "kirby": (_cmd_kirby, "handle-decomposition data", (
-        ("--section", {"type": int, "help": "self-intersection of a section (closed only)"}),)),
+        *_READ, ("--section", {"type": int, "help": "self-intersection of a section (closed only)"}))),
     "generate": (_cmd_generate, "seeded random closed genus-1 circuit with known classification", (
-        ("--seed", {"type": int, "required": True}), ("--steps", {"type": int, "required": True}))),
+        *_OUTPUT, ("--seed", {"type": int, "required": True}), ("--steps", {"type": int, "required": True}))),
 }
 
 
-@functools.cache  # once per process and name; help text is formatted, and wrapped, on use
-def _build_parser(only=None):
-    """The parser with the subcommand `only`, which parses its argv as the full one
-    does (tests/test_cli.py compares them), or with all of them when only is None."""
+def _read(argv):
+    """The namespace that _build_parser() makes of argv, when argv is a subcommand, its FILE, then
+    whole long options of its table, each with a value that does not start with - and that passes
+    the option's type and choices, every required one given; None for any other argv."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    fn, _, arguments = _COMMANDS[argv[0]]
+    ns, rest = {"command": argv[0], "func": fn}, argv[1:]
+    if arguments[0][0] == "file":  # argparse reads a lone - as a value, any other -x as an option
+        if not rest or rest[0] != "-" and rest[0][:1] == "-":
+            return None
+        ns["file"], rest, arguments = rest[0], rest[1:], arguments[1:]
+    if len(rest) % 2 or any(v[:1] == "-" for v in rest[1::2]):
+        return None
+    given = dict(zip(rest[::2], rest[1::2]))  # a repeated option's last value wins, as in argparse
+    for flag, kwargs in arguments:
+        value = given.pop(flag, None)  # a given value is a str, a default None, 1 or "text"
+        try:
+            value = kwargs.get("default") if value is None else kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+        if value is None and kwargs.get("required") or value not in kwargs.get("choices", (value,)):
+            return None
+        ns[flag[2:]] = value
+    return None if given else SimpleNamespace(**ns)
+
+
+@functools.cache  # once per process; help text is formatted, and wrapped, on use
+def _build_parser():
+    """The full parser: argparse whose errors raise UsageError, one line with each echoed
+    argv value cut by _clip, taking the unrecognized arguments as one value."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            # no option starts with - and a digit, so such an argument is a value: --dual -1,0
+            self._negative_number_matcher = re.compile(r"-\d")
+
+        def parse_args(self, args=None, namespace=None):
+            args, extras = self.parse_known_args(args, namespace)
+            if extras:
+                self.error("unrecognized arguments: %s" % _clip(" ".join(extras)))
+            return args
+
+        def error(self, message):
+            raise UsageError(re.sub(_ECHO, _clip_echo, message))
+
     p = _Parser(prog="sdcalc", description="surface-diagram calculus on first homology")
     p.add_argument("--version", action="version", version="sdcalc " + __version__)
     sub = p.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS if only is None else (only,):
-        fn, help, options = _COMMANDS[name]
+    for name, (fn, help, arguments) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help)
-        if name != "generate":
-            sp.add_argument("file", help="diagram file (.sd or JSON), or - for stdin")
-        sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--out", metavar="PATH", help="write the report to PATH")
-        for flag, kwargs in options:
+        for flag, kwargs in arguments:
             sp.add_argument(flag, **kwargs)
         sp.set_defaults(func=fn)
     return p
@@ -452,7 +479,7 @@ def run(argv) -> int:
         return code
 
     try:
-        args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+        args = _read(argv) or _build_parser().parse_args(argv)
         report, text_lines, code, homological = args.func(args)
         if homological is not None:  # a report rather than a bare diagram
             report.update(command=args.command, homological_only=homological)

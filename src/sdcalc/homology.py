@@ -7,13 +7,11 @@ fixed by <a_i, b_i> = +1 and all other basis pairings zero.
 
 Matrices are tuples of row tuples acting on column vectors.  Twist
 words are sequences of (axis, exponent) pairs composed rightmost-first:
-word[0] acts first; apply_word runs one on a class.  The lift in
-monodromy runs many classes through its twists, each of exponent 1, as
-one packed vector of big ints, each twist once (_pack, _run, _decode).
-Everything here is plain big-int arithmetic -- no floats, no overflow.
+word[0] acts first; apply_word runs one on a class (monodromy's lift
+packs many into big ints).  Everything here is plain big-int
+arithmetic -- no floats, no overflow.
 """
 
-from itertools import compress
 from math import gcd
 from operator import add as _plus, mul
 
@@ -120,43 +118,6 @@ def twist_matrix(v, k) -> SpMatrix:
     """
     _require_axis(v)
     return transpose([twist_apply(v, k, e) for e in ident(len(v))])
-
-
-def _width(bound):
-    """The least multiple w of 8 with 2^(w-1) > bound: the slot width for entries |e| <= bound."""
-    return bound.bit_length() + 8 & -8
-
-
-def _pack(xs, w):
-    """The classes xs as one vector X of big ints, X[i] = sum_j xs[j][i] 2^(j w)."""
-    X = [0] * len(xs[0])
-    for j, x in enumerate(xs):
-        for i in compress(range(len(x)), x):
-            X[i] += x[i] << j * w
-    return X
-
-
-def _run(axes, X):
-    """Twist the packed classes X in place about each axis v, index 0 first: X += <v,X> v.  Exact: a
-    twist is Z-linear, so on X = sum_j x_j 2^(j w) it gives sum_j y_j 2^(j w), y_j the image of x_j,
-    and so does an integer row r read off X after.  No slot spills: <v,.> is v signed and permuted, so
-    |I + v <v,.>|_2 <= 1 + |v|_2^2, |y|_inf <= |y|_2 <= prod (1 + |v|_2^2) |x|_1 and
-    |r.y| <= |r|_1 |y|_inf; w = _width of that product times max |x_j|_1 (and max |r|_1) makes every
-    slot |e| < 2^(w-1).  So with _decode's bias every base-2^w digit e + 2^(w-1) lies in [0, 2^w), and
-    a nonzero sum_j e_j 2^(j w), all |e_j| <= 2^(w-1), has its lowest set bit in the first e_j != 0."""
-    for v in axes:
-        if c := pairing(v, X):
-            for j in compress(range(len(v)), v):
-                X[j] += c * v[j]
-    return X
-
-
-def _decode(Ps, w, m):
-    """The m slots of each packed int of Ps, a tuple each, read in balanced base 2^w (see _run)."""
-    nb, half, read = w >> 3, 1 << w - 1, int.from_bytes
-    bias = read((bytes(nb - 1) + b"\x80") * m, "little")
-    return [tuple([read(d[k:k + nb], "little") - half for k in range(0, nb * m, nb)])
-            for d in [(P + bias).to_bytes(nb * m, "little") for P in Ps]]
 
 
 def apply_word(word, x):

@@ -6,7 +6,7 @@ with the closing step using the eps-signed first curve.  It fixes the first curv
 surgered surface.  Above genus 1 one pass over the curves, `_axes`, makes the lift's axes, and
 `_twists` their checks and l2 growth bound, with no word in between; the quotient basis, or for
 `mu_tilde_matrix` the identity, is packed into one vector of big ints that runs through each twist
-once (see homology._run).  The action's coordinate rows are read off that vector once; `verdict`
+once (see _run).  The action's coordinate rows are read off that vector once; `verdict`
 decodes nothing, reading the first moved class off the lowest set bit.  The quotient basis and its
 coordinate rows come from two one-row reductions on sparse rows (Euclid carrying its column moves
 and their inverse row moves), so no identity or matrix product is formed.  At genus 1 the quotient
@@ -16,11 +16,11 @@ converse direction is not decided here, so verdicts are worded as necessary cond
 """
 
 from collections import namedtuple
+from itertools import compress
 from operator import add, mul, sub
 
 from .circuit import Circuit, _Rec, _matrix_lines, _unpack
-from .homology import (_decode, _pack, _require_axis, _run, _width, canon_sign, genus_of, ident, is_primitive,
-                       pairing, pairing_functional)
+from .homology import _require_axis, canon_sign, genus_of, ident, is_primitive, pairing, pairing_functional
 
 
 class SurgeredAction(_Rec, namedtuple("SurgeredAction", "base_class quotient_rank matrix basis")):
@@ -85,7 +85,7 @@ def _axes(ext):
 
 
 def _twists(axes):
-    """The vectors v of the axes (v, p), as homology._run takes them, and the growth prod (1 + |v|_2^2) of
+    """The vectors v of the axes (v, p), as _run takes them, and the growth prod (1 + |v|_2^2) of
     its width; y + p x pairs p with x, so only p not +-1 calls for the check, naming the canonical axis."""
     growth = 1
     for v, p in axes:
@@ -93,6 +93,43 @@ def _twists(axes):
             _require_axis(canon_sign(v))
         growth *= 1 + sum(map(mul, v, v))
     return [v for v, _ in axes], growth
+
+
+def _width(bound):
+    """The least multiple w of 8 with 2^(w-1) > bound: the slot width for entries |e| <= bound."""
+    return bound.bit_length() + 8 & -8
+
+
+def _pack(xs, w):
+    """The classes xs as one vector X of big ints, X[i] = sum_j xs[j][i] 2^(j w)."""
+    X = [0] * len(xs[0])
+    for j, x in enumerate(xs):
+        for i in compress(range(len(x)), x):
+            X[i] += x[i] << j * w
+    return X
+
+
+def _run(axes, X):
+    """Twist the packed classes X in place about each axis v, index 0 first: X += <v,X> v.  Exact: a
+    twist is Z-linear, so on X = sum_j x_j 2^(j w) it gives sum_j y_j 2^(j w), y_j the image of x_j,
+    and so does an integer row r read off X after.  No slot spills: <v,.> is v signed and permuted, so
+    |I + v <v,.>|_2 <= 1 + |v|_2^2, |y|_inf <= |y|_2 <= prod (1 + |v|_2^2) |x|_1 and
+    |r.y| <= |r|_1 |y|_inf; w = _width of that product times max |x_j|_1 (and max |r|_1) makes every
+    slot |e| < 2^(w-1).  So with _decode's bias every base-2^w digit e + 2^(w-1) lies in [0, 2^w), and
+    a nonzero sum_j e_j 2^(j w), all |e_j| <= 2^(w-1), has its lowest set bit in the first e_j != 0."""
+    for v in axes:
+        if c := pairing(v, X):
+            for j in compress(range(len(v)), v):
+                X[j] += c * v[j]
+    return X
+
+
+def _decode(Ps, w, m):
+    """The m slots of each packed int of Ps, a tuple each, read in balanced base 2^w (see _run)."""
+    nb, half, read = w >> 3, 1 << w - 1, int.from_bytes
+    bias = read((bytes(nb - 1) + b"\x80") * m, "little")
+    return [tuple([read(d[k:k + nb], "little") - half for k in range(0, nb * m, nb)])
+            for d in [(P + bias).to_bytes(nb * m, "little") for P in Ps]]
 
 
 def mu_tilde_matrix(c):
@@ -215,7 +252,7 @@ def verdict(c) -> Verdict:
     """Necessary-condition check for trivial monodromy: HomologicallyTrivial when the induced
     quotient action is the identity (read: "not obstructed on homology"), otherwise the first moved
     basis class as a witness.  Nothing is decoded: packed row r is the identity's when it is 2^(r w),
-    and the first moved class is the lowest slot set in any difference (see homology._run)."""
+    and the first moved class is the lowest slot set in any difference (see _run)."""
     _, qb, rows, w = _lifted_coords(c)
     moved = [((d & -d).bit_length() - 1) // w for r, x in enumerate(rows) if (d := x - (1 << r * w))]
     kind = ("ObstructedOnHomology", qb[min(moved)]) if moved else ("HomologicallyTrivial", None)

@@ -143,8 +143,8 @@ def quotient_basis(a):
 
 @contextmanager
 def recorded_widths():
-    """Record every slot width that monodromy's binding of homology._width returns, so that a test
-    can hold the packed lift's entries to 2^(w-1)."""
+    """Record every slot width that monodromy._width returns, so that a test can hold the packed
+    lift's entries to 2^(w-1)."""
     seen, width = [], monodromy._width
 
     def record(bound):
@@ -852,7 +852,7 @@ def delta_twist_by_product(a, b):
 def word_images_generic(word, xs):
     """Images of the classes xs under a twist word, rightmost (index 0)
     first: the reference for homology.apply_word, one class at a time,
-    and for the packed kernel (_pack, _run, _decode).  Every factor is
+    and for monodromy's packed kernel (_pack, _run, _decode).  Every factor is
     checked first, then one pairing functional per factor at every genus."""
     xs = list(xs)
     n = 2 * genus_of(xs[0]) if xs else None
@@ -891,7 +891,7 @@ def word_matrix(word, genus):
 def matrix_by_word(c):
     """Reference for monodromy.mu_tilde_matrix: the generic lift word's images of
     the 2g basis vectors through the generic kernel, so it runs none of the lift
-    code (_axes, _twists, mu_tilde_word, the genus-1 fold) and not homology's packed kernel."""
+    code (_axes, _twists, mu_tilde_word, the genus-1 fold) nor its packed kernel."""
     return word_matrix(mu_tilde_word_generic(c), c.genus)
 
 

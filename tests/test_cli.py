@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import io
 import json
 import os
@@ -389,15 +390,14 @@ def test_monodromy_reads_the_lift_once(capsys):
 
 
 def test_monodromy_at_genus_one_skips_the_quotient_machinery(capsys):
-    # the lift matrix is mu_tilde_matrix's fold: no word kernel runs, by any path through homology
-    from sdcalc import homology, monodromy
+    # the lift matrix is mu_tilde_matrix's fold: the packed kernel, which lives in monodromy, never runs
+    from sdcalc import monodromy
     with mock.patch.object(monodromy, "_quotient", wraps=monodromy._quotient) as qb, \
             mock.patch.object(monodromy, "_axes", wraps=monodromy._axes) as axes, \
-            mock.patch.object(monodromy, "_run", wraps=monodromy._run) as runs, \
-            mock.patch.object(homology, "_run", wraps=homology._run) as kernel:
+            mock.patch.object(monodromy, "_run", wraps=monodromy._run) as kernel:
         assert cli.run(["monodromy", TRI]) == 0
     capsys.readouterr()
-    assert qb.call_count == axes.call_count == runs.call_count == kernel.call_count == 0
+    assert qb.call_count == axes.call_count == kernel.call_count == 0
 
 
 def test_monodromy_rejects_twisted(capsys):
@@ -948,26 +948,53 @@ def test_fuzz_argv_errors_are_one_bounded_line(command, file, options):
     assert msg.count("\n") <= 1 and len(msg) <= 300, (argv, msg)
 
 
-# ------------------------------------------------------ one subparser per run
+# ------------------------------------------------------------ the argv reader
 #
-# A run whose first argument names a subcommand builds the parser with that
-# subparser only (cli._build_parser(only)); every other run builds all of them.
+# cli._read parses the argv of a scripted run from cli._COMMANDS: a subcommand,
+# its FILE, then whole long options each with a value.  Every other run builds
+# the full parser, cli._build_parser(), and argparse parses it.
 
 NAMES = ["validate", "info", "classify", "detect", "substitute", "switch", "double", "monodromy",
          "blf", "kirby", "generate"]
 
 
-def parsed(argv, only):
-    """What the parser built with `only` makes of argv: its namespace, its
-    UsageError text, or the exit code and stdout of -h or --version."""
+def parsed(argv):
+    """What the full parser makes of argv: its namespace, its UsageError
+    text, or the exit code and stdout of -h or --version."""
     out = io.StringIO()
     with mock.patch.dict(os.environ, {"COLUMNS": "80"}), redirect_stdout(out):
         try:
-            return "namespace", vars(cli._build_parser(only).parse_args(list(argv)))
+            return "namespace", vars(cli._build_parser().parse_args(list(argv)))
         except cli.UsageError as exc:
             return "usage", str(exc)
         except SystemExit as exc:
             return "exit", exc.code, out.getvalue()
+
+
+def scripted(argv):
+    """Whether argv has the shape the reader covers: a subcommand, its FILE (a lone - or no
+    leading -; generate takes none), then pairs of a whole long option of its table and a
+    value with no leading -."""
+    if not argv or argv[0] not in cli._COMMANDS:
+        return False
+    rest = argv[1:]
+    if argv[0] != "generate":
+        if not rest or rest[0].startswith("-") and rest[0] != "-":
+            return False
+        rest = rest[1:]
+    flags = {flag for flag, _ in cli._COMMANDS[argv[0]][2] if flag.startswith("--")}
+    return len(rest) % 2 == 0 and set(rest[::2]) <= flags and not any(v.startswith("-") for v in rest[1::2])
+
+
+def assert_read_as_by_argparse(argv):
+    """The reader takes argv exactly when it is scripted and argparse parses it, and then
+    gives argparse's namespace; returns whether it took it."""
+    got, want = cli._read(list(argv)), parsed(argv)
+    if got is None:
+        assert not scripted(argv) or want[0] != "namespace", argv
+        return False
+    assert scripted(argv) and want == ("namespace", vars(got)), argv
+    return True
 
 
 def spy_parsers(monkeypatch):
@@ -975,8 +1002,8 @@ def spy_parsers(monkeypatch):
     built = []
     build = cli._build_parser
 
-    def spy(only=None):
-        built.append(build(only))
+    def spy():
+        built.append(build())
         return built[-1]
 
     monkeypatch.setattr(cli, "_build_parser", spy)
@@ -987,28 +1014,14 @@ def subcommands(parser):
     return list(parser._subparsers._group_actions[0].choices)
 
 
-def assert_parsed_as_by_all(argv):
-    if argv and argv[0] in cli._COMMANDS:
-        assert parsed(argv, argv[0]) == parsed(argv, None), argv
-
-
-def test_one_subparser_parses_the_golden_and_usage_error_argvs_as_all_of_them():
+def test_the_reader_parses_the_golden_and_usage_error_argvs_as_argparse():
     argvs = {tuple(argv) for _, argv, _ in cases()}
     argvs |= {tuple(argv) for argv in chain(USAGE_ERRORS.values(), ECHOED.values())}
     argvs |= {tuple(argv) + (value,) for argv in INT_OPTIONS.values() for value in (BIG, "1e" * 2500, "abc")}
     assert len(argvs) > 150 and {argv[0] for argv in argvs} >= set(NAMES)
-    kinds = set()
-    for argv in sorted(argvs):
-        assert_parsed_as_by_all(argv)
-        kinds.add(parsed(argv, None)[0])
-    assert kinds == {"namespace", "usage", "exit"}
-
-
-@pytest.mark.parametrize("name", NAMES)
-def test_one_subparser_prints_the_same_help(name):
-    kind, code, out = parsed([name, "-h"], name)
-    assert (kind, code) == ("exit", 0) and out.startswith("usage: sdcalc %s [-h]" % name)
-    assert parsed([name, "-h"], None) == (kind, code, out)
+    read = {argv for argv in sorted(argvs) if assert_read_as_by_argparse(argv)}
+    assert {argv[0] for argv in read} == set(NAMES)
+    assert {parsed(argv)[0] for argv in argvs - read} == {"namespace", "usage", "exit"}
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -1016,8 +1029,67 @@ def test_one_subparser_prints_the_same_help(name):
        file=st.sampled_from([TWO, TRI, GENUS2, OPEN, TWISTED, TRIJSON, "-"]) | ARGV_VALUES,
        options=st.lists(st.tuples(st.sampled_from(OPTIONS + ["--out", "--version"]), ARGV_VALUES),
                         max_size=5))
-def test_one_subparser_parses_the_fuzzed_argvs_as_all_of_them(command, file, options):
-    assert_parsed_as_by_all([command] + [file] * (command != "generate") + [t for pair in options for t in pair])
+def test_the_reader_parses_the_fuzzed_argvs_as_argparse(command, file, options):
+    assert_read_as_by_argparse([command] + [file] * (command != "generate") + [t for pair in options for t in pair])
+
+
+def test_the_reader_takes_every_argv_of_the_cli_benchmark(monkeypatch, tmp_path):
+    # the argv of each item of perfbench's cli workload, which adds --format json to each
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    from workloads import Cli, Trace
+    workload = Cli(1, Trace(False), str(Path(__file__).parent.parent), str(tmp_path))
+    argvs = [workload._command(i)[0] + ["--format", "json"] for i in range(workload.size)]
+    assert {argv[0] for argv in argvs} == {name.split()[0] for name in Cli.CYCLE}
+    assert all(assert_read_as_by_argparse(argv) for argv in argvs)
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", TWO, "--format", "json"], ["classify", "-"], ["switch", TRI, "--k", "2"],
+    ["kirby", TRI, "--section", "1", "--format", "text"], ["generate", "--seed", "1", "--steps", "3"],
+    ["substitute", TRI, "--op", "hayano", "--pos", "1", "--k", "0", "--dual", "0,1"],
+], ids=["validate", "stdin", "switch", "kirby", "generate", "substitute"])
+def test_a_run_the_reader_takes_builds_no_parser(capsys, monkeypatch, argv):
+    built = spy_parsers(monkeypatch)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(Path(TWO).read_bytes())))
+    code, out, err = run(capsys, *argv)
+    assert (code, err, built) == (0, "", []) and out
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_run_that_names_its_subcommand_builds_only_that_one(capsys, monkeypatch, name):
+    # the first golden run of each subcommand: the reader takes it, so no parser is built,
+    # and it prints what the run through the full parser prints
+    argv, data = next((argv, data) for _, argv, data in cases() if argv[0] == name)
+    outputs = []
+    for read, parsers in ((cli._read, []), (lambda argv: None, [NAMES])):
+        monkeypatch.setattr(cli, "_read", read)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        built = spy_parsers(monkeypatch)
+        outputs.append(run(capsys, *argv))
+        assert [subcommands(p) for p in built] == parsers
+        monkeypatch.undo()
+    assert outputs[0] == outputs[1] and outputs[0][1]
+
+
+# sha256 prefixes of each subcommand's -h at 80 columns, as the parser built with that one
+# subparser printed it before the reader replaced that parser
+HELP_SHA256 = {
+    "validate": "4ab8ebcb318d9bfb", "info": "663291630c93b1cb", "classify": "44aec988f682bf18",
+    "detect": "30b141c0ef69d179", "substitute": "e19f7210a43a583c", "switch": "bef63aed01535151",
+    "double": "f27eaa311e387ce1", "monodromy": "c0616455914bae45", "blf": "54447f468020a3b5",
+    "kirby": "5041359fd4d3ded0", "generate": "28f5681f9051b580",
+}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_one_subparser_prints_the_same_help(capsys, monkeypatch, name):
+    # each subparser's -h: the full parser is built, and prints the same bytes
+    built = spy_parsers(monkeypatch)
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, name, "-h")
+    assert (code, err) == (0, "") and out.startswith("usage: sdcalc %s [-h]" % name)
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == HELP_SHA256[name]
+    assert [subcommands(p) for p in built] == [NAMES]
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["--version"], ["frobnicate", TWO], ["--format", "json", "info"], []],
@@ -1036,8 +1108,9 @@ def test_runs_that_name_no_subcommand_build_all_of_them(capsys, monkeypatch, arg
         assert "(choose from %s)" % ", ".join(map(repr, NAMES)) in err
 
 
-@pytest.mark.parametrize("name", NAMES)
-def test_a_run_that_names_its_subcommand_builds_only_that_one(capsys, monkeypatch, name):
-    built = spy_parsers(monkeypatch)
-    run(capsys, name, "-h")
-    assert [subcommands(p) for p in built] == [[name]]
+def test_is_int_takes_what_its_old_regex_took():
+    # \d on a str pattern is Unicode category Nd, which is what str.isdecimal tests
+    pattern = re.compile(r"[+-]?\d+")
+    chars = list(map(chr, range(sys.maxunicode + 1)))
+    strings = chars + ["-" + c for c in chars] + ["", "+", "-", "+-1", " 1", "1 ", "--1", "+12", "-0"]
+    assert [s for s in strings if cli._is_int(s)] == [s for s in strings if pattern.fullmatch(s)]

@@ -25,7 +25,7 @@ from sdcalc.homology import (
     twist_matrix,
 )
 
-from sdcalc import homology
+from sdcalc import monodromy
 from sdcalc._power import mat_pow, matmul
 from sdcalc.circuit import Circuit, generate
 from sdcalc.monodromy import mu_tilde_word
@@ -436,17 +436,17 @@ BIG_AXES = [BIG[i:] + BIG[:i] for i in range(6)]
 @example((BIG_AXES, [BIG, BIG[::-1], (1, 0, 0, 0, 0, 0)]))
 @example(([], [(0, 0)]))  # every class zero: bound 0, w = 8
 def test_packed_word_images_match_the_generic_loop(case):
-    # the packed kernel (_pack, _run, _decode), whose words have exponent 1, against one dot
+    # monodromy's packed kernel (_pack, _run, _decode), whose words have exponent 1, against one dot
     # product per class and factor; w is the least multiple of 8 with 2^(w-1) above the
     # a-priori bound, and every true image entry is below 2^(w-1)
     axes, xs = case
     bound = max(sum(map(abs, x)) for x in xs)
     for v in axes:
         bound *= 1 + sum(t * t for t in v)
-    w = homology._width(bound)
+    w = monodromy._width(bound)
     target(float(w))
     want = word_images_generic([(v, 1) for v in axes], xs)
-    assert homology._decode(homology._run(axes, homology._pack(xs, w)), w, len(xs)) == list(zip(*want))
+    assert monodromy._decode(monodromy._run(axes, monodromy._pack(xs, w)), w, len(xs)) == list(zip(*want))
     assert w == bound.bit_length() + 8 & -8 and bound < 2 ** (w - 1)
     assert all(abs(e) < 2 ** (w - 1) for y in want for e in y)
     if axes == BIG_AXES:  # six factors of about 42 bits of growth each
@@ -471,8 +471,8 @@ def test_word_images_errors_match_the_generic_loop(xs):
 
 
 def test_apply_word_runs_none_of_the_packed_kernel():
-    # apply_word twists its class factor by factor: with the packed kernel patched to fail in
-    # homology, it gives the same images and errors
+    # apply_word twists its class factor by factor: with monodromy's packed kernel patched to
+    # fail, it gives the same images and errors
     def ran(*args):
         raise AssertionError("apply_word ran the packed kernel")
 
@@ -484,7 +484,7 @@ def test_apply_word_runs_none_of_the_packed_kernel():
     assert want == [_outcome(_generic, word, x) for word, x in cases]
     with ExitStack() as stack:
         for name in ("_pack", "_run", "_decode", "_width"):
-            stack.enter_context(mock.patch.object(homology, name, ran))
+            stack.enter_context(mock.patch.object(monodromy, name, ran))
         assert [_outcome(apply_word, word, x) for word, x in cases] == want
 
 

@@ -506,8 +506,8 @@ def test_torus_lift_matrix_and_checks_match_the_word_oracles():
     assert errors == {None, "twist axis must be primitive", "quotient base class must be primitive"}
 
 
-# the lift code that the oracles check, and the packed kernel (width, packer, run and decoder)
-# in homology that it runs
+# the lift code that the oracles check, with the packed kernel (width, packer, run and decoder)
+# that it runs
 LIFT_CODE = ("mu_tilde_word", "mu_tilde_matrix", "surgered_action", "verdict", "_axes", "_twists",
              "_lifted_coords", "_width", "_pack", "_run", "_decode")
 
@@ -640,17 +640,15 @@ def test_verdict_witness_at_large_genus_matches_the_matrix_oracle():
 
 @pytest.mark.parametrize("circ, calls", [(TRI, 0), (AB, 0), (WITNESS, 1)])
 def test_genus_one_skips_the_quotient_machinery(circ, calls):
-    # patched in monodromy's namespace and in homology's, so every path to the kernel is
-    # counted: monodromy's own _run, and _run through homology's
+    # patched in monodromy's namespace, the packed kernel's only home, so every run of it is counted
     for f in (surgered_action, verdict, mu_tilde_matrix):
         with mock.patch.object(monodromy, "_quotient", wraps=monodromy._quotient) as qb, \
                 mock.patch.object(monodromy, "mu_tilde_word", wraps=monodromy.mu_tilde_word) as word, \
                 mock.patch.object(monodromy, "_axes", wraps=monodromy._axes) as axes, \
-                mock.patch.object(monodromy, "_run", wraps=monodromy._run) as runs, \
-                mock.patch.object(homology, "_run", wraps=homology._run) as kernel:
+                mock.patch.object(monodromy, "_run", wraps=monodromy._run) as runs:
             f(circ)
         # no word at any genus; above genus 1 one axis pass and one kernel run
-        assert word.call_count == kernel.call_count == 0, f
+        assert word.call_count == 0, f
         assert axes.call_count == runs.call_count == calls, f
         assert qb.call_count == (0 if f is mu_tilde_matrix else calls), f
 
