@@ -77,6 +77,9 @@ class Circuit:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):  # pickle and copy rebuild through __init__: __setattr__ refuses the slots
+        return Circuit, (self.curves, self.closed)
+
     def __eq__(self, other):
         if type(other) is not Circuit:
             return NotImplemented
@@ -184,6 +187,12 @@ def _repack(d, circ):
     return Diagram(circ, d.switch_matrix) if isinstance(d, Diagram) else circ
 
 
+class _Chain(tuple):
+    """Tuples of one length, each adjacent pair pairing to +1; nothing is said of the closing pair."""
+
+    __slots__ = ()
+
+
 def normalize(raw, closed: bool, switch_matrix=None) -> Circuit:
     """Fix the orientation convention on a raw class list.
 
@@ -199,15 +208,17 @@ def normalize(raw, closed: bool, switch_matrix=None) -> Circuit:
 
 
 def _orient(raw, closed, switch_matrix):
-    """normalize's checks and sign pass: the re-signed curves as a tuple."""
-    raw = [tuple(v) for v in raw]
+    """normalize's checks and sign pass, as a _Chain; a _Chain in skips the copy, pass and curve checks."""
+    marked = type(raw) is _Chain
+    raw = raw if marked else [tuple(v) for v in raw]
     if not raw:
         raise CurveError("empty circuit")
     if closed and len(raw) < 2:
         raise CurveError("closed circuit needs at least 2 curves")
     n = 2 * genus_of(raw[0])
     _check_switch(switch_matrix, n)
-    out, p = _signed(raw) if len(raw) > 1 and len(set(map(len, raw))) == 1 else (raw, 0)
+    out, p = ((raw, None) if marked else _signed(raw) if len(raw) > 1 and len(set(map(len, raw))) == 1
+              else (raw, 0))
     if p is not None:  # gcd(x) divides <x,y> = +-1, so only a failed pass needs the per-curve checks
         for i, v in enumerate(raw, start=1):
             if len(v) != n:
@@ -223,7 +234,7 @@ def _orient(raw, closed, switch_matrix):
         e = pairing(last, out[0])
         if abs(e) != 1:
             raise CurveError("closing pairing %s, need +-1 for a closed circuit" % _clip_int(e))
-    return tuple(out)
+    return raw if marked else _Chain(out)
 
 
 def _signed(vs):
@@ -312,7 +323,7 @@ def switch(d, k: int = 1):
         cur = turn(cur, r) if r else cur
         if m is None:  # the rotation pairs +1 in turn, but e across the old seam after slot t (c if r = 0)
             t = r if k > 0 and r else len(cur) - r
-            return _repack(d, Circuit(_signs(sign, cur[:t]) + _signs(sign * e, cur[t:]), True))
+            return _repack(d, Circuit(_Chain(_signs(sign, cur[:t]) + _signs(sign * e, cur[t:])), True))
         if q:  # the one path that compiles the power rule
             from ._power import _turns
             t = _turns(m, q, cur)

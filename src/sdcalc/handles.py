@@ -133,9 +133,18 @@ def form_invariants(m: LinkingMatrix) -> FormInvariants:
     Rank and signature come from a Schur sweep over the curves, in O(c) from
     the last pivot row at genus 1 (_sweep_torus), O(c g^2) above (_sweep_invariants),
     parity from the framings, and no entry is built.  Parity is Even iff
-    every diagonal entry is even.
+    every diagonal entry is even.  The sweep reads the curves only through the
+    products b_i . a_l, so when c < g it runs at genus c, in O(c^3) after an
+    O(c^2 g) projection, on a'_j = e_j and b'_i = (b_i . a_1, ..., b_i . a_c),
+    which keep every one of them, the diagonal included.
     """
-    rank, sig, _ = (_sweep_torus if m.curves and len(m.curves[0]) == 2 else _sweep_invariants)(m.curves)
+    cs = m.curves
+    sweep = _sweep_torus if cs and len(cs[0]) == 2 else _sweep_invariants
+    if cs and len(cs) < len(cs[0]) // 2:  # curve i becomes (a'_i, b'_i) interleaved, as a curve is
+        a = [v[0::2] for v in cs]
+        cs = [tuple(chain.from_iterable((int(i == j), _dot(b, x)) for j, x in enumerate(a)))
+              for i, b in enumerate([v[1::2] for v in cs])]
+    rank, sig, _ = sweep(cs)
     parity = "Even" if all(t % 2 == 0 for t in m.framings) else "Odd"
     return tuple.__new__(FormInvariants, (rank, sig, parity))
 

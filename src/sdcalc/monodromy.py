@@ -3,23 +3,24 @@
 The lift is the product of twists about the curves tau_{g_i}(g_{i+1}), rightmost factor first,
 with the closing step using the eps-signed first curve.  It fixes the first curve up to the sign
 (-1)^c eps, hence descends to the rank-(2g-2) quotient of its perp lattice -- the homology of the
-surgered surface.  Above genus 1 one pass over the curves, `_axes`, makes the lift's axes, and
-`_twists` their checks and l2 growth bound, with no word in between; the quotient basis, or for
-`mu_tilde_matrix` the identity, is packed into one vector of big ints that runs through each twist
-once (see _run).  The action's coordinate rows are read off that vector once; `verdict`
-decodes nothing, reading the first moved class off the lowest set bit.  The quotient basis and its
-coordinate rows come from two one-row reductions on sparse rows (Euclid carrying its column moves
-and their inverse row moves), so no identity or matrix product is formed.  At genus 1 the quotient
-has rank 0: only the checks run (g_1 and every axis primitive), and `mu_tilde_matrix` folds each
-axis's twist into four ints.  A non-identity quotient action obstructs trivial monodromy; the
-converse direction is not decided here, so verdicts are worded as necessary conditions.
+surgered surface.  Above genus 1 one pass over the curves, `_axes`, makes the lift's axes (it pairs
+only the closing pair of normalize's circuit._Chain), and `_twists` their checks and l2 growth bound,
+with no word in between; the quotient basis, or for `mu_tilde_matrix` the identity, is packed into
+one vector of big ints that runs through each twist once (see _run).  The action's coordinate rows
+are read off that vector once; `verdict` decodes nothing, reading the first moved class off the
+lowest set bit.  The quotient basis and its coordinate rows come from two one-row reductions on
+sparse rows (Euclid carrying its column moves and their inverse row moves), so no identity or
+matrix product is formed.  At genus 1 the quotient has rank 0: only the checks run (g_1 and every
+axis primitive), and `mu_tilde_matrix` folds each axis's twist into four ints.  A non-identity
+quotient action obstructs trivial monodromy; the converse direction is not decided here, so
+verdicts are worded as necessary conditions.
 """
 
 from collections import namedtuple
 from itertools import compress
 from operator import add, mul, sub
 
-from .circuit import Circuit, _Rec, _matrix_lines, _unpack
+from .circuit import Circuit, _Chain, _Rec, _matrix_lines, _unpack
 from .homology import _require_axis, canon_sign, genus_of, ident, is_primitive, pairing, pairing_functional
 
 
@@ -61,12 +62,12 @@ def mu_tilde_word(c):
     at genus 1 the axis (y0 + p x0, y1 + p x1), p = x0 y1 - x1 y0, is built
     and canonicalized on scalars, above it comes from _axes.
     """
-    ext = _require_untwisted_closed(c).extended(1)
-    if len(ext[0]) != 2:
-        return tuple([(canon_sign(v), 1) for v, _ in _axes(ext)])
+    circ = _require_untwisted_closed(c)
+    if len(circ.curves[0]) != 2:
+        return tuple([(canon_sign(v), 1) for v, _ in _axes(circ)])
     word = []
-    x0, x1 = ext[0]
-    for y0, y1 in ext[1:]:
+    x0, x1 = circ.curves[0]
+    for y0, y1 in circ.extended(1)[1:]:
         p = x0 * y1 - x1 * y0
         a, b = y0 + p * x0, y1 + p * x1
         word.append(((a, b) if a > 0 or not a and b >= 0 else (-a, -b), 1))
@@ -74,11 +75,13 @@ def mu_tilde_word(c):
     return tuple(word)
 
 
-def _axes(ext):
-    """(y + p x, p) for consecutive curves x, y of ext, p = <x,y>."""
+def _axes(circ):
+    """(y + p x, p) for consecutive curves x, y of circ.extended(1), p = <x,y>.  Inside a circuit._Chain
+    p = 1, so there only the closing pair (g_c, eps g_1) is paired: p = eps^2, +1 only when |eps| = 1."""
+    ext, inner = circ.extended(1), len(circ.curves) if type(circ.curves) is _Chain else 0
     axes = []
-    for x, y in zip(ext, ext[1:]):
-        p = pairing(x, y)
+    for i, (x, y) in enumerate(zip(ext, ext[1:]), 1):
+        p = 1 if i < inner else pairing(x, y)
         axes.append((tuple(map(add, y, x) if p == 1 else map(sub, y, x) if p == -1
                            else map(add, y, map(p.__mul__, x))), p))
     return axes
@@ -137,14 +140,14 @@ def mu_tilde_matrix(c):
     the packed identity, slot j the basis vector e_j, runs through the twists once and decodes into
     the rows; at genus 1 each axis (a, b) = y + p x, p = <x,y>, twists the columns (m00, m10) and
     (m01, m11) at once, checked only when p is not +-1 (see _twists)."""
-    ext = _require_untwisted_closed(c).extended(1)
-    n = len(ext[0])
+    circ = _require_untwisted_closed(c)
+    n = len(circ.curves[0])
     if n != 2:
-        vs, growth = _twists(_axes(ext))
+        vs, growth = _twists(_axes(circ))
         w = _width(growth)  # |e_i|_1 = 1
         return tuple(_decode(_run(vs, [1 << i * w for i in range(n)]), w, n))
-    (x0, x1), m00, m01, m10, m11 = ext[0], 1, 0, 0, 1
-    for y0, y1 in ext[1:]:
+    (x0, x1), m00, m01, m10, m11 = circ.curves[0], 1, 0, 0, 1
+    for y0, y1 in circ.extended(1)[1:]:
         p = x0 * y1 - x1 * y0
         a, b = y0 + p * x0, y1 + p * x1
         if p != 1 and p != -1:
@@ -229,7 +232,7 @@ def _lifted_coords(c):
                 _require_axis(canon_sign((y0 + p * x0, y1 + p * x1)))
         return a, (), (), 8  # rank 0: nothing is packed
     qb, rows = _quotient(a)
-    vs, growth = _twists(_axes(circ.extended(1)))
+    vs, growth = _twists(_axes(circ))
     growth *= max([sum(map(abs, q)) for q in qb]) * max([sum([abs(v) for _, v in row]) for row in rows])
     w = _width(growth)
     X = _run(vs, _pack(qb, w))

@@ -19,7 +19,7 @@ as such.
 from collections import namedtuple
 from operator import add, eq
 
-from .circuit import _Rec, _clip, _clip_int, _repack, _signed, _unpack, normalize
+from .circuit import _Chain, _Rec, _clip, _clip_int, _repack, _signed, _unpack, normalize
 from .homology import canon_sign, matvec, pairing, twist_apply
 
 
@@ -131,12 +131,13 @@ def detect(d):
     is a stabilization with that k.  Overlapping patterns are all
     reported.  For a twisted diagram only seam-free windows are scanned.
 
-    The curves are oriented once, as one chain, by the one sign pass
-    circuit._signed, and every window is a slice of it.  A window
-    oriented on its own differs from that slice by at most an overall
-    sign, which changes no match, exponent or canonical dual.  The chain
-    also covers the pairings no window reads, as at c < 3; for a twisted
-    diagram it stops at g_c, and the seam <mu g_c, g_1> is checked alone.
+    The curves are oriented once, as one chain, and every window is a slice
+    of it: a circuit._Chain (normalize's mark) is that chain when twisted or
+    when |eps| = 1, else the one sign pass circuit._signed orients it.  A
+    window oriented on its own differs from that slice by at most an overall
+    sign, which changes no match, exponent or canonical dual.  The chain also
+    covers the pairings no window reads, as at c < 3; for a twisted diagram
+    it stops at g_c, and the seam <mu g_c, g_1> is checked alone.
 
     At genus 1 no window's relation is checked, since none can fail:
     <x,y> = 1 makes (x, y) a basis, and z = s x + t y with <y,z> = 1
@@ -150,8 +151,9 @@ def detect(d):
     # n3 3-windows and n4 4-windows are scanned; a twisted one must not wrap
     n3 = 0 if c < 3 else c if mu is None else c - 2
     n4 = 0 if c < 4 else c if mu is None else c - 3
-    ext = circ.extended(3) if mu is None else circ.curves
-    chain = _norm_window(ext[:max(n3 + 2, n4 + 3, c + 1)])
+    ext = (circ.extended(3) if mu is None else circ.curves)[:max(n3 + 2, n4 + 3, c + 1)]
+    marked = type(circ.curves) is _Chain and (mu is not None or abs(circ.eps) == 1)  # +1 on to eps g_1
+    chain = ext if marked else _norm_window(ext)
     if mu is not None:  # the seam window (mu g_c, g_1)
         _norm_window([matvec(mu, circ.curves[-1]), circ.curves[0]])
     ks = ([_window_k(*chain[i:i + 3]) for i in range(len(chain) - 2)] if homological

@@ -32,7 +32,9 @@ column-echelon reduction `colreduce` backs `solve_int`, and
 reference for `quotient_basis`, monodromy._quotient's basis with the
 coordinate reader `coords` on its rows.  `recorded_widths` records the
 slot widths of monodromy's packed lift so that tests can hold every
-true entry below 2^(w-1).
+true entry below 2^(w-1).  `unmarked` rebuilds a circuit or diagram on
+a plain tuple of its curves, without the mark (circuit._Chain) that
+normalize leaves, so that every call can be run both ways.
 """
 
 import operator
@@ -259,6 +261,14 @@ def result_or_error(f, *args):
         return f(*args)
     except ValueError as exc:
         return type(exc), str(exc), getattr(exc, "curve", None)
+
+
+def unmarked(d):
+    """The same Circuit or Diagram, its curves rebuilt with tuple(curves): equal to d, but not
+    a circuit._Chain, so every call on it pairs what it reads instead of trusting the mark."""
+    circ, mu = d if isinstance(d, Diagram) else (d, None)
+    plain = Circuit(tuple(circ.curves), circ.closed)
+    return Diagram(plain, mu) if isinstance(d, Diagram) else plain
 
 
 def rand_chain(rng, genus, length, lim=3):

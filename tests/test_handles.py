@@ -2,6 +2,7 @@ import random
 import time
 from fractions import Fraction
 from operator import mul
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -347,6 +348,68 @@ def test_far_pivot_family_is_linear():
     elapsed = time.perf_counter() - start
     assert (inv.rank, inv.signature) == (2004, -2002)
     assert elapsed < 2.0, elapsed
+
+
+def _padded(curves, g):
+    """The curves at genus g, zero on the handles they did not have: the same linking matrix."""
+    return [tuple(v) + (0,) * (2 * g - len(v)) for v in curves]
+
+
+@st.composite
+def projection_cases(draw):
+    """Curve lists with c < g, c = g and c > g: sparse lists, the far-pivot family, random
+    circuits and lists with zero rows (an a-only curve first, a b-only curve last), each
+    padded to a genus drawn around c."""
+    kind = draw(st.sampled_from(("sparse", "far_pivot", "circuit", "zero_rows")))
+    if kind == "sparse":
+        curves = draw(sparse_curves())
+    elif kind == "far_pivot":
+        curves = far_pivot_family(draw(st.integers(4, 12))).curves
+    elif kind == "circuit":
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        curves = rand_closed(rng, draw(st.integers(2, 6)), draw(st.integers(2, 9))).curves
+    else:
+        curves = [(1, 0)] + [tuple(v) for v in draw(sparse_curves())] + [(0, 1)]
+        curves = _padded(curves, max(map(len, curves)) // 2)
+    g = len(curves[0]) // 2
+    return _padded(curves, max(g, len(curves) + draw(st.integers(-3, 3))))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(projection_cases())
+@example(_padded(far_pivot_family(8).curves, 11))
+def test_form_invariants_project_to_genus_c_below_genus_c(curves):
+    """Below genus c the sweep runs at genus c on the projected curves, and gives the unprojected
+    sweep's rank, signature and far pivots, which Bareiss and the rational reference confirm."""
+    ran = []
+
+    def recorded(cs, real=_sweep_invariants):
+        ran.append((len(cs[0]) // 2, real(cs)))
+        return ran[-1][1]
+
+    m = LinkingMatrix(curves)
+    with mock.patch.object(sdcalc.handles, "_sweep_invariants", recorded):
+        inv = form_invariants(m)
+    c, g = len(curves), len(curves[0]) // 2
+    want = _sweep_invariants(curves)
+    if g == 1:
+        assert ran == []
+    else:
+        assert ran == [(min(c, g), want)]
+    assert (inv.rank, inv.signature) == want[:2] == symmetric_invariants(m.entries)
+    assert want[:2] == _reference_invariants(m.entries)
+
+
+def test_form_invariants_at_large_genus_cost_the_circuit_not_the_genus():
+    # the unprojected sweep keeps a dense g x g matrix: about 8 s here
+    rng = random.Random(2000)
+    curves = [tuple(rng.randint(-3, 3) for _ in range(4000)) for _ in range(6)]
+    m = LinkingMatrix(curves)
+    start = time.perf_counter()
+    inv = form_invariants(m)
+    elapsed = time.perf_counter() - start
+    assert (inv.rank, inv.signature) == symmetric_invariants(m.entries)
+    assert elapsed < 0.5, elapsed
 
 
 def _torus_sweep(curves):

@@ -131,21 +131,21 @@ CLASSIFY = BASE | {"sdcalc.subst", "sdcalc.genus1"}
 # bytecode (PYTHONDONTWRITEBYTECODE=1) compiles every line it loads.  A
 # change may lower a budget; one that raises it says so in CHANGES.md.
 SUBCOMMANDS = {
-    "validate": (["validate", "two.sd"], BASE, 1099),
-    "switch": (["switch", "two.sd", "--k", "2"], BASE, 1099),
+    "validate": (["validate", "two.sd"], BASE, 1110),
+    "switch": (["switch", "two.sd", "--k", "2"], BASE, 1110),
     # full turns: only a twisted diagram loads the matrix powers
-    "switch_turns": (["switch", "two.sd", "--k", "7"], BASE, 1099),
-    "switch_twisted": (["switch", "twisted.sd", "--k", "7"], BASE | {"sdcalc._power"}, 1180),
-    "double": (["double", "open.sd"], BASE, 1099),
-    "detect": (["detect", "two.sd"], BASE | {"sdcalc.subst"}, 1339),
+    "switch_turns": (["switch", "two.sd", "--k", "7"], BASE, 1110),
+    "switch_twisted": (["switch", "twisted.sd", "--k", "7"], BASE | {"sdcalc._power"}, 1191),
+    "double": (["double", "open.sd"], BASE, 1110),
+    "detect": (["detect", "two.sd"], BASE | {"sdcalc.subst"}, 1352),
     "substitute": (["substitute", "blowup3.sd", "--op", "blowup", "--pos", "1", "--exp", "1"],
-                   BASE | {"sdcalc.subst"}, 1339),
-    "classify": (["classify", "two.sd"], CLASSIFY, 1602),
-    "generate": (["generate", "--seed", "1", "--steps", "3"], CLASSIFY, 1602),
-    "info": (["info", "two.sd"], HANDLES, 1497),
-    "blf": (["blf", "two.sd"], HANDLES, 1497),
-    "kirby": (["kirby", "two.sd"], HANDLES, 1497),
-    "monodromy": (["monodromy", "genus2.sd"], BASE | {"sdcalc.monodromy"}, 1379),
+                   BASE | {"sdcalc.subst"}, 1352),
+    "classify": (["classify", "two.sd"], CLASSIFY, 1615),
+    "generate": (["generate", "--seed", "1", "--steps", "3"], CLASSIFY, 1615),
+    "info": (["info", "two.sd"], HANDLES, 1517),
+    "blf": (["blf", "two.sd"], HANDLES, 1517),
+    "kirby": (["kirby", "two.sd"], HANDLES, 1517),
+    "monodromy": (["monodromy", "genus2.sd"], BASE | {"sdcalc.monodromy"}, 1393),
 }
 
 
@@ -262,7 +262,7 @@ SOURCES = sorted((SRC / "sdcalc").glob("*.py"))
 
 # the lines of src/sdcalc/*.py: a change may lower this bound; one that
 # raises it says so in CHANGES.md, as for the budgets above
-SRC_LINES = 2361
+SRC_LINES = 2386
 
 
 def test_src_does_not_grow():
